@@ -27,7 +27,6 @@ from segre_kit.cycles import (
     VarietyRef,
     fixed_moving_split,
     multiplicity_at,
-    pushforward_fiber,
     wedge,
 )
 from segre_kit.engine import (
@@ -57,7 +56,7 @@ __all__ = [
     "classify_structure", "determinant_and_minors", "monomial_gcd_factor",
     "parse_polynomial",
     "CycleTerm", "GeneralizedCycle", "MovingFactor", "VarietyRef",
-    "fixed_moving_split", "multiplicity_at", "pushforward_fiber", "wedge",
+    "fixed_moving_split", "multiplicity_at", "wedge",
     "MorphismResult", "SegreReport", "compute_Ma", "compute_Mg",
     "distinguished_varieties", "ring_M_Galpha", "segre_numbers",
     "singular_metric_forms",

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 from segre_kit import __version__
@@ -24,6 +24,8 @@ from segre_kit.cycles import (
     multiplicity_at,
 )
 from segre_kit.engine import (
+    _distinguished_from_result,
+    _oracle_from_cfg,
     compute_Ma,
     compute_Mg,
     segre_numbers,
@@ -89,6 +91,10 @@ def load_spec(data: dict) -> MorphismSpec:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"spec needs 'variables' and 'matrix': {exc}")
     n = len(variables)
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(cell, str) for cell in row)
+            for row in rows):
+        raise ParseError("'matrix' must be a list of rows of polynomial strings")
     matrix = PolyMatrix([[parse_polynomial(cell, n, variables) for cell in row]
                          for row in rows])
     engine = data.get("engine", "exact")
@@ -103,7 +109,14 @@ def load_spec(data: dict) -> MorphismSpec:
     for t in tasks:
         if t not in ALL_TASKS:
             raise ParseError(f"unknown task {t!r}")
-    reg = RegConfig(**data.get("reg", {}))
+    reg = data.get("reg", {})
+    if not isinstance(reg, dict):
+        raise ParseError("'reg' must be an object")
+    known = [f.name for f in fields(RegConfig)]
+    unknown = sorted(set(reg) - set(known))
+    if unknown:
+        raise ParseError(f"unknown reg keys {unknown}; accepted: {known}")
+    reg = RegConfig(**reg)
     return MorphismSpec(variables, matrix, engine, points, tasks, reg, dict(data))
 
 
@@ -168,7 +181,7 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
         report["results"]["distinguished"] = [
             {"equations": [str(q) for q in ref.equations(base)],
              "coefficient": co, "codim": k}
-            for ref, co, k in _distinguished(res)]
+            for ref, co, k in _distinguished_from_result(res)]
     if "Ma" in spec.tasks:
         ma = compute_Ma(spec.matrix, cfg=spec.reg)
         report["results"]["Ma"] = [c.to_record() for c in ma]
@@ -192,18 +205,12 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
     return report
 
 
-def _distinguished(res):
-    from segre_kit.engine import _distinguished_from_result
-
-    return _distinguished_from_result(res)
-
-
 def _comparison_block(spec: MorphismSpec, res) -> list:
     """Exact multiplicities re-estimated through the numeric oracles."""
     out = []
     for pt in spec.points:
         for k, cyc in enumerate(res.M):
-            exact = multiplicity_at(cyc, pt, oracle=_forced_oracle(spec.reg))
+            exact = multiplicity_at(cyc, pt, oracle=_oracle_from_cfg(spec.reg))
             numeric = _numeric_multiplicity(cyc, pt, spec.reg)
             if numeric is None:
                 continue
@@ -211,12 +218,6 @@ def _comparison_block(spec: MorphismSpec, res) -> list:
                         "exact": exact, "numeric": numeric,
                         "agree": exact == numeric})
     return out
-
-
-def _forced_oracle(cfg):
-    def oracle(factors, fixed, point):
-        return crofton_moving_multiplicity(factors, fixed, point, cfg)
-    return oracle
 
 
 def _numeric_multiplicity(cyc: GeneralizedCycle, point, cfg) -> Optional[int]:
@@ -243,10 +244,6 @@ def _numeric_multiplicity(cyc: GeneralizedCycle, point, cfg) -> Optional[int]:
 
 def _mat(rows, n) -> PolyMatrix:
     return PolyMatrix([[parse_polynomial(s, n) for s in row] for row in rows])
-
-
-def _cycle_str(c: GeneralizedCycle) -> str:
-    return c.describe()
 
 
 def _grid(n: int):
@@ -306,49 +303,49 @@ def golden_suite(skip_numeric: bool = False,
     g_diag2 = _mat([["x1", "0"], ["0", "x2"]], 2)
     res_diag2 = compute_Mg(g_diag2)
     base2 = res_diag2.M[0].space
-    checks.append(_check("diag2.M1", "[x1=0] + [x2=0]", _cycle_str(res_diag2.M[1])))
-    checks.append(_check("diag2.M2", "[x1=x2=0]", _cycle_str(res_diag2.M[2])))
+    checks.append(_check("diag2.M1", "[x1=0] + [x2=0]", res_diag2.M[1].describe()))
+    checks.append(_check("diag2.M2", "[x1=x2=0]", res_diag2.M[2].describe()))
     checks.append(_check("diag2.ring2",
                          "[x1=a2=0] + [x1=x2=0] + [x2=a1=0]",
-                         _cycle_str(res_diag2.ring_M[2])))
+                         res_diag2.ring_M[2].describe()))
     checks.append(_check("diag2.segre_origin", [0, 2, 1],
                          segre_numbers(g_diag2, [0, 0], result=res_diag2).numbers))
 
     # --- diag(x^2, x) over C^1 ----------------------------------------------
     g_pow = _mat([["x1^2", "0"], ["0", "x1"]], 1)
     res_pow = compute_Mg(g_pow)
-    checks.append(_check("diagpow.M1", "3*[x1=0]", _cycle_str(res_pow.M[1])))
-    checks.append(_check("diagpow.ring1", "[x1=0]", _cycle_str(res_pow.ring_M[1])))
+    checks.append(_check("diagpow.M1", "3*[x1=0]", res_pow.M[1].describe()))
+    checks.append(_check("diagpow.ring1", "[x1=0]", res_pow.ring_M[1].describe()))
     checks.append(_check("diagpow.ring2", "2*[x1=a2=0]",
-                         _cycle_str(res_pow.ring_M[2])))
+                         res_pow.ring_M[2].describe()))
 
     # --- the moving-term row [x1 x2] ------------------------------------------------------
     g_s1 = _mat([["x1", "x2"]], 2)
     res_s1 = compute_Mg(g_s1)
-    checks.append(_check("row2.M0", "X", _cycle_str(res_s1.M[0])))
+    checks.append(_check("row2.M0", "X", res_s1.M[0].describe()))
     checks.append(_check("row2.M1", "X ^ <dd^c log(|x1|^2 + |x2|^2)>",
-                         _cycle_str(res_s1.M[1])))
-    checks.append(_check("row2.M2", "0", _cycle_str(res_s1.M[2])))
+                         res_s1.M[1].describe()))
+    checks.append(_check("row2.M2", "0", res_s1.M[2].describe()))
     checks.append(_check("row2.mult", [[1, 1, 0], [1, 0, 0], [1, 0, 0]],
                          [segre_numbers(g_s1, pt, result=res_s1).numbers
                           for pt in ([0, 0], [1, 0], [0, 1])]))
     res_s1_alt = compute_Mg(g_s1, fiber_metric_weights=(1, 2))
     checks.append(_check("row2.alt_metric",
                          "X ^ <dd^c log(2*|x1|^2 + |x2|^2)>",
-                         _cycle_str(res_s1_alt.M[1])))
+                         res_s1_alt.M[1].describe()))
 
     # --- the common-factor diagonal diag(x1x3, x2x3, x3^2) --------------------------------------
     g_s2 = _mat([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3)
     res_s2 = compute_Mg(g_s2)
-    checks.append(_check("gcd_diag3.ring1", "[x3=0]", _cycle_str(res_s2.ring_M[1])))
+    checks.append(_check("gcd_diag3.ring1", "[x3=0]", res_s2.ring_M[1].describe()))
     checks.append(_check("gcd_diag3.ring2",
                          "[x3=0] ^ <dd^c log(|x1*a1|^2 + |x2*a2|^2)>",
-                         _cycle_str(res_s2.ring_M[2])))
+                         res_s2.ring_M[2].describe()))
     checks.append(_check(
         "gcd_diag3.ring3",
         "[x1=a2=a3=0] + [x1=x2=a3=0] + 2*[x1=x2=x3=0] + 2*[x1=x3=a2=0] "
         "+ [x2=a1=a3=0] + 2*[x2=x3=a1=0] + 2*[x3=a1=a2=0]",
-        _cycle_str(res_s2.ring_M[3])))
+        res_s2.ring_M[3].describe()))
     m2_on_x3 = [t for t in res_s2.M[2].terms
                 if t.moving and t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE
                 and t.fixed.base_zeros == frozenset([2])]
@@ -364,14 +361,14 @@ def golden_suite(skip_numeric: bool = False,
     g_ideal = _mat([["x1*x2", "0"], ["0", "1"]], 2)
     res_ideal = compute_Mg(g_ideal)
     checks.append(_check("sheaf.diag_x1x2_1.M1", "[x1=0] + [x2=0]",
-                         _cycle_str(res_ideal.M[1])))
-    checks.append(_check("sheaf.diag_x1x2_1.M2", "0", _cycle_str(res_ideal.M[2])))
+                         res_ideal.M[1].describe()))
+    checks.append(_check("sheaf.diag_x1x2_1.M2", "0", res_ideal.M[2].describe()))
     disting_pair = sorted([t.describe(base2), int(c)]
-                          for t, c in _disting_pairs(res_ideal))
+                          for t, c, _k in _distinguished_from_result(res_ideal))
     checks.append(_check("sheaf.contrast.distinguished",
                          [["[x1=0]", 1], ["[x2=0]", 1]], disting_pair))
     disting_diag2 = sorted([t.describe(base2), int(c)]
-                          for t, c in _disting_pairs(res_diag2))
+                          for t, c, _k in _distinguished_from_result(res_diag2))
     checks.append(_check("sheaf.diag2.distinguished",
                          [["[x1=0]", 1], ["[x1=x2=0]", 1], ["[x2=0]", 1]],
                          disting_diag2))
@@ -387,7 +384,7 @@ def golden_suite(skip_numeric: bool = False,
             for pt in grid2)))
     checks.append(_check("dsum.distinguished", disting_diag2,
                          sorted([t.describe(base2), int(c)]
-                                for t, c in _disting_pairs(res_dsum))))
+                                for t, c, _k in _distinguished_from_result(res_dsum))))
 
     # --- comparability: permutation / scalar rescaling ----------------------------
     g_cmp = _mat([["0", "2*x2"], ["(1+1*i)*x1", "0"]], 2)
@@ -440,15 +437,15 @@ def golden_suite(skip_numeric: bool = False,
     if not skip_numeric:
         ma1 = compute_Ma(_mat([["x1", "x2"]], 2), cfg=reg)
         checks.append(_check("quotient.Ma(x1,x2).deg2", "-1*[point (0, 0)]",
-                             _cycle_str(ma1[2])))
+                             ma1[2].describe()))
         checks.append(_check("quotient.Ma(x1,x2).mult", -1,
                              multiplicity_at(ma1[2], [0, 0])))
         ma2 = compute_Ma(_mat([["x1^2", "x2"]], 2), cfg=reg)
         checks.append(_check("quotient.Ma(x1^2,x2).deg2", "-2*[point (0, 0)]",
-                             _cycle_str(ma2[2])))
+                             ma2[2].describe()))
         ma3 = compute_Ma(_mat([["x1", "x1"]], 2), cfg=reg)
         checks.append(_check("quotient.Ma(x1,x1)", ["0", "[x1=0]", "0"],
-                             [_cycle_str(c) for c in ma3]))
+                             [c.describe() for c in ma3]))
 
         crofton_vals = []
         factor = MovingFactor((parse_polynomial("x1", 2),
@@ -494,12 +491,6 @@ def golden_suite(skip_numeric: bool = False,
                      "python": sys.version.split()[0]},
         "seed": reg.seed,
     }
-
-
-def _disting_pairs(res):
-    from segre_kit.engine import _distinguished_from_result
-
-    return [(ref, co) for ref, co, _k in _distinguished_from_result(res)]
 
 
 # ---------------------------------------------------------------------------

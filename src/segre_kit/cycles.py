@@ -26,6 +26,8 @@ from segre_kit.poly import (
     format_monomial,
     format_polynomial,
     monomial_degree,
+    monomial_div,
+    monomial_gcd,
     parse_polynomial,
 )
 from segre_kit.scalars import Scalar
@@ -59,10 +61,6 @@ class Space:
     @property
     def dim(self) -> int:
         return self.n + (self.r - 1 if self.kind == "PROJ" else 0)
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.r - 1 if self.kind == "PROJ" else 0
 
     def var_names(self):
         names = [f"x{i + 1}" for i in range(self.n)]
@@ -297,9 +295,6 @@ class MovingFactor:
         if self.weights and len(self.weights) != len(self.args):
             raise InputError("weights length mismatch")
 
-    def with_power(self, p: int) -> "MovingFactor":
-        return MovingFactor(self.args, p, self.weights, self.averaged)
-
     def key(self):
         w = tuple(Fraction(x) for x in self.weights) if self.weights else ()
         return (tuple(p.key() for p in self.args), self.power, w, self.averaged)
@@ -402,7 +397,6 @@ class GeneralizedCycle:
         if degree < 0 or degree > space.dim:
             raise InputError(f"bidegree {degree} outside 0..{space.dim}")
         merged = {}
-        order = {}
         for t in _expand_terms(space, terms):
             if t.coefficient == 0 or t.fixed.is_empty(space):
                 continue
@@ -419,7 +413,6 @@ class GeneralizedCycle:
                                       else ORACLE)
             else:
                 merged[k] = t
-                order[k] = None
         kept = [t for t in merged.values() if t.coefficient != 0]
         kept.sort(key=lambda t: (t.fixed.codim(space), t.key()))
         object.__setattr__(self, "space", space)
@@ -630,12 +623,8 @@ def _exact_moving_multiplicity(t: CycleTerm, point, space: Space):
         return 0
 
     # strip the common monomial factor: <h f'>^p = <f'>^p outside the zero set
-    from segre_kit.poly import monomial_gcd, monomial_div
-
     mons = [p.as_monomial()[1] for p in factor.args]
-    h = mons[0]
-    for m in mons[1:]:
-        h = monomial_gcd(h, m)
+    h = monomial_gcd(*mons)
     args = [Polynomial.monomial(p.nvars, monomial_div(m, h), p.as_monomial()[0])
             for p, m in zip(factor.args, mons)]
 
@@ -696,18 +685,6 @@ def multiplicity_provenance(c: GeneralizedCycle, point) -> str:
         except UndecidedError:
             return ORACLE
     return EXACT
-
-
-# ---------------------------------------------------------------------------
-# fiber pushforward
-# ---------------------------------------------------------------------------
-
-def pushforward_fiber(c: GeneralizedCycle) -> dict:
-    """Push a PROJ cycle down to the base; implemented in the engine tower
-    (late import keeps the dependency one-way in module terms)."""
-    from segre_kit.tower import pushforward_cycle
-
-    return pushforward_cycle(c)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,14 @@ from segre_kit.poly import (
     classify_structure,
     determinant,
     monomial_degree,
+    monomial_gcd,
 )
-from segre_kit.tower import _recognize_omega, pushforward_cycle, tower_residue
+from segre_kit.tower import (
+    _divisor_terms,
+    _recognize_omega,
+    pushforward_cycle,
+    tower_residue,
+)
 
 EXACT_CLASSES = (StructureClass.DIAGONAL_MONOMIAL, StructureClass.SINGLE_ROW,
                  StructureClass.COLUMN_SECTION)
@@ -48,42 +54,6 @@ EXACT_CLASSES = (StructureClass.DIAGONAL_MONOMIAL, StructureClass.SINGLE_ROW,
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SectionOnPE:
-    """The section G = g*alpha specialized to the affine chart alpha_chart = 1.
-
-    ``components`` are the nonzero rows after dividing out ``common_factor``,
-    the exponent-wise minimum monomial of the specialized tuple; polynomials
-    live on the ambient (x_1..x_n, a_1..a_r) with the chart variable spent.
-    """
-
-    g: "PolyMatrix"
-    chart: int
-    components: tuple
-    common_factor: tuple
-
-    @staticmethod
-    def build(g: "PolyMatrix", chart: int) -> "SectionOnPE":
-        from segre_kit.poly import monomial_gcd
-
-        n = g.nvars
-        rows = [p.substitute_one(n + chart) for p in _lift_entries(g)]
-        rows = [p for p in rows if not p.is_zero()]
-        if not rows:
-            return SectionOnPE(g, chart, (), (0,) * (n + g.cols))
-        mons = [p.content_monomial() for p in rows]
-        h = mons[0]
-        for m in mons[1:]:
-            h = monomial_gcd(h, m)
-        return SectionOnPE(g, chart, tuple(p.divide_monomial(h) for p in rows), h)
-
-    def lifted_entries(self):
-        """The chart tuple itself (common factor restored)."""
-        nv = self.g.nvars + self.g.cols
-        h = Polynomial.monomial(nv, self.common_factor)
-        return [p * h for p in self.components]
-
 
 @dataclass
 class MorphismResult:
@@ -163,19 +133,18 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
         out.append(GeneralizedCycle(space, level,
                                     tower_residue(entries, space, level)))
     if structure == StructureClass.DIAGONAL_MONOMIAL:
-        _verify_charts(g, space, out)
+        _verify_charts(entries, space, out)
     return out
 
 
-def _verify_charts(g: PolyMatrix, space: Space, global_ring):
-    """Recompute the tower in every affine chart alpha_i = 1 and check the
-    homogenized chart terms against the globally visible ones."""
-    n, r = space.n, space.r
-    for chart in range(r):
-        section = SectionOnPE.build(g, chart)
-        chart_entries = section.lifted_entries()
+def _verify_charts(entries, space: Space, global_ring):
+    """Recompute the tower of the lifted rows in every affine chart
+    alpha_i = 1 and check the homogenized chart terms against the globally
+    visible ones."""
+    for chart in range(space.r):
+        chart_entries = [p.substitute_one(space.n + chart) for p in entries]
         for level in range(1, len(global_ring)):
-            local = tower_residue(chart_entries, space, level) if chart_entries else []
+            local = tower_residue(chart_entries, space, level)
             local_terms = {}
             for t in local:
                 ht = _homogenize_chart_term(t, space, chart)
@@ -373,14 +342,11 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
         if live.as_monomial() is None:
             raise UnsupportedInputError(
                 "single-entry quotient supported for monomial entries only")
-        out.append(GeneralizedCycle(base, 1, _divisor_cycle_terms(base, live)))
+        out.append(GeneralizedCycle(base, 1, _divisor_terms(base, live)))
         out += [GeneralizedCycle.zero(base, k) for k in range(2, n + 1)]
         return out
 
-    from segre_kit.poly import monomial_gcd
-
-    h1, h2 = g1.content_monomial(), g2.content_monomial()
-    h = monomial_gcd(h1, h2)
+    h = monomial_gcd(g1.content_monomial(), g2.content_monomial())
     r1, r2 = g1.divide_monomial(h), g2.divide_monomial(h)
 
     # M^a_1 = [div h]: the exceptional component of div(a') pushes to zero
@@ -415,12 +381,6 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
     out.append(GeneralizedCycle(base, 2, point_terms + symbolic))
     out += [GeneralizedCycle.zero(base, k) for k in range(3, n + 1)]
     return out
-
-
-def _divisor_cycle_terms(base: Space, p: Polynomial):
-    cm = p.as_monomial()
-    return [term(e, VarietyRef.coordinate_subspace([v]))
-            for v, e in enumerate(cm[1]) if e]
 
 
 def _reduced_pair_zeros(r1: Polynomial, r2: Polynomial, n: int, cfg):

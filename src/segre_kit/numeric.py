@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -36,6 +37,16 @@ from segre_kit.scalars import Scalar
 # ---------------------------------------------------------------------------
 
 DEFAULT_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+_BLOCKS = 16  # sample blocks behind every error estimate
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_positive_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+        and math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -45,23 +56,31 @@ class RegConfig:
     epsilon_schedule: tuple = DEFAULT_SCHEDULE
     samples: int = 40000
     seed: int = 20250809
-    chi_thresholds: tuple = (0.5, 0.75)
     radius: float = 1.0
     extrapolation: str = "RICHARDSON"
     extrapolation_order: int = 1
 
     def __post_init__(self):
-        sched = tuple(float(e) for e in self.epsilon_schedule)
-        if any(e <= 0 for e in sched):
-            raise InputError("epsilon schedule must be positive")
+        try:
+            sched = tuple(float(e) for e in self.epsilon_schedule)
+        except (TypeError, ValueError):
+            raise InputError("epsilon schedule must be a list of numbers")
+        if not sched or not all(_is_positive_real(e) for e in sched):
+            raise InputError("epsilon schedule must be positive and finite")
         if any(a <= b for a, b in zip(sched, sched[1:])):
             raise InputError("epsilon schedule must be strictly decreasing")
         if self.extrapolation == "RICHARDSON" and len(sched) < 3:
             raise InputError("Richardson extrapolation needs >= 3 epsilons")
         if self.extrapolation not in ("NONE", "RICHARDSON"):
             raise InputError(f"unknown extrapolation {self.extrapolation!r}")
-        if self.radius <= 0:
-            raise InputError("radius must be positive")
+        if not _is_positive_real(self.radius):
+            raise InputError("radius must be a positive finite number")
+        if not _is_positive_real(self.extrapolation_order):
+            raise InputError("extrapolation order must be a positive number")
+        if not _is_int(self.samples) or self.samples < _BLOCKS:
+            raise InputError(f"samples must be an integer >= {_BLOCKS}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise InputError("seed must be a non-negative integer")
         object.__setattr__(self, "epsilon_schedule", sched)
 
     def replace(self, **kw) -> "RegConfig":
@@ -70,13 +89,6 @@ class RegConfig:
         d = asdict(self)
         d.update(kw)
         return RegConfig(**d)
-
-    def to_record(self):
-        return {"epsilon_schedule": list(self.epsilon_schedule),
-                "samples": self.samples, "seed": self.seed,
-                "chi_thresholds": list(self.chi_thresholds),
-                "radius": self.radius, "extrapolation": self.extrapolation,
-                "extrapolation_order": self.extrapolation_order}
 
 
 @dataclass
@@ -92,12 +104,6 @@ class MassEstimate:
                 "per_epsilon": [[e, v] for e, v in self.per_epsilon],
                 "extrapolated": self.extrapolated,
                 "warnings": list(self.warnings)}
-
-
-def chi_smoothstep(t, lo=0.5, hi=0.75):
-    """The cubic cutoff profile: 0 below ``lo``, 1 above ``hi``, C^1 between."""
-    s = np.clip((np.asarray(t, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
-    return s * s * (3.0 - 2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +235,7 @@ def perturbation_root_count(f, radius: float, trials: int = 5,
     f1, f2 = f
     if f1.nvars != 2 or f2.nvars != 2:
         raise InputError("perturbation_root_count works in two variables")
-    scales = []
-    for p in (f1, f2):
-        bound = sum(math.sqrt(float(c.norm_sq())) * radius ** sum(m)
-                    for m, c in p.terms.items())
-        scales.append(max(bound, 1e-6))
+    scales = [max(_poly_scale(p, radius), 1e-6) for p in (f1, f2)]
     counts = []
     for trial in range(trials):
         rng = np.random.default_rng(seed + 7919 * trial)
@@ -292,6 +294,7 @@ def _count_solutions(F1: Polynomial, F2: Polynomial, radius: float) -> int:
 
 
 def _poly_scale(p: Polynomial, radius: float) -> float:
+    """Bound on |p| over the closed polydisk: sum of |c| * radius^deg."""
     return max(1e-9, sum(math.sqrt(float(c.norm_sq())) * radius ** sum(m)
                          for m, c in p.terms.items()))
 
@@ -316,22 +319,23 @@ def confirm_origin_only_zero(f1: Polynomial, f2: Polynomial,
 # epsilon-regularized masses
 # ---------------------------------------------------------------------------
 
-def _disk_samples(cfg: RegConfig, ncomplex: int, center=None, power: float = 0.5):
-    """Low-discrepancy samples on the polydisk, radius drawn as R*u^power per
-    coordinate (power 1/2 is uniform; larger powers concentrate toward the
-    center).  Returns (points, weights) with sum f dV = mean(f * weights)."""
+def _disk_samples(cfg: RegConfig, coords, center=None):
+    """Low-discrepancy samples on a polydisk, one ``(radius, power)`` per
+    complex coordinate: the modulus is drawn as radius * u^power (power 1/2
+    is uniform; larger powers concentrate toward the center, with exact
+    weights).  Returns (points, weights) with integral f dV = mean(f * weights)."""
     from scipy.stats import qmc
 
-    sampler = qmc.Halton(d=2 * ncomplex, scramble=True, seed=cfg.seed)
+    sampler = qmc.Halton(d=2 * len(coords), scramble=True, seed=cfg.seed)
     u = sampler.random(cfg.samples)
-    z = np.empty((cfg.samples, ncomplex), dtype=complex)
+    z = np.empty((cfg.samples, len(coords)), dtype=complex)
     weight = np.ones(cfg.samples)
-    for j in range(ncomplex):
+    for j, (radius, power) in enumerate(coords):
         t = u[:, 2 * j]
-        rad = cfg.radius * t ** power
+        rad = radius * t ** power
         ang = 2 * np.pi * u[:, 2 * j + 1]
         z[:, j] = rad * np.exp(1j * ang)
-        weight *= 2 * np.pi * power * cfg.radius ** 2 * t ** (2 * power - 1)
+        weight *= 2 * np.pi * power * radius ** 2 * t ** (2 * power - 1)
         if center is not None:
             z[:, j] += complex(center[j])
     return z, weight
@@ -352,10 +356,8 @@ def _batch_minor_dets(jac, rows, cols):
     raise InputError("minor size > 3 not supported")
 
 
-def _blocked_stats(values: np.ndarray, volume: float, blocks: int = 16):
+def _blocked_stats(values: np.ndarray, volume: float, blocks: int = _BLOCKS):
     m = len(values) // blocks * blocks
-    if m == 0:
-        return float(np.mean(values) * volume), float("inf")
     chunk = values[:m].reshape(blocks, -1).mean(axis=1) * volume
     return float(np.mean(chunk)), float(np.std(chunk) / math.sqrt(blocks))
 
@@ -376,7 +378,7 @@ def epsilon_mass(G: Sequence[Polynomial], k: int, cfg: Optional[RegConfig] = Non
         raise InputError("tuple entries live in different ambient dimensions")
     if not 1 <= k <= N:
         raise InputError(f"k = {k} outside 1..{N}")
-    z, weight = _disk_samples(cfg, N, center, power=2.0)
+    z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N, center)
     vals = [p.eval_array(z) for p in G]
     g2 = np.zeros(len(z))
     for v in vals:
@@ -539,15 +541,16 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
     per_eps_total = np.zeros(len(cfg.epsilon_schedule))
     stderr_total = np.zeros(len(cfg.epsilon_schedule))
     details = []
+    # the base coordinate over the disk of the contour radius, radially
+    # concentrated; the fiber chart coordinates uniform over unit disks (the
+    # a.e. partition of P^{r-1} by max-modulus charts)
+    z, weight = _disk_samples(run_cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
     for chart in range(r):
-        z, weight = _chart_samples(run_cfg, N)
         Hf, Hlog, g2 = _chart_hessians(g, chart, z)
         A = [[Hf[a][b] / (2 * math.pi) for b in range(N)] for a in range(N)]
         B = [[Hlog[a][b] / (2 * math.pi) for b in range(N)] for a in range(N)]
         for j in range(r):
             mats = [A] * (j + 1) + [B] * (r - 1 - j)
-            if len(mats) != N:
-                continue
             wedge = _wedge_coeff(mats)
             if np.max(np.abs(wedge.imag)) > 1e-6 * (1 + np.max(np.abs(wedge.real))):
                 raise NumericalFailureError("wedge coefficient not real")
@@ -570,25 +573,6 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
         mass = per_eps[-1][1]
     passed = bool(abs(mass - det_count) < 0.1)
     return MassBalanceResult(float(mass), det_count, passed, radius, details)
-
-
-def _chart_samples(cfg: RegConfig, ncomplex: int, power: float = 2.0):
-    """Base coordinate over the disk of cfg.radius (radially concentrated,
-    exact weights), fiber chart coordinates uniform over unit disks (the a.e.
-    partition of P^{r-1} by max-modulus charts).  Returns (points, weights)."""
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=2 * ncomplex, scramble=True, seed=cfg.seed)
-    u = sampler.random(cfg.samples)
-    z = np.empty((cfg.samples, ncomplex), dtype=complex)
-    t = u[:, 0]
-    z[:, 0] = cfg.radius * t ** power * np.exp(2j * np.pi * u[:, 1])
-    weight = 2 * np.pi * power * cfg.radius ** 2 * t ** (2 * power - 1)
-    for j in range(1, ncomplex):
-        rad = np.sqrt(u[:, 2 * j])
-        z[:, j] = rad * np.exp(2j * np.pi * u[:, 2 * j + 1])
-        weight = weight * math.pi
-    return z, weight
 
 
 # ---------------------------------------------------------------------------
@@ -614,33 +598,31 @@ def _slice_poly(factor: MovingFactor, gamma) -> Polynomial:
     return acc
 
 
-def _line_restriction(p: Polynomial, point, direction) -> Polynomial:
-    """p(point + t * direction) as an exact univariate polynomial in t."""
-    n = p.nvars
-    coord = [Polynomial.constant(1, Scalar.from_value(point[i]))
-             + Polynomial.variable(1, 0) * direction[i] for i in range(n)]
-    acc = Polynomial.zero(1)
+def _substitute(p: Polynomial, coords: Sequence[Polynomial],
+                nvars: int) -> Polynomial:
+    """p(coords[0], ..., coords[n-1]) for coordinates in ``nvars`` variables."""
+    acc = Polynomial.zero(nvars)
     for m, c in p.terms.items():
-        t = Polynomial.constant(1, c)
+        t = Polynomial.constant(nvars, c)
         for i, e in enumerate(m):
             for _ in range(e):
-                t = t * coord[i]
+                t = t * coords[i]
         acc = acc + t
     return acc
+
+
+def _line_restriction(p: Polynomial, point, direction) -> Polynomial:
+    """p(point + t * direction) as an exact univariate polynomial in t."""
+    return _substitute(p, [Polynomial.constant(1, Scalar.from_value(point[i]))
+                           + Polynomial.variable(1, 0) * direction[i]
+                           for i in range(p.nvars)], 1)
 
 
 def _translate(p: Polynomial, point) -> Polynomial:
-    n = p.nvars
-    coord = [Polynomial.variable(n, i) + Polynomial.constant(n, point[i])
-             for i in range(n)]
-    acc = Polynomial.zero(n)
-    for m, c in p.terms.items():
-        t = Polynomial.constant(n, c)
-        for i, e in enumerate(m):
-            for _ in range(e):
-                t = t * coord[i]
-        acc = acc + t
-    return acc
+    """p(x + point): moves ``point`` to the origin."""
+    return _substitute(p, [Polynomial.variable(p.nvars, i)
+                           + Polynomial.constant(p.nvars, point[i])
+                           for i in range(p.nvars)], p.nvars)
 
 
 def _divisor_order_at(slice_poly: Polynomial, point, rng) -> int:
@@ -668,10 +650,7 @@ def _divisor_order_at(slice_poly: Polynomial, point, rng) -> int:
 
 
 def _strip_common_content(factor: MovingFactor) -> MovingFactor:
-    mons = [p.content_monomial() for p in factor.args]
-    h = mons[0]
-    for m in mons[1:]:
-        h = monomial_gcd(h, m)
+    h = monomial_gcd(*(p.content_monomial() for p in factor.args))
     if sum(h) == 0:
         return factor
     return MovingFactor(tuple(p.divide_monomial(h) for p in factor.args),

@@ -45,8 +45,9 @@ def monomial_div(b: Monomial, a: Monomial) -> Monomial:
     return tuple(y - x for x, y in zip(a, b))
 
 
-def monomial_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
+def monomial_gcd(*mons: Monomial) -> Monomial:
+    """Exponent-wise min: the largest monomial dividing every argument."""
+    return tuple(min(es) for es in zip(*mons))
 
 
 def monomial_degree(a: Monomial) -> int:
@@ -138,9 +139,6 @@ class Polynomial:
         (m, c), = self.terms.items()
         return c, m
 
-    def total_degree(self) -> int:
-        return max((monomial_degree(m) for m in self.terms), default=0)
-
     def degree_in(self, var: int) -> int:
         return max((m[var] for m in self.terms), default=0)
 
@@ -148,11 +146,7 @@ class Polynomial:
         """Exponent-wise min over terms; the largest monomial dividing the polynomial."""
         if self.is_zero():
             return monomial_one(self.nvars)
-        it = iter(self.terms)
-        g = next(it)
-        for m in it:
-            g = monomial_gcd(g, m)
-        return g
+        return monomial_gcd(*self.terms)
 
     def key(self):
         """Hashable canonical form."""
@@ -595,9 +589,7 @@ def monomial_gcd_factor(g: PolyMatrix):
         mons.append(cm[1])
     if not mons:
         return monomial_one(g.nvars), g
-    h = mons[0]
-    for m in mons[1:]:
-        h = monomial_gcd(h, m)
+    h = monomial_gcd(*mons)
     if monomial_degree(h) == 0:
         return h, g
     reduced = [[p.divide_monomial(h) if not p.is_zero() else p for p in row]

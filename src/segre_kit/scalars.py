@@ -85,9 +85,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -111,11 +108,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
-
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 def _frac_str(q: Fraction) -> str:

@@ -39,9 +39,10 @@ from segre_kit.cycles import (
 from segre_kit.errors import InputError, UnsupportedInputError, UnsupportedTermError
 from segre_kit.poly import (
     Polynomial,
+    _pairwise_coprime,
     monomial_degree,
-    monomial_gcd,
     monomial_div,
+    monomial_gcd,
 )
 
 
@@ -58,21 +59,6 @@ def _entry_monomials(entries: Sequence[Polynomial]):
             return None
         out.append(cm)
     return out
-
-
-def _tuple_gcd(mons):
-    g = mons[0]
-    for m in mons[1:]:
-        g = monomial_gcd(g, m)
-    return g
-
-
-def _pairwise_coprime(mons) -> bool:
-    for i in range(len(mons)):
-        for j in range(i + 1, len(mons)):
-            if monomial_degree(monomial_gcd(mons[i], mons[j])) > 0:
-                return False
-    return True
 
 
 def _divisor_terms(space: Space, p: Polynomial) -> List[CycleTerm]:
@@ -132,24 +118,24 @@ def _attach_factor(space: Space, terms: List[CycleTerm],
     return out
 
 
-def _recognize_omega(space: Space, args) -> bool:
+def _is_full_fiber_frame(space: Space, args) -> bool:
+    """True when args are c_j * a_j, one for each fiber coordinate a_j: a
+    smooth variant Fubini-Study frame whatever the coefficient moduli."""
     if space.kind != "PROJ" or len(args) != space.r:
         return False
     seen = set()
-    norms = set()
     for p in args:
         cm = p.as_monomial()
-        if cm is None:
+        if cm is None or any(cm[1][:space.n]) or sum(cm[1][space.n:]) != 1:
             return False
-        c, m = cm
-        if any(m[:space.n]):
-            return False
-        fiber = [(j, e) for j, e in enumerate(m[space.n:]) if e]
-        if len(fiber) != 1 or fiber[0][1] != 1:
-            return False
-        seen.add(fiber[0][0])
-        norms.add(c.norm_sq())
-    return seen == set(range(space.r)) and len(norms) == 1
+        seen.add(cm[1][space.n:].index(1))
+    return len(seen) == space.r
+
+
+def _recognize_omega(space: Space, args) -> bool:
+    """A full fiber frame with equal coefficient moduli is omega itself."""
+    return _is_full_fiber_frame(space, args) and \
+        len({p.as_monomial()[0].norm_sq() for p in args}) == 1
 
 
 def _prefix_subspace(space: Space, var: int, coeff, terms) -> List[CycleTerm]:
@@ -189,11 +175,6 @@ def tower_residue(entries, space: Space, level: int) -> List[CycleTerm]:
     return _power(entries, space, level, part="residue")
 
 
-def tower_moving(entries, space: Space, level: int) -> List[CycleTerm]:
-    """<dd^c log|T|^2_o>^level (the residue-free part)."""
-    return _power(entries, space, level, part="moving")
-
-
 def _power(entries, space: Space, level: int, part: str) -> List[CycleTerm]:
     entries = [p for p in entries if not p.is_zero()]
     if not entries:
@@ -207,13 +188,13 @@ def _power(entries, space: Space, level: int, part: str) -> List[CycleTerm]:
         return [] if part == "residue" else one
 
     if len(entries) == 1:
-        return _single_entry_power(entries[0], space, level, part)
+        return _single_entry_power(entries[0], space, level)
 
     mons = _entry_monomials(entries)
     if mons is None:
         raise UnsupportedInputError(
             "exact tower needs scalar*monomial entries for tuples of length >= 2")
-    h = _tuple_gcd([m for _, m in mons])
+    h = monomial_gcd(*(m for _, m in mons))
     reduced = [Polynomial.monomial(space.total_vars, monomial_div(m, h), c)
                for c, m in mons]
     red_mons = [p.as_monomial()[1] for p in reduced]
@@ -223,7 +204,7 @@ def _power(entries, space: Space, level: int, part: str) -> List[CycleTerm]:
             "the proper-intersection product is unavailable")
 
     out: List[CycleTerm] = []
-    if part in ("full", "residue") and monomial_degree(h) > 0:
+    if monomial_degree(h) > 0:
         # [div h] ^ <T'>^{level-1}: restrict the reduced tuple to each
         # hyperplane of the divisor and take its full power there
         for v, e in enumerate(h):
@@ -236,11 +217,11 @@ def _power(entries, space: Space, level: int, part: str) -> List[CycleTerm]:
     return out
 
 
-def _single_entry_power(p: Polynomial, space: Space, level: int,
-                        part: str) -> List[CycleTerm]:
-    """A single section: the first power is its divisor, all higher powers and
-    all residue-free positive powers vanish."""
-    if level >= 2 or part == "moving":
+def _single_entry_power(p: Polynomial, space: Space,
+                        level: int) -> List[CycleTerm]:
+    """A single section: the first power is its divisor, all higher powers
+    vanish."""
+    if level >= 2:
         return []
     if p.as_monomial() is not None and p.as_monomial()[0] and \
             monomial_degree(p.as_monomial()[1]) == 0:
@@ -257,8 +238,6 @@ def _reduced_power(reduced, red_mons, space: Space, level: int,
         return _attach_factor(space, [term(1, VarietyRef.whole_space())],
                               reduced, level)
     if level > s:
-        return []
-    if part == "moving":
         return []
     # top level: the proper-intersection cycle, expanded distributively over
     # the hyperplanes of each entry's divisor
@@ -331,7 +310,7 @@ def pushforward_cycle(c: GeneralizedCycle,
     """
     space = c.space
     if space.kind != "PROJ":
-        raise InputError("pushforward_fiber expects a cycle on the projectivization")
+        raise InputError("pushforward_cycle expects a cycle on the projectivization")
     r = space.r
     out_deg = c.degree - (r - 1)
     base = base_space(space.n)
@@ -355,7 +334,7 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
             base_factors.append(MovingFactor(
                 tuple(_strip_to_base(p, space) for p in f.args),
                 f.power, f.weights, f.averaged))
-        elif _recognize_smooth_full_fiber(space, f.args):
+        elif _is_full_fiber_frame(space, f.args):
             e += f.power  # a variant Fubini-Study form: integrates like omega
         elif slice_factor is None:
             slice_factor = f
@@ -405,23 +384,6 @@ def _base_part(fixed: VarietyRef, space: Space) -> VarietyRef:
     if fixed.kind == VarietyKind.POINT:
         return VarietyRef.point_at(fixed.point)
     return VarietyRef.whole_space()
-
-
-def _recognize_smooth_full_fiber(space: Space, args) -> bool:
-    """Pure fiber tuples covering every fiber coordinate are smooth variant
-    Fubini-Study forms regardless of the coefficient moduli."""
-    if len(args) != space.r:
-        return False
-    seen = set()
-    for p in args:
-        cm = p.as_monomial()
-        if cm is None or any(cm[1][:space.n]):
-            return False
-        fiber = [(j, ex) for j, ex in enumerate(cm[1][space.n:]) if ex]
-        if len(fiber) != 1 or fiber[0][1] != 1:
-            return False
-        seen.add(fiber[0][0])
-    return seen == set(range(space.r))
 
 
 def _push_slices(t: CycleTerm, base_args, q: int, e: int,

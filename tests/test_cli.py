@@ -45,6 +45,14 @@ def test_load_spec_validation():
         load_spec({**DIAG2_SPEC, "tasks": ["Mg", "nope"]})
     with pytest.raises(ParseError):
         load_spec({**DIAG2_SPEC, "points": [["0"]]})
+    for bad in ({"reg": {"foo": 1}}, {"reg": {"chi_thresholds": [0.5, 0.75]}},
+                {"reg": [1]}, {"matrix": [[1, "0"], ["0", "x2"]]},
+                {"matrix": [["x1", None], ["0", "x2"]]},
+                {"matrix": ["x1", "x2"]}, {"matrix": "x1"}, {"matrix": 5}):
+        with pytest.raises(ParseError):
+            load_spec({**DIAG2_SPEC, **bad})
+    spec = load_spec({**DIAG2_SPEC, "reg": {"samples": 5000, "radius": 0.5}})
+    assert (spec.reg.samples, spec.reg.radius) == (5000, 0.5)
 
 
 def test_run_spec_diag2():
@@ -71,6 +79,16 @@ def test_exit_codes(tmp_path):
     bad_poly = write_spec(tmp_path, {**DIAG2_SPEC, "matrix": [["x1", "+"], ["0", "x2"]]},
                           "badpoly.json")
     assert main(["run", bad_poly]) == 2
+
+    # malformed specs and bad regularization values exit 2, never a traceback
+    for i, bad in enumerate(({"reg": {"foo": 1}},
+                             {"reg": {"chi_thresholds": [0.5, 0.75]}},
+                             {"matrix": [[1, "0"], ["0", "x2"]]},
+                             {"matrix": ["x1", "x2"]},
+                             {"reg": {"samples": 0}}, {"reg": {"samples": "a"}},
+                             {"reg": {"radius": -1.0}}, {"reg": {"seed": 1.5}})):
+        path = write_spec(tmp_path, {**DIAG2_SPEC, **bad}, f"bad{i}.json")
+        assert main(["run", path, "--skip-numeric"]) == 2, bad
 
 
 def test_undecided_exit_code(tmp_path, capsys):
@@ -101,13 +119,15 @@ def test_undecided_exit_code(tmp_path, capsys):
     assert main(["run", spec, "--out", str(tmp_path / "o.json")]) == 0
 
 
-def test_golden_suite_skip_numeric_is_fast_and_green():
+@pytest.mark.parametrize("skip_numeric", [True, False])
+def test_golden_suite_skip_numeric_is_fast_and_green(skip_numeric):
     import time
 
     t0 = time.time()
-    report = golden_suite(skip_numeric=True)
+    report = golden_suite(skip_numeric=skip_numeric)
     assert all(c["pass"] for c in report["checks"])
-    assert time.time() - t0 < 10
+    assert len(report["checks"]) == (28 if skip_numeric else 43)
+    assert time.time() - t0 < (10 if skip_numeric else 300)
     assert json.loads(json.dumps(report)) == report
 
 

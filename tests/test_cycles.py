@@ -13,12 +13,12 @@ from segre_kit.cycles import (
     fixed_moving_split,
     multiplicity_at,
     proj_space,
-    pushforward_fiber,
     term,
     wedge,
 )
 from segre_kit.errors import InputError, UndecidedError
 from segre_kit.poly import parse_polynomial
+from segre_kit.tower import pushforward_cycle
 
 B2 = base_space(2)
 B3 = base_space(3)
@@ -161,7 +161,7 @@ def test_pushforward_full_fiber_volume():
     # omega^{r-1} integrates to 1
     c = GeneralizedCycle(P22, 1, [term(1, VarietyRef.whole_space(),
                                        omega_power=1)])
-    out = pushforward_fiber(c)
+    out = pushforward_cycle(c)
     assert out.degree == 0 and out.terms[0].fixed.kind.value == "WHOLE_SPACE"
     assert out.terms[0].coefficient == 1
 
@@ -169,7 +169,7 @@ def test_pushforward_full_fiber_volume():
 def test_pushforward_subspace_term():
     # [x1=0, a2=0] ^ omega^0 -> [x1=0]
     c = GeneralizedCycle(P22, 2, [term(1, VarietyRef.coordinate_subspace([0], [1]))])
-    out = pushforward_fiber(c)
+    out = pushforward_cycle(c)
     assert out.describe() == "[x1=0]"
 
 
@@ -177,14 +177,14 @@ def test_pushforward_crofton_hypersurface():
     # [x1 a1 + x2 a2 = 0] ^ omega -> dd^c log(|x1|^2+|x2|^2)
     hyp = VarietyRef.fiber_hypersurface((pp("x1"), pp("x2")))
     c = GeneralizedCycle(P22, 2, [term(1, hyp, omega_power=1)])
-    out = pushforward_fiber(c)
+    out = pushforward_cycle(c)
     assert out.degree == 1
     t = out.terms[0]
     assert t.fixed.kind.value == "WHOLE_SPACE"
     assert [str(a) for a in t.moving[0].args] == ["x1", "x2"]
     # and with omega^0 it pushes to the constant 1
     c0 = GeneralizedCycle(P22, 1, [term(1, hyp)])
-    out0 = pushforward_fiber(c0)
+    out0 = pushforward_cycle(c0)
     assert out0.describe() == "X"
 
 
@@ -194,7 +194,7 @@ def test_pushforward_degree_bookkeeping():
                          (term(2, VarietyRef.coordinate_subspace([0], [0]),
                                omega_power=0), 2)]:
         c = GeneralizedCycle(P22, deg, [content])
-        out = pushforward_fiber(c)
+        out = pushforward_cycle(c)
         assert out.is_zero() or out.degree == deg - 1
 
 

@@ -208,22 +208,6 @@ def test_singular_metric_validation():
         singular_metric_forms(row, "NOPE")
 
 
-def test_section_on_pe_invariant():
-    from segre_kit.engine import SectionOnPE, _lift_entries
-    from segre_kit.poly import Polynomial
-
-    g = mat([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3)
-    for chart in range(3):
-        section = SectionOnPE.build(g, chart)
-        specialized = [p.substitute_one(g.nvars + chart)
-                       for p in _lift_entries(g)]
-        specialized = [p for p in specialized if not p.is_zero()]
-        h = Polynomial.monomial(g.nvars + g.cols, section.common_factor)
-        assert [c * h for c in section.components] == specialized
-        # the common factor in every chart is x3
-        assert section.common_factor[:3] == (0, 0, 1)
-
-
 def test_single_row_with_common_factor():
     res = compute_Mg(mat([["x1*x2", "x2^2"]], 2))
     assert res.M[0].describe() == "X"

@@ -5,7 +5,7 @@ from segre_kit.cycles import MovingFactor, VarietyRef
 from segre_kit.errors import ContourTooCloseError, InputError, UndecidedError
 from segre_kit.numeric import (
     RegConfig,
-    chi_smoothstep,
+    _disk_samples,
     contour_root_count,
     crofton_moving_multiplicity,
     epsilon_mass,
@@ -35,21 +35,49 @@ def test_regconfig_validation():
         RegConfig(epsilon_schedule=(1e-2, 1e-1, 1e-3))
     with pytest.raises(InputError):
         RegConfig(epsilon_schedule=(1e-1, 1e-2), extrapolation="RICHARDSON")
-    with pytest.raises(InputError):
-        RegConfig(radius=-1)
+    for bad in ({"radius": -1}, {"radius": 0}, {"radius": float("nan")},
+                {"radius": float("inf")}, {"radius": "1"},
+                {"samples": 0}, {"samples": 10}, {"samples": 15},
+                {"samples": 1000.0}, {"samples": "a"}, {"samples": True},
+                {"seed": 1.5}, {"seed": "7"}, {"seed": None}, {"seed": -1},
+                {"epsilon_schedule": ["a", "b", "c"]}, {"epsilon_schedule": 5},
+                {"epsilon_schedule": (1e-1, float("nan"), 1e-3)},
+                {"extrapolation_order": 0}):
+        with pytest.raises(InputError):
+            RegConfig(**bad)
+    assert RegConfig(samples=16, seed=0, radius=0.5).samples == 16
     cfg = RegConfig(epsilon_schedule=(1e-1, 1e-2), extrapolation="NONE")
     assert cfg.epsilon_schedule == (1e-1, 1e-2)
 
 
-def test_chi_profile():
-    assert chi_smoothstep(0.4) == 0.0
-    assert chi_smoothstep(0.8) == 1.0
-    mid = chi_smoothstep(0.625)
-    assert 0.0 < mid < 1.0
-    # C^1 join: derivative ~ 0 at the thresholds
-    eps = 1e-6
-    assert abs(chi_smoothstep(0.5 + eps) - chi_smoothstep(0.5)) < 1e-5
-    assert abs(chi_smoothstep(0.75) - chi_smoothstep(0.75 - eps)) < 1e-5
+def _chart_samples_reference(cfg, ncomplex, power=2.0):
+    """The chart sampler that mass_balance_check used before it shared
+    _disk_samples, kept verbatim as the reference."""
+    import math
+
+    from scipy.stats import qmc
+
+    sampler = qmc.Halton(d=2 * ncomplex, scramble=True, seed=cfg.seed)
+    u = sampler.random(cfg.samples)
+    z = np.empty((cfg.samples, ncomplex), dtype=complex)
+    t = u[:, 0]
+    z[:, 0] = cfg.radius * t ** power * np.exp(2j * np.pi * u[:, 1])
+    weight = 2 * np.pi * power * cfg.radius ** 2 * t ** (2 * power - 1)
+    for j in range(1, ncomplex):
+        rad = np.sqrt(u[:, 2 * j])
+        z[:, j] = rad * np.exp(2j * np.pi * u[:, 2 * j + 1])
+        weight = weight * math.pi
+    return z, weight
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.7, 0.614])
+@pytest.mark.parametrize("ncomplex", [1, 2, 3])
+@pytest.mark.parametrize("samples", [16, 1000, 4096])
+def test_disk_samples_match_chart_reference(radius, ncomplex, samples):
+    cfg = RegConfig(samples=samples, seed=11 * samples + ncomplex, radius=radius)
+    z, w = _disk_samples(cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (ncomplex - 1))
+    z_ref, w_ref = _chart_samples_reference(cfg, ncomplex)
+    assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
 
 
 # ---------------------------------------------------------------------------
