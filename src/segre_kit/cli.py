@@ -53,6 +53,7 @@ from segre_kit.poly import (
     parse_polynomial,
 )
 from segre_kit.scalars import Scalar
+from segre_kit.tower import _divisor_terms
 
 ALL_TASKS = ("Mg", "segre", "distinguished", "Ma", "singular_metrics", "verify")
 
@@ -86,10 +87,14 @@ def parse_scalar_text(text: str) -> Scalar:
 
 def load_spec(data: dict) -> MorphismSpec:
     try:
-        variables = list(data["variables"])
+        variables = data["variables"]
         rows = data["matrix"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"spec needs 'variables' and 'matrix': {exc}")
+    if not isinstance(variables, list) or not all(
+            isinstance(v, str) for v in variables) \
+            or len(set(variables)) != len(variables):
+        raise ParseError("'variables' must be a list of distinct names")
     n = len(variables)
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(isinstance(cell, str) for cell in row)
@@ -100,15 +105,22 @@ def load_spec(data: dict) -> MorphismSpec:
     engine = data.get("engine", "exact")
     if engine not in ("exact", "numeric", "both"):
         raise ParseError(f"unknown engine {engine!r}")
+    raw_points = data.get("points", [])
+    if not isinstance(raw_points, list) or not all(
+            isinstance(pt, list) for pt in raw_points):
+        raise ParseError("'points' must be a list of coordinate lists")
     points = []
-    for pt in data.get("points", []):
+    for pt in raw_points:
         if len(pt) != n:
             raise ParseError(f"point {pt} has wrong length (n = {n})")
         points.append(tuple(parse_scalar_text(c) for c in pt))
-    tasks = tuple(data.get("tasks", ["Mg", "segre"]))
+    tasks = data.get("tasks", ["Mg", "segre"])
+    if not isinstance(tasks, list):
+        raise ParseError("'tasks' must be a list of task names")
     for t in tasks:
         if t not in ALL_TASKS:
             raise ParseError(f"unknown task {t!r}")
+    tasks = tuple(tasks)
     reg = data.get("reg", {})
     if not isinstance(reg, dict):
         raise ParseError("'reg' must be an object")
@@ -146,15 +158,15 @@ def _approx_check(name, expected, got, tol) -> dict:
             "pass": abs(expected - got) < tol}
 
 
+def _report(input, results, checks, seed) -> dict:
+    return {"input": input, "results": results, "checks": checks,
+            "versions": {"segre_kit": __version__,
+                         "python": sys.version.split()[0]},
+            "seed": seed}
+
+
 def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
-    report = {
-        "input": spec.raw,
-        "results": {},
-        "checks": [],
-        "versions": {"segre_kit": __version__,
-                     "python": sys.version.split()[0]},
-        "seed": spec.reg.seed,
-    }
+    results, checks = {}, []
     res = None
     needs_exact = spec.engine in ("exact", "both") and any(
         t in spec.tasks for t in ("Mg", "segre", "distinguished",
@@ -170,21 +182,21 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
         res = compute_Mg(spec.matrix)
 
     if "Mg" in spec.tasks and res is not None:
-        report["results"]["Mg"] = res.to_record()
+        results["Mg"] = res.to_record()
     if "segre" in spec.tasks and res is not None:
         cfg = None if skip_numeric else spec.reg
         reports = [segre_numbers(spec.matrix, pt, cfg=cfg, result=res)
                    for pt in spec.points]
-        report["results"]["segre"] = [r.to_record() for r in reports]
+        results["segre"] = [r.to_record() for r in reports]
     if "distinguished" in spec.tasks and res is not None:
         base = res.M[0].space
-        report["results"]["distinguished"] = [
+        results["distinguished"] = [
             {"equations": [str(q) for q in ref.equations(base)],
              "coefficient": co, "codim": k}
             for ref, co, k in _distinguished_from_result(res)]
     if "Ma" in spec.tasks:
         ma = compute_Ma(spec.matrix, cfg=spec.reg)
-        report["results"]["Ma"] = [c.to_record() for c in ma]
+        results["Ma"] = [c.to_record() for c in ma]
     if "singular_metrics" in spec.tasks and res is not None:
         out = {}
         for which in ("SEGRE_E_HAT", "CHERN_E_HAT", "SEGRE_F_HAT"):
@@ -194,15 +206,15 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
                 continue
             out[which] = {"cycles": [c.to_record() for c in forms.cycles],
                           "metadata": forms.metadata}
-        report["results"]["singular_metrics"] = out
+        results["singular_metrics"] = out
 
     if spec.engine == "both" and res is not None and not skip_numeric:
-        report["results"]["comparison"] = _comparison_block(spec, res)
+        results["comparison"] = _comparison_block(spec, res)
 
     if "verify" in spec.tasks:
         golden = golden_suite(skip_numeric=skip_numeric, reg=spec.reg)
-        report["checks"].extend(golden["checks"])
-    return report
+        checks.extend(golden["checks"])
+    return _report(spec.raw, results, checks, spec.reg.seed)
 
 
 def _comparison_block(spec: MorphismSpec, res) -> list:
@@ -258,11 +270,6 @@ def _fixed_part_map(cyc: GeneralizedCycle) -> list:
                   for t in fixed.terms)
 
 
-def _divisor_of_monomial(space, mono) -> list:
-    return sorted([VarietyRef.coordinate_subspace([v]).describe(space), str(e)]
-                  for v, e in enumerate(mono) if e)
-
-
 def _random_diag_monomial(rng, n_max=3, r_max=3, exp_max=3):
     """A random permuted-diagonal monomial matrix whose gcd-reduced entries
     are pairwise coprime (the exact engine's diagonal class)."""
@@ -297,12 +304,15 @@ def golden_suite(skip_numeric: bool = False,
     t_start = time.time()
     reg = reg or RegConfig()
     checks: List[dict] = []
-    base2 = None
+
+    def disting(res):
+        """Distinguished varieties of ``res`` as sorted [variety, coefficient]."""
+        return sorted([t.describe(res.M[0].space), int(c)]
+                      for t, c, _k in _distinguished_from_result(res))
 
     # --- the diagonal axes pair diag(x1, x2) ------------------------------------------------
     g_diag2 = _mat([["x1", "0"], ["0", "x2"]], 2)
     res_diag2 = compute_Mg(g_diag2)
-    base2 = res_diag2.M[0].space
     checks.append(_check("diag2.M1", "[x1=0] + [x2=0]", res_diag2.M[1].describe()))
     checks.append(_check("diag2.M2", "[x1=x2=0]", res_diag2.M[2].describe()))
     checks.append(_check("diag2.ring2",
@@ -351,10 +361,10 @@ def golden_suite(skip_numeric: bool = False,
                 and t.fixed.base_zeros == frozenset([2])]
     checks.append(_check("gcd_diag3.M2_x3_term", True,
                          len(m2_on_x3) == 1 and m2_on_x3[0].coefficient > 0))
-    det_s2 = determinant(g_s2)
-    checks.append(_check("gcd_diag3.det_law",
-                         _divisor_of_monomial(res_s2.M[1].space,
-                                              det_s2.as_monomial()[1]),
+    space3 = res_s2.M[1].space
+    div_s2 = GeneralizedCycle(space3, 1,
+                              _divisor_terms(space3, determinant(g_s2)))
+    checks.append(_check("gcd_diag3.det_law", _fixed_part_map(div_s2),
                          _fixed_part_map(res_s2.M[1])))
 
     # --- paragraph-10 contrast pair -------------------------------------------
@@ -363,12 +373,9 @@ def golden_suite(skip_numeric: bool = False,
     checks.append(_check("sheaf.diag_x1x2_1.M1", "[x1=0] + [x2=0]",
                          res_ideal.M[1].describe()))
     checks.append(_check("sheaf.diag_x1x2_1.M2", "0", res_ideal.M[2].describe()))
-    disting_pair = sorted([t.describe(base2), int(c)]
-                          for t, c, _k in _distinguished_from_result(res_ideal))
     checks.append(_check("sheaf.contrast.distinguished",
-                         [["[x1=0]", 1], ["[x2=0]", 1]], disting_pair))
-    disting_diag2 = sorted([t.describe(base2), int(c)]
-                          for t, c, _k in _distinguished_from_result(res_diag2))
+                         [["[x1=0]", 1], ["[x2=0]", 1]], disting(res_ideal)))
+    disting_diag2 = disting(res_diag2)
     checks.append(_check("sheaf.diag2.distinguished",
                          [["[x1=0]", 1], ["[x1=x2=0]", 1], ["[x2=0]", 1]],
                          disting_diag2))
@@ -383,8 +390,7 @@ def golden_suite(skip_numeric: bool = False,
             == segre_numbers(g_dsum, pt, result=res_dsum).numbers
             for pt in grid2)))
     checks.append(_check("dsum.distinguished", disting_diag2,
-                         sorted([t.describe(base2), int(c)]
-                                for t, c, _k in _distinguished_from_result(res_dsum))))
+                         disting(res_dsum)))
 
     # --- comparability: permutation / scalar rescaling ----------------------------
     g_cmp = _mat([["0", "2*x2"], ["(1+1*i)*x1", "0"]], 2)
@@ -407,9 +413,9 @@ def golden_suite(skip_numeric: bool = False,
             continue
         det_total += 1
         res_rand = compute_Mg(g_rand)
-        expected = _divisor_of_monomial(res_rand.M[1].space,
-                                        det.as_monomial()[1])
-        if _fixed_part_map(res_rand.M[1]) == expected:
+        space = res_rand.M[1].space
+        div = GeneralizedCycle(space, 1, _divisor_terms(space, det))
+        if _fixed_part_map(res_rand.M[1]) == _fixed_part_map(div):
             det_ok += 1
     checks.append(_check("determinant_law.random50", 50, det_ok))
 
@@ -475,7 +481,8 @@ def golden_suite(skip_numeric: bool = False,
         est1 = epsilon_mass([parse_polynomial("x1^3", 1)], 1, reg)
         est2 = epsilon_mass([parse_polynomial("x1^3", 1)], 1, reg)
         checks.append(_check("epsmass.x3.seed_deterministic", True,
-                             est1.value == est2.value))
+                             est1.value == est2.value
+                             and est1.per_epsilon == est2.per_epsilon))
         checks.append(_approx_check("epsmass.x3.converges", 3.0, est1.value,
                                     0.02 * 3.0))
 
@@ -483,14 +490,8 @@ def golden_suite(skip_numeric: bool = False,
     budget = 10.0 if skip_numeric else 300.0
     checks.append(_check("runtime_budget_seconds", True, elapsed < budget))
 
-    return {
-        "input": {"suite": "golden", "skip_numeric": skip_numeric},
-        "results": {"elapsed_seconds": round(elapsed, 2)},
-        "checks": checks,
-        "versions": {"segre_kit": __version__,
-                     "python": sys.version.split()[0]},
-        "seed": reg.seed,
-    }
+    return _report({"suite": "golden", "skip_numeric": skip_numeric},
+                   {"elapsed_seconds": round(elapsed, 2)}, checks, reg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +512,7 @@ def run_mass(spec: MorphismSpec) -> dict:
         results["epsilon_mass"] = {
             str(k): epsilon_mass(tup, k, spec.reg).to_record()
             for k in range(1, g.nvars + 1)}
-    return {
-        "input": spec.raw,
-        "results": results,
-        "checks": [],
-        "versions": {"segre_kit": __version__,
-                     "python": sys.version.split()[0]},
-        "seed": spec.reg.seed,
-    }
+    return _report(spec.raw, results, [], spec.reg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +528,14 @@ def _emit(report: dict, out_path: Optional[str]):
         print(text)
 
 
-def _apply_flag_overrides(spec: MorphismSpec, args) -> MorphismSpec:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides["samples"] = args.samples
-    if args.epsilon_schedule is not None:
-        overrides["epsilon_schedule"] = tuple(
-            float(e) for e in args.epsilon_schedule.split(","))
-    if args.radius is not None:
-        overrides["radius"] = args.radius
-    if args.extrapolation is not None:
-        overrides["extrapolation"] = args.extrapolation
-    if overrides:
-        spec.reg = spec.reg.replace(**overrides)
-    if args.engine is not None:
-        spec.engine = args.engine
-    return spec
+def _flag_reg(reg: RegConfig, args) -> RegConfig:
+    """``reg`` with the numeric command-line flags applied; RegConfig
+    converts and validates them."""
+    schedule = args.epsilon_schedule
+    overrides = {"seed": args.seed, "samples": args.samples,
+                 "epsilon_schedule": schedule and schedule.split(","),
+                 "radius": args.radius, "extrapolation": args.extrapolation}
+    return reg.replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -563,6 +547,8 @@ def main(argv=None) -> int:
     for name in ("run", "mass"):
         sp = sub.add_parser(name)
         sp.add_argument("spec", help="path to a morphism spec (JSON)")
+        sp.add_argument("--engine", choices=("exact", "numeric", "both"),
+                        default=None)
         _common_flags(sp)
     sp = sub.add_parser("golden")
     _common_flags(sp)
@@ -570,14 +556,13 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "golden":
-            reg = RegConfig()
-            if args.seed is not None:
-                reg = reg.replace(seed=args.seed)
-            if args.samples is not None:
-                reg = reg.replace(samples=args.samples)
-            report = golden_suite(skip_numeric=args.skip_numeric, reg=reg)
+            report = golden_suite(skip_numeric=args.skip_numeric,
+                                  reg=_flag_reg(RegConfig(), args))
         else:
-            spec = _apply_flag_overrides(read_spec_file(args.spec), args)
+            spec = read_spec_file(args.spec)
+            spec.reg = _flag_reg(spec.reg, args)
+            if args.engine is not None:
+                spec.engine = args.engine
             if args.command == "mass":
                 report = run_mass(spec)
             else:
@@ -608,8 +593,6 @@ def main(argv=None) -> int:
 
 
 def _common_flags(sp):
-    sp.add_argument("--engine", choices=("exact", "numeric", "both"),
-                    default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--epsilon-schedule", default=None,

@@ -150,19 +150,17 @@ def contour_root_count(p: Polynomial, radius: float) -> int:
     if p.is_zero():
         raise InputError("contour_root_count of the zero polynomial")
     dp = p.differentiate(0)
-    theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
-    z = radius * np.exp(1j * theta)
-    vals = p.eval_array(z[:, None])
-    scale = np.max(np.abs(vals))
-    if scale == 0 or np.min(np.abs(vals)) < 1e-9 * scale:
-        raise ContourTooCloseError(
-            f"polynomial nearly vanishes on |x| = {radius}")
     n = 512
     prev = None
     while n <= 1 << 17:
         theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         z = radius * np.exp(1j * theta)
         pv = p.eval_array(z[:, None])
+        if prev is None:
+            scale = np.max(np.abs(pv))
+            if scale == 0 or np.min(np.abs(pv)) < 1e-9 * scale:
+                raise ContourTooCloseError(
+                    f"polynomial nearly vanishes on |x| = {radius}")
         dv = dp.eval_array(z[:, None])
         # (1/2pi i) oint p'/p dz with dz = iz dtheta reduces to mean of (p'/p) z
         val = float(np.real(np.mean(dv / pv * z)))
@@ -342,18 +340,17 @@ def _disk_samples(cfg: RegConfig, coords, center=None):
 
 
 def _batch_minor_dets(jac, rows, cols):
-    """Determinant of the (rows x cols) submatrix per sample; sizes <= 3."""
-    k = len(rows)
-    a = [[jac[i][j] for j in cols] for i in rows]
-    if k == 1:
-        return a[0][0]
-    if k == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if k == 3:
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    raise InputError("minor size > 3 not supported")
+    """Determinant of the (rows x cols) submatrix per sample, by Laplace
+    expansion along the first row (np.linalg.det is far slower on stacks of
+    small matrices)."""
+    if len(rows) == 1:
+        return jac[rows[0]][cols[0]]
+    acc = None
+    for j, c in enumerate(cols):
+        t = jac[rows[0]][c] * _batch_minor_dets(jac, rows[1:],
+                                                cols[:j] + cols[j + 1:])
+        acc = t if acc is None else acc - t if j % 2 else acc + t
+    return acc
 
 
 def _blocked_stats(values: np.ndarray, volume: float, blocks: int = _BLOCKS):

@@ -431,7 +431,8 @@ class _Parser:
                 if not e_tok.isdigit():
                     raise ParseError("exponent must be a decimal integer", column=col)
                 exp = int(e_tok)
-            return Polynomial.variable(self.nvars, var) ** exp
+            return Polynomial.monomial(
+                self.nvars, [exp if j == var else 0 for j in range(self.nvars)])
         col = self.tokens[self.i][1]
         raise ParseError(f"unknown symbol {tok!r}", column=col)
 
@@ -515,17 +516,6 @@ class PolyMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
-
-    @staticmethod
-    def diagonal(polys: Sequence[Polynomial]) -> "PolyMatrix":
-        n = len(polys)
-        z = Polynomial.zero(polys[0].nvars)
-        return PolyMatrix([[polys[i] if i == j else z for j in range(n)]
-                           for i in range(n)])
-
-    @staticmethod
-    def row(polys: Sequence[Polynomial]) -> "PolyMatrix":
-        return PolyMatrix([list(polys)])
 
     def __eq__(self, other):
         return isinstance(other, PolyMatrix) and self.entries == other.entries

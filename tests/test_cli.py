@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from segre_kit.cli import (
-    golden_suite,
     load_spec,
     main,
     parse_scalar_text,
@@ -21,6 +20,14 @@ DIAG2_SPEC = {
     "points": [["0", "0"]],
     "tasks": ["Mg", "segre", "distinguished"],
 }
+
+
+# spec fields of the wrong type or shape; each must be a parse error (exit 2)
+BAD_SHAPES = (
+    {"points": [5]}, {"points": 5}, {"tasks": 3},
+    {"variables": "ab", "matrix": [["a", "0"], ["0", "b"]]},
+    {"variables": ["x1", "x1"], "matrix": [["x1", "0"], ["0", "x1"]]},
+)
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -51,8 +58,13 @@ def test_load_spec_validation():
                 {"matrix": ["x1", "x2"]}, {"matrix": "x1"}, {"matrix": 5}):
         with pytest.raises(ParseError):
             load_spec({**DIAG2_SPEC, **bad})
+    for bad in BAD_SHAPES:
+        with pytest.raises(ParseError):
+            load_spec({**DIAG2_SPEC, **bad})
     spec = load_spec({**DIAG2_SPEC, "reg": {"samples": 5000, "radius": 0.5}})
     assert (spec.reg.samples, spec.reg.radius) == (5000, 0.5)
+    assert load_spec({**DIAG2_SPEC, "points": [[0, 0]]}).points == \
+        [(Scalar(0), Scalar(0))]
 
 
 def test_run_spec_diag2():
@@ -86,9 +98,17 @@ def test_exit_codes(tmp_path):
                              {"matrix": [[1, "0"], ["0", "x2"]]},
                              {"matrix": ["x1", "x2"]},
                              {"reg": {"samples": 0}}, {"reg": {"samples": "a"}},
-                             {"reg": {"radius": -1.0}}, {"reg": {"seed": 1.5}})):
+                             {"reg": {"radius": -1.0}}, {"reg": {"seed": 1.5}})
+                            + BAD_SHAPES):
         path = write_spec(tmp_path, {**DIAG2_SPEC, **bad}, f"bad{i}.json")
         assert main(["run", path, "--skip-numeric"]) == 2, bad
+
+    # numeric flags are validated by RegConfig, for golden as for run
+    assert main(["run", ok, "--skip-numeric", "--epsilon-schedule", "abc"]) == 2
+    assert main(["golden", "--skip-numeric", "--epsilon-schedule", "5,1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["golden", "--engine", "both"])
+    assert exc.value.code == 2
 
 
 def test_undecided_exit_code(tmp_path, capsys):
@@ -117,18 +137,6 @@ def test_undecided_exit_code(tmp_path, capsys):
         multiplicity_at(c, [0, 0])
     # the CLI still answers the gcd-diagonal query (oracle succeeds there)
     assert main(["run", spec, "--out", str(tmp_path / "o.json")]) == 0
-
-
-@pytest.mark.parametrize("skip_numeric", [True, False])
-def test_golden_suite_skip_numeric_is_fast_and_green(skip_numeric):
-    import time
-
-    t0 = time.time()
-    report = golden_suite(skip_numeric=skip_numeric)
-    assert all(c["pass"] for c in report["checks"])
-    assert len(report["checks"]) == (28 if skip_numeric else 43)
-    assert time.time() - t0 < (10 if skip_numeric else 300)
-    assert json.loads(json.dumps(report)) == report
 
 
 def test_golden_detects_corruption(monkeypatch):

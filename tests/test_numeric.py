@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from segre_kit.cycles import MovingFactor, VarietyRef
 from segre_kit.errors import ContourTooCloseError, InputError, UndecidedError
 from segre_kit.numeric import (
     RegConfig,
+    _batch_minor_dets,
     _disk_samples,
     contour_root_count,
     crofton_moving_multiplicity,
@@ -78,6 +81,40 @@ def test_disk_samples_match_chart_reference(radius, ncomplex, samples):
     z, w = _disk_samples(cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (ncomplex - 1))
     z_ref, w_ref = _chart_samples_reference(cfg, ncomplex)
     assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
+
+
+def _minor_dets_reference(jac, rows, cols):
+    """The closed forms _batch_minor_dets used for sizes 1-3 before its
+    Laplace recursion, kept verbatim as the reference."""
+    k = len(rows)
+    a = [[jac[i][j] for j in cols] for i in rows]
+    if k == 1:
+        return a[0][0]
+    if k == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_minor_dets_match_closed_forms(k):
+    rng = np.random.default_rng(k)
+    jac = [[rng.normal(size=500) + 1j * rng.normal(size=500) for _ in range(4)]
+           for _ in range(4)]
+    for rows in itertools.combinations(range(4), k):
+        for cols in itertools.combinations(range(4), k):
+            assert np.array_equal(_batch_minor_dets(jac, rows, cols),
+                                  _minor_dets_reference(jac, rows, cols))
+    det4 = _batch_minor_dets(jac, (0, 1, 2, 3), (0, 1, 2, 3))
+    stacked = np.moveaxis(np.array(jac), 2, 0)
+    assert np.allclose(det4, np.linalg.det(stacked))
+
+
+def test_epsilon_mass_four_variables():
+    est = epsilon_mass([p("x1", 4), p("x2", 4), p("x3", 4), p("x4", 4)], 4,
+                       RegConfig(samples=20000))
+    assert abs(est.value - 1.0) < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,9 @@ def test_parse_examples():
         p("x1 +")
     with pytest.raises(ParseError):
         p("y3")
+    # a power is built as one monomial, not by repeated multiplication
+    assert parse_polynomial("x1^200000", 1) == Polynomial.monomial(1, [200000])
+    assert p("x1^0*x2") == Polynomial.variable(2, 1)
 
 
 scalar_strategy = st.builds(
