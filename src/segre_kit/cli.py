@@ -20,6 +20,7 @@ from segre_kit.cycles import (
     MovingFactor,
     VarietyKind,
     VarietyRef,
+    _term_sum,
     fixed_moving_split,
     multiplicity_at,
 )
@@ -235,19 +236,11 @@ def _comparison_block(spec: MorphismSpec, res) -> list:
 def _numeric_multiplicity(cyc: GeneralizedCycle, point, cfg) -> Optional[int]:
     """Pure fixed terms by membership, every moving term through the oracle;
     None when some term is outside the oracle's reach."""
-    total = 0
-    for t in cyc.terms:
-        if t.omega_power > 0:
-            continue
-        if not t.moving:
-            total += int(t.coefficient) * t.fixed.point_multiplicity(point)
-            continue
-        try:
-            m = crofton_moving_multiplicity(list(t.moving), t.fixed, point, cfg)
-        except (UndecidedError, NumericalFailureError, InputError):
-            return None
-        total += int(t.coefficient) * m
-    return total
+    try:
+        return _term_sum(cyc, point, lambda t: crofton_moving_multiplicity(
+            list(t.moving), t.fixed, point, cfg))
+    except (UndecidedError, NumericalFailureError, InputError):
+        return None
 
 
 # ---------------------------------------------------------------------------

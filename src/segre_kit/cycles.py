@@ -6,10 +6,10 @@ Cycles live either on the base polydisk (BASE) or on the projectivized bundle
 X x P^{r-1} (PROJ); in the latter case polynomials use the ambient variable
 list (x_1..x_n, a_1..a_r).
 
-Multiplicity evaluation is rule-based: pure Lelong terms by point membership,
-any positive smooth-form power contributes zero, and single first-power
-moving factors with monomial arguments are evaluated by the generic-slice
-order rule.  Everything else is delegated to the numeric oracle.
+Multiplicity evaluation is one loop over the terms: pure Lelong terms count
+by point membership, any positive smooth-form power contributes zero, and
+moving terms go through a rule chosen by the caller (the generic-slice order
+rule for single first-power monomial factors, else the numeric oracle).
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ from typing import Callable, Optional, Sequence
 
 from segre_kit.errors import InputError, UndecidedError, UnsupportedTermError
 from segre_kit.poly import (
-    Monomial,
     Polynomial,
-    format_monomial,
     format_polynomial,
-    monomial_degree,
     monomial_div,
     monomial_gcd,
     parse_polynomial,
@@ -94,7 +91,6 @@ def proj_space(n: int, r: int) -> Space:
 
 class VarietyKind(Enum):
     COORDINATE_SUBSPACE = "COORDINATE_SUBSPACE"
-    MONOMIAL_DIVISOR = "MONOMIAL_DIVISOR"
     POINT = "POINT"
     WHOLE_SPACE = "WHOLE_SPACE"
     FIBER_HYPERSURFACE = "FIBER_HYPERSURFACE"
@@ -102,10 +98,9 @@ class VarietyKind(Enum):
 
 @dataclass(frozen=True)
 class VarietyRef:
-    """A supported irreducible (or monomial-divisor) variety.
+    """A supported irreducible variety.
 
     COORDINATE_SUBSPACE: base_zeros / fiber_zeros are the vanishing coordinates.
-    MONOMIAL_DIVISOR: div(m) for a base monomial m (a weighted hyperplane sum).
     POINT: an explicit base point.
     FIBER_HYPERSURFACE: {sum_i f_i(x) a_i = 0} on PROJ, args = (f_1..f_r).
     """
@@ -113,7 +108,6 @@ class VarietyRef:
     kind: VarietyKind
     base_zeros: frozenset = frozenset()
     fiber_zeros: frozenset = frozenset()
-    monomial: Optional[Monomial] = None
     point: Optional[tuple] = None
     hypersurface: Optional[tuple] = None  # tuple of base-ambient Polynomials
 
@@ -130,12 +124,6 @@ class VarietyRef:
         return VarietyRef(VarietyKind.COORDINATE_SUBSPACE,
                           base_zeros=frozenset(base_zeros),
                           fiber_zeros=frozenset(fiber_zeros))
-
-    @staticmethod
-    def monomial_divisor(m: Monomial) -> "VarietyRef":
-        if monomial_degree(m) == 0:
-            raise InputError("divisor of a constant monomial")
-        return VarietyRef(VarietyKind.MONOMIAL_DIVISOR, monomial=tuple(m))
 
     @staticmethod
     def point_at(coords) -> "VarietyRef":
@@ -156,7 +144,7 @@ class VarietyRef:
             return 0
         if k == VarietyKind.COORDINATE_SUBSPACE:
             return len(self.base_zeros) + len(self.fiber_zeros)
-        if k in (VarietyKind.MONOMIAL_DIVISOR, VarietyKind.FIBER_HYPERSURFACE):
+        if k == VarietyKind.FIBER_HYPERSURFACE:
             return 1
         if k == VarietyKind.POINT:
             return space.n
@@ -172,8 +160,7 @@ class VarietyRef:
         """Dimension of the generic fiber of the support over the base."""
         if space.kind != "PROJ":
             return 0
-        if self.kind in (VarietyKind.WHOLE_SPACE, VarietyKind.MONOMIAL_DIVISOR,
-                         VarietyKind.POINT):
+        if self.kind in (VarietyKind.WHOLE_SPACE, VarietyKind.POINT):
             return space.r - 1
         if self.kind == VarietyKind.COORDINATE_SUBSPACE:
             return space.r - 1 - len(self.fiber_zeros)
@@ -189,19 +176,9 @@ class VarietyRef:
             return True
         if k == VarietyKind.COORDINATE_SUBSPACE:
             return all(pt[v].is_zero() for v in self.base_zeros)
-        if k == VarietyKind.MONOMIAL_DIVISOR:
-            return any(e > 0 and pt[v].is_zero()
-                       for v, e in enumerate(self.monomial))
         if k == VarietyKind.POINT:
             return all((a - b).is_zero() for a, b in zip(self.point, pt))
         raise InputError(f"point membership undefined for {k}")
-
-    def point_multiplicity(self, point) -> int:
-        """Multiplicity of the associated cycle at a base point."""
-        if self.kind == VarietyKind.MONOMIAL_DIVISOR:
-            pt = [Scalar.from_value(c) for c in point]
-            return sum(e for v, e in enumerate(self.monomial) if pt[v].is_zero())
-        return 1 if self.contains_point(point) else 0
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -212,8 +189,6 @@ class VarietyRef:
         if k == VarietyKind.COORDINATE_SUBSPACE:
             return ("coord", tuple(sorted(self.base_zeros)),
                     tuple(sorted(self.fiber_zeros)))
-        if k == VarietyKind.MONOMIAL_DIVISOR:
-            return ("mdiv", self.monomial)
         if k == VarietyKind.POINT:
             return ("point", tuple((c.re, c.im) for c in self.point))
         if k == VarietyKind.FIBER_HYPERSURFACE:
@@ -231,9 +206,6 @@ class VarietyRef:
             eqs += [Polynomial.variable(nv, space.n + j)
                     for j in sorted(self.fiber_zeros)]
             return eqs
-        if k == VarietyKind.MONOMIAL_DIVISOR:
-            m = tuple(self.monomial) + (0,) * (nv - len(self.monomial))
-            return [Polynomial.monomial(nv, m)]
         if k == VarietyKind.POINT:
             return [Polynomial.variable(nv, v) - Polynomial.constant(nv, c)
                     for v, c in enumerate(self.point)]
@@ -253,8 +225,6 @@ class VarietyRef:
             vs = [names[v] for v in sorted(self.base_zeros)]
             vs += [names[space.n + j] for j in sorted(self.fiber_zeros)]
             return "[" + "=".join(vs) + "=0]"
-        if k == VarietyKind.MONOMIAL_DIVISOR:
-            return f"[{format_monomial(self.monomial, names[:space.n])}=0]"
         if k == VarietyKind.POINT:
             return "[point (" + ", ".join(str(c) for c in self.point) + ")]"
         if k == VarietyKind.FIBER_HYPERSURFACE:
@@ -470,9 +440,9 @@ class GeneralizedCycle:
 
 
 def _expand_terms(space: Space, terms):
-    """Canonical rewrites: monomial divisors expand to weighted hyperplanes,
-    all-constant moving factors kill the term, and omega powers beyond the
-    fiber dimension of the support vanish identically."""
+    """Canonical rewrites: all-constant moving factors kill the term, and
+    omega powers beyond the fiber dimension of the support vanish
+    identically."""
     for t in terms:
         if not isinstance(t.coefficient, Fraction):
             t = CycleTerm(Fraction(t.coefficient), t.fixed, t.omega_power,
@@ -480,21 +450,10 @@ def _expand_terms(space: Space, terms):
         if any(f.is_zero_current() for f in t.moving):
             continue
         if space.kind == "PROJ" and t.omega_power > 0:
-            if t.fixed.kind == VarietyKind.FIBER_HYPERSURFACE:
-                cap = space.r - 1
-            elif t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE:
-                cap = t.fixed.fiber_dimension(space)
-            else:
-                cap = space.r - 1
+            cap = t.fixed.fiber_dimension(space) \
+                if t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE else space.r - 1
             if t.omega_power > cap:
                 continue
-        if t.fixed.kind == VarietyKind.MONOMIAL_DIVISOR:
-            for v, e in enumerate(t.fixed.monomial):
-                if e:
-                    yield CycleTerm(t.coefficient * e,
-                                    VarietyRef.coordinate_subspace([v]),
-                                    t.omega_power, t.moving, t.provenance)
-            continue
         yield t
 
 
@@ -502,7 +461,10 @@ def _expand_terms(space: Space, terms):
 # wedge
 # ---------------------------------------------------------------------------
 
-def _wedge_varieties(space: Space, a: VarietyRef, b: VarietyRef) -> VarietyRef:
+def meet(a: VarietyRef, b: VarietyRef) -> VarietyRef:
+    """The proper intersection of two supported varieties: the whole space is
+    the unit and coordinate subspaces meet when their zero sets are disjoint;
+    anything else raises UnsupportedTermError."""
     if a.kind == VarietyKind.WHOLE_SPACE:
         return b
     if b.kind == VarietyKind.WHOLE_SPACE:
@@ -543,14 +505,10 @@ def wedge(c: GeneralizedCycle, factor) -> GeneralizedCycle:
         new_deg = c.degree + factor.codim(c.space)
         if new_deg > c.space.dim:
             raise InputError("bidegree overflow in wedge")
-        out = []
-        for t in c.terms:
-            for sub in _expand_terms(c.space, [term(1, factor)]):
-                out.append(CycleTerm(
-                    t.coefficient * sub.coefficient,
-                    _wedge_varieties(c.space, t.fixed, sub.fixed),
-                    t.omega_power, t.moving, t.provenance))
-        return GeneralizedCycle(c.space, new_deg, out)
+        return GeneralizedCycle(
+            c.space, new_deg,
+            [CycleTerm(t.coefficient, meet(t.fixed, factor), t.omega_power,
+                       t.moving, t.provenance) for t in c.terms])
     raise InputError(f"cannot wedge with {factor!r}")
 
 
@@ -644,13 +602,13 @@ def _exact_moving_multiplicity(t: CycleTerm, point, space: Space):
     raise UndecidedError("no exact rule for this moving power", term=t)
 
 
-def multiplicity_at(c: GeneralizedCycle, point,
-                    oracle: Optional[Callable] = None) -> int:
-    """The integer multiplicity of the cycle at a base point.
+def _term_sum(c: GeneralizedCycle, point,
+              moving_rule: Callable[[CycleTerm], int]) -> int:
+    """Sum of coefficient times multiplicity over the terms at a base point.
 
-    Pure fixed terms contribute their coefficient when the point lies on the
-    variety; any term carrying a positive smooth-form power contributes 0;
-    moving factors go through the exact order rule or the supplied oracle.
+    Pure fixed terms count 1 when the point lies on the variety; any term
+    carrying a positive smooth-form power contributes 0; moving terms count
+    ``moving_rule(term)``.
     """
     if c.space.kind != "BASE":
         raise InputError("multiplicities are evaluated on the base space")
@@ -660,31 +618,27 @@ def multiplicity_at(c: GeneralizedCycle, point,
     for t in c.terms:
         if t.omega_power > 0:
             continue
-        if not t.moving:
-            total += t.coefficient * t.fixed.point_multiplicity(point)
-            continue
-        try:
-            m = _exact_moving_multiplicity(t, point, c.space)
-        except UndecidedError:
-            if oracle is None:
-                raise
-            m = oracle(list(t.moving), t.fixed, point)
+        m = moving_rule(t) if t.moving else int(t.fixed.contains_point(point))
         total += t.coefficient * m
     if total.denominator != 1:
         raise InputError(f"non-integer multiplicity {total}")
     return int(total)
 
 
-def multiplicity_provenance(c: GeneralizedCycle, point) -> str:
-    """EXACT when every term evaluates by rule, ORACLE otherwise."""
-    for t in c.terms:
-        if t.omega_power > 0 or not t.moving:
-            continue
+def multiplicity_at(c: GeneralizedCycle, point,
+                    oracle: Optional[Callable] = None) -> int:
+    """The integer multiplicity of the cycle at a base point; moving terms go
+    through the exact order rule, else the supplied oracle."""
+
+    def rule(t: CycleTerm) -> int:
         try:
-            _exact_moving_multiplicity(t, point, c.space)
+            return _exact_moving_multiplicity(t, point, c.space)
         except UndecidedError:
-            return ORACLE
-    return EXACT
+            if oracle is None:
+                raise
+            return oracle(list(t.moving), t.fixed, point)
+
+    return _term_sum(c, point, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -724,15 +678,8 @@ def _variety_from_record(rec, space: Space, names) -> VarietyRef:
             v = idx[0]
             (base if v < space.n else fiber).add(v if v < space.n else v - space.n)
         return VarietyRef.coordinate_subspace(base, fiber)
-    if kind == VarietyKind.MONOMIAL_DIVISOR:
-        cm = eqs[0].as_monomial()
-        return VarietyRef.monomial_divisor(cm[1][:space.n])
     if kind == VarietyKind.POINT:
-        coords = []
-        for q in eqs:
-            c = -q.constant_value()
-            coords.append(c)
-        return VarietyRef.point_at(coords)
+        return VarietyRef.point_at([-q.constant_value() for q in eqs])
     if kind == VarietyKind.FIBER_HYPERSURFACE:
         eq = eqs[0]
         args = []

@@ -16,6 +16,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from segre_kit.cycles import (
+    EXACT,
+    ORACLE,
     CycleTerm,
     GeneralizedCycle,
     MovingFactor,
@@ -25,7 +27,6 @@ from segre_kit.cycles import (
     base_space,
     fixed_moving_split,
     multiplicity_at,
-    multiplicity_provenance,
     proj_space,
     term,
     wedge,
@@ -260,6 +261,8 @@ def compute_Mg(g: PolyMatrix,
 
 
 def _describe_Z(M: List[GeneralizedCycle], base: Space) -> str:
+    if not M[0].is_zero():
+        return "Z = X"  # M_0 = 1_Z: g is nowhere injective
     strata = []
     for k, cyc in enumerate(M):
         if k == 0 or cyc.is_zero():
@@ -295,8 +298,14 @@ def segre_numbers(g: PolyMatrix, point, cfg=None,
     oracle = _oracle_from_cfg(cfg)
     numbers, provenance = [], []
     for k, cyc in enumerate(res.M):
-        numbers.append(multiplicity_at(cyc, point, oracle))
-        provenance.append(multiplicity_provenance(cyc, point))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return oracle(*args)
+
+        numbers.append(multiplicity_at(cyc, point, counted if oracle else None))
+        provenance.append(ORACLE if calls else EXACT)
         if numbers[-1] < 0:
             raise RuntimeError(f"negative Segre number e_{k} = {numbers[-1]}")
     distinguished = _distinguished_from_result(res)

@@ -195,14 +195,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise InputError("negative power")
-        out = Polynomial.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
                 and self.terms == other.terms)

@@ -34,6 +34,7 @@ from segre_kit.cycles import (
     VarietyKind,
     VarietyRef,
     base_space,
+    meet,
     term,
 )
 from segre_kit.errors import InputError, UnsupportedInputError, UnsupportedTermError
@@ -61,6 +62,12 @@ def _entry_monomials(entries: Sequence[Polynomial]):
     return out
 
 
+def _hyperplane(space: Space, var: int) -> VarietyRef:
+    """[z_var = 0] for an ambient variable index (base, then fiber)."""
+    zeros = ([var], []) if var < space.n else ([], [var - space.n])
+    return VarietyRef.coordinate_subspace(*zeros)
+
+
 def _divisor_terms(space: Space, p: Polynomial) -> List[CycleTerm]:
     """[div p] for a single entry: expand the monomial content into weighted
     coordinate hyperplanes; a non-monomial remainder must be fiber-linear and
@@ -68,11 +75,7 @@ def _divisor_terms(space: Space, p: Polynomial) -> List[CycleTerm]:
     if p.is_zero():
         raise InputError("divisor of the zero polynomial")
     h = p.content_monomial()
-    out = []
-    for v, e in enumerate(h):
-        if e:
-            zeros = ([v], []) if v < space.n else ([], [v - space.n])
-            out.append(term(e, VarietyRef.coordinate_subspace(*zeros)))
+    out = [term(e, _hyperplane(space, v)) for v, e in enumerate(h) if e]
     q = p.divide_monomial(h)
     if q.is_constant():
         return out
@@ -140,24 +143,9 @@ def _recognize_omega(space: Space, args) -> bool:
 
 def _prefix_subspace(space: Space, var: int, coeff, terms) -> List[CycleTerm]:
     """Wedge [z_var = 0] (ambient index) with coefficient into each term."""
-    zeros = ([var], []) if var < space.n else ([], [var - space.n])
-    div = VarietyRef.coordinate_subspace(*zeros)
-    out = []
-    for t in terms:
-        if t.fixed.kind == VarietyKind.WHOLE_SPACE:
-            fixed = div
-        elif t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE:
-            if (var < space.n and var in t.fixed.base_zeros) or \
-               (var >= space.n and var - space.n in t.fixed.fiber_zeros):
-                raise UnsupportedTermError("improper self-intersection in tower")
-            fixed = VarietyRef.coordinate_subspace(
-                t.fixed.base_zeros | div.base_zeros,
-                t.fixed.fiber_zeros | div.fiber_zeros)
-        else:
-            raise UnsupportedTermError("divisor wedge against unsupported term")
-        out.append(CycleTerm(t.coefficient * coeff, fixed, t.omega_power,
-                             t.moving, t.provenance))
-    return out
+    div = _hyperplane(space, var)
+    return [CycleTerm(t.coefficient * coeff, meet(t.fixed, div), t.omega_power,
+                      t.moving, t.provenance) for t in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +342,13 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
                             VarietyRef.whole_space(), base, base_factors, space,
                             metric_weights, exact_single_slice=True)
 
-    if fixed.kind not in (VarietyKind.WHOLE_SPACE, VarietyKind.COORDINATE_SUBSPACE,
-                          VarietyKind.POINT):
+    if fixed.kind not in (VarietyKind.WHOLE_SPACE, VarietyKind.COORDINATE_SUBSPACE):
         raise UnsupportedTermError(f"unsupported fixed part: {t.describe(space)}",
                                    term=t)
-    base_fixed = _base_part(fixed, space)
+    base_fixed = VarietyRef.coordinate_subspace(fixed.base_zeros)
 
     if slice_factor is not None:
-        if fixed.kind == VarietyKind.COORDINATE_SUBSPACE and fixed.fiber_zeros:
+        if fixed.fiber_zeros:
             raise UnsupportedTermError(
                 f"moving factor against a fiber subspace: {t.describe(space)}",
                 term=t)
@@ -376,14 +363,6 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
         return []
     return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors),
                       t.provenance)]
-
-
-def _base_part(fixed: VarietyRef, space: Space) -> VarietyRef:
-    if fixed.kind == VarietyKind.COORDINATE_SUBSPACE:
-        return VarietyRef.coordinate_subspace(fixed.base_zeros, ())
-    if fixed.kind == VarietyKind.POINT:
-        return VarietyRef.point_at(fixed.point)
-    return VarietyRef.whole_space()
 
 
 def _push_slices(t: CycleTerm, base_args, q: int, e: int,
@@ -411,21 +390,7 @@ def _push_slices(t: CycleTerm, base_args, q: int, e: int,
         for f in sub.moving:
             moving.append(MovingFactor(f.args, f.power,
                                        weights or f.weights, averaged))
-        fixed = _merge_base(base, base_fixed, sub.fixed, t)
-        out.append(CycleTerm(t.coefficient * sub.coefficient, fixed,
-                             0, tuple(moving), t.provenance))
+        out.append(CycleTerm(t.coefficient * sub.coefficient,
+                             meet(base_fixed, sub.fixed), 0, tuple(moving),
+                             t.provenance))
     return out
-
-
-def _merge_base(base: Space, a: VarietyRef, b: VarietyRef,
-                t: CycleTerm) -> VarietyRef:
-    if a.kind == VarietyKind.WHOLE_SPACE:
-        return b
-    if b.kind == VarietyKind.WHOLE_SPACE:
-        return a
-    if a.kind == b.kind == VarietyKind.COORDINATE_SUBSPACE:
-        if a.base_zeros & b.base_zeros:
-            raise UnsupportedTermError(
-                f"improper base intersection while pushing {t}", term=t)
-        return VarietyRef.coordinate_subspace(a.base_zeros | b.base_zeros, ())
-    raise UnsupportedTermError("unsupported base merge in pushforward", term=t)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from segre_kit.cli import (
     load_spec,
@@ -28,6 +30,41 @@ BAD_SHAPES = (
     {"variables": "ab", "matrix": [["a", "0"], ["0", "b"]]},
     {"variables": ["x1", "x1"], "matrix": [["x1", "0"], ["0", "x1"]]},
 )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def fuzz_specs(draw):
+    """Exact-engine specs over n = 0..3 with up to 3x3 cells; sometimes one
+    key holds an arbitrary JSON value instead."""
+    n = draw(st.integers(0, 3))
+    names = [f"x{i + 1}" for i in range(n)]
+    monomials = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda exps: "*".join(f"{v}^{e}" for v, e in zip(names, exps) if e)
+        or "1")
+    cells = monomials | st.sampled_from(["0", "x1 + x2", "1/2*x1", "i*x2"])
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coords = st.sampled_from(["0", "1", "-1", "1/2", "i"])
+    spec = {
+        "variables": names,
+        "matrix": [[draw(cells) for _ in range(cols)] for _ in range(rows)],
+        "engine": "exact",
+        "points": draw(st.lists(st.lists(coords, min_size=n, max_size=n),
+                                max_size=2)),
+        "tasks": draw(st.lists(st.sampled_from(
+            ["Mg", "segre", "distinguished", "singular_metrics"]),
+            min_size=1, max_size=4, unique=True)),
+    }
+    key = draw(st.sampled_from([None, "reg", *spec]))
+    if key is not None:
+        spec[key] = draw(JSON_VALUES)
+    return spec
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -109,6 +146,15 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["golden", "--engine", "both"])
     assert exc.value.code == 2
+
+
+@given(spec=fuzz_specs())
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_contract_on_generated_specs(tmp_path, spec):
+    # any spec: an exit code of the contract, never an escaping exception
+    path = write_spec(tmp_path, spec)
+    assert main(["run", path, "--skip-numeric"]) in (0, 2, 3, 4)
 
 
 def test_undecided_exit_code(tmp_path, capsys):

@@ -86,14 +86,6 @@ def test_undecided_routes_to_oracle():
     assert calls == [2]
 
 
-def test_monomial_divisor_multiplicity():
-    c = GeneralizedCycle(B2, 1, [term(1, VarietyRef.monomial_divisor((2, 1)))])
-    # canonical form expands div(x1^2 x2) = 2[x1=0] + [x2=0]
-    assert multiplicity_at(c, [0, 1]) == 2
-    assert multiplicity_at(c, [1, 0]) == 1
-    assert multiplicity_at(c, [0, 0]) == 3
-
-
 # ---------------------------------------------------------------------------
 # fixed / moving split
 # ---------------------------------------------------------------------------
@@ -210,7 +202,8 @@ def test_canonicalization_confluent(rnd):
              term(2, VarietyRef.coordinate_subspace([1])),
              term(-1, VarietyRef.coordinate_subspace([0])),
              term(3, VarietyRef.whole_space(), moving=(f,)),
-             term(1, VarietyRef.monomial_divisor((1, 1)))]
+             term(1, VarietyRef.coordinate_subspace([0])),
+             term(1, VarietyRef.coordinate_subspace([1]))]
     shuffled = terms[:]
     rnd.shuffle(shuffled)
     assert GeneralizedCycle(B2, 1, terms) == GeneralizedCycle(B2, 1, shuffled)

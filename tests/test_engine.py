@@ -1,7 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segre_kit.cycles import multiplicity_at, fixed_moving_split
+from segre_kit.cycles import (
+    GeneralizedCycle,
+    MovingFactor,
+    VarietyRef,
+    base_space,
+    fixed_moving_split,
+    multiplicity_at,
+    term,
+)
 from segre_kit.engine import (
+    MorphismResult,
     compute_Ma,
     compute_Mg,
     distinguished_varieties,
@@ -11,7 +22,7 @@ from segre_kit.engine import (
 )
 from segre_kit.errors import InputError, UnsupportedInputError
 from segre_kit.numeric import RegConfig
-from segre_kit.poly import PolyMatrix, parse_polynomial
+from segre_kit.poly import PolyMatrix, Polynomial, parse_polynomial
 
 
 def mat(rows, n):
@@ -107,6 +118,35 @@ def test_segre_provenance_exact():
     assert rep.provenance == ["EXACT", "EXACT", "EXACT"]
     rec = rep.to_record()
     assert rec["numbers"] == [1, 1, 0]
+
+
+def test_segre_provenance_oracle():
+    # the two-factor product has no exact rule: e_2 is the oracle's number
+    f1 = MovingFactor((parse_polynomial("x1", 2), parse_polynomial("x2", 2)), 1)
+    f2 = MovingFactor((parse_polynomial("x1 - x2", 2),
+                       parse_polynomial("x2", 2)), 1)
+    base = base_space(2)
+    M = [GeneralizedCycle.zero(base, 0), GeneralizedCycle.zero(base, 1),
+         GeneralizedCycle(base, 2, [term(1, VarietyRef.whole_space(),
+                                         moving=(f1, f2))])]
+    res = MorphismResult(M, [], "")
+    rep = segre_numbers(mat([["x1", "x2"]], 2), [0, 0], cfg=CFG, result=res)
+    assert rep.numbers == [0, 0, 1]
+    assert rep.provenance == ["EXACT", "EXACT", "ORACLE"]
+
+
+@pytest.mark.parametrize("rows, n, z", [
+    ([["x1", "x2"]], 2, "Z = X"),
+    ([["x1*x2", "x1^2"]], 2, "Z = X"),
+    ([["x1", "0"], ["0", "x2"]], 2,
+     "Z contains [x1=0] (codim 1), [x2=0] (codim 1), [x1=x2=0] (codim 2)"),
+    ([["x1"], ["x2"]], 2, "Z contains [x1=x2=0] (codim 2)"),
+])
+def test_Z_description(rows, n, z):
+    # M_0 = 1_Z, so a nonzero M_0 means Z = X
+    res = compute_Mg(mat(rows, n))
+    assert res.Z_description == z
+    assert (z == "Z = X") == (not res.M[0].is_zero())
 
 
 def test_distinguished_examples():
@@ -223,6 +263,21 @@ def test_unit_block_reduction_rank4():
     assert [c.describe() for c in r4.M] == [c.describe() for c in r3.M]
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_direct_sum_with_unit_block(seed):
+    # g (+) (1) has the morphism currents of g
+    import numpy as np
+    from segre_kit.cli import _random_diag_monomial
+
+    g = _random_diag_monomial(np.random.default_rng(seed))
+    n, zero = g.nvars, Polynomial.zero(g.nvars)
+    gsum = PolyMatrix([list(row) + [zero] for row in g.entries]
+                      + [[zero] * g.cols + [Polynomial.constant(n, 1)]])
+    assert [c.describe() for c in compute_Mg(gsum).M] == \
+        [c.describe() for c in compute_Mg(g).M], str(g)
+
+
 def test_localization_invariance_random():
     # Segre numbers at a sample point equal those at the origin of the
     # presentation localized there (coordinates vanishing at the point stay,
@@ -231,7 +286,6 @@ def test_localization_invariance_random():
     from itertools import product
     from segre_kit.cli import _random_diag_monomial
     from segre_kit.errors import UnsupportedInputError
-    from segre_kit.poly import Polynomial
 
     rng = np.random.default_rng(314)
     done = 0
