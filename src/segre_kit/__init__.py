@@ -17,7 +17,6 @@ from segre_kit.poly import (
     StructureClass,
     classify_structure,
     determinant_and_minors,
-    monomial_gcd_factor,
     parse_polynomial,
 )
 from segre_kit.cycles import (
@@ -53,8 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Scalar", "Monomial", "Polynomial", "PolyMatrix", "StructureClass",
-    "classify_structure", "determinant_and_minors", "monomial_gcd_factor",
-    "parse_polynomial",
+    "classify_structure", "determinant_and_minors", "parse_polynomial",
     "CycleTerm", "GeneralizedCycle", "MovingFactor", "VarietyRef",
     "fixed_moving_split", "multiplicity_at", "wedge",
     "MorphismResult", "SegreReport", "compute_Ma", "compute_Mg",

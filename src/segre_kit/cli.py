@@ -25,7 +25,6 @@ from segre_kit.cycles import (
     multiplicity_at,
 )
 from segre_kit.engine import (
-    _distinguished_from_result,
     _oracle_from_cfg,
     compute_Ma,
     compute_Mg,
@@ -194,7 +193,7 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
         results["distinguished"] = [
             {"equations": [str(q) for q in ref.equations(base)],
              "coefficient": co, "codim": k}
-            for ref, co, k in _distinguished_from_result(res)]
+            for ref, co, k in res.distinguished]
     if "Ma" in spec.tasks:
         ma = compute_Ma(spec.matrix, cfg=spec.reg)
         results["Ma"] = [c.to_record() for c in ma]
@@ -301,7 +300,7 @@ def golden_suite(skip_numeric: bool = False,
     def disting(res):
         """Distinguished varieties of ``res`` as sorted [variety, coefficient]."""
         return sorted([t.describe(res.M[0].space), int(c)]
-                      for t, c, _k in _distinguished_from_result(res))
+                      for t, c, _k in res.distinguished)
 
     # --- the diagonal axes pair diag(x1, x2) ------------------------------------------------
     g_diag2 = _mat([["x1", "0"], ["0", "x2"]], 2)

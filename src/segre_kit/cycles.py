@@ -23,9 +23,8 @@ from segre_kit.errors import InputError, UndecidedError, UnsupportedTermError
 from segre_kit.poly import (
     Polynomial,
     format_polynomial,
-    monomial_div,
-    monomial_gcd,
     parse_polynomial,
+    strip_common_factor,
 )
 from segre_kit.scalars import Scalar
 
@@ -276,6 +275,12 @@ class MovingFactor:
     def has_constant_arg(self) -> bool:
         return any(p.is_constant() and not p.is_zero() for p in self.args)
 
+    def reduced(self) -> "MovingFactor":
+        """The factor with the arguments' common monomial factor h stripped:
+        <h f'>^p = <f'>^p outside the zero set of h."""
+        _, args = strip_common_factor(self.args)
+        return MovingFactor(tuple(args), self.power, self.weights, self.averaged)
+
     def describe(self, space: Space) -> str:
         names = space.var_names()
         inner = " + ".join(
@@ -311,7 +316,6 @@ class CycleTerm:
     fixed: VarietyRef
     omega_power: int = 0
     moving: tuple = ()  # tuple of MovingFactor
-    provenance: str = EXACT
 
     def bidegree(self, space: Space) -> int:
         return (self.fixed.codim(space) + self.omega_power
@@ -344,14 +348,12 @@ class CycleTerm:
             "omega_power": self.omega_power,
             "moving": [f.to_record(space) for f in self.moving],
             "bidegree": self.bidegree(space),
-            "provenance": self.provenance,
+            "provenance": EXACT,
         }
 
 
-def term(coefficient, fixed: VarietyRef, omega_power=0, moving=(),
-         provenance=EXACT) -> CycleTerm:
-    return CycleTerm(Fraction(coefficient), fixed, omega_power,
-                     tuple(moving), provenance)
+def term(coefficient, fixed: VarietyRef, omega_power=0, moving=()) -> CycleTerm:
+    return CycleTerm(Fraction(coefficient), fixed, omega_power, tuple(moving))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +380,7 @@ class GeneralizedCycle:
             if k in merged:
                 old = merged[k]
                 merged[k] = CycleTerm(old.coefficient + t.coefficient, old.fixed,
-                                      old.omega_power, old.moving,
-                                      old.provenance if old.provenance == t.provenance
-                                      else ORACLE)
+                                      old.omega_power, old.moving)
             else:
                 merged[k] = t
         kept = [t for t in merged.values() if t.coefficient != 0]
@@ -413,7 +413,7 @@ class GeneralizedCycle:
         c = Fraction(c)
         return GeneralizedCycle(self.space, self.degree,
                                 [CycleTerm(t.coefficient * c, t.fixed,
-                                           t.omega_power, t.moving, t.provenance)
+                                           t.omega_power, t.moving)
                                  for t in self.terms])
 
     def __eq__(self, other):
@@ -446,7 +446,7 @@ def _expand_terms(space: Space, terms):
     for t in terms:
         if not isinstance(t.coefficient, Fraction):
             t = CycleTerm(Fraction(t.coefficient), t.fixed, t.omega_power,
-                          t.moving, t.provenance)
+                          t.moving)
         if any(f.is_zero_current() for f in t.moving):
             continue
         if space.kind == "PROJ" and t.omega_power > 0:
@@ -480,8 +480,8 @@ def meet(a: VarietyRef, b: VarietyRef) -> VarietyRef:
 
 
 def wedge(c: GeneralizedCycle, factor) -> GeneralizedCycle:
-    """Wedge with omega_alpha^j (pass ("omega", j)), a MovingFactor, or a
-    VarietyRef.  Distributes over terms and re-canonicalizes."""
+    """Wedge with omega_alpha^j (pass ("omega", j)) or a MovingFactor.
+    Distributes over terms and re-canonicalizes."""
     if isinstance(factor, tuple) and len(factor) == 2 and factor[0] == "omega":
         j = factor[1]
         if c.space.kind != "PROJ":
@@ -491,8 +491,8 @@ def wedge(c: GeneralizedCycle, factor) -> GeneralizedCycle:
             raise InputError("bidegree overflow in wedge")
         return GeneralizedCycle(
             c.space, new_deg,
-            [CycleTerm(t.coefficient, t.fixed, t.omega_power + j, t.moving,
-                       t.provenance) for t in c.terms])
+            [CycleTerm(t.coefficient, t.fixed, t.omega_power + j, t.moving)
+             for t in c.terms])
     if isinstance(factor, MovingFactor):
         new_deg = c.degree + factor.power
         if new_deg > c.space.dim:
@@ -500,15 +500,7 @@ def wedge(c: GeneralizedCycle, factor) -> GeneralizedCycle:
         return GeneralizedCycle(
             c.space, new_deg,
             [CycleTerm(t.coefficient, t.fixed, t.omega_power,
-                       t.moving + (factor,), t.provenance) for t in c.terms])
-    if isinstance(factor, VarietyRef):
-        new_deg = c.degree + factor.codim(c.space)
-        if new_deg > c.space.dim:
-            raise InputError("bidegree overflow in wedge")
-        return GeneralizedCycle(
-            c.space, new_deg,
-            [CycleTerm(t.coefficient, meet(t.fixed, factor), t.omega_power,
-                       t.moving, t.provenance) for t in c.terms])
+                       t.moving + (factor,)) for t in c.terms])
     raise InputError(f"cannot wedge with {factor!r}")
 
 
@@ -580,14 +572,7 @@ def _exact_moving_multiplicity(t: CycleTerm, point, space: Space):
     if not t.fixed.contains_point(point):
         return 0
 
-    # strip the common monomial factor: <h f'>^p = <f'>^p outside the zero set
-    mons = [p.as_monomial()[1] for p in factor.args]
-    h = monomial_gcd(*mons)
-    args = [Polynomial.monomial(p.nvars, monomial_div(m, h), p.as_monomial()[0])
-            for p, m in zip(factor.args, mons)]
-
-    reduced = MovingFactor(tuple(args), factor.power, factor.weights,
-                           factor.averaged)
+    reduced = factor.reduced()
     if reduced.has_constant_arg():
         return 0
     s = len(reduced.args)
@@ -659,8 +644,7 @@ def cycle_from_record(rec) -> GeneralizedCycle:
             moving.append(MovingFactor(args, frec.get("power", 1), weights,
                                        frec.get("averaged", False)))
         out.append(CycleTerm(Fraction(trec["coefficient"]), fixed,
-                             trec.get("omega_power", 0), tuple(moving),
-                             trec.get("provenance", EXACT)))
+                             trec.get("omega_power", 0), tuple(moving)))
     return GeneralizedCycle(space, rec["degree"], out)
 
 

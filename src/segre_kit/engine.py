@@ -39,7 +39,7 @@ from segre_kit.poly import (
     classify_structure,
     determinant,
     monomial_degree,
-    monomial_gcd,
+    strip_common_factor,
 )
 from segre_kit.tower import (
     _divisor_terms,
@@ -60,12 +60,22 @@ EXACT_CLASSES = (StructureClass.DIAGONAL_MONOMIAL, StructureClass.SINGLE_ROW,
 class MorphismResult:
     M: List[GeneralizedCycle]              # degree k = 0..n on the base
     ring_M: List[GeneralizedCycle]         # level l = 0..n+r-1 on P(E)
-    Z_description: str
-    engine: str = "EXACT"
+    Z_description: Optional[str] = None    # derived from M when not given
+    # fixed-part components of every M_k: (VarietyRef, coefficient, codim k)
+    distinguished: list = field(init=False)
+
+    def __post_init__(self):
+        self.distinguished = []
+        for k, cyc in enumerate(self.M):
+            fixed, _ = fixed_moving_split(cyc)
+            self.distinguished += [(t.fixed, int(t.coefficient), k)
+                                   for t in fixed.terms]
+        if self.Z_description is None:
+            self.Z_description = _describe_Z(self)
 
     def to_record(self):
         return {
-            "engine": self.engine,
+            "engine": EXACT,
             "Z": self.Z_description,
             "M": [c.to_record() for c in self.M],
             "ring_M": [c.to_record() for c in self.ring_M],
@@ -187,7 +197,7 @@ def _homogenize_chart_term(t: CycleTerm, space: Space, chart: int) -> CycleTerm:
         else:
             moving.append(MovingFactor(tuple(args), f.power, f.weights,
                                        f.averaged))
-    return CycleTerm(t.coefficient, t.fixed, omega, tuple(moving), t.provenance)
+    return CycleTerm(t.coefficient, t.fixed, omega, tuple(moving))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +244,7 @@ def compute_Mg(g: PolyMatrix,
                    if not g.entries[i][0].is_zero()]
         M = [GeneralizedCycle(base, k, tower_residue(entries, base, k))
              if k else GeneralizedCycle.zero(base, 0) for k in range(n + 1)]
-        return MorphismResult(M, [], _describe_Z(M, base))
+        return MorphismResult(M, [])
 
     try:
         ring = ring_M_Galpha(g)
@@ -257,22 +267,17 @@ def compute_Mg(g: PolyMatrix,
             part = wedge(cyc, ("omega", e)) if e else cyc
             acc = acc + pushforward_cycle(part, fiber_metric_weights)
         M.append(acc)
-    return MorphismResult(M, ring, _describe_Z(M, base))
+    return MorphismResult(M, ring)
 
 
-def _describe_Z(M: List[GeneralizedCycle], base: Space) -> str:
-    if not M[0].is_zero():
+def _describe_Z(res: MorphismResult) -> str:
+    if any(k == 0 for _ref, _co, k in res.distinguished):
         return "Z = X"  # M_0 = 1_Z: g is nowhere injective
-    strata = []
-    for k, cyc in enumerate(M):
-        if k == 0 or cyc.is_zero():
-            continue
-        fixed, _ = fixed_moving_split(cyc)
-        for t in fixed.terms:
-            strata.append(f"{t.fixed.describe(base)} (codim {k})")
-    if not strata:
+    if not res.distinguished:
         return "Z is empty"
-    return "Z contains " + ", ".join(dict.fromkeys(strata))
+    base = res.M[0].space
+    return "Z contains " + ", ".join(f"{ref.describe(base)} (codim {k})"
+                                     for ref, _co, k in res.distinguished)
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +313,13 @@ def segre_numbers(g: PolyMatrix, point, cfg=None,
         provenance.append(ORACLE if calls else EXACT)
         if numbers[-1] < 0:
             raise RuntimeError(f"negative Segre number e_{k} = {numbers[-1]}")
-    distinguished = _distinguished_from_result(res)
-    return SegreReport(tuple(point), numbers, distinguished, provenance, base)
-
-
-def _distinguished_from_result(res: MorphismResult):
-    out = []
-    for k, cyc in enumerate(res.M):
-        fixed, _ = fixed_moving_split(cyc)
-        for t in fixed.terms:
-            if t.fixed.kind == VarietyKind.WHOLE_SPACE and k == 0:
-                out.append((t.fixed, int(t.coefficient), 0))
-            elif k > 0:
-                out.append((t.fixed, int(t.coefficient), k))
-    return out
+    return SegreReport(tuple(point), numbers, res.distinguished, provenance,
+                       base)
 
 
 def distinguished_varieties(g: PolyMatrix):
     """Fixed-part components over all degrees, with their coefficients."""
-    res = compute_Mg(g)
-    return [(ref, co) for ref, co, _k in _distinguished_from_result(res)]
+    return [(ref, co) for ref, co, _k in compute_Mg(g).distinguished]
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +347,7 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
         out += [GeneralizedCycle.zero(base, k) for k in range(2, n + 1)]
         return out
 
-    h = monomial_gcd(g1.content_monomial(), g2.content_monomial())
-    r1, r2 = g1.divide_monomial(h), g2.divide_monomial(h)
+    h, (r1, r2) = strip_common_factor([g1, g2])
 
     # M^a_1 = [div h]: the exceptional component of div(a') pushes to zero
     if monomial_degree(h) > 0:

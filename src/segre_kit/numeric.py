@@ -28,7 +28,7 @@ from segre_kit.errors import (
     NumericalFailureError,
     UndecidedError,
 )
-from segre_kit.poly import Polynomial, PolyMatrix, monomial_gcd
+from segre_kit.poly import Polynomial, PolyMatrix
 from segre_kit.scalars import Scalar
 
 
@@ -353,10 +353,26 @@ def _batch_minor_dets(jac, rows, cols):
     return acc
 
 
-def _blocked_stats(values: np.ndarray, volume: float, blocks: int = _BLOCKS):
-    m = len(values) // blocks * blocks
-    chunk = values[:m].reshape(blocks, -1).mean(axis=1) * volume
-    return float(np.mean(chunk)), float(np.std(chunk) / math.sqrt(blocks))
+def _epsilon_table(g2, density, weight, power, cfg: RegConfig):
+    """Per-epsilon blocked sample means of eps/(g2+eps)^power * density *
+    weight and their standard errors (over _BLOCKS equal blocks)."""
+    per_eps, stderrs = [], []
+    for eps in cfg.epsilon_schedule:
+        values = eps / (g2 + eps) ** power * density * weight
+        m = len(values) // _BLOCKS * _BLOCKS
+        chunk = values[:m].reshape(_BLOCKS, -1).mean(axis=1)
+        per_eps.append((eps, float(np.mean(chunk))))
+        stderrs.append(float(np.std(chunk) / math.sqrt(_BLOCKS)))
+    return per_eps, stderrs
+
+
+def _limit(per_eps, stderrs, cfg: RegConfig) -> MassEstimate:
+    """The eps -> 0 value: Richardson-extrapolated, or the last epsilon's."""
+    if cfg.extrapolation == "RICHARDSON":
+        value, err, warnings = _richardson(per_eps, stderrs,
+                                           cfg.extrapolation_order)
+        return MassEstimate(value, err, per_eps, True, warnings)
+    return MassEstimate(per_eps[-1][1], stderrs[-1], per_eps, False, [])
 
 
 def epsilon_mass(G: Sequence[Polynomial], k: int, cfg: Optional[RegConfig] = None,
@@ -392,17 +408,7 @@ def epsilon_mass(G: Sequence[Polynomial], k: int, cfg: Optional[RegConfig] = Non
                                     location=z[bad].tolist())
     if np.any(density < 0):
         raise NumericalFailureError("negative integrand sample in epsilon_mass")
-    per_eps, stderrs = [], []
-    for eps in cfg.epsilon_schedule:
-        kernel = eps / (g2 + eps) ** (k + 1)
-        val, err = _blocked_stats(kernel * density * weight, 1.0)
-        per_eps.append((eps, val))
-        stderrs.append(err)
-    if cfg.extrapolation == "RICHARDSON":
-        value, err, warnings = _richardson(per_eps, stderrs,
-                                           cfg.extrapolation_order)
-        return MassEstimate(value, err, per_eps, True, warnings)
-    return MassEstimate(per_eps[-1][1], stderrs[-1], per_eps, False, [])
+    return _limit(*_epsilon_table(g2, density, weight, k + 1, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -553,21 +559,14 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
                 raise NumericalFailureError("wedge coefficient not real")
             density = wedge.real * 2 ** N
             coeff = math.comb(r, j + 1)
-            per = []
-            for idx, eps in enumerate(cfg.epsilon_schedule):
-                kernel = eps / (g2 + eps) ** (j + 2)
-                val, err = _blocked_stats(kernel * density * weight, 1.0)
-                per.append((eps, coeff * val))
-                per_eps_total[idx] += coeff * val
-                stderr_total[idx] += coeff * err
+            table, stderrs = _epsilon_table(g2, density, weight, j + 2, cfg)
+            per = [(eps, coeff * val) for eps, val in table]
+            per_eps_total += [val for _eps, val in per]
+            stderr_total += coeff * np.array(stderrs)
             details.append(MassEstimate(per[-1][1], 0.0, per, False, []))
     per_eps = [(eps, float(per_eps_total[i]))
                for i, eps in enumerate(cfg.epsilon_schedule)]
-    if cfg.extrapolation == "RICHARDSON":
-        mass, _err, _w = _richardson(per_eps, list(stderr_total),
-                                     cfg.extrapolation_order)
-    else:
-        mass = per_eps[-1][1]
+    mass = _limit(per_eps, list(stderr_total), cfg).value
     passed = bool(abs(mass - det_count) < 0.1)
     return MassBalanceResult(float(mass), det_count, passed, radius, details)
 
@@ -646,20 +645,12 @@ def _divisor_order_at(slice_poly: Polynomial, point, rng) -> int:
     raise UndecidedError("could not stabilize a divisor order estimate")
 
 
-def _strip_common_content(factor: MovingFactor) -> MovingFactor:
-    h = monomial_gcd(*(p.content_monomial() for p in factor.args))
-    if sum(h) == 0:
-        return factor
-    return MovingFactor(tuple(p.divide_monomial(h) for p in factor.args),
-                        factor.power, factor.weights, factor.averaged)
-
-
 def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
                                 cfg: Optional[RegConfig] = None) -> int:
     """Estimate the multiplicity at ``point`` of [fixed] ^ prod <...>^{p_t} by
     random Fubini-Study slices; the estimate must agree across repetitions."""
     cfg = cfg or RegConfig()
-    factors = [_strip_common_content(f) for f in factors]
+    factors = [f.reduced() for f in factors]
     if not factors:
         raise InputError("no moving factors supplied")
     n = factors[0].args[0].nvars

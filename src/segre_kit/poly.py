@@ -559,24 +559,13 @@ def determinant(g: PolyMatrix) -> Polynomial:
     return determinant_and_minors(g, g.rows)[0]
 
 
-def monomial_gcd_factor(g: PolyMatrix):
-    """Split g = h * g' with h the exponent-wise min monomial over nonzero
-    entries.  Entries that are not scalar multiples of monomials leave g
-    unchanged with trivial factor."""
-    mons = []
-    for i, j in g.nonzero_positions():
-        cm = g.entries[i][j].as_monomial()
-        if cm is None:
-            return monomial_one(g.nvars), g
-        mons.append(cm[1])
-    if not mons:
-        return monomial_one(g.nvars), g
-    h = monomial_gcd(*mons)
-    if monomial_degree(h) == 0:
-        return h, g
-    reduced = [[p.divide_monomial(h) if not p.is_zero() else p for p in row]
-               for row in g.entries]
-    return h, PolyMatrix(reduced)
+def strip_common_factor(polys):
+    """Split nonzero polynomials as p = h * p' with h the largest monomial
+    dividing all of them: returns (h, [p'])."""
+    h = monomial_gcd(*(p.content_monomial() for p in polys))
+    if not any(h):
+        return h, list(polys)
+    return h, [p.divide_monomial(h) for p in polys]
 
 
 class StructureClass(Enum):
@@ -613,9 +602,8 @@ def classify_structure(g: PolyMatrix) -> StructureClass:
     if all_monomial and all(c <= 1 for c in row_counts) and all(c <= 1 for c in col_counts):
         return StructureClass.DIAGONAL_MONOMIAL
     if g.rows == 1 and len(nz) >= 2 and all_monomial:
-        _, red = monomial_gcd_factor(g)
-        mons = [red.entries[i][j].as_monomial()[1] for i, j in nz]
-        if _pairwise_coprime(mons):
+        _, red = strip_common_factor([g.entries[i][j] for i, j in nz])
+        if _pairwise_coprime([p.as_monomial()[1] for p in red]):
             return StructureClass.SINGLE_ROW
     if g.rows == 1 and g.cols == 2 and len(nz) == 2:
         return StructureClass.COLUMN_SECTION

@@ -42,25 +42,13 @@ from segre_kit.poly import (
     Polynomial,
     _pairwise_coprime,
     monomial_degree,
-    monomial_div,
-    monomial_gcd,
+    strip_common_factor,
 )
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _entry_monomials(entries: Sequence[Polynomial]):
-    """Each entry as (coeff, exponents); None when some entry is not monomial."""
-    out = []
-    for p in entries:
-        cm = p.as_monomial()
-        if cm is None:
-            return None
-        out.append(cm)
-    return out
-
 
 def _hyperplane(space: Space, var: int) -> VarietyRef:
     """[z_var = 0] for an ambient variable index (base, then fiber)."""
@@ -113,11 +101,10 @@ def _attach_factor(space: Space, terms: List[CycleTerm],
     for t in terms:
         if omega:
             out.append(CycleTerm(t.coefficient, t.fixed, t.omega_power + power,
-                                 t.moving, t.provenance))
+                                 t.moving))
         else:
             out.append(CycleTerm(t.coefficient, t.fixed, t.omega_power,
-                                 t.moving + (MovingFactor(tuple(args), power),),
-                                 t.provenance))
+                                 t.moving + (MovingFactor(tuple(args), power),)))
     return out
 
 
@@ -145,7 +132,7 @@ def _prefix_subspace(space: Space, var: int, coeff, terms) -> List[CycleTerm]:
     """Wedge [z_var = 0] (ambient index) with coefficient into each term."""
     div = _hyperplane(space, var)
     return [CycleTerm(t.coefficient * coeff, meet(t.fixed, div), t.omega_power,
-                      t.moving, t.provenance) for t in terms]
+                      t.moving) for t in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +165,10 @@ def _power(entries, space: Space, level: int, part: str) -> List[CycleTerm]:
     if len(entries) == 1:
         return _single_entry_power(entries[0], space, level)
 
-    mons = _entry_monomials(entries)
-    if mons is None:
+    if any(p.as_monomial() is None for p in entries):
         raise UnsupportedInputError(
             "exact tower needs scalar*monomial entries for tuples of length >= 2")
-    h = monomial_gcd(*(m for _, m in mons))
-    reduced = [Polynomial.monomial(space.total_vars, monomial_div(m, h), c)
-               for c, m in mons]
+    h, reduced = strip_common_factor(entries)
     red_mons = [p.as_monomial()[1] for p in reduced]
     if not _pairwise_coprime(red_mons):
         raise UnsupportedInputError(
@@ -361,8 +345,7 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
     d = fixed.fiber_dimension(space)
     if e != d:
         return []
-    return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors),
-                      t.provenance)]
+    return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors))]
 
 
 def _push_slices(t: CycleTerm, base_args, q: int, e: int,
@@ -375,8 +358,7 @@ def _push_slices(t: CycleTerm, base_args, q: int, e: int,
     if e + q < r - 1:
         return []
     if e + q == r - 1:
-        return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors),
-                          t.provenance)]
+        return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors))]
     jp = e + q - (r - 1)
     weights = ()
     if metric_weights is not None:
@@ -391,6 +373,5 @@ def _push_slices(t: CycleTerm, base_args, q: int, e: int,
             moving.append(MovingFactor(f.args, f.power,
                                        weights or f.weights, averaged))
         out.append(CycleTerm(t.coefficient * sub.coefficient,
-                             meet(base_fixed, sub.fixed), 0, tuple(moving),
-                             t.provenance))
+                             meet(base_fixed, sub.fixed), 0, tuple(moving)))
     return out

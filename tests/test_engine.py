@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from segre_kit.engine import (
 from segre_kit.errors import InputError, UnsupportedInputError
 from segre_kit.numeric import RegConfig
 from segre_kit.poly import PolyMatrix, Polynomial, parse_polynomial
+from segre_kit.scalars import Scalar
 
 
 def mat(rows, n):
@@ -168,6 +171,77 @@ def test_comparability_scalar_and_permutation():
     pts = [[0, 0], [0, 1], [1, 0], [2, 2]]
     for pt in pts:
         assert segre_numbers(g, pt).numbers == segre_numbers(h, pt).numbers
+
+
+UNITS = [Scalar(2), Scalar(1, 1), Scalar(Fraction(1, 3)), Scalar(0, -1),
+         Scalar(-5, 2)]
+
+
+def _disguise(g, rng):
+    """A comparable presentation of g: rows and columns permuted, every
+    entry multiplied by a unit."""
+    rows, cols = rng.permutation(g.rows), rng.permutation(g.cols)
+    return PolyMatrix([[g.entries[i][j] * UNITS[int(rng.integers(len(UNITS)))]
+                        for j in cols] for i in rows])
+
+
+def _invariants(g):
+    """Sorted distinguished varieties (describe, coefficient, codim) and the
+    Segre numbers on the sample grid."""
+    from segre_kit.cli import _grid
+
+    res = compute_Mg(g)
+    base = res.M[0].space
+    disting = sorted((ref.describe(base), co, k) for ref, co, k in res.distinguished)
+    return disting, [segre_numbers(g, pt, result=res).numbers
+                     for pt in _grid(g.nvars)]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_comparability_random_diagonal(seed):
+    import numpy as np
+    from segre_kit.cli import _random_diag_monomial
+
+    rng = np.random.default_rng(seed)
+    g = _random_diag_monomial(rng)
+    assert _invariants(_disguise(g, rng)) == _invariants(g), str(g)
+
+
+@pytest.mark.parametrize("row, n", [
+    (["x1*x2", "x1^2"], 2),
+    (["x1*x2", "x2*x3^2", "x2*x4"], 4),
+    (["x1^2*x3", "x2*x3", "x3"], 3),
+])
+def test_comparability_single_row(row, n):
+    import numpy as np
+
+    g = mat([row], n)
+    rng = np.random.default_rng(len(row) + n)
+    for _ in range(3):
+        assert _invariants(_disguise(g, rng)) == _invariants(g)
+
+
+def test_one_fixed_moving_split_per_current(monkeypatch):
+    # the distinguished varieties depend on the result only: compute_Mg
+    # splits each M_k once and a Segre query at a point splits nothing
+    import segre_kit.engine as engine
+    from segre_kit.cli import _grid
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return fixed_moving_split(c)
+
+    monkeypatch.setattr(engine, "fixed_moving_split", counted)
+    g = mat([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3)
+    res = compute_Mg(g)
+    assert 0 < len(calls) <= len(res.M)
+    calls.clear()
+    for pt in _grid(3):
+        segre_numbers(g, pt, result=res)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from segre_kit.poly import (
     classify_structure,
     determinant_and_minors,
     format_polynomial,
-    monomial_gcd_factor,
     parse_polynomial,
+    strip_common_factor,
 )
 from segre_kit.scalars import Scalar
 
@@ -109,32 +109,37 @@ def test_minor_ordering_is_lexicographic():
 # gcd factor and structure classes
 # ---------------------------------------------------------------------------
 
-def test_monomial_gcd_factor_examples():
+def nonzero(g):
+    return [g.entries[i][j] for i, j in g.nonzero_positions()]
+
+
+def test_strip_common_factor_examples():
     g = mat([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3)
-    h, red = monomial_gcd_factor(g)
+    h, red = strip_common_factor(nonzero(g))
     assert h == (0, 0, 1)
-    assert red == mat([["x1", "0", "0"], ["0", "x2", "0"], ["0", "0", "x3"]], 3)
+    assert red == nonzero(mat([["x1", "0", "0"], ["0", "x2", "0"],
+                               ["0", "0", "x3"]], 3))
 
     g = mat([["x1", "0"], ["0", "x2"]], 2)
-    h, red = monomial_gcd_factor(g)
-    assert h == (0, 0) and red == g
+    h, red = strip_common_factor(nonzero(g))
+    assert h == (0, 0) and red == nonzero(g)
 
     g = mat([["x1*x2", "x2^2"]], 2)
-    h, red = monomial_gcd_factor(g)
-    assert h == (0, 1) and red == mat([["x1", "x2"]], 2)
+    h, red = strip_common_factor(nonzero(g))
+    assert h == (0, 1) and red == nonzero(mat([["x1", "x2"]], 2))
 
 
-def test_monomial_gcd_factor_idempotent():
+def test_strip_common_factor_idempotent():
     g = mat([["x1*x2", "x2^2"]], 2)
-    _, red = monomial_gcd_factor(g)
-    h2, red2 = monomial_gcd_factor(red)
+    _, red = strip_common_factor(nonzero(g))
+    h2, red2 = strip_common_factor(red)
     assert sum(h2) == 0 and red2 == red
 
 
-def test_monomial_gcd_factor_nonmonomial_falls_back():
+def test_strip_common_factor_nonmonomial_falls_back():
     g = mat([["x1 + x2", "x2"]], 2)
-    h, red = monomial_gcd_factor(g)
-    assert sum(h) == 0 and red == g
+    h, red = strip_common_factor(nonzero(g))
+    assert sum(h) == 0 and red == nonzero(g)
 
 
 def test_classify_examples():
