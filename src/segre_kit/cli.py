@@ -56,6 +56,7 @@ from segre_kit.scalars import Scalar
 from segre_kit.tower import _divisor_terms
 
 ALL_TASKS = ("Mg", "segre", "distinguished", "Ma", "singular_metrics", "verify")
+EXACT_TASKS = ("Mg", "segre", "distinguished", "singular_metrics")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -168,17 +169,12 @@ def _report(input, results, checks, seed) -> dict:
 def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
     results, checks = {}, []
     res = None
-    needs_exact = spec.engine in ("exact", "both") and any(
-        t in spec.tasks for t in ("Mg", "segre", "distinguished",
-                                  "singular_metrics"))
-    if spec.engine == "numeric" and any(
-            t in spec.tasks for t in ("Mg", "segre", "distinguished",
-                                      "singular_metrics")):
-        raise UnsupportedInputError(
-            "tasks Mg/segre/distinguished/singular_metrics need the exact "
-            "engine; run with engine 'exact' or 'both'",
-            structure=classify_structure(spec.matrix).value)
-    if needs_exact:
+    if any(t in spec.tasks for t in EXACT_TASKS):
+        if spec.engine == "numeric":
+            raise UnsupportedInputError(
+                f"tasks {'/'.join(EXACT_TASKS)} need the exact engine; run "
+                "with engine 'exact' or 'both'",
+                structure=classify_structure(spec.matrix).value)
         res = compute_Mg(spec.matrix)
 
     if "Mg" in spec.tasks and res is not None:
@@ -417,13 +413,12 @@ def golden_suite(skip_numeric: bool = False,
     nonneg = True
     stratum = True
     for g, res in corpus:
-        n = g.nvars
-        for pt in _grid(n):
-            for k, cyc in enumerate(res.M):
+        moving_parts = [fixed_moving_split(cyc)[1] for cyc in res.M]
+        for pt in _grid(g.nvars):
+            for k, (cyc, moving) in enumerate(zip(res.M, moving_parts)):
                 mult = multiplicity_at(cyc, pt)
                 if mult < 0:
                     nonneg = False
-                _fixed, moving = fixed_moving_split(cyc)
                 if not moving.is_zero() and multiplicity_at(moving, pt) != 0:
                     vanishing = sum(1 for c in pt if c == 0)
                     if vanishing < k + 1:

@@ -526,17 +526,15 @@ def fixed_moving_split(c: GeneralizedCycle):
 # multiplicities
 # ---------------------------------------------------------------------------
 
-def _restrict_args_to_subspace(factor: MovingFactor, fixed: VarietyRef,
-                               space: Space):
-    """Restrict the factor's arguments to the fixed coordinate subspace;
-    returns the surviving argument list or None when the restriction is
-    identically zero (improper)."""
-    zeros = set(fixed.base_zeros) if fixed.kind == VarietyKind.COORDINATE_SUBSPACE \
-        else set()
+def _restrict_args_to_subspace(factor: MovingFactor, fixed: VarietyRef):
+    """Restrict the factor's arguments to the fixed part, a coordinate
+    subspace or the whole space (which has no zero coordinates); returns the
+    surviving argument list or None when the restriction is identically zero
+    (improper)."""
     restricted = []
     for p in factor.args:
         q = p
-        for v in zeros:
+        for v in fixed.base_zeros:
             q = q.restrict_zero(v)
         if not q.is_zero():
             restricted.append(q)
@@ -554,7 +552,7 @@ def _monomial_order_at(p: Polynomial, point) -> int:
     return sum(e for v, e in enumerate(m) if e and pt[v].is_zero())
 
 
-def _exact_moving_multiplicity(t: CycleTerm, point, space: Space):
+def _exact_moving_multiplicity(t: CycleTerm, point):
     """Exact rule for a single moving factor; returns an int or raises
     UndecidedError when no rule applies."""
     if len(t.moving) != 1:
@@ -580,7 +578,7 @@ def _exact_moving_multiplicity(t: CycleTerm, point, space: Space):
         # the residue-free power at or above the top level is the zero current
         return 0
     if reduced.power == 1:
-        rest = _restrict_args_to_subspace(reduced, t.fixed, space)
+        rest = _restrict_args_to_subspace(reduced, t.fixed)
         if rest is None:
             raise UndecidedError("fixed part inside the factor's zero set", term=t)
         return min(_monomial_order_at(p, point) for p in rest)
@@ -617,7 +615,7 @@ def multiplicity_at(c: GeneralizedCycle, point,
 
     def rule(t: CycleTerm) -> int:
         try:
-            return _exact_moving_multiplicity(t, point, c.space)
+            return _exact_moving_multiplicity(t, point)
         except UndecidedError:
             if oracle is None:
                 raise

@@ -20,7 +20,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from segre_kit.cycles import MovingFactor, VarietyKind, VarietyRef
+from segre_kit.cycles import (
+    MovingFactor,
+    VarietyKind,
+    VarietyRef,
+    _restrict_args_to_subspace,
+)
 from segre_kit.errors import (
     ContourTooCloseError,
     InputError,
@@ -28,7 +33,7 @@ from segre_kit.errors import (
     NumericalFailureError,
     UndecidedError,
 )
-from segre_kit.poly import Polynomial, PolyMatrix
+from segre_kit.poly import Polynomial, PolyMatrix, resultant
 from segre_kit.scalars import Scalar
 
 
@@ -175,37 +180,14 @@ def contour_root_count(p: Polynomial, radius: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge and resultants
+# resultants
 # ---------------------------------------------------------------------------
-
-def _to_sympy(p: Polynomial, syms):
-    import sympy
-
-    acc = sympy.Integer(0)
-    for m, c in p.terms.items():
-        t = sympy.Rational(c.re.numerator, c.re.denominator) \
-            + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
-        for s, e in zip(syms, m):
-            if e:
-                t *= s ** e
-        acc += t
-    return sympy.expand(acc)
-
 
 def _resultant_coeffs(f1: Polynomial, f2: Polynomial, eliminate: int):
     """Res_{x_eliminate}(f1, f2) as complex numpy coefficients in the other
     variable (descending order); None when the resultant is identically 0."""
-    import sympy
-
-    x1, x2 = sympy.symbols("w1 w2")
-    syms = [x1, x2]
-    r = sympy.resultant(_to_sympy(f1, syms), _to_sympy(f2, syms),
-                        syms[eliminate])
-    other = syms[1 - eliminate]
-    rp = sympy.Poly(sympy.expand(r), other)
-    if rp.is_zero:
-        return None
-    return np.array([complex(c) for c in rp.all_coeffs()], dtype=complex)
+    r = resultant(f1, f2, eliminate)
+    return None if r is None else np.array([complex(c) for c in r], dtype=complex)
 
 
 def _univariate_in(p: Polynomial, var: int, other_value: complex):
@@ -594,55 +576,19 @@ def _slice_poly(factor: MovingFactor, gamma) -> Polynomial:
     return acc
 
 
-def _substitute(p: Polynomial, coords: Sequence[Polynomial],
-                nvars: int) -> Polynomial:
-    """p(coords[0], ..., coords[n-1]) for coordinates in ``nvars`` variables."""
-    acc = Polynomial.zero(nvars)
-    for m, c in p.terms.items():
-        t = Polynomial.constant(nvars, c)
-        for i, e in enumerate(m):
-            for _ in range(e):
-                t = t * coords[i]
-        acc = acc + t
-    return acc
-
-
-def _line_restriction(p: Polynomial, point, direction) -> Polynomial:
-    """p(point + t * direction) as an exact univariate polynomial in t."""
-    return _substitute(p, [Polynomial.constant(1, Scalar.from_value(point[i]))
-                           + Polynomial.variable(1, 0) * direction[i]
-                           for i in range(p.nvars)], 1)
-
-
 def _translate(p: Polynomial, point) -> Polynomial:
     """p(x + point): moves ``point`` to the origin."""
-    return _substitute(p, [Polynomial.variable(p.nvars, i)
-                           + Polynomial.constant(p.nvars, point[i])
-                           for i in range(p.nvars)], p.nvars)
-
-
-def _divisor_order_at(slice_poly: Polynomial, point, rng) -> int:
-    """Vanishing order of a hypersurface at a point via contour counts of the
-    line restriction on shrinking radii."""
-    for attempt in range(4):
-        direction = _rationalized_unit(rng, slice_poly.nvars)
-        line = _line_restriction(slice_poly, point, direction)
-        if line.is_zero():
-            continue
-        counts = []
-        radius = 0.3
-        for _ in range(6):
-            try:
-                counts.append(contour_root_count(line, radius))
-            except ContourTooCloseError:
-                radius *= 0.7
-                continue
-            if len(counts) >= 2 and counts[-1] == counts[-2]:
-                return counts[-1]
-            radius /= 5.0
-        if counts:
-            return counts[-1]
-    raise UndecidedError("could not stabilize a divisor order estimate")
+    n = p.nvars
+    coords = [Polynomial.variable(n, i) + Polynomial.constant(n, point[i])
+              for i in range(n)]
+    acc = Polynomial.zero(n)
+    for m, c in p.terms.items():
+        t = Polynomial.constant(n, c)
+        for x, e in zip(coords, m):
+            for _ in range(e):
+                t = t * x
+        acc = acc + t
+    return acc
 
 
 def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
@@ -659,25 +605,16 @@ def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
     if fixed.kind == VarietyKind.COORDINATE_SUBSPACE and \
             not fixed.contains_point(point):
         return 0
-    zeros = sorted(fixed.base_zeros) if fixed.kind == VarietyKind.COORDINATE_SUBSPACE \
-        else []
-    keep = [i for i in range(n) if i not in zeros]
+    keep = [i for i in range(n) if i not in fixed.base_zeros]
     nprime = len(keep)
-
-    def restrict(p: Polynomial) -> Polynomial:
-        q = p
-        for v in zeros:
-            q = q.restrict_zero(v)
-        return q.map_variables([keep.index(i) if i in keep else 0
-                                for i in range(n)], nprime) if not q.is_zero() \
-            else Polynomial.zero(nprime)
-
+    # the restricted arguments live on the kept coordinates, numbered in order
+    mapping = [keep.index(i) if i in keep else 0 for i in range(n)]
     rfactors = []
     for f in factors:
-        args = [restrict(p) for p in f.args]
-        args = [p for p in args if not p.is_zero()]
-        if not args:
+        args = _restrict_args_to_subspace(f, fixed)
+        if args is None:
             raise UndecidedError("fixed part sits inside a factor's zero set")
+        args = [p.map_variables(mapping, nprime) for p in args]
         if all(p.is_constant() for p in args):
             return 0  # pluriharmonic potential on the subspace
         if f.power > len(args):
@@ -700,10 +637,11 @@ def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
 def _one_crofton_estimate(rfactors, point, nprime, j_total, rng, cfg) -> int:
     if j_total == 1:
         s = _slice_poly(rfactors[0], _rationalized_unit(rng, len(rfactors[0].args)))
-        pt = [Scalar.from_value(c) for c in point]
-        if not s.evaluate(pt).is_zero():
-            return 0
-        return _divisor_order_at(s, pt, rng)
+        # the slice's vanishing order at the point: its lowest degree there
+        local = _translate(s, [Scalar.from_value(c) for c in point])
+        if local.is_zero():
+            raise UndecidedError("the slice vanishes identically")
+        return min(map(sum, local.terms))
     if j_total == 2 and nprime == 2:
         slices = []
         for f in rfactors:

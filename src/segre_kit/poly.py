@@ -559,6 +559,61 @@ def determinant(g: PolyMatrix) -> Polynomial:
     return determinant_and_minors(g, g.rows)[0]
 
 
+def _scalar_det(rows) -> Scalar:
+    """Exact determinant of a square Scalar matrix by Gaussian elimination."""
+    a = [list(r) for r in rows]
+    det = Scalar(1)
+    for j in range(len(a)):
+        piv = next((i for i in range(j, len(a)) if not a[i][j].is_zero()), None)
+        if piv is None:
+            return Scalar(0)
+        if piv != j:
+            a[j], a[piv], det = a[piv], a[j], -det
+        det = det * a[j][j]
+        for i in range(j + 1, len(a)):
+            if not a[i][j].is_zero():
+                q = a[i][j] / a[j][j]
+                a[i][j + 1:] = [x - q * y
+                                for x, y in zip(a[i][j + 1:], a[j][j + 1:])]
+    return det
+
+
+def resultant(f1: Polynomial, f2: Polynomial, eliminate: int):
+    """Res_{x_eliminate}(f1, f2) of two-variable polynomials: its exact
+    coefficients in the other variable y (descending), None when it is
+    identically 0.  The Sylvester determinant is evaluated at y = 0..D, D a
+    bound on its degree, and Newton-interpolated."""
+    if f1.nvars != 2 or f2.nvars != 2:
+        raise InputError("resultant works in two variables")
+    if f1.is_zero() or f2.is_zero():
+        return None
+    other = 1 - eliminate
+    m, n = f1.degree_in(eliminate), f2.degree_in(eliminate)
+    top = min(n * f1.degree_in(other) + m * f2.degree_in(other),
+              max(map(sum, f1.terms)) * max(map(sum, f2.terms)))
+    vals = []
+    for y in range(top + 1):
+        rows = []
+        for p, deg, copies in ((f1, m, n), (f2, n, m)):
+            cs = [Scalar(0)] * (deg + 1)
+            for mono, c in p.terms.items():
+                cs[deg - mono[eliminate]] += c * y ** mono[other]
+            rows += [[Scalar(0)] * i + cs + [Scalar(0)] * (copies - 1 - i)
+                     for i in range(copies)]
+        vals.append(_scalar_det(rows))
+    # divided differences on the nodes 0..D, then the Newton form expanded
+    for j in range(1, top + 1):
+        for i in range(top, j - 1, -1):
+            vals[i] = (vals[i] - vals[i - 1]) / j
+    coeffs = [vals[top]]  # ascending in y
+    for j in range(top - 1, -1, -1):
+        coeffs = [vals[j] - coeffs[0] * j] + [
+            a - b * j for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs[::-1] or None
+
+
 def strip_common_factor(polys):
     """Split nonzero polynomials as p = h * p' with h the largest monomial
     dividing all of them: returns (h, [p'])."""

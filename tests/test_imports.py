@@ -1,12 +1,17 @@
 """Every name a segre_kit module imports is referenced in that module (no
-linter runs on the package, and deletions tend to leave stray imports)."""
+linter runs on the package, and deletions tend to leave stray imports), and
+the third-party modules the package imports are exactly its declared
+dependencies."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "segre_kit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "segre_kit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -31,3 +36,33 @@ def test_unused_import_is_caught():
     source = ("from segre_kit.errors import InputError, ParseError\n"
               "raise InputError('x')\n")
     assert unused_imports(source) == ["ParseError"]
+
+
+def third_party_modules(source: str):
+    """Top-level modules imported anywhere in the source (function bodies
+    included) that are neither standard library nor segre_kit."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "segre_kit"}
+
+
+def test_third_party_modules_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    # each distribution here installs a module of the same name
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in deps}
+    imported = set().union(*(third_party_modules(p.read_text())
+                             for p in SRC.glob("*.py")))
+    assert imported == declared
+
+
+def test_third_party_modules_found_in_function_bodies():
+    source = ("import os.path\nfrom segre_kit.poly import Polynomial\n"
+              "def f():\n    from scipy.stats import qmc\n    import numpy as np\n")
+    assert third_party_modules(source) == {"numpy", "scipy"}

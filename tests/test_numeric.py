@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from segre_kit.numeric import (
     RegConfig,
     _batch_minor_dets,
     _disk_samples,
+    _resultant_coeffs,
     contour_root_count,
     crofton_moving_multiplicity,
     epsilon_mass,
@@ -133,6 +135,19 @@ def test_contour_too_close():
 
 
 # ---------------------------------------------------------------------------
+# resultants
+# ---------------------------------------------------------------------------
+
+def test_resultant_coeffs():
+    # exact coefficients are rounded once, correctly
+    got = _resultant_coeffs(p("-2743/8000000"), p("x1"), 0)
+    assert np.array_equal(got, [complex(float(Fraction(-2743, 8000000)), 0.0)])
+    # (x1 - 1) * (x1 + x2) and x2 * (x1 + x2) share a factor
+    assert _resultant_coeffs(p("x1^2 + x1*x2 - x1 - x2"), p("x1*x2 + x2^2"),
+                             0) is None
+
+
+# ---------------------------------------------------------------------------
 # perturbation counting
 # ---------------------------------------------------------------------------
 
@@ -226,6 +241,25 @@ def test_crofton_higher_order_divisor():
     factor = MovingFactor((p("x1^2"), p("x2^2")), 1)
     assert crofton_moving_multiplicity([factor], VarietyRef.whole_space(),
                                        [0, 0], CFG) == 2
+
+
+def test_crofton_order_is_exact():
+    # M_1 of the row (2 x1^2, 8 x1 x2^2) is [x1=0] plus a moving term whose
+    # reduced arguments (2 x1, 8 x2^2) give a generic slice of order 1 at 0;
+    # the contour-count estimate of that order used to be undecided for
+    # about a third of the seeds, which dropped the comparison row
+    from segre_kit.cli import _numeric_multiplicity
+    from segre_kit.cycles import multiplicity_at
+    from segre_kit.engine import compute_Mg
+
+    M1 = compute_Mg(mat([["2*x1^2", "8*x1*x2^2"]], 2)).M[1]
+    (term,) = [t for t in M1.terms if t.moving]
+    assert multiplicity_at(M1, [0, 0]) == 2
+    for seed in range(50):
+        cfg = RegConfig(seed=seed)
+        assert crofton_moving_multiplicity(list(term.moving), term.fixed,
+                                           [0, 0], cfg) == 1
+        assert _numeric_multiplicity(M1, [0, 0], cfg) == 2
 
 
 def test_crofton_undecided():

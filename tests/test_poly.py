@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from segre_kit.poly import (
     determinant_and_minors,
     format_polynomial,
     parse_polynomial,
+    resultant,
     strip_common_factor,
 )
 from segre_kit.scalars import Scalar
@@ -103,6 +105,82 @@ def test_minor_ordering_is_lexicographic():
     assert len(minors) == len(subsets)
     # first minor is rows (0,1)
     assert minors[0] == p("x1^2") - p("x2")
+
+
+# ---------------------------------------------------------------------------
+# resultants
+# ---------------------------------------------------------------------------
+
+def test_resultant_examples():
+    # exact coefficients in the remaining variable, highest degree first
+    assert resultant(p("x1^2 - x2^3"), p("x1*x2"), 0) == [-1, 0, 0, 0, 0, 0]
+    assert resultant(p("x1^2 - x2^3"), p("x1*x2"), 1) == [-1, 0, 0, 0, 0, 0]
+    assert resultant(p("x1^2 + 1"), p("3*x1 + x2"), 0) == [1, 0, 9]
+    assert resultant(p("x1^2*x2 + i*x1 - 1/2"), p("(1+i)*x1 + x2^2"), 0) == \
+        [1, 0, 0, Scalar(1, -1), 0, Scalar(0, -1)]
+
+
+def test_resultant_common_factor_is_none():
+    # (x1 - 1) * (x1 + x2) and x2 * (x1 + x2)
+    assert resultant(p("x1^2 + x1*x2 - x1 - x2"), p("x1*x2 + x2^2"), 0) is None
+    assert resultant(p("x1^2 - x2"), p("0"), 0) is None
+    with pytest.raises(InputError):
+        resultant(p("x1", 3), p("x2", 3), 0)
+
+
+def test_resultant_entry_of_degree_zero():
+    # an entry free of the eliminated variable enters as a power of itself
+    assert resultant(p("x2 + 2"), p("x1^2 + x2"), 0) == [1, 4, 4]
+    assert resultant(p("x2"), p("x2 + 1"), 0) == [1]
+
+
+# Res_x1 of a dense pair of total degree 5, as recorded from sympy 1.14
+DENSE_F = ("3*i*x1^5 + (-2-3*i)*x1^4*x2 + (-2-i)*x1^3*x2^2 + (-1-2*i)*x1^2*x2^3"
+           " + (3-2*i)*x1*x2^4 + (-1/3+i)*x2^5 + (-3/2-i)*x1^4 - 2*x1^3*x2"
+           " + (-1-i)*x1^2*x2^2 + (-3+i)*x1*x2^3 + (1/3+3*i)*x2^4 + (-1/3-i)*x1^3"
+           " + (-1+3*i)*x1^2*x2 + (-2/3-2*i)*x1*x2^2 + (-4-3*i)*x2^3"
+           " + (-4-2*i)*x1^2 + (-1/3-i)*x1*x2 + (3+2*i)*x2^2 + (-3-3*i)*x1"
+           " + (4+3*i)*x2 + 3*i")
+DENSE_G = ("(-4+i)*x1^5 - 2*i*x1^4*x2 + (1/2-2*i)*x1^3*x2^2 + (1/2-2*i)*x1^2*x2^3"
+           " + (2+i)*x1*x2^4 + (4/3-i)*x2^5 + (-3+2*i)*x1^4 + (4-i)*x1^3*x2"
+           " + (2-2*i)*x1^2*x2^2 + (-1/3-i)*x1*x2^3 + (1/3-3*i)*x2^4"
+           " + (1/2+2*i)*x1^3 + (1/2-3*i)*x1^2*x2 + (-1+3*i)*x1*x2^2 + 2*i*x2^3"
+           " - 3*i*x1^2 + (-4+i)*x1*x2 + (3-3*i)*x2^2 + 2*x1 + x2 + 2*i")
+DENSE_RES = [
+    ("63504919/243", "48348127/1944"),
+    ("10096594547/3888", "-1281877247/486"),
+    ("-9236322835/2592", "-136759442053/7776"),
+    ("-129359770139/3888", "24403105207/7776"),
+    ("3370251455501/46656", "3130075619105/46656"),
+    ("1154796342089/7776", "-2304414036095/15552"),
+    ("-336029052637/1944", "-146437450739/7776"),
+    ("13569017568071/23328", "25695548685293/93312"),
+    ("110726120032303/139968", "-10153984742641/11664"),
+    ("-13454659025327/139968", "-126048094893509/279936"),
+    ("202679412913019/139968", "-97549271629529/209952"),
+    ("70235415559867/46656", "-1626732980963537/839808"),
+    ("-62414385922037/139968", "-427462743087329/209952"),
+    ("38123312274029/34992", "-2113310488882337/839808"),
+    ("175973106755689/139968", "-1140676558411711/419904"),
+    ("-66103626146515/69984", "-659339459293691/279936"),
+    ("-48479799880505/69984", "-99031849739447/34992"),
+    ("7632353283199/34992", "-254829189186461/93312"),
+    ("-292331540447/17496", "-79379366828743/46656"),
+    ("58610318125/46656", "-99019405616323/93312"),
+    ("14136977182847/46656", "-4324822800457/5832"),
+    ("5960308925051/23328", "-10660451176267/31104"),
+    ("281943223507/2592", "-12179147815/162"),
+    ("69026500385/1296", "-278709293681/7776"),
+    ("22748363497/1944", "-43866333941/1728"),
+    ("-29765741957/15552", "-1471890241/432"),
+]
+
+
+def test_resultant_dense_degree_five():
+    t0 = time.perf_counter()
+    got = resultant(p(DENSE_F), p(DENSE_G), 0)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == [Scalar(re, im) for re, im in DENSE_RES]
 
 
 # ---------------------------------------------------------------------------
