@@ -48,7 +48,7 @@ def third_party_modules(source: str):
             names |= {a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"__future__", "segre_kit"}
+    return names - set(sys.stdlib_module_names) - {"segre_kit"}
 
 
 def test_third_party_modules_are_declared_dependencies():

@@ -246,8 +246,8 @@ def test_crofton_higher_order_divisor():
 def test_crofton_order_is_exact():
     # M_1 of the row (2 x1^2, 8 x1 x2^2) is [x1=0] plus a moving term whose
     # reduced arguments (2 x1, 8 x2^2) give a generic slice of order 1 at 0;
-    # the contour-count estimate of that order used to be undecided for
-    # about a third of the seeds, which dropped the comparison row
+    # the order is exact, so no seed may leave it undecided (which would
+    # drop the row from a comparison block)
     from segre_kit.cli import _numeric_multiplicity
     from segre_kit.cycles import multiplicity_at
     from segre_kit.engine import compute_Mg
