@@ -133,16 +133,13 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
         raise InputError("ring currents live on P(E) with rank E >= 2")
     space = proj_space(n, r)
     entries = _lift_entries(g)
-    levels = space.dim + 1
     if not entries:
         # the zero morphism: Z' = P(E), only the degree-0 residue survives
         out = [GeneralizedCycle.one(space)]
-        out += [GeneralizedCycle.zero(space, l) for l in range(1, levels)]
+        out += [GeneralizedCycle.zero(space, l) for l in range(1, space.dim + 1)]
         return out
-    out = [GeneralizedCycle.zero(space, 0)]
-    for level in range(1, levels):
-        out.append(GeneralizedCycle(space, level,
-                                    tower_residue(entries, space, level)))
+    out = [GeneralizedCycle(space, level, terms)
+           for level, terms in enumerate(tower_residue(entries, space))]
     if structure == StructureClass.DIAGONAL_MONOMIAL:
         _verify_charts(entries, space, out)
     return out
@@ -154,8 +151,7 @@ def _verify_charts(entries, space: Space, global_ring):
     visible ones."""
     for chart in range(space.r):
         chart_entries = [p.substitute_one(space.n + chart) for p in entries]
-        for level in range(1, len(global_ring)):
-            local = tower_residue(chart_entries, space, level)
+        for level, local in enumerate(tower_residue(chart_entries, space)):
             local_terms = {}
             for t in local:
                 ht = _homogenize_chart_term(t, space, chart)
@@ -242,8 +238,8 @@ def compute_Mg(g: PolyMatrix,
         # E is a line bundle: the classical section case, no projectivization
         entries = [g.entries[i][0] for i in range(g.rows)
                    if not g.entries[i][0].is_zero()]
-        M = [GeneralizedCycle(base, k, tower_residue(entries, base, k))
-             if k else GeneralizedCycle.zero(base, 0) for k in range(n + 1)]
+        M = [GeneralizedCycle(base, k, terms)
+             for k, terms in enumerate(tower_residue(entries, base))]
         return MorphismResult(M, [])
 
     try:

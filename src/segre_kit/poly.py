@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re as _re
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from segre_kit.errors import InputError, ParseError
@@ -76,7 +77,11 @@ def _term_sort_key(m: Monomial):
 
 
 class Polynomial:
-    """A polynomial in ``nvars`` variables with Scalar coefficients."""
+    """A polynomial in ``nvars`` variables with Scalar coefficients.
+
+    ``terms`` is a dict or an iterable of (monomial, coefficient) pairs; the
+    coefficients of a repeated monomial are added, and the terms keep the
+    order in which their monomials first occur."""
 
     __slots__ = ("nvars", "terms")
 
@@ -84,14 +89,14 @@ class Polynomial:
         if nvars < 0 or nvars > MAX_VARS:
             raise InputError(f"ambient dimension {nvars} outside 0..{MAX_VARS}")
         clean = {}
-        for m, c in (terms or {}).items():
+        for m, c in terms.items() if isinstance(terms, dict) else terms or ():
             c = Scalar.from_value(c)
+            m = tuple(m)
             if len(m) != nvars:
                 raise InputError("monomial length does not match ambient dimension")
             if any(e < 0 for e in m):
                 raise InputError("negative exponent")
-            if not c.is_zero():
-                clean[tuple(m)] = clean.get(tuple(m), Scalar(0)) + c
+            clean[m] = clean[m] + c if m in clean else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms",
                            {m: c for m, c in clean.items() if not c.is_zero()})
@@ -165,10 +170,7 @@ class Polynomial:
 
     def __add__(self, other):
         o = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in o.terms.items():
-            terms[m] = terms.get(m, Scalar(0)) + c
-        return Polynomial(self.nvars, terms)
+        return Polynomial(self.nvars, [*self.terms.items(), *o.terms.items()])
 
     __radd__ = __add__
 
@@ -182,16 +184,13 @@ class Polynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)) or other.__class__.__name__ == "Fraction":
+        if isinstance(other, (int, Scalar, Fraction)):
             c = Scalar.from_value(other)
             return Polynomial(self.nvars, {m: v * c for m, v in self.terms.items()})
         o = self._coerce(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = monomial_mul(m1, m2)
-                terms[m] = terms.get(m, Scalar(0)) + c1 * c2
-        return Polynomial(self.nvars, terms)
+        return Polynomial(self.nvars, ((monomial_mul(m1, m2), c1 * c2)
+                                       for m1, c1 in self.terms.items()
+                                       for m2, c2 in o.terms.items()))
 
     __rmul__ = __mul__
 
@@ -208,14 +207,9 @@ class Polynomial:
         """Formal partial derivative with respect to variable ``var``."""
         if not 0 <= var < self.nvars:
             raise InputError(f"variable index {var} out of range for n={self.nvars}")
-        terms = {}
-        for m, c in self.terms.items():
-            if m[var] == 0:
-                continue
-            mm = list(m)
-            mm[var] -= 1
-            terms[tuple(mm)] = terms.get(tuple(mm), Scalar(0)) + c * m[var]
-        return Polynomial(self.nvars, terms)
+        return Polynomial(self.nvars, ((m[:var] + (m[var] - 1,) + m[var + 1:],
+                                        c * m[var])
+                                       for m, c in self.terms.items() if m[var]))
 
     def evaluate(self, point):
         """Evaluate at a point.
@@ -225,8 +219,7 @@ class Polynomial:
         """
         if len(point) != self.nvars:
             raise InputError(f"point has length {len(point)}, expected {self.nvars}")
-        exact = all(isinstance(c, (int, Scalar)) or c.__class__.__name__ == "Fraction"
-                    for c in point)
+        exact = all(isinstance(c, (int, Scalar, Fraction)) for c in point)
         if exact:
             pt = [Scalar.from_value(c) for c in point]
             acc = Scalar(0)
@@ -284,24 +277,19 @@ class Polynomial:
 
     def map_variables(self, mapping: Sequence[int], nvars: int) -> "Polynomial":
         """Send old variable j to new index mapping[j] (must be injective)."""
-        terms = {}
-        for m, c in self.terms.items():
+        def image(m):
             mm = [0] * nvars
             for j, e in enumerate(m):
                 if e:
                     mm[mapping[j]] += e
-            terms[tuple(mm)] = terms.get(tuple(mm), Scalar(0)) + c
-        return Polynomial(nvars, terms)
+            return mm
+
+        return Polynomial(nvars, ((image(m), c) for m, c in self.terms.items()))
 
     def substitute_one(self, var: int) -> "Polynomial":
         """Set variable ``var`` to 1 (the ambient keeps its dimension)."""
-        terms = {}
-        for m, c in self.terms.items():
-            mm = list(m)
-            mm[var] = 0
-            key = tuple(mm)
-            terms[key] = terms.get(key, Scalar(0)) + c
-        return Polynomial(self.nvars, terms)
+        return Polynomial(self.nvars, ((m[:var] + (0,) + m[var + 1:], c)
+                                       for m, c in self.terms.items()))
 
     # -- text ---------------------------------------------------------------
 
@@ -369,6 +357,8 @@ class _Parser:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
 
     def next(self):
+        if self.i == len(self.tokens):
+            raise ParseError("unexpected end of input")
         tok = self.tokens[self.i]
         self.i += 1
         return tok
@@ -438,7 +428,6 @@ class _Parser:
             den_tok, col = self.next()
             if not den_tok.isdigit() or int(den_tok) == 0:
                 raise ParseError("bad denominator", column=col)
-            from fractions import Fraction
             return Fraction(num, int(den_tok))
         return num
 

@@ -14,6 +14,11 @@ devices:
   residue-free power restricts the tuple to the divisor and re-runs the
   recursion there.
 
+One walk of the recursion yields the full power at every level at once: each
+hyperplane of the common factor restricts the tuple once, and the levels of
+that inner walk shift up by one.  The residue of a level is read off its full
+power by dropping the terms whose fixed part is the whole space.
+
 The fiber pushforward uses that every slice of a fiber-linear factor cuts a
 projective hyperplane out of each fiber: j slice factors together with
 omega^e integrate to 1 when j + e equals the fiber dimension, vanish below
@@ -23,6 +28,7 @@ above it (a Fubini-Study-averaged representative; multiplicities are exact).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -139,31 +145,29 @@ def _prefix_subspace(space: Space, var: int, coeff, terms) -> List[CycleTerm]:
 # the tower
 # ---------------------------------------------------------------------------
 
-def tower_full(entries: Sequence[Polynomial], space: Space,
-               level: int) -> List[CycleTerm]:
-    """[dd^c log|T|^2_o]^level as a sum of cycle terms."""
-    return _power(entries, space, level, part="full")
+def tower_residue(entries, space: Space) -> List[List[CycleTerm]]:
+    """1_{Z_T} [dd^c log|T|^2_o]^l for every level l = 0..space.dim, from one
+    walk: the residue of a level is the part of its full power supported on a
+    proper subvariety, that is every term whose fixed part is not the whole
+    space (the dropped terms are the 1 of level 0 and the locally integrable
+    <T'>^l below the top level of the reduced tuple)."""
+    return [[t for t in terms if t.fixed.kind != VarietyKind.WHOLE_SPACE]
+            for terms in _levels(entries, space)]
 
 
-def tower_residue(entries, space: Space, level: int) -> List[CycleTerm]:
-    """1_{Z_T} [dd^c log|T|^2_o]^level."""
-    return _power(entries, space, level, part="residue")
-
-
-def _power(entries, space: Space, level: int, part: str) -> List[CycleTerm]:
+def _levels(entries, space: Space) -> List[List[CycleTerm]]:
+    """[dd^c log|T|^2_o]^l for every level l = 0..space.dim."""
     entries = [p for p in entries if not p.is_zero()]
     if not entries:
         raise InputError("tower applied to an identically zero tuple")
-    if level < 0:
-        raise InputError("negative tower level")
-    if level > space.dim:
-        return []
-    if level == 0:
-        one = [term(1, VarietyRef.whole_space())]
-        return [] if part == "residue" else one
+    out = [[term(1, VarietyRef.whole_space())]] + [[] for _ in range(space.dim)]
 
     if len(entries) == 1:
-        return _single_entry_power(entries[0], space, level)
+        # a single section: the first power is its divisor (empty for a
+        # non-vanishing constant), all higher powers vanish
+        if space.dim and not entries[0].is_constant():
+            out[1] = _divisor_terms(space, entries[0])
+        return out
 
     if any(p.as_monomial() is None for p in entries):
         raise UnsupportedInputError(
@@ -175,54 +179,28 @@ def _power(entries, space: Space, level: int, part: str) -> List[CycleTerm]:
             "reduced tuple entries are not pairwise coprime; "
             "the proper-intersection product is unavailable")
 
-    out: List[CycleTerm] = []
-    if monomial_degree(h) > 0:
-        # [div h] ^ <T'>^{level-1}: restrict the reduced tuple to each
-        # hyperplane of the divisor and take its full power there
-        for v, e in enumerate(h):
-            if not e:
-                continue
-            restricted = [p for p in reduced if p.restrict_zero(v) == p]
-            inner = _power(restricted, space, level - 1, part="full")
-            out.extend(_prefix_subspace(space, v, Fraction(e), inner))
-    out.extend(_reduced_power(reduced, red_mons, space, level, part))
-    return out
+    # [div h] ^ <T'>^{l-1}: restrict the reduced tuple to each hyperplane of
+    # the divisor, walk its tower there once and shift it up one level
+    for v, e in enumerate(h):
+        if not e:
+            continue
+        restricted = [p for p in reduced if p.restrict_zero(v) == p]
+        for level, inner in enumerate(_levels(restricted, space)[:-1]):
+            out[level + 1] += _prefix_subspace(space, v, Fraction(e), inner)
 
-
-def _single_entry_power(p: Polynomial, space: Space,
-                        level: int) -> List[CycleTerm]:
-    """A single section: the first power is its divisor, all higher powers
-    vanish."""
-    if level >= 2:
-        return []
-    if p.as_monomial() is not None and p.as_monomial()[0] and \
-            monomial_degree(p.as_monomial()[1]) == 0:
-        return []  # non-vanishing constant: empty divisor
-    return _divisor_terms(space, p)
-
-
-def _reduced_power(reduced, red_mons, space: Space, level: int,
-                   part: str) -> List[CycleTerm]:
+    # <T'>^l: locally integrable below the top level s, zero above it, and at
+    # it the proper-intersection cycle [div T'_1] ^ ... ^ [div T'_s] expanded
+    # over the hyperplanes of each entry's divisor (empty if an entry is a unit)
     s = len(reduced)
-    if level < s:
-        if part == "residue":
-            return []
-        return _attach_factor(space, [term(1, VarietyRef.whole_space())],
-                              reduced, level)
-    if level > s:
-        return []
-    # top level: the proper-intersection cycle, expanded distributively over
-    # the hyperplanes of each entry's divisor
-    out = [term(1, VarietyRef.whole_space())]
-    for p, m in zip(reduced, red_mons):
-        if monomial_degree(m) == 0:
-            return []  # a unit entry has empty divisor
-        step = []
-        for t in out:
-            for v, e in enumerate(m):
-                if e:
-                    step.extend(_prefix_subspace(space, v, Fraction(e), [t]))
-        out = step
+    whole = [term(1, VarietyRef.whole_space())]
+    for level in range(1, min(s, space.dim + 1)):
+        out[level] += _attach_factor(space, whole, reduced, level)
+    if s <= space.dim and all(monomial_degree(m) for m in red_mons):
+        top = whole
+        for m in red_mons:
+            top = [t for v, e in enumerate(m) if e
+                   for t in _prefix_subspace(space, v, Fraction(e), top)]
+        out[s] += top
     return out
 
 
@@ -238,7 +216,7 @@ def full_power_base(args: Sequence[Polynomial], n: int,
         return [] if level >= 1 else [term(1, VarietyRef.whole_space())]
     if level > n:
         return []
-    return tower_full(clipped, space, level)
+    return _levels(clipped, space)[level]
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +237,9 @@ def _normalized_weights(weights):
     fr = [Fraction(w) for w in weights]
     if len(set(fr)) == 1:
         return ()
-    from math import lcm
-
-    scale = lcm(*[f.denominator for f in fr])
+    scale = math.lcm(*(f.denominator for f in fr))
     ints = [f * scale for f in fr]
-    from math import gcd
-    g = 0
-    for q in ints:
-        g = gcd(g, q.numerator)
+    g = math.gcd(*(q.numerator for q in ints))
     return tuple(q / g for q in ints)
 
 

@@ -129,6 +129,12 @@ def test_exit_codes(tmp_path):
                           "badpoly.json")
     assert main(["run", bad_poly]) == 2
 
+    # truncated text in a matrix cell or a point coordinate
+    for i, bad in enumerate(({"matrix": [["x1^", "0"], ["0", "x2"]]},
+                             {"points": [["1/", "0"]]})):
+        path = write_spec(tmp_path, {**DIAG2_SPEC, **bad}, f"truncated{i}.json")
+        assert main(["run", path, "--skip-numeric"]) == 2, bad
+
     # malformed specs and bad regularization values exit 2, never a traceback
     for i, bad in enumerate(({"reg": {"foo": 1}},
                              {"reg": {"chi_thresholds": [0.5, 0.75]}},

@@ -31,6 +31,22 @@ def mat(rows, n):
 
 
 # ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+def test_construct_from_pairs():
+    # a repeated monomial is merged once, at its first occurrence
+    q = Polynomial(2, [((0, 1), 2), ((1, 0), 1), ((0, 1), Fraction(1, 2))])
+    assert q == p("5/2*x2 + x1")
+    assert list(q.terms) == [(0, 1), (1, 0)]
+    assert Polynomial(2, [((1, 1), 3), ((1, 1), -3)]).is_zero()
+    assert Polynomial(2, iter([((1, 1), 3), ((0, 0), 1), ((1, 1), -3)])) == p("1")
+    for bad in ([((1,), 1)], [((1, -1), 1)], [((0, 0), 1), ((2, 0, 1), 1)]):
+        with pytest.raises(InputError):
+            Polynomial(2, bad)
+
+
+# ---------------------------------------------------------------------------
 # evaluate / differentiate
 # ---------------------------------------------------------------------------
 
@@ -246,6 +262,10 @@ def test_parse_examples():
         p("x1 +")
     with pytest.raises(ParseError):
         p("y3")
+    # truncated input ends in a parse error, not an escaping IndexError
+    for text in ("x1^", "3/", "1/", "(1+", "("):
+        with pytest.raises(ParseError, match="unexpected end of input"):
+            p(text)
     # a power is built as one monomial, not by repeated multiplication
     assert parse_polynomial("x1^200000", 1) == Polynomial.monomial(1, [200000])
     assert p("x1^0*x2") == Polynomial.variable(2, 1)
