@@ -161,6 +161,10 @@ def contour_root_count(p: Polynomial, radius: float) -> int:
         theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         z = radius * np.exp(1j * theta)
         pv = p.eval_array(z[:, None])
+        if not np.all(np.isfinite(pv)):
+            raise NumericalFailureError(
+                f"non-finite polynomial values on |x| = {radius}",
+                location=radius)
         if prev is None:
             scale = np.max(np.abs(pv))
             if scale == 0 or np.min(np.abs(pv)) < 1e-9 * scale:
@@ -169,6 +173,10 @@ def contour_root_count(p: Polynomial, radius: float) -> int:
         dv = dp.eval_array(z[:, None])
         # (1/2pi i) oint p'/p dz with dz = iz dtheta reduces to mean of (p'/p) z
         val = float(np.real(np.mean(dv / pv * z)))
+        if not math.isfinite(val):
+            raise NumericalFailureError(
+                f"non-finite contour integral on |x| = {radius}",
+                location=radius)
         nearest = round(val)
         if abs(val - nearest) < 0.25 and prev is not None and \
                 abs(val - prev) < 0.05:
@@ -299,23 +307,66 @@ def confirm_origin_only_zero(f1: Polynomial, f2: Polynomial,
 # epsilon-regularized masses
 # ---------------------------------------------------------------------------
 
+def _primes(count: int) -> List[int]:
+    primes: List[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the d-dimensional Halton sequence with Owen's
+    random digit permutations (arXiv:1706.02808), bit for bit the draw of
+    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)``.
+
+    One generator shuffles ceil(54 / log2 b) - 1 permutations of the digits
+    per prime base b, in order; coordinate k of point i sums the permuted
+    base-b digits of i, most significant weight first.  Once every index has
+    run out of digits, the remaining terms are one scalar for all points,
+    added in the same order, so the sums round the same."""
+    rng = np.random.default_rng(seed)
+    u = np.empty((n, d))
+    for k, base in enumerate(_primes(d)):
+        perms = np.repeat(np.arange(base)[None],
+                          math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        q = np.arange(n)
+        seq = np.zeros(n)
+        b2r = 1.0 / base
+        for row in perms:
+            if q.any():
+                seq += row[q % base] * b2r
+                q //= base
+            else:
+                seq += row[0] * b2r
+            b2r /= base
+        u[:, k] = seq
+    return u
+
+
 def _disk_samples(cfg: RegConfig, coords, center=None):
     """Low-discrepancy samples on a polydisk, one ``(radius, power)`` per
     complex coordinate: the modulus is drawn as radius * u^power (power 1/2
     is uniform; larger powers concentrate toward the center, with exact
     weights).  Returns (points, weights) with integral f dV = mean(f * weights)."""
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=2 * len(coords), scramble=True, seed=cfg.seed)
-    u = sampler.random(cfg.samples)
+    u = _halton(2 * len(coords), cfg.samples, cfg.seed)
     z = np.empty((cfg.samples, len(coords)), dtype=complex)
     weight = np.ones(cfg.samples)
     for j, (radius, power) in enumerate(coords):
+        try:
+            area = radius ** 2
+        except OverflowError:
+            raise NumericalFailureError(
+                f"sampling radius {radius} overflows", location=radius)
         t = u[:, 2 * j]
         rad = radius * t ** power
         ang = 2 * np.pi * u[:, 2 * j + 1]
         z[:, j] = rad * np.exp(1j * ang)
-        weight *= 2 * np.pi * power * radius ** 2 * t ** (2 * power - 1)
+        weight *= 2 * np.pi * power * area * t ** (2 * power - 1)
         if center is not None:
             z[:, j] += complex(center[j])
     return z, weight
@@ -333,6 +384,13 @@ def _batch_minor_dets(jac, rows, cols):
                                                 cols[:j] + cols[j + 1:])
         acc = t if acc is None else acc - t if j % 2 else acc + t
     return acc
+
+
+def _require_finite(density, z):
+    if not np.all(np.isfinite(density)):
+        bad = int(np.argmax(~np.isfinite(density)))
+        raise NumericalFailureError("non-finite integrand sample",
+                                    location=z[bad].tolist())
 
 
 def _epsilon_table(g2, density, weight, power, cfg: RegConfig):
@@ -384,10 +442,7 @@ def epsilon_mass(G: Sequence[Polynomial], k: int, cfg: Optional[RegConfig] = Non
         for cols in itertools.combinations(range(N), k):
             density += np.abs(_batch_minor_dets(jac, rows, cols)) ** 2
     density *= math.factorial(k) / math.pi ** k
-    if not np.all(np.isfinite(density)):
-        bad = int(np.argmax(~np.isfinite(density)))
-        raise NumericalFailureError("non-finite integrand sample",
-                                    location=z[bad].tolist())
+    _require_finite(density, z)
     if np.any(density < 0):
         raise NumericalFailureError("negative integrand sample in epsilon_mass")
     return _limit(*_epsilon_table(g2, density, weight, k + 1, cfg), cfg)
@@ -540,6 +595,7 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
             if np.max(np.abs(wedge.imag)) > 1e-6 * (1 + np.max(np.abs(wedge.real))):
                 raise NumericalFailureError("wedge coefficient not real")
             density = wedge.real * 2 ** N
+            _require_finite(density, z)
             coeff = math.comb(r, j + 1)
             table, stderrs = _epsilon_table(g2, density, weight, j + 2, cfg)
             per = [(eps, coeff * val) for eps, val in table]

@@ -146,6 +146,18 @@ def test_exit_codes(tmp_path):
         path = write_spec(tmp_path, {**DIAG2_SPEC, **bad}, f"bad{i}.json")
         assert main(["run", path, "--skip-numeric"]) == 2, bad
 
+    # values that overflow in the numeric oracles are undecided, not a
+    # traceback or a NaN report
+    overflow = [["x1^200", "0"], ["0", "x1"]]
+    for i, bad in enumerate((
+            {"variables": ["x1"], "matrix": overflow,
+             "reg": {"radius": 100.0, "samples": 1000}},
+            {"variables": ["x1"], "matrix": overflow, "reg": {"radius": 10.0}},
+            {"variables": ["x1", "x2"], "matrix": [["x1^2", "x2"]],
+             "reg": {"radius": 1e200}})):
+        path = write_spec(tmp_path, bad, f"overflow{i}.json")
+        assert main(["mass", path]) == 4, bad
+
     # numeric flags are validated by RegConfig, for golden as for run
     assert main(["run", ok, "--skip-numeric", "--epsilon-schedule", "abc"]) == 2
     assert main(["golden", "--skip-numeric", "--epsilon-schedule", "5,1"]) == 2

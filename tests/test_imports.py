@@ -1,10 +1,12 @@
 """Every name a segre_kit module imports is referenced in that module (no
-linter runs on the package, and deletions tend to leave stray imports), and
-the third-party modules the package imports are exactly its declared
-dependencies."""
+linter runs on the package, and deletions tend to leave stray imports), the
+third-party modules the package imports are exactly its declared
+dependencies, and the mass command runs without importing scipy."""
 
 import ast
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +68,23 @@ def test_third_party_modules_found_in_function_bodies():
     source = ("import os.path\nfrom segre_kit.poly import Polynomial\n"
               "def f():\n    from scipy.stats import qmc\n    import numpy as np\n")
     assert third_party_modules(source) == {"numpy", "scipy"}
+
+
+MASS_SPECS = {
+    "mass_balance": {"variables": ["x1"], "matrix": [["x1^2", "0"], ["0", "x1"]]},
+    "epsilon_mass": {"variables": ["x1", "x2"], "matrix": [["x1", "x2"]]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MASS_SPECS))
+def test_mass_command_does_not_import_scipy(tmp_path, kind):
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    spec.write_text(json.dumps({**MASS_SPECS[kind], "reg": {"samples": 1000}}))
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "from segre_kit import cli\n"
+            f"assert cli.main(['mass', {str(spec)!r}, '--out', {str(out)!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert kind in json.loads(out.read_text())["results"]

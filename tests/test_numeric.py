@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from segre_kit.numeric import (
     RegConfig,
     _batch_minor_dets,
     _disk_samples,
+    _halton,
     _resultant_coeffs,
     contour_root_count,
     crofton_moving_multiplicity,
@@ -83,6 +85,34 @@ def test_disk_samples_match_chart_reference(radius, ncomplex, samples):
     z, w = _disk_samples(cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (ncomplex - 1))
     z_ref, w_ref = _chart_samples_reference(cfg, ncomplex)
     assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_halton_matches_scipy(d, seed):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    for n in (16, 1000, 40000):
+        ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+        assert np.array_equal(_halton(d, n, seed), ref), n
+
+
+# sha256 of the little-endian float64 bytes of
+# scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n), scipy 1.17.1
+HALTON_SHA256 = {
+    (2, 1000, 0): "424e173401ba2881980b7ed8eddc4480ae9e2ff116af846c88baf36e28cee57e",
+    (4, 4096, 7): "6a4b73ac7e28c154e9e118345b7fdbad1baced6fe3045479510bac6cc7c6019d",
+    (6, 40000, 20250809):
+        "ab5a326b493bcb1c48158fe1ab6a4ee57c96b2e8a583a3d4f802698231d29b24",
+    (8, 16, 12345): "d2743b1ef5cc200e6c33e6ca0084a360a3155a999f48ebd4dc6e9d4f0958955d",
+    (4, 80000, 1): "9d85e699aab59f5e07cde1dcff1f8b82f12c902dd520595d89661a3f6d0269c3",
+}
+
+
+@pytest.mark.parametrize("d, n, seed", sorted(HALTON_SHA256))
+def test_halton_pinned(d, n, seed):
+    u = np.ascontiguousarray(_halton(d, n, seed), dtype="<f8")
+    assert u.shape == (n, d)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == HALTON_SHA256[d, n, seed]
 
 
 def _minor_dets_reference(jac, rows, cols):
