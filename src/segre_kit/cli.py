@@ -458,7 +458,7 @@ def golden_suite(skip_numeric: bool = False,
                 ("x1^2,x2", ["x1^2", "x2"], 2),
                 ("x1^2-x2^3,x1x2", ["x1^2 - x2^3", "x1*x2"], 5)):
             pair = tuple(parse_polynomial(s, 2) for s in polys)
-            count = perturbation_root_count(pair, reg.radius, seed=reg.seed)
+            count = perturbation_root_count(pair)
             est = epsilon_mass(pair, 2, reg)
             checks.append(_check(f"br.{label}.count", expected, count))
             agree = abs(est.value - count) < 0.05 * max(count, 1) and \

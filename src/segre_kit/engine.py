@@ -359,11 +359,9 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
     point_terms = []
     zero_info = _reduced_pair_zeros(r1, r2, n, cfg)
     if zero_info == "origin":
-        from segre_kit.numeric import RegConfig, perturbation_root_count
+        from segre_kit.numeric import perturbation_root_count
 
-        cfg = cfg or RegConfig()
-        c = perturbation_root_count((r1, r2), cfg.radius * 0.8, trials=5,
-                                    seed=cfg.seed)
+        c = perturbation_root_count((r1, r2))
         origin = VarietyRef.point_at([0] * n)
         point_terms.append(term(-c, origin))
 

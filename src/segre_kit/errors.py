@@ -56,9 +56,5 @@ class NumericalFailureError(SegreKitError):
         self.location = location
 
 
-class NondeterministicError(NumericalFailureError):
-    """Trial counts disagree beyond one outlier (radius likely too large)."""
-
-
 class ContourTooCloseError(NumericalFailureError):
     """A root lies too close to the integration contour."""

@@ -29,11 +29,15 @@ from segre_kit.cycles import (
 from segre_kit.errors import (
     ContourTooCloseError,
     InputError,
-    NondeterministicError,
     NumericalFailureError,
     UndecidedError,
 )
-from segre_kit.poly import Polynomial, PolyMatrix, resultant
+from segre_kit.poly import (
+    Polynomial,
+    PolyMatrix,
+    resultant,
+    strip_common_factor,
+)
 from segre_kit.scalars import Scalar
 
 
@@ -148,6 +152,7 @@ def _richardson(per_eps, stderrs, order: int):
 # contour root counting
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def contour_root_count(p: Polynomial, radius: float) -> int:
     """Winding number of a univariate polynomial along |x| = radius."""
     if p.nvars != 1:
@@ -188,7 +193,7 @@ def contour_root_count(p: Polynomial, radius: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# resultants and local intersection numbers
 # ---------------------------------------------------------------------------
 
 def _resultant_coeffs(f1: Polynomial, f2: Polynomial, eliminate: int):
@@ -198,93 +203,41 @@ def _resultant_coeffs(f1: Polynomial, f2: Polynomial, eliminate: int):
     return None if r is None else np.array([complex(c) for c in r], dtype=complex)
 
 
-def _univariate_in(p: Polynomial, var: int, other_value: complex):
-    """Coefficients (descending) of p viewed in x_var with the other variable
-    frozen at a complex value."""
-    deg = p.degree_in(var)
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    for m, c in p.terms.items():
-        coeffs[deg - m[var]] += complex(c) * other_value ** m[1 - var]
-    return coeffs
-
-
-def _random_rational(rng, scale: Fraction) -> Scalar:
-    den = 1 << 12
-    a = int(rng.integers(den // 2, den)) * (1 if rng.random() < 0.5 else -1)
-    b = int(rng.integers(den // 2, den)) * (1 if rng.random() < 0.5 else -1)
-    return Scalar(scale * Fraction(a, den), scale * Fraction(b, den))
-
-
-def perturbation_root_count(f, radius: float, trials: int = 5,
-                            seed: int = 20250809) -> int:
-    """Stabilized count of solutions of f1 = t1, f2 = t2 in the closed
-    bidisk for random small exact right-hand sides t, via resultant
-    elimination and root pairing.  Majority vote across trials."""
+def perturbation_root_count(f) -> int:
+    """The local intersection number dim O/(f1, f2) at the origin of a pair in
+    two variables: the number of solutions near 0 of f = t for small generic
+    t.  Exact, by Fulton's algorithm (Algebraic Curves, section 3.3).  A
+    finite count m <= B = deg f1 * deg f2 puts the m-th power of the maximal
+    ideal inside (f1, f2), so terms of degree above B change nothing (by
+    Nakayama) and are dropped; a count past B means a common component."""
     f1, f2 = f
     if f1.nvars != 2 or f2.nvars != 2:
         raise InputError("perturbation_root_count works in two variables")
-    scales = [max(_poly_scale(p, radius), 1e-6) for p in (f1, f2)]
-    counts = []
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + 7919 * trial)
-        mag = [Fraction(int(s * 1e9), 10 ** 9) * Fraction(1, 10 ** 4)
-               for s in scales]
-        t1 = _random_rational(rng, mag[0])
-        t2 = _random_rational(rng, mag[1])
-        F1 = f1 - Polynomial.constant(2, t1)
-        F2 = f2 - Polynomial.constant(2, t2)
-        counts.append(_count_solutions(F1, F2, radius))
-    most = max(set(counts), key=counts.count)
-    if counts.count(most) < max(trials - 1, 1):
-        raise NondeterministicError(
-            f"perturbation counts disagree: {counts} (radius likely too large)")
-    return most
-
-
-def _count_solutions(F1: Polynomial, F2: Polynomial, radius: float) -> int:
-    coeffs = _resultant_coeffs(F1, F2, eliminate=0)
-    if coeffs is None:
-        raise NumericalFailureError(
-            "resultant vanished identically: common factor in the pair")
-    if len(coeffs) == 1:
-        return 0
-    # multiple resultant roots scatter by ~eps^(1/mult) under np.roots, well
-    # past any fixed fine tolerance: collect candidate pairs from every root
-    # and cluster the pairs at a perturbation-scale tolerance at the end
-    y_roots = [complex(z) for z in np.roots(coeffs) if abs(z) <= radius * 1.001]
-    solver = F1 if F1.degree_in(0) >= F2.degree_in(0) else F2
-    checker = F2 if solver is F1 else F1
-    check_tol = 1e-6 * _poly_scale(checker, radius)
-    pairs = []
-    for y in y_roots:
-        cs = _univariate_in(solver, 0, y)
-        if np.max(np.abs(cs)) == 0:
-            continue
-        nz = np.nonzero(np.abs(cs) > 1e-13 * np.max(np.abs(cs)))[0]
-        cs = cs[nz[0]:]
-        if len(cs) <= 1:
-            continue
-        # the second coordinate stays frozen at the resultant root: a
-        # candidate pairs with this y only if the other equation holds here
-        for x in np.roots(cs):
-            if abs(x) <= radius and \
-                    abs(checker.evaluate([complex(x), y])) < check_tol:
-                pairs.append((complex(x), y))
-    merge_tol = 1e-4 * max(1.0, radius)
-    distinct = []
-    for x, y in pairs:
-        for xd, yd in distinct:
-            if abs(x - xd) <= merge_tol and abs(y - yd) <= merge_tol:
-                break
-        else:
-            distinct.append((x, y))
-    return len(distinct)
-
-
-def _poly_scale(p: Polynomial, radius: float) -> float:
-    """Bound on |p| over the closed polydisk: sum of |c| * radius^deg."""
-    return max(1e-9, sum(math.sqrt(float(c.norm_sq())) * radius ** sum(m)
-                         for m, c in p.terms.items()))
+    if f1.is_zero() or f2.is_zero() or any(strip_common_factor([f1, f2])[0]):
+        raise NumericalFailureError("common factor in the pair")
+    bound = max(map(sum, f1.terms)) * max(map(sum, f2.terms))
+    total = 0
+    while total <= bound and f1.constant_value().is_zero() and \
+            f2.constant_value().is_zero():
+        f1, f2 = (Polynomial(2, [(m, c) for m, c in p.terms.items()
+                                 if sum(m) <= bound]) for p in (f1, f2))
+        # p(x, 0) as {exponent of x: coefficient}; order the pair so that a
+        # vanishing one, else the one of lower degree, comes first
+        a1, a2 = ({m[0]: c for m, c in p.terms.items() if m[1] == 0}
+                  for p in (f1, f2))
+        if a1 and (not a2 or max(a1) > max(a2)):
+            f1, f2, a1, a2 = f2, f1, a2, a1
+        if not a2:
+            raise NumericalFailureError("common factor in the pair")
+        if not a1:  # f1 = y g: I(f1, f2) = ord_x f2(x, 0) + I(g, f2)
+            total += min(a2)
+            f1 = f1.divide_monomial((0, 1))
+        else:  # I(f1, f2 - q f1) = I(f1, f2), and f2(x, 0) loses its top term
+            r, s = max(a1), max(a2)
+            f2 = f2 - f1 * Polynomial.monomial(2, (s - r, 0), a2[s] / a1[r])
+    if total > bound:
+        raise NumericalFailureError("common factor in the pair")
+    return total
 
 
 def confirm_origin_only_zero(f1: Polynomial, f2: Polynomial,
@@ -415,6 +368,7 @@ def _limit(per_eps, stderrs, cfg: RegConfig) -> MassEstimate:
     return MassEstimate(per_eps[-1][1], stderrs[-1], per_eps, False, [])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def epsilon_mass(G: Sequence[Polynomial], k: int, cfg: Optional[RegConfig] = None,
                  center=None) -> MassEstimate:
     """Quasi-Monte-Carlo mass of the kernel eps/(|G|^2+eps)^{k+1} (dd^c|G|^2)^k
@@ -549,6 +503,7 @@ class MassBalanceResult:
                 "detail": [m.to_record() for m in self.detail]}
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
                        ) -> MassBalanceResult:
     """Compare the fiber-integrated epsilon-mass of the degree-1 current of a
@@ -683,14 +638,14 @@ def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
     for rep in range(3):
         rng = np.random.default_rng(cfg.seed + 104729 * rep)
         estimates.append(_one_crofton_estimate(rfactors, sub_point, nprime,
-                                               j_total, rng, cfg))
+                                               j_total, rng))
     if len(set(estimates)) != 1:
         raise UndecidedError(f"slice estimates did not stabilize: {estimates}",
                              diagnostics={"estimates": estimates})
     return estimates[0]
 
 
-def _one_crofton_estimate(rfactors, point, nprime, j_total, rng, cfg) -> int:
+def _one_crofton_estimate(rfactors, point, nprime, j_total, rng) -> int:
     if j_total == 1:
         s = _slice_poly(rfactors[0], _rationalized_unit(rng, len(rfactors[0].args)))
         # the slice's vanishing order at the point: its lowest degree there
@@ -704,20 +659,11 @@ def _one_crofton_estimate(rfactors, point, nprime, j_total, rng, cfg) -> int:
             for _ in range(f.power):
                 slices.append(_slice_poly(f, _rationalized_unit(rng, len(f.args))))
         pt = [Scalar.from_value(c) for c in point]
-        s1 = _translate(slices[0], pt)
-        s2 = _translate(slices[1], pt)
-        if not s1.evaluate([0, 0]).is_zero() or not s2.evaluate([0, 0]).is_zero():
-            return 0
-        count = perturbation_root_count((s1, s2), 0.15, trials=3,
-                                        seed=int(rng.integers(1 << 30)))
-        corr = 0
+        count = perturbation_root_count([_translate(s, pt) for s in slices])
         for f in rfactors:
             if f.power == len(f.args) == 2:
-                a1 = _translate(f.args[0], pt)
-                a2 = _translate(f.args[1], pt)
-                if a1.evaluate([0, 0]).is_zero() and a2.evaluate([0, 0]).is_zero():
-                    corr += perturbation_root_count(
-                        (a1, a2), 0.15, trials=3, seed=int(rng.integers(1 << 30)))
-        return count - corr
+                count -= perturbation_root_count([_translate(a, pt)
+                                                  for a in f.args])
+        return count
     raise UndecidedError(
         f"no oracle rule for total slice power {j_total} in dimension {nprime}")

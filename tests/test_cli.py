@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +30,16 @@ BAD_SHAPES = (
     {"points": [5]}, {"points": 5}, {"tasks": 3},
     {"variables": "ab", "matrix": [["a", "0"], ["0", "b"]]},
     {"variables": ["x1", "x1"], "matrix": [["x1", "0"], ["0", "x1"]]},
+)
+
+# mass specs whose oracle values overflow: undecided (exit 4)
+OVERFLOW_SPECS = (
+    {"variables": ["x1"], "matrix": [["x1^200", "0"], ["0", "x1"]],
+     "reg": {"radius": 100.0, "samples": 1000}},
+    {"variables": ["x1"], "matrix": [["x1^200", "0"], ["0", "x1"]],
+     "reg": {"radius": 10.0}},
+    {"variables": ["x1", "x2"], "matrix": [["x1^2", "x2"]],
+     "reg": {"radius": 1e200}},
 )
 
 
@@ -148,13 +159,7 @@ def test_exit_codes(tmp_path):
 
     # values that overflow in the numeric oracles are undecided, not a
     # traceback or a NaN report
-    overflow = [["x1^200", "0"], ["0", "x1"]]
-    for i, bad in enumerate((
-            {"variables": ["x1"], "matrix": overflow,
-             "reg": {"radius": 100.0, "samples": 1000}},
-            {"variables": ["x1"], "matrix": overflow, "reg": {"radius": 10.0}},
-            {"variables": ["x1", "x2"], "matrix": [["x1^2", "x2"]],
-             "reg": {"radius": 1e200}})):
+    for i, bad in enumerate(OVERFLOW_SPECS):
         path = write_spec(tmp_path, bad, f"overflow{i}.json")
         assert main(["mass", path]) == 4, bad
 
@@ -164,6 +169,19 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["golden", "--engine", "both"])
     assert exc.value.code == 2
+
+
+def test_overflow_reaches_stderr_as_one_line(tmp_path, capsys):
+    # the oracles turn non-finite values into an undecided exit themselves,
+    # so numpy's own RuntimeWarnings would only add noise to stderr
+    for i, bad in enumerate(OVERFLOW_SPECS):
+        path = write_spec(tmp_path, bad, f"overflow{i}.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["mass", path]) == 4, bad
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], bad
+        assert len(capsys.readouterr().err.splitlines()) == 1, bad
 
 
 @given(spec=fuzz_specs())

@@ -1,5 +1,6 @@
-"""Every name a segre_kit module imports is referenced in that module (no
-linter runs on the package, and deletions tend to leave stray imports), the
+"""Every name a segre_kit module imports is referenced in that module and
+every private module-level helper is referenced somewhere in the package (no
+linter runs on the package, and deletions tend to leave strays behind), the
 third-party modules the package imports are exactly its declared
 dependencies, and the mass command runs without importing scipy."""
 
@@ -38,6 +39,38 @@ def test_unused_import_is_caught():
     source = ("from segre_kit.errors import InputError, ParseError\n"
               "raise InputError('x')\n")
     assert unused_imports(source) == ["ParseError"]
+
+
+def unreferenced_private_names(sources):
+    """``module:name`` for each module-level private function or class
+    (leading underscore) that no source in ``sources`` (a dict of module
+    name to text) mentions outside the lines of its own definition."""
+    found = []
+    for module, source in sources.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    not node.name.startswith("_"):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            rest = lines[:start - 1] + lines[node.end_lineno:]
+            others = [text for name, text in sources.items() if name != module]
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(word.search(text) for text in ["\n".join(rest), *others]):
+                found.append(f"{module}:{node.name}")
+    return found
+
+
+def test_private_helpers_are_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_helper_is_caught():
+    sources = {"a.py": ("def _orphan(n):\n    return _orphan(n - 1)\n\n\n"
+                        "class _Used:\n    pass\n"),
+               "b.py": "from a import _Used\n"}
+    assert unreferenced_private_names(sources) == ["a.py:_orphan"]
 
 
 def third_party_modules(source: str):

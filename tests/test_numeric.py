@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from segre_kit.cycles import MovingFactor, VarietyRef
-from segre_kit.errors import ContourTooCloseError, InputError, UndecidedError
+from segre_kit.errors import (
+    ContourTooCloseError,
+    InputError,
+    NumericalFailureError,
+    UndecidedError,
+)
 from segre_kit.numeric import (
     RegConfig,
     _batch_minor_dets,
@@ -19,7 +26,8 @@ from segre_kit.numeric import (
     mass_balance_check,
     perturbation_root_count,
 )
-from segre_kit.poly import PolyMatrix, parse_polynomial
+from segre_kit.poly import Polynomial, PolyMatrix, parse_polynomial
+from segre_kit.scalars import Scalar
 
 
 def p(text, n=2):
@@ -178,19 +186,70 @@ def test_resultant_coeffs():
 
 
 # ---------------------------------------------------------------------------
-# perturbation counting
+# local intersection numbers
 # ---------------------------------------------------------------------------
 
 def test_perturbation_examples():
-    assert perturbation_root_count((p("x1"), p("x2")), 1.0) == 1
-    assert perturbation_root_count((p("x1^2"), p("x2")), 1.0) == 2
-    assert perturbation_root_count((p("x1^2 - x2^3"), p("x1*x2")), 1.0) == 5
+    assert perturbation_root_count((p("x1"), p("x2"))) == 1
+    assert perturbation_root_count((p("x1^2"), p("x2"))) == 2
+    assert perturbation_root_count((p("x1^2 - x2^3"), p("x1*x2"))) == 5
+    # no common zero at the origin; two cusps with transverse tangents
+    assert perturbation_root_count((p("1 + x1"), p("x2"))) == 0
+    assert perturbation_root_count((p("x2^2 - x1^3"), p("x2^3 - x1^2"))) == 4
 
 
-def test_perturbation_seed_determinism():
-    a = perturbation_root_count((p("x1^2"), p("x2")), 1.0, seed=123)
-    b = perturbation_root_count((p("x1^2"), p("x2")), 1.0, seed=123)
-    assert a == b
+@pytest.mark.parametrize("a,b", itertools.product((1, 2, 3), repeat=2))
+def test_perturbation_general_rows(a, b):
+    # the general-row class of the crosscheck workload: a*b + b + 1
+    for c, k in ((1, 1), (7, 9)):
+        pair = (p(f"x1^{a} - {c}/4*x2^{b + 1}"), p(f"{k}*x1*x2^{b}"))
+        assert perturbation_root_count(pair) == a * b + b + 1
+
+
+def test_perturbation_common_factor_raises():
+    s = p("x1 + x2")
+    for pair in ((p("x1*x2"), p("x2")), (p("x2^2"), p("x1*x2")),
+                 (s, p("2*x1 + 2*x2")), (s * p("x1"), s * p("x2")),
+                 (p("0"), p("x1"))):
+        with pytest.raises(NumericalFailureError, match="common factor"):
+            perturbation_root_count(pair)
+
+
+def _pair_terms():
+    coeff = st.sampled_from([Scalar(1), Scalar(-2), Scalar(3), Scalar(1, 1),
+                             Scalar(0, -1), Scalar(2, -3)])
+    return st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              coeff), min_size=1, max_size=4)
+
+
+def _local_poly(terms):
+    # no constant term: every pair meets at the origin
+    return Polynomial(2, [(m, c) for m, c in terms if m != (0, 0)])
+
+
+def _count(f, g):
+    try:
+        return perturbation_root_count((f, g))
+    except NumericalFailureError:
+        return None
+
+
+@given(f=_pair_terms(), g=_pair_terms(), h=_pair_terms(), u=_pair_terms(),
+       u0=st.integers(1, 5))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_intersection_number_laws(f, g, h, u, u0):
+    f, g, h = _local_poly(f), _local_poly(g), Polynomial(2, h)
+    u = _local_poly(u) + u0
+    assume(not f.is_zero() and not g.is_zero())
+    fg = _count(f, g)
+    assume(fg is not None)
+    assert _count(g, f) == fg
+    assert _count(f, g + h * f) == fg
+    assert _count(u * f, g) == fg
+    if not h.is_zero():
+        fh = _count(f, h)
+        if fh is not None:
+            assert _count(f, g * h) == fg + fh
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +315,19 @@ def test_crofton_moving_row_values():
 
 def test_crofton_residue_free_square():
     factor = MovingFactor((p("x1"), p("x2")), 2)
-    assert crofton_moving_multiplicity([factor], VarietyRef.whole_space(),
-                                       [0, 0], CFG) == 0
+    for point in ([0, 0], [1, 0]):
+        assert crofton_moving_multiplicity([factor], VarietyRef.whole_space(),
+                                           point, CFG) == 0
+
+
+def test_crofton_two_slices():
+    # one generic slice of each factor: a line and a parabola through 0
+    # that meet transversally there; off the common zero they miss the point
+    factors = [MovingFactor((p("x1"), p("x2")), 1),
+               MovingFactor((p("x1^2"), p("x2")), 1)]
+    whole = VarietyRef.whole_space()
+    assert crofton_moving_multiplicity(factors, whole, [0, 0], CFG) == 1
+    assert crofton_moving_multiplicity(factors, whole, [0, 1], CFG) == 0
 
 
 def test_crofton_subspace_restriction():
@@ -370,6 +440,6 @@ def test_exact_top_segre_matches_oracles_random():
         exact = multiplicity_at(res.M[2], [0, 0])
         assert exact == a * b
         pair = (p(f"x1^{a}"), p(f"x2^{b}"))
-        assert perturbation_root_count(pair, 1.0, seed=9) == a * b
+        assert perturbation_root_count(pair) == a * b
         est = epsilon_mass(pair, 2, CFG)
         assert round(est.value) == a * b and abs(est.value - a * b) < 0.05 * a * b
