@@ -459,14 +459,14 @@ def golden_suite(skip_numeric: bool = False,
                 ("x1^2-x2^3,x1x2", ["x1^2 - x2^3", "x1*x2"], 5)):
             pair = tuple(parse_polynomial(s, 2) for s in polys)
             count = perturbation_root_count(pair)
-            est = epsilon_mass(pair, 2, reg)
+            (est,) = epsilon_mass(pair, [2], reg)
             checks.append(_check(f"br.{label}.count", expected, count))
             agree = abs(est.value - count) < 0.05 * max(count, 1) and \
                 round(est.value) == count
             checks.append(_check(f"br.{label}.mass_agrees", True, agree))
 
-        est1 = epsilon_mass([parse_polynomial("x1^3", 1)], 1, reg)
-        est2 = epsilon_mass([parse_polynomial("x1^3", 1)], 1, reg)
+        (est1,) = epsilon_mass([parse_polynomial("x1^3", 1)], [1], reg)
+        (est2,) = epsilon_mass([parse_polynomial("x1^3", 1)], [1], reg)
         checks.append(_check("epsmass.x3.seed_deterministic", True,
                              est1.value == est2.value
                              and est1.per_epsilon == est2.per_epsilon))
@@ -496,9 +496,10 @@ def run_mass(spec: MorphismSpec) -> dict:
         tup = [g.entries[i][j] for i, j in g.nonzero_positions()]
         if not tup:
             raise InputError("mass of the zero matrix is not defined")
+        ks = range(1, g.nvars + 1)
         results["epsilon_mass"] = {
-            str(k): epsilon_mass(tup, k, spec.reg).to_record()
-            for k in range(1, g.nvars + 1)}
+            str(k): est.to_record()
+            for k, est in zip(ks, epsilon_mass(tup, ks, spec.reg))}
     return _report(spec.raw, results, [], spec.reg.seed)
 
 

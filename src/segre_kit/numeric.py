@@ -213,6 +213,8 @@ def perturbation_root_count(f) -> int:
     f1, f2 = f
     if f1.nvars != 2 or f2.nvars != 2:
         raise InputError("perturbation_root_count works in two variables")
+    if not (f1.constant_value().is_zero() and f2.constant_value().is_zero()):
+        return 0  # a unit generates the local ring: no common zero at 0
     if f1.is_zero() or f2.is_zero() or any(strip_common_factor([f1, f2])[0]):
         raise NumericalFailureError("common factor in the pair")
     bound = max(map(sum, f1.terms)) * max(map(sum, f2.terms))
@@ -369,10 +371,12 @@ def _limit(per_eps, stderrs, cfg: RegConfig) -> MassEstimate:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def epsilon_mass(G: Sequence[Polynomial], k: int, cfg: Optional[RegConfig] = None,
-                 center=None) -> MassEstimate:
+def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
+                 cfg: Optional[RegConfig] = None,
+                 center=None) -> List[MassEstimate]:
     """Quasi-Monte-Carlo mass of the kernel eps/(|G|^2+eps)^{k+1} (dd^c|G|^2)^k
-    over the polydisk, per epsilon, optionally Richardson-extrapolated.
+    over the polydisk, per epsilon, optionally Richardson-extrapolated; one
+    estimate per degree k in ``ks``, all from the same samples.
 
     For k = nvars the tuple should have only isolated zeros in the closed
     polydisk (the mass then converges to the local intersection count).
@@ -383,60 +387,50 @@ def epsilon_mass(G: Sequence[Polynomial], k: int, cfg: Optional[RegConfig] = Non
     N = G[0].nvars
     if any(p.nvars != N for p in G):
         raise InputError("tuple entries live in different ambient dimensions")
-    if not 1 <= k <= N:
-        raise InputError(f"k = {k} outside 1..{N}")
+    ks = list(ks)
+    if not ks or not all(1 <= k <= N for k in ks):
+        raise InputError(f"degrees k = {ks} must be a nonempty list in 1..{N}")
     z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N, center)
     vals = [p.eval_array(z) for p in G]
     g2 = np.zeros(len(z))
     for v in vals:
         g2 += np.abs(v) ** 2
     jac = [[p.differentiate(j).eval_array(z) for j in range(N)] for p in G]
-    density = np.zeros(len(z))
-    for rows in itertools.combinations(range(len(G)), k):
-        for cols in itertools.combinations(range(N), k):
-            density += np.abs(_batch_minor_dets(jac, rows, cols)) ** 2
-    density *= math.factorial(k) / math.pi ** k
-    _require_finite(density, z)
-    if np.any(density < 0):
-        raise NumericalFailureError("negative integrand sample in epsilon_mass")
-    return _limit(*_epsilon_table(g2, density, weight, k + 1, cfg), cfg)
+    out = []
+    for k in ks:
+        density = np.zeros(len(z))
+        for rows in itertools.combinations(range(len(G)), k):
+            for cols in itertools.combinations(range(N), k):
+                density += np.abs(_batch_minor_dets(jac, rows, cols)) ** 2
+        density *= math.factorial(k) / math.pi ** k
+        _require_finite(density, z)
+        if np.any(density < 0):
+            raise NumericalFailureError(
+                "negative integrand sample in epsilon_mass")
+        out.append(_limit(*_epsilon_table(g2, density, weight, k + 1, cfg),
+                          cfg))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # fiber-lifted masses and the determinant mass balance
 # ---------------------------------------------------------------------------
 
-def _wedge_coeff(mats):
-    """Coefficient of prod_a (i dz_a ^ dzbar_a) in the wedge of (1,1)-forms
-    given by sample-arrays of Hessian-matrix entries."""
-    N = len(mats[0])
-    first = next(v for row in mats[0] for v in row if v is not None)
-    acc = np.zeros(first.shape, dtype=complex)
-    for pa in itertools.permutations(range(N)):
-        sa = _perm_sign(pa)
-        for pb in itertools.permutations(range(N)):
-            sb = _perm_sign(pb)
-            prod = None
-            for t in range(N):
-                entry = mats[t][pa[t]][pb[t]]
-                prod = entry if prod is None else prod * entry
-            acc += sa * sb * prod
-    return acc
-
-
-def _perm_sign(p):
-    sign, seen = 1, set()
-    for i in range(len(p)):
-        if i in seen:
-            continue
-        j, length = i, 0
-        while j not in seen:
-            seen.add(j)
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _wedges(A, B):
+    """Coefficients of prod_a (i dz_a ^ dzbar_a) in the wedges
+    A^{j+1} ^ B^{N-1-j}, j = 0..N-1, of two (1,1)-forms given by N x N
+    sample-arrays of Hessian entries: expanding the wedge gives
+    (j+1)! (N-1-j)! * sum over row sets S with |S| = j+1 of det(rows S from
+    A, the other rows from B)."""
+    full = tuple(range(len(A)))
+    out = []
+    for j in full:
+        dets = (_batch_minor_dets([A[a] if a in S else B[a] for a in full],
+                                  full, full)
+                for S in itertools.combinations(full, j + 1))
+        out.append(math.factorial(j + 1) * math.factorial(len(A) - 1 - j)
+                   * sum(dets))
+    return out
 
 
 def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
@@ -468,24 +462,32 @@ def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
     P = np.ones(len(z))
     for a in range(n, N):
         P += np.abs(z[:, a]) ** 2
+    inv = 1.0 / P
+    g2 = Q * inv
     DQ = [sum(grads[i][a] * np.conj(vals[i]) for i in range(len(rows)))
           for a in range(N)]
-    Pd = [np.conj(z[:, a]) if a >= n else np.zeros(len(z), dtype=complex)
-          for a in range(N)]
-    HQ = [[sum(grads[i][a] * np.conj(grads[i][b]) for i in range(len(rows)))
-           for b in range(N)] for a in range(N)]
+    # P depends on the fiber coordinates u alone: with w_b = u_b / P,
+    # d_a dbar_b log P = (delta_ab - conj(w_a) w_b) / P there, and every
+    # P-derivative vanishes on the base coordinates (Hlog entries 0)
+    w = {b: z[:, b] * inv for b in range(n, N)}
     Hf = [[None] * N for _ in range(N)]
-    Hlog = [[None] * N for _ in range(N)]
+    Hlog = [[0.0] * N for _ in range(N)]
     for a in range(N):
-        for b in range(N):
-            hp = (1.0 if (a == b and a >= n) else 0.0)
-            Hf[a][b] = (HQ[a][b] / P
-                        - np.conj(DQ[b]) * Pd[a] / P ** 2
-                        - DQ[a] * np.conj(Pd[b]) / P ** 2
-                        - Q * hp / P ** 2
-                        + 2 * Q * np.conj(Pd[b]) * Pd[a] / P ** 3)
-            Hlog[a][b] = (hp * P - Pd[a] * np.conj(Pd[b])) / P ** 2
-    g2 = Q / P
+        for b in range(a, N):  # both Hessians are Hermitian
+            h = sum(grads[i][a] * np.conj(grads[i][b])
+                    for i in range(len(rows))) * inv
+            if b >= n:
+                h = h - DQ[a] * w[b] * inv
+            if a >= n:
+                ww = np.conj(w[a]) * w[b]
+                h = h - np.conj(DQ[b] * w[a]) * inv + 2 * g2 * ww
+                Hlog[a][b] = -ww
+                if a == b:
+                    h = h - g2 * inv
+                    Hlog[a][b] = Hlog[a][b] + inv
+            Hf[a][b] = h
+            if b > a:
+                Hf[b][a], Hlog[b][a] = np.conj(h), np.conj(Hlog[a][b])
     return Hf, Hlog, g2
 
 
@@ -542,11 +544,8 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
     z, weight = _disk_samples(run_cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
     for chart in range(r):
         Hf, Hlog, g2 = _chart_hessians(g, chart, z)
-        A = [[Hf[a][b] / (2 * math.pi) for b in range(N)] for a in range(N)]
-        B = [[Hlog[a][b] / (2 * math.pi) for b in range(N)] for a in range(N)]
-        for j in range(r):
-            mats = [A] * (j + 1) + [B] * (r - 1 - j)
-            wedge = _wedge_coeff(mats)
+        for j, wedge in enumerate(_wedges(Hf, Hlog)):
+            wedge = wedge / (2 * math.pi) ** N
             if np.max(np.abs(wedge.imag)) > 1e-6 * (1 + np.max(np.abs(wedge.real))):
                 raise NumericalFailureError("wedge coefficient not real")
             density = wedge.real * 2 ** N
