@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 golden/verify mismatch, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -526,7 +527,9 @@ def _flag_reg(reg: RegConfig, args) -> RegConfig:
     return reg.replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="segre-kit",
         description="residue currents, Segre numbers and distinguished "
@@ -540,7 +543,11 @@ def main(argv=None) -> int:
         _common_flags(sp)
     sp = sub.add_parser("golden")
     _common_flags(sp)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "golden":

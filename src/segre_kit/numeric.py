@@ -197,9 +197,12 @@ def contour_root_count(p: Polynomial, radius: float) -> int:
 # ---------------------------------------------------------------------------
 
 def _resultant_coeffs(f1: Polynomial, f2: Polynomial, eliminate: int):
-    """Res_{x_eliminate}(f1, f2) as complex numpy coefficients in the other
-    variable (descending order); None when the resultant is identically 0."""
+    """Res_{x_eliminate}(f1, f2) with its factor y^m (y the other variable)
+    divided out exactly, as complex numpy coefficients (descending order);
+    None when the resultant is identically 0."""
     r = resultant(f1, f2, eliminate)
+    while r and r[-1].is_zero():
+        r.pop()
     return None if r is None else np.array([complex(c) for c in r], dtype=complex)
 
 
@@ -245,16 +248,12 @@ def perturbation_root_count(f) -> int:
 def confirm_origin_only_zero(f1: Polynomial, f2: Polynomial,
                              radius: float) -> bool:
     """True when the only common zero of the pair in the closed bidisk is the
-    origin (resultant roots in either projection all sit at 0)."""
+    origin: in either projection, the resultant's cofactor of y^m has no
+    root in |y| <= radius (decided by floating-point roots)."""
     for eliminate in (0, 1):
         coeffs = _resultant_coeffs(f1, f2, eliminate)
-        if coeffs is None:
+        if coeffs is None or np.any(np.abs(np.roots(coeffs)) <= radius):
             return False
-        if len(coeffs) == 1:
-            continue
-        for z in np.roots(coeffs):
-            if abs(z) <= radius and abs(z) > 1e-6:
-                return False
     return True
 
 
@@ -409,6 +408,10 @@ def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
                 "negative integrand sample in epsilon_mass")
         out.append(_limit(*_epsilon_table(g2, density, weight, k + 1, cfg),
                           cfg))
+    if not np.any(g2 <= cfg.epsilon_schedule[-1]):
+        for est in out:
+            est.warnings.append("no sample has |G|^2 <= the smallest epsilon: "
+                                "the samples miss the zero set")
     return out
 
 
@@ -588,6 +591,8 @@ def _slice_poly(factor: MovingFactor, gamma) -> Polynomial:
 
 def _translate(p: Polynomial, point) -> Polynomial:
     """p(x + point): moves ``point`` to the origin."""
+    if not any(point):
+        return p
     n = p.nvars
     coords = [Polynomial.variable(n, i) + Polynomial.constant(n, point[i])
               for i in range(n)]
@@ -617,52 +622,50 @@ def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
         return 0
     keep = [i for i in range(n) if i not in fixed.base_zeros]
     nprime = len(keep)
-    # the restricted arguments live on the kept coordinates, numbered in order
+    # the restricted arguments live on the kept coordinates, numbered in
+    # order, moved once so that the point sits at the origin
     mapping = [keep.index(i) if i in keep else 0 for i in range(n)]
+    sub_point = [Scalar.from_value(point[i]) for i in keep]
     rfactors = []
     for f in factors:
         args = _restrict_args_to_subspace(f, fixed)
         if args is None:
             raise UndecidedError("fixed part sits inside a factor's zero set")
-        args = [p.map_variables(mapping, nprime) for p in args]
+        args = [_translate(p.map_variables(mapping, nprime), sub_point)
+                for p in args]
         if all(p.is_constant() for p in args):
             return 0  # pluriharmonic potential on the subspace
         if f.power > len(args):
             return 0  # residue-free power above the top level vanishes
         rfactors.append(MovingFactor(tuple(args), f.power, f.weights, f.averaged))
-    sub_point = [point[i] for i in keep]
     j_total = sum(f.power for f in rfactors)
 
     estimates = []
     for rep in range(3):
         rng = np.random.default_rng(cfg.seed + 104729 * rep)
-        estimates.append(_one_crofton_estimate(rfactors, sub_point, nprime,
-                                               j_total, rng))
+        estimates.append(_one_crofton_estimate(rfactors, nprime, j_total, rng))
     if len(set(estimates)) != 1:
         raise UndecidedError(f"slice estimates did not stabilize: {estimates}",
                              diagnostics={"estimates": estimates})
     return estimates[0]
 
 
-def _one_crofton_estimate(rfactors, point, nprime, j_total, rng) -> int:
+def _one_crofton_estimate(rfactors, nprime, j_total, rng) -> int:
+    """One slice estimate of the multiplicity at the origin."""
     if j_total == 1:
         s = _slice_poly(rfactors[0], _rationalized_unit(rng, len(rfactors[0].args)))
-        # the slice's vanishing order at the point: its lowest degree there
-        local = _translate(s, [Scalar.from_value(c) for c in point])
-        if local.is_zero():
+        if s.is_zero():
             raise UndecidedError("the slice vanishes identically")
-        return min(map(sum, local.terms))
+        return min(map(sum, s.terms))  # the slice's vanishing order at 0
     if j_total == 2 and nprime == 2:
         slices = []
         for f in rfactors:
             for _ in range(f.power):
                 slices.append(_slice_poly(f, _rationalized_unit(rng, len(f.args))))
-        pt = [Scalar.from_value(c) for c in point]
-        count = perturbation_root_count([_translate(s, pt) for s in slices])
+        count = perturbation_root_count(slices)
         for f in rfactors:
             if f.power == len(f.args) == 2:
-                count -= perturbation_root_count([_translate(a, pt)
-                                                  for a in f.args])
+                count -= perturbation_root_count(f.args)
         return count
     raise UndecidedError(
         f"no oracle rule for total slice power {j_total} in dimension {nprime}")

@@ -9,6 +9,7 @@ outputs are bit-stable.  The text syntax round-trips exactly:
 from __future__ import annotations
 
 import itertools
+import math
 import re as _re
 from enum import Enum
 from fractions import Fraction
@@ -548,30 +549,55 @@ def determinant(g: PolyMatrix) -> Polynomial:
     return determinant_and_minors(g, g.rows)[0]
 
 
-def _scalar_det(rows) -> Scalar:
-    """Exact determinant of a square Scalar matrix by Gaussian elimination."""
+def _gauss_det(rows):
+    """Exact determinant of a square matrix of Gaussian integers, given as
+    (re, im) int pairs, by Bareiss's fraction-free elimination: each step
+    divides 2 x 2 minors by the previous pivot, exactly (Sylvester's
+    identity)."""
     a = [list(r) for r in rows]
-    det = Scalar(1)
-    for j in range(len(a)):
-        piv = next((i for i in range(j, len(a)) if not a[i][j].is_zero()), None)
+    n = len(a)
+    sign, pr, pi = 1, 1, 0
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k] != (0, 0)), None)
         if piv is None:
-            return Scalar(0)
-        if piv != j:
-            a[j], a[piv], det = a[piv], a[j], -det
-        det = det * a[j][j]
-        for i in range(j + 1, len(a)):
-            if not a[i][j].is_zero():
-                q = a[i][j] / a[j][j]
-                a[i][j + 1:] = [x - q * y
-                                for x, y in zip(a[i][j + 1:], a[j][j + 1:])]
-    return det
+            return 0, 0
+        if piv != k:
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        (kr, ki), top, nrm = a[k][k], a[k], pr * pr + pi * pi
+        for row in a[k + 1:]:
+            ir, ii = row[k]
+            for j in range(k + 1, n):
+                (xr, xi), (yr, yi) = row[j], top[j]
+                ur = xr * kr - xi * ki - ir * yr + ii * yi
+                ui = xr * ki + xi * kr - ir * yi - ii * yr
+                row[j] = ((ur * pr + ui * pi) // nrm, (ui * pr - ur * pi) // nrm)
+        pr, pi = kr, ki
+    dr, di = a[-1][-1] if n else (1, 0)
+    return sign * dr, sign * di
+
+
+def _falling_newton(vals):
+    """D! times the ascending coefficients of the polynomial of degree <= D
+    with the integer values ``vals`` at y = 0..D: forward differences, then
+    Horner in the falling-factorial basis, all in integers."""
+    top = len(vals) - 1
+    for j in range(1, top + 1):
+        for i in range(top, j - 1, -1):
+            vals[i] -= vals[i - 1]
+    coeffs, f = [vals[top]], 1  # f = D!/j!
+    for j in range(top - 1, -1, -1):
+        f *= j + 1
+        coeffs = [vals[j] * f - coeffs[0] * j] + [
+            a - b * j for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    return coeffs
 
 
 def resultant(f1: Polynomial, f2: Polynomial, eliminate: int):
     """Res_{x_eliminate}(f1, f2) of two-variable polynomials: its exact
     coefficients in the other variable y (descending), None when it is
-    identically 0.  The Sylvester determinant is evaluated at y = 0..D, D a
-    bound on its degree, and Newton-interpolated."""
+    identically 0.  With f1, f2 scaled to Gaussian integers by the lcms L1,
+    L2 of their denominators, the Sylvester determinant is evaluated at
+    y = 0..D, D a bound on its degree, and interpolated to D! L1^n L2^m Res."""
     if f1.nvars != 2 or f2.nvars != 2:
         raise InputError("resultant works in two variables")
     if f1.is_zero() or f2.is_zero():
@@ -580,27 +606,30 @@ def resultant(f1: Polynomial, f2: Polynomial, eliminate: int):
     m, n = f1.degree_in(eliminate), f2.degree_in(eliminate)
     top = min(n * f1.degree_in(other) + m * f2.degree_in(other),
               max(map(sum, f1.terms)) * max(map(sum, f2.terms)))
+    scale, blocks = math.factorial(top), []
+    for p, deg, copies in ((f1, m, n), (f2, n, m)):
+        den = math.lcm(*(q.denominator for c in p.terms.values()
+                         for q in (c.re, c.im)))
+        scale *= den ** copies
+        blocks.append((deg, copies, [(deg - mono[eliminate], mono[other],
+                                      int(c.re * den), int(c.im * den))
+                                     for mono, c in p.terms.items()]))
     vals = []
     for y in range(top + 1):
         rows = []
-        for p, deg, copies in ((f1, m, n), (f2, n, m)):
-            cs = [Scalar(0)] * (deg + 1)
-            for mono, c in p.terms.items():
-                cs[deg - mono[eliminate]] += c * y ** mono[other]
-            rows += [[Scalar(0)] * i + cs + [Scalar(0)] * (copies - 1 - i)
+        for deg, copies, terms in blocks:
+            cs = [(0, 0)] * (deg + 1)
+            for i, e, a, b in terms:
+                cs[i] = (cs[i][0] + a * y ** e, cs[i][1] + b * y ** e)
+            rows += [[(0, 0)] * i + cs + [(0, 0)] * (copies - 1 - i)
                      for i in range(copies)]
-        vals.append(_scalar_det(rows))
-    # divided differences on the nodes 0..D, then the Newton form expanded
-    for j in range(1, top + 1):
-        for i in range(top, j - 1, -1):
-            vals[i] = (vals[i] - vals[i - 1]) / j
-    coeffs = [vals[top]]  # ascending in y
-    for j in range(top - 1, -1, -1):
-        coeffs = [vals[j] - coeffs[0] * j] + [
-            a - b * j for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
-    while coeffs and coeffs[-1].is_zero():
+        vals.append(_gauss_det(rows))
+    coeffs = list(zip(*(_falling_newton([v[part] for v in vals])
+                        for part in (0, 1))))
+    while coeffs and coeffs[-1] == (0, 0):
         coeffs.pop()
-    return coeffs[::-1] or None
+    return [Scalar(Fraction(a, scale), Fraction(b, scale))
+            for a, b in reversed(coeffs)] or None
 
 
 def strip_common_factor(polys):

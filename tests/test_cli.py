@@ -132,6 +132,12 @@ def test_exit_codes(tmp_path):
         "engine": "exact", "tasks": ["Mg"]}, "general.json")
     assert main(["run", general, "--out", str(tmp_path / "g.json")]) == 3
 
+    # a common zero at (1e-7, 0) besides the origin: no exact M^a
+    near = write_spec(tmp_path, {
+        "variables": ["x1", "x2"], "matrix": [["x1^2 - 1/10000000*x1", "x2"]],
+        "engine": "exact", "tasks": ["Ma"]}, "near.json")
+    assert main(["run", near, "--out", str(tmp_path / "n.json")]) == 3
+
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     assert main(["run", str(broken)]) == 2
@@ -269,6 +275,27 @@ def test_flag_overrides(tmp_path):
                  "--out", str(out), "--skip-numeric"]) == 0
     rep = json.loads(out.read_text())
     assert rep["seed"] == 42
+
+
+def test_parser_is_reused_across_calls(tmp_path, capsys):
+    # the parser is built once per process: a call after one with other
+    # flags prints what a first call prints
+    import segre_kit.cli as cli
+
+    spec = write_spec(tmp_path, {**DIAG2_SPEC, "tasks": ["Mg", "segre"]})
+    calls = (["run", spec, "--engine", "numeric"], ["run", spec],
+             ["run", spec, "--seed", "7"], ["run", spec])
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append((main(argv), capsys.readouterr()))
+    again = [(main(argv), capsys.readouterr()) for argv in calls]
+    assert again == first
+    # the flags take effect: Mg needs the exact engine, and the seed is
+    # reported
+    assert [code for code, _ in first] == [3, 0, 0, 0]
+    assert "need the exact engine" in first[0][1].err
+    assert '"seed": 7' in first[2][1].out and '"seed": 7' not in first[3][1].out
 
 
 def test_verify_task_populates_checks():

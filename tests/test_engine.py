@@ -269,6 +269,15 @@ def test_Ma_general_pair_with_oracle():
     assert ma[2].describe() == "-5*[point (0, 0)]"
 
 
+def test_Ma_common_zero_near_the_origin():
+    # the reduced pair meets at (1e-7, 0) as well as at the origin: only the
+    # exact factor x1 is divided out of the resultant before its roots are
+    # found, so no point mass at the origin stands for both zeros
+    for c in ("1/1000", "1/10000000"):
+        with pytest.raises(UnsupportedInputError):
+            compute_Ma(mat([[f"x1^2 - {c}*x1", "x2"]], 2), cfg=CFG)
+
+
 def test_Ma_gcd_with_symbolic_term():
     ma = compute_Ma(mat([["x1^2", "x1*x2"]], 2), cfg=CFG)
     assert ma[1].describe() == "[x1=0]"

@@ -185,6 +185,11 @@ def test_resultant_coeffs():
     # (x1 - 1) * (x1 + x2) and x2 * (x1 + x2) share a factor
     assert _resultant_coeffs(p("x1^2 + x1*x2 - x1 - x2"), p("x1*x2 + x2^2"),
                              0) is None
+    # the factor y^m is divided out exactly, before rounding: a root at
+    # 1e-7 survives, and no root is left at 0
+    got = _resultant_coeffs(p("x1^2 - 1/10000000*x1"), p("x2"), 1)
+    assert np.array_equal(got, [1, -1e-7])
+    assert np.array_equal(_resultant_coeffs(p("x1^3"), p("x2^2"), 0), [1])
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +295,20 @@ def test_epsilon_mass_seed_determinism():
     assert [m.to_record() for m in epsilon_mass(G, (2, 1), CFG)] == [two, one]
 
 
+def test_epsilon_mass_warns_when_samples_miss_the_zero_set():
+    # at radius 1e6 the smallest |G|^2 over the samples is about 789, far
+    # above every epsilon, and the mass reads about 0; at radius 1 and 100,
+    # 1172 and 14 samples lie below epsilon = 1e-3
+    G = [p("x1"), p("x2")]
+    for extrapolation in ("RICHARDSON", "NONE"):
+        cfg = RegConfig(radius=1e6, extrapolation=extrapolation)
+        for est in epsilon_mass(G, [1, 2], cfg):
+            assert any("miss the zero set" in w for w in est.warnings)
+    for radius in (1.0, 100.0):
+        for est in epsilon_mass(G, [1, 2], RegConfig(radius=radius)):
+            assert not any("miss the zero set" in w for w in est.warnings)
+
+
 def test_epsilon_mass_k_range():
     for ks in ([3], [0], [1, 3], [3, 1], [2, 0, 1], []):
         with pytest.raises(InputError):
@@ -341,6 +360,18 @@ def test_crofton_two_slices():
     whole = VarietyRef.whole_space()
     assert crofton_moving_multiplicity(factors, whole, [0, 0], CFG) == 1
     assert crofton_moving_multiplicity(factors, whole, [0, 1], CFG) == 0
+
+
+def test_crofton_two_slices_off_the_origin():
+    # the pair of test_crofton_two_slices moved to (1, 0): the arguments are
+    # translated once, then every slice is taken at the origin
+    factors = [MovingFactor((p("x1 - 1"), p("x2")), 1),
+               MovingFactor((p("x1^2 - 2*x1 + 1"), p("x2")), 1)]
+    whole = VarietyRef.whole_space()
+    assert crofton_moving_multiplicity(factors, whole, [1, 0], CFG) == 1
+    assert crofton_moving_multiplicity(factors, whole, [0, 0], CFG) == 0
+    square = MovingFactor((p("x1 - 1"), p("x2 + 2")), 2)
+    assert crofton_moving_multiplicity([square], whole, [1, -2], CFG) == 0
 
 
 def test_crofton_subspace_restriction():

@@ -15,6 +15,7 @@ from segre_kit.poly import (
     classify_structure,
     determinant_and_minors,
     format_polynomial,
+    _gauss_det,
     parse_polynomial,
     resultant,
     strip_common_factor,
@@ -197,6 +198,144 @@ def test_resultant_dense_degree_five():
     got = resultant(p(DENSE_F), p(DENSE_G), 0)
     assert time.perf_counter() - t0 < 1.0
     assert got == [Scalar(re, im) for re, im in DENSE_RES]
+
+
+# The Gaussian-rational elimination and Newton interpolation that computed
+# resultants before the fraction-free kernels, kept verbatim as a reference.
+def _scalar_det(rows) -> Scalar:
+    """Exact determinant of a square Scalar matrix by Gaussian elimination."""
+    a = [list(r) for r in rows]
+    det = Scalar(1)
+    for j in range(len(a)):
+        piv = next((i for i in range(j, len(a)) if not a[i][j].is_zero()), None)
+        if piv is None:
+            return Scalar(0)
+        if piv != j:
+            a[j], a[piv], det = a[piv], a[j], -det
+        det = det * a[j][j]
+        for i in range(j + 1, len(a)):
+            if not a[i][j].is_zero():
+                q = a[i][j] / a[j][j]
+                a[i][j + 1:] = [x - q * y
+                                for x, y in zip(a[i][j + 1:], a[j][j + 1:])]
+    return det
+
+
+def reference_resultant(f1: Polynomial, f2: Polynomial, eliminate: int):
+    if f1.nvars != 2 or f2.nvars != 2:
+        raise InputError("resultant works in two variables")
+    if f1.is_zero() or f2.is_zero():
+        return None
+    other = 1 - eliminate
+    m, n = f1.degree_in(eliminate), f2.degree_in(eliminate)
+    top = min(n * f1.degree_in(other) + m * f2.degree_in(other),
+              max(map(sum, f1.terms)) * max(map(sum, f2.terms)))
+    vals = []
+    for y in range(top + 1):
+        rows = []
+        for p, deg, copies in ((f1, m, n), (f2, n, m)):
+            cs = [Scalar(0)] * (deg + 1)
+            for mono, c in p.terms.items():
+                cs[deg - mono[eliminate]] += c * y ** mono[other]
+            rows += [[Scalar(0)] * i + cs + [Scalar(0)] * (copies - 1 - i)
+                     for i in range(copies)]
+        vals.append(_scalar_det(rows))
+    # divided differences on the nodes 0..D, then the Newton form expanded
+    for j in range(1, top + 1):
+        for i in range(top, j - 1, -1):
+            vals[i] = (vals[i] - vals[i - 1]) / j
+    coeffs = [vals[top]]  # ascending in y
+    for j in range(top - 1, -1, -1):
+        coeffs = [vals[j] - coeffs[0] * j] + [
+            a - b * j for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs[::-1] or None
+
+
+def test_reference_resultant_examples():
+    assert reference_resultant(p("x1^2 + 1"), p("3*x1 + x2"), 0) == [1, 0, 9]
+    assert reference_resultant(p(DENSE_F), p(DENSE_G), 0) == \
+        [Scalar(re, im) for re, im in DENSE_RES]
+
+
+@st.composite
+def resultant_pairs(draw):
+    """(f1, f2, eliminate): Gaussian-rational pairs of degree <= 3 in each
+    variable; sometimes one is free of the eliminated variable, sometimes
+    both share a factor of degree 1."""
+    eliminate = draw(st.integers(0, 1))
+    pair = []
+    for _ in range(2):
+        free = draw(st.booleans()) and draw(st.booleans())
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            mono = [draw(st.integers(0, 3)), draw(st.integers(0, 3))]
+            if free:
+                mono[eliminate] = 0
+            terms[tuple(mono)] = draw(scalar_strategy)
+        pair.append(Polynomial(2, terms))
+    if draw(st.booleans()) and draw(st.booleans()):
+        h = Polynomial(2, {(1, 0): draw(scalar_strategy),
+                           (0, 1): draw(scalar_strategy),
+                           (0, 0): draw(scalar_strategy)})
+        pair = [q * h for q in pair]
+    return pair[0], pair[1], eliminate
+
+
+@given(resultant_pairs())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_resultant_matches_reference(case):
+    f1, f2, eliminate = case
+    assert resultant(f1, f2, eliminate) == reference_resultant(f1, f2, eliminate)
+
+
+def leibniz_det(rows):
+    """The sum over permutations of sign times product, in (re, im) pairs."""
+    n = len(rows)
+    re = im = 0
+    for perm in itertools.permutations(range(n)):
+        pr, pi = 1, 0
+        for i, j in enumerate(perm):
+            a, b = rows[i][j]
+            pr, pi = pr * a - pi * b, pr * b + pi * a
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        sign = -1 if inversions % 2 else 1
+        re, im = re + sign * pr, im + sign * pi
+    return re, im
+
+
+gauss_ints = st.tuples(st.integers(-3, 3), st.integers(-3, 3)) | \
+    st.just((0, 0))
+
+
+@st.composite
+def gauss_matrices(draw):
+    """Square Gaussian-integer matrices of size 0..5, sparse enough to meet
+    zero pivots; sometimes one row is a multiple of another (singular)."""
+    n = draw(st.integers(0, 5))
+    rows = [[draw(gauss_ints) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()) and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        cr, ci = draw(gauss_ints)
+        rows[i] = [(cr * a - ci * b, cr * b + ci * a) for a, b in rows[j]]
+    return rows
+
+
+@given(gauss_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_gauss_det_matches_leibniz(rows):
+    assert _gauss_det(rows) == leibniz_det(rows)
+
+
+def test_gauss_det_examples():
+    assert _gauss_det([]) == (1, 0)
+    assert _gauss_det([[(2, -3)]]) == (2, -3)
+    # a zero pivot is swapped for a row below it, flipping the sign
+    assert _gauss_det([[(0, 0), (1, 0)], [(0, 1), (5, 5)]]) == (0, -1)
+    assert _gauss_det([[(0, 0), (1, 0)], [(0, 0), (5, 5)]]) == (0, 0)
+    assert _gauss_det([[(1, 1), (2, 0)], [(2, 2), (4, 0)]]) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
