@@ -563,9 +563,11 @@ def main(argv=None) -> int:
             else:
                 report = run_spec(spec, skip_numeric=args.skip_numeric)
     except ParseError as exc:
-        pos = f" (line {exc.line}, column {exc.column})" \
-            if exc.line or exc.column else ""
-        print(f"parse error: {exc}{pos}", file=sys.stderr)
+        pos = ", ".join(f"{name} {value}" for name, value in
+                        (("line", exc.line), ("column", exc.column))
+                        if value is not None)
+        print(f"parse error: {exc}" + (f" ({pos})" if pos else ""),
+              file=sys.stderr)
         return EXIT_PARSE
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from segre_kit.errors import InputError, UndecidedError, UnsupportedTermError
 from segre_kit.poly import (
     Polynomial,
     format_polynomial,
-    parse_polynomial,
     strip_common_factor,
 )
 from segre_kit.scalars import Scalar
@@ -68,12 +67,6 @@ class Space:
         if self.kind == "BASE":
             return {"kind": "BASE", "n": self.n}
         return {"kind": "PROJECTIVIZATION", "n": self.n, "r": self.r}
-
-    @staticmethod
-    def from_record(rec) -> "Space":
-        if rec["kind"] == "BASE":
-            return Space("BASE", rec["n"])
-        return Space("PROJ", rec["n"], rec["r"])
 
 
 def base_space(n: int) -> Space:
@@ -623,55 +616,3 @@ def multiplicity_at(c: GeneralizedCycle, point,
 
     return _term_sum(c, point, rule)
 
-
-# ---------------------------------------------------------------------------
-# record round-trip
-# ---------------------------------------------------------------------------
-
-def cycle_from_record(rec) -> GeneralizedCycle:
-    space = Space.from_record(rec["space"])
-    names = space.var_names()
-    out = []
-    for trec in rec["terms"]:
-        fixed = _variety_from_record(trec["fixed"], space, names)
-        moving = []
-        for frec in trec.get("moving", []):
-            args = tuple(parse_polynomial(s, space.total_vars, names)
-                         for s in frec["args"])
-            weights = tuple(Fraction(w) for w in frec.get("weights", [])) or ()
-            moving.append(MovingFactor(args, frec.get("power", 1), weights,
-                                       frec.get("averaged", False)))
-        out.append(CycleTerm(Fraction(trec["coefficient"]), fixed,
-                             trec.get("omega_power", 0), tuple(moving)))
-    return GeneralizedCycle(space, rec["degree"], out)
-
-
-def _variety_from_record(rec, space: Space, names) -> VarietyRef:
-    kind = VarietyKind(rec["kind"])
-    eqs = [parse_polynomial(s, space.total_vars, names)
-           for s in rec.get("equations", [])]
-    if kind == VarietyKind.WHOLE_SPACE:
-        return VarietyRef.whole_space()
-    if kind == VarietyKind.COORDINATE_SUBSPACE:
-        base, fiber = set(), set()
-        for q in eqs:
-            cm = q.as_monomial()
-            idx = [v for v, e in enumerate(cm[1]) if e]
-            v = idx[0]
-            (base if v < space.n else fiber).add(v if v < space.n else v - space.n)
-        return VarietyRef.coordinate_subspace(base, fiber)
-    if kind == VarietyKind.POINT:
-        return VarietyRef.point_at([-q.constant_value() for q in eqs])
-    if kind == VarietyKind.FIBER_HYPERSURFACE:
-        eq = eqs[0]
-        args = []
-        for j in range(space.r):
-            var = space.n + j
-            part = Polynomial(space.total_vars,
-                              {m: cf for m, cf in eq.terms.items() if m[var] > 0})
-            coeff = Polynomial(space.total_vars,
-                               {tuple(e if i != var else 0 for i, e in enumerate(m)): cf
-                                for m, cf in part.terms.items()})
-            args.append(coeff)
-        return VarietyRef.fiber_hypersurface(args)
-    raise InputError(f"cannot rebuild variety of kind {kind}")

@@ -57,4 +57,4 @@ class NumericalFailureError(SegreKitError):
 
 
 class ContourTooCloseError(NumericalFailureError):
-    """A root lies too close to the integration contour."""
+    """A root lies exactly on the circle whose disk is being counted."""

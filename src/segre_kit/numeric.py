@@ -35,6 +35,7 @@ from segre_kit.errors import (
 from segre_kit.poly import (
     Polynomial,
     PolyMatrix,
+    disk_root_count,
     resultant,
     strip_common_factor,
 )
@@ -149,61 +150,24 @@ def _richardson(per_eps, stderrs, order: int):
 
 
 # ---------------------------------------------------------------------------
-# contour root counting
+# root counting and local intersection numbers
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def contour_root_count(p: Polynomial, radius: float) -> int:
-    """Winding number of a univariate polynomial along |x| = radius."""
+    """The number of roots, with multiplicity, of a univariate polynomial in
+    |x| < radius: the order m of its factor x^m plus ``disk_root_count``,
+    exact.  Raises ContourTooCloseError when a root lies on |x| = radius."""
     if p.nvars != 1:
         raise InputError("contour_root_count expects a univariate polynomial")
     if p.is_zero():
         raise InputError("contour_root_count of the zero polynomial")
-    dp = p.differentiate(0)
-    n = 512
-    prev = None
-    while n <= 1 << 17:
-        theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        z = radius * np.exp(1j * theta)
-        pv = p.eval_array(z[:, None])
-        if not np.all(np.isfinite(pv)):
-            raise NumericalFailureError(
-                f"non-finite polynomial values on |x| = {radius}",
-                location=radius)
-        if prev is None:
-            scale = np.max(np.abs(pv))
-            if scale == 0 or np.min(np.abs(pv)) < 1e-9 * scale:
-                raise ContourTooCloseError(
-                    f"polynomial nearly vanishes on |x| = {radius}")
-        dv = dp.eval_array(z[:, None])
-        # (1/2pi i) oint p'/p dz with dz = iz dtheta reduces to mean of (p'/p) z
-        val = float(np.real(np.mean(dv / pv * z)))
-        if not math.isfinite(val):
-            raise NumericalFailureError(
-                f"non-finite contour integral on |x| = {radius}",
-                location=radius)
-        nearest = round(val)
-        if abs(val - nearest) < 0.25 and prev is not None and \
-                abs(val - prev) < 0.05:
-            return int(nearest)
-        prev = val
-        n *= 2
-    raise NumericalFailureError(
-        f"contour integral did not certify on |x| = {radius}", location=radius)
-
-
-# ---------------------------------------------------------------------------
-# resultants and local intersection numbers
-# ---------------------------------------------------------------------------
-
-def _resultant_coeffs(f1: Polynomial, f2: Polynomial, eliminate: int):
-    """Res_{x_eliminate}(f1, f2) with its factor y^m (y the other variable)
-    divided out exactly, as complex numpy coefficients (descending order);
-    None when the resultant is identically 0."""
-    r = resultant(f1, f2, eliminate)
-    while r and r[-1].is_zero():
-        r.pop()
-    return None if r is None else np.array([complex(c) for c in r], dtype=complex)
+    if not _is_positive_real(radius):
+        raise InputError("radius must be a positive finite number")
+    count = disk_root_count([p.terms.get((e,), Scalar(0)) for e in
+                             range(p.degree_in(0), -1, -1)], radius)
+    if count is None:
+        raise ContourTooCloseError(f"a root lies on |x| = {radius}")
+    return min(e for (e,) in p.terms) + count
 
 
 def perturbation_root_count(f) -> int:
@@ -249,10 +213,10 @@ def confirm_origin_only_zero(f1: Polynomial, f2: Polynomial,
                              radius: float) -> bool:
     """True when the only common zero of the pair in the closed bidisk is the
     origin: in either projection, the resultant's cofactor of y^m has no
-    root in |y| <= radius (decided by floating-point roots)."""
+    root in |y| <= radius (decided exactly by ``disk_root_count``)."""
     for eliminate in (0, 1):
-        coeffs = _resultant_coeffs(f1, f2, eliminate)
-        if coeffs is None or np.any(np.abs(np.roots(coeffs)) <= radius):
+        r = resultant(f1, f2, eliminate)
+        if r is None or disk_root_count(r, radius) != 0:
             return False
     return True
 
@@ -512,8 +476,9 @@ class MassBalanceResult:
 def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
                        ) -> MassBalanceResult:
     """Compare the fiber-integrated epsilon-mass of the degree-1 current of a
-    square matrix over the disk against the argument-principle count of
-    det g."""
+    square matrix over the disk against the exact count of the zeros of
+    det g in it (``contour_root_count``); while a zero lies exactly on the
+    circle, the radius shrinks by the factor 0.85 (six tries at most)."""
     from segre_kit.poly import determinant
 
     cfg = cfg or RegConfig()
@@ -579,13 +544,12 @@ def _rationalized_unit(rng, dim: int):
 
 
 def _slice_poly(factor: MovingFactor, gamma) -> Polynomial:
+    """sum_i gamma_i f_i.  The weights are left out: positive weights do not
+    change a Lelong number (Demailly's comparison theorem), and gamma is
+    random anyway."""
     acc = Polynomial.zero(factor.args[0].nvars)
-    weights = factor.weights or (1,) * len(factor.args)
-    for g_c, w, p in zip(gamma, weights, factor.args):
-        wf = Fraction(w)
-        # sqrt of the weight enters the slice; rationalize it once
-        rt = Fraction(int(round(math.sqrt(float(wf)) * (1 << 16))), 1 << 16)
-        acc = acc + p * (g_c * Scalar(rt))
+    for g_c, p in zip(gamma, factor.args):
+        acc = acc + p * g_c
     return acc
 
 

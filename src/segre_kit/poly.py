@@ -329,21 +329,20 @@ def format_polynomial(p: Polynomial, names: Optional[Sequence[str]] = None) -> s
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = _re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(\+)|(-)|(\()|(\))|(/))")
+_TOKEN = _re.compile(r"\s*(?:(\d+|[A-Za-z_]\w*|[-+*/^()])|(.)|$)", _re.S)
 
 
 def _tokenize(text: str):
+    """(token, 1-based column of its first character) pairs."""
     pos, tokens = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", column=pos)
-            break
+        if m.group(2):
+            raise ParseError(f"unexpected character {m.group(2)!r}",
+                             column=m.start(2) + 1)
+        if m.group(1):
+            tokens.append((m.group(1), m.start(1) + 1))
         pos = m.end()
-        tok = m.group(0).strip()
-        if tok:
-            tokens.append((tok, m.start()))
     return tokens
 
 
@@ -366,7 +365,7 @@ class _Parser:
 
     def expect(self, what):
         if self.peek() != what:
-            col = self.tokens[self.i][1] if self.i < len(self.tokens) else -1
+            col = self.tokens[self.i][1] if self.i < len(self.tokens) else None
             raise ParseError(f"expected {what!r}", column=col)
         return self.next()
 
@@ -630,6 +629,61 @@ def resultant(f1: Polynomial, f2: Polynomial, eliminate: int):
         coeffs.pop()
     return [Scalar(Fraction(a, scale), Fraction(b, scale))
             for a, b in reversed(coeffs)] or None
+
+
+def _sturm(a, b):
+    """Sturm's signed remainder sequence a, b, -rem(a, b), ... of real
+    polynomials (ascending Fraction lists, a != 0 without trailing zeros):
+    the Cauchy index of b/a over the real line, V(-oo) - V(+oo), and the
+    sequence's last entry, a multiple of gcd(a, b)."""
+    seq = [a]
+    while any(b):
+        while not b[-1]:
+            b = b[:-1]
+        r = a
+        while len(r) >= len(b):  # a zero leading term just drops
+            f, s = r[-1] / b[-1], len(r) - len(b)
+            r = r[:s] + [c - f * e for c, e in zip(r[s:-1], b)]
+        seq.append(b)
+        a, b = b, [-c for c in r]
+    var = [sum(u != v for u, v in zip(s, s[1:])) for s in
+           ([x ** (len(p) - 1) * (1 if p[-1] > 0 else -1) for p in seq]
+            for x in (-1, 1))]
+    return var[0] - var[1], seq[-1]
+
+
+def disk_root_count(coeffs, radius) -> Optional[int]:
+    """The number of nonzero roots, with multiplicity, in |y| < R of the
+    polynomial p with Gaussian-rational coefficients ``coeffs`` (descending,
+    not all 0), R = Fraction(radius) exactly; None when a root lies on
+    |y| = R.  The Cayley map y = R(1 + it)/(1 - it) takes the real line onto
+    the circle minus -R and the upper half-plane onto the disk.  With y^m
+    divided out of p, of degree d, q(t) = (1 - it)^d p(y) has p's roots; made
+    integral with a real leading coefficient, q = A + iB, deg A = d unless
+    p(-R) = 0, and (d - I)/2 roots have Im t > 0 (argument principle), I the
+    Cauchy index of B/A.  Roots on the circle: -R, and real roots of gcd(A, B)."""
+    cs = list(coeffs)
+    while not cs[-1]:
+        cs.pop()
+    d, (num, den) = len(cs) - 1, Fraction(radius).as_integer_ratio()
+    lcm = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+    cs = [(int(c.re * s), int(c.im * s)) for k, c in enumerate(reversed(cs))
+          for s in (lcm * num ** k * den ** (d - k),)]
+    q = []
+    for j in range(d + 1):  # t^j in (1 + it)^k (1 - it)^(d - k) is i^j w_k
+        w = [sum((-1) ** (j - a) * math.comb(k, a) * math.comb(d - k, j - a)
+                 for a in range(j + 1)) for k in range(d + 1)]
+        x, y = (sum(wk * c[part] for wk, c in zip(w, cs)) for part in (0, 1))
+        q.append(((x, y), (-y, x), (-x, -y), (y, -x))[j % 4])
+    u, v = q[-1]
+    if not (u or v):
+        return None
+    re = [Fraction(x * u + y * v) for x, y in q]
+    im = [Fraction(y * u - x * v) for x, y in q]
+    index, g = _sturm(re, im)
+    if _sturm(g, [k * c for k, c in enumerate(g)][1:])[0]:
+        return None  # the Cauchy index of g'/g counts g's real roots
+    return (d - index) // 2
 
 
 def strip_common_factor(polys):

@@ -137,6 +137,13 @@ def test_exit_codes(tmp_path):
         "variables": ["x1", "x2"], "matrix": [["x1^2 - 1/10000000*x1", "x2"]],
         "engine": "exact", "tasks": ["Ma"]}, "near.json")
     assert main(["run", near, "--out", str(tmp_path / "n.json")]) == 3
+    # a common zero at (-1e-800, -1e-1200): resultant coefficients far
+    # beyond the float range are still decided exactly
+    huge = write_spec(tmp_path, {
+        "variables": ["x1", "x2"],
+        "matrix": [[f"x1^2 - {10 ** 400}*x1*x2", "x2^2 + x1^3"]],
+        "engine": "exact", "tasks": ["Ma"]}, "huge.json")
+    assert main(["run", huge, "--out", str(tmp_path / "h.json")]) == 3
 
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
@@ -188,6 +195,26 @@ def test_overflow_reaches_stderr_as_one_line(tmp_path, capsys):
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], bad
         assert len(capsys.readouterr().err.splitlines()) == 1, bad
+
+
+def test_parse_error_positions(tmp_path, capsys):
+    """Positions point at the offending token, 1-based; unknown parts are
+    left out."""
+    cases = [({"matrix": [["x1 + -x2", "0"], ["0", "x2"]]},
+              "unknown symbol '-' (column 6)"),
+             ({"matrix": [["@x1", "0"], ["0", "x2"]]},
+              "unexpected character '@' (column 1)"),
+             ({"matrix": [["x1", "0"], ["0", "x2^y"]]},
+              "exponent must be a decimal integer (column 4)"),
+             ({"matrix": [["(1", "0"], ["0", "x2"]]}, "expected ')'")]
+    for i, (bad, message) in enumerate(cases):
+        path = write_spec(tmp_path, {**DIAG2_SPEC, **bad}, f"pos{i}.json")
+        assert main(["run", path, "--skip-numeric"]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+    broken = tmp_path / "broken.json"
+    broken.write_text('{\n  "matrix": oops}')
+    assert main(["run", str(broken)]) == 2
+    assert capsys.readouterr().err.endswith("(line 2, column 13)\n")
 
 
 @given(spec=fuzz_specs())

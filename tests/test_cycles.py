@@ -9,7 +9,6 @@ from segre_kit.cycles import (
     MovingFactor,
     VarietyRef,
     base_space,
-    cycle_from_record,
     fixed_moving_split,
     multiplicity_at,
     proj_space,
@@ -226,4 +225,3 @@ def test_record_round_trip():
     ])
     rec = c.to_record()
     assert json.loads(json.dumps(rec)) == rec
-    assert cycle_from_record(rec) == c

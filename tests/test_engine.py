@@ -278,6 +278,20 @@ def test_Ma_common_zero_near_the_origin():
             compute_Ma(mat([[f"x1^2 - {c}*x1", "x2"]], 2), cfg=CFG)
 
 
+def test_Ma_common_zero_near_the_circle():
+    # x2 * (x2 - c)^4: the quadruple root c is decided exactly against the
+    # radius 1, also within 1e-9 of it, and a root on the circle rejects
+    for c, inside in (("1000000001/1000000000", False),
+                      ("999999999/1000000000", True), ("1", True)):
+        f = parse_polynomial(f"x2 - {c}", 2)
+        g = mat([["x1", str(parse_polynomial("x2", 2) * f * f * f * f)]], 2)
+        if inside:
+            with pytest.raises(UnsupportedInputError):
+                compute_Ma(g, cfg=CFG)
+        else:
+            assert compute_Ma(g, cfg=CFG)[2].describe() == "-1*[point (0, 0)]"
+
+
 def test_Ma_gcd_with_symbolic_term():
     ma = compute_Ma(mat([["x1^2", "x1*x2"]], 2), cfg=CFG)
     assert ma[1].describe() == "[x1=0]"

@@ -2,9 +2,11 @@
 every private module-level helper is referenced somewhere in the package (no
 linter runs on the package, and deletions tend to leave strays behind), the
 third-party modules the package imports are exactly its declared
-dependencies, and the mass command runs without importing scipy."""
+dependencies, the mass command runs without importing scipy, and every
+function the benchmark's tracer wraps by name exists."""
 
 import ast
+import importlib
 import json
 import re
 import subprocess
@@ -121,3 +123,36 @@ def test_mass_command_does_not_import_scipy(tmp_path, kind):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert kind in json.loads(out.read_text())["results"]
+
+
+def traced_names(source: str):
+    """``module.function`` for each entry of the ``TRACED`` dict literal in
+    the source of perfbench/spans.py, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and \
+                any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return [f"{mod}.{fn}" for mod, fns in
+                    ast.literal_eval(node.value).items() for fn in fns]
+    raise AssertionError("no TRACED literal")
+
+
+def missing_span_targets(names):
+    """The names among ``module.function`` that segre_kit.module does not
+    define as a callable: the tracer's getattr would fail on them."""
+    return [name for name in names if not callable(getattr(
+        importlib.import_module(f"segre_kit.{name.split('.')[0]}"),
+        name.split(".")[1], None))]
+
+
+def test_traced_span_names_exist():
+    names = traced_names((ROOT / "perfbench" / "spans.py").read_text())
+    assert "numeric.contour_root_count" in names
+    assert missing_span_targets(names) == []
+
+
+def test_missing_span_target_is_caught():
+    source = ('QMC = "numeric.qmc"\n'
+              'TRACED = {"numeric": ["contour_root_count", "no_such_fn"],\n'
+              '          "poly": ["resultant", "MAX_VARS"]}\n')
+    assert missing_span_targets(traced_names(source)) == [
+        "numeric.no_such_fn", "poly.MAX_VARS"]

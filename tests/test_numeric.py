@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ from segre_kit.numeric import (
     _chart_hessians,
     _disk_samples,
     _halton,
-    _resultant_coeffs,
     _wedges,
+    confirm_origin_only_zero,
     contour_root_count,
     crofton_moving_multiplicity,
     epsilon_mass,
@@ -169,27 +168,57 @@ def test_contour_examples():
     assert contour_root_count(p("x1^2 - 1/2*x1", 1), 1.0) == 2
 
 
+def test_contour_validation():
+    for radius in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(InputError):
+            contour_root_count(p("x1 - 2", 1), radius)
+    with pytest.raises(InputError):
+        contour_root_count(p("0", 1), 1.0)
+
+
 def test_contour_too_close():
-    with pytest.raises(ContourTooCloseError):
-        contour_root_count(p("x1 - 1", 1), 1.0)
+    for text in ("x1 - 1", "x1^2 + 1", "x1 - 3/5 - 4/5*i", "x1^3 - x1^2"):
+        with pytest.raises(ContourTooCloseError):
+            contour_root_count(p(text, 1), 1.0)
 
 
-# ---------------------------------------------------------------------------
-# resultants
-# ---------------------------------------------------------------------------
+def test_contour_count_is_exact():
+    # |a0| = |a_d| (Schur-Cohn's singular case) with no root on the circle
+    assert contour_root_count(p("x1^2 - 5/2*x1 + 1", 1), 1.0) == 1
+    assert contour_root_count(p("x1^2 + 2*x1 - 1", 1), 1.0) == 1
+    assert contour_root_count(p("x1 - 999999999999/1000000000000", 1), 1.0) == 1
+    # Fraction(0.85) lies just below 17/20: the roots +-17/20 are outside
+    assert contour_root_count(p("x1^2 - 289/400", 1), 0.85) == 0
+    assert contour_root_count(p("x1^2 - 289/400", 1), 0.8500000000000001) == 2
+    assert contour_root_count(p("x1^4 - 4/5*x1^3", 1), 0.85) == 4
 
-def test_resultant_coeffs():
-    # exact coefficients are rounded once, correctly
-    got = _resultant_coeffs(p("-2743/8000000"), p("x1"), 0)
-    assert np.array_equal(got, [complex(float(Fraction(-2743, 8000000)), 0.0)])
-    # (x1 - 1) * (x1 + x2) and x2 * (x1 + x2) share a factor
-    assert _resultant_coeffs(p("x1^2 + x1*x2 - x1 - x2"), p("x1*x2 + x2^2"),
-                             0) is None
-    # the factor y^m is divided out exactly, before rounding: a root at
-    # 1e-7 survives, and no root is left at 0
-    got = _resultant_coeffs(p("x1^2 - 1/10000000*x1"), p("x2"), 1)
-    assert np.array_equal(got, [1, -1e-7])
-    assert np.array_equal(_resultant_coeffs(p("x1^3"), p("x2^2"), 0), [1])
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                min_size=2, max_size=9),
+       st.sampled_from([1.0, 0.5, 2.0, 0.85]))
+def test_contour_count_matches_numpy_roots(coeffs, radius):
+    """Away from the circle, floating-point roots decide the count safely."""
+    assume(any(a or b for a, b in coeffs[1:]))
+    poly = Polynomial(1, [((e,), Scalar(a, b)) for e, (a, b) in enumerate(coeffs)])
+    roots = np.roots([complex(a, b) for a, b in reversed(coeffs)])
+    assume(np.all(np.abs(np.abs(roots) - radius) >= 1e-3))
+    assert contour_root_count(poly, radius) == np.sum(np.abs(roots) < radius)
+
+
+def test_confirm_origin_only_zero():
+    # a common factor x1 + x2: the resultant vanishes identically
+    assert not confirm_origin_only_zero(p("x1^2 + x1*x2 - x1 - x2"),
+                                        p("x1*x2 + x2^2"), 1.0)
+    # resultants y^m alone: the origin's own factor is divided out exactly
+    assert confirm_origin_only_zero(p("x1^3"), p("x2^2"), 1.0)
+    assert not confirm_origin_only_zero(p("x1^2 - 1/10000000*x1"), p("x2"), 1.0)
+    # the other common zeros are (-4, -4) and its two rotations: outside
+    # the bidisk of radius 1, on the boundary of the closed one of radius 4
+    pair = p("x1 + 1/4*x2^2"), p("x2 + 1/4*x1^2")
+    assert confirm_origin_only_zero(*pair, 1.0)
+    assert confirm_origin_only_zero(*pair, 3.999999999999999)
+    assert not confirm_origin_only_zero(*pair, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +408,19 @@ def test_crofton_subspace_restriction():
     sub = VarietyRef.coordinate_subspace([2])
     assert crofton_moving_multiplicity([factor], sub, [0, 0, 0], CFG) == 1
     assert crofton_moving_multiplicity([factor], sub, [0, 0, 1], CFG) == 0
+
+
+def test_crofton_ignores_weights():
+    # positive weights do not change a Lelong number: a power-1 factor of
+    # order 2, and a power-2 factor whose Newton covolume is 2 * 5/2
+    whole = VarietyRef.whole_space()
+    for args, power, want in ((("x1^2", "x2^3"), 1, 2),
+                              (("x1^2", "x1*x2", "x2^3"), 2, 5)):
+        args = tuple(p(a) for a in args)
+        for weights in ((), (2, "1/3", 7)[:len(args)]):
+            factor = MovingFactor(args, power, weights)
+            assert crofton_moving_multiplicity([factor], whole, [0, 0],
+                                               CFG) == want, weights
 
 
 def test_crofton_higher_order_divisor():
