@@ -242,9 +242,11 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
 
     One generator shuffles ceil(54 / log2 b) - 1 permutations of the digits
     per prime base b, in order; coordinate k of point i sums the permuted
-    base-b digits of i, most significant weight first.  Once every index has
-    run out of digits, the remaining terms are one scalar for all points,
-    added in the same order, so the sums round the same."""
+    base-b digits of i, most significant weight first.  Invariant: each
+    point receives the same float additions in the same order, so the sums
+    round the same.  With m the number of digits of n - 1 and i = hi * b^h
+    + lo, h = ceil(m / 2), the low digits' sums are tabulated per lo, a high
+    digit's term per hi, and the digits past m add one scalar."""
     rng = np.random.default_rng(seed)
     u = np.empty((n, d))
     for k, base in enumerate(_primes(d)):
@@ -252,17 +254,19 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
                           math.ceil(54 / math.log2(base)) - 1, axis=0)
         for row in perms:
             rng.shuffle(row)
-        q = np.arange(n)
-        seq = np.zeros(n)
-        b2r = 1.0 / base
-        for row in perms:
-            if q.any():
-                seq += row[q % base] * b2r
-                q //= base
+        m = next(e for e in itertools.count() if base ** e >= n)
+        h = (m + 1) // 2
+        lo, hi = np.arange(base ** h), np.arange(-(-n // base ** h))[:, None]
+        seq, b2r = np.zeros(base ** h), 1.0 / base
+        for j, row in enumerate(perms):
+            if j < h:
+                seq += row[lo // base ** j % base] * b2r
+            elif j < m:  # broadcasts the table over the high digits
+                seq = seq + row[hi // base ** (j - h) % base] * b2r
             else:
                 seq += row[0] * b2r
             b2r /= base
-        u[:, k] = seq
+        u[:, k] = seq.reshape(-1)[:n]
     return u
 
 
@@ -290,18 +294,28 @@ def _disk_samples(cfg: RegConfig, coords, center=None):
     return z, weight
 
 
+def _is_scalar_zero(x) -> bool:
+    return np.ndim(x) == 0 and x == 0
+
+
 def _batch_minor_dets(jac, rows, cols):
     """Determinant of the (rows x cols) submatrix per sample, by Laplace
     expansion along the first row (np.linalg.det is far slower on stacks of
-    small matrices)."""
+    small matrices).  An entry or minor that is the scalar 0 adds no term;
+    with no term left, the determinant is the scalar 0."""
     if len(rows) == 1:
         return jac[rows[0]][cols[0]]
     acc = None
     for j, c in enumerate(cols):
-        t = jac[rows[0]][c] * _batch_minor_dets(jac, rows[1:],
-                                                cols[:j] + cols[j + 1:])
-        acc = t if acc is None else acc - t if j % 2 else acc + t
-    return acc
+        if _is_scalar_zero(jac[rows[0]][c]):
+            continue
+        minor = _batch_minor_dets(jac, rows[1:], cols[:j] + cols[j + 1:])
+        if _is_scalar_zero(minor):
+            continue
+        t = jac[rows[0]][c] * minor
+        acc = (-t if j % 2 else t) if acc is None else \
+            acc - t if j % 2 else acc + t
+    return 0.0 if acc is None else acc
 
 
 def _require_finite(density, z):
@@ -358,7 +372,9 @@ def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
     g2 = np.zeros(len(z))
     for v in vals:
         g2 += np.abs(v) ** 2
-    jac = [[p.differentiate(j).eval_array(z) for j in range(N)] for p in G]
+    # a derivative that vanishes identically stays the scalar 0 (no term)
+    jac = [[0.0 if (d := p.differentiate(j)).is_zero() else d.eval_array(z)
+            for j in range(N)] for p in G]
     out = []
     for k in ks:
         density = np.zeros(len(z))
@@ -422,7 +438,9 @@ def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
     rows = [p.substitute_one(n + chart).map_variables(safe_mapping, N)
             for p in _lift_entries(g)]
     vals = [p.eval_array(z) for p in rows]
-    grads = [[p.differentiate(a).eval_array(z) for a in range(N)] for p in rows]
+    # {a: d_a row}: a derivative that vanishes identically adds no term
+    grads = [{a: d.eval_array(z) for a in range(N)
+              if not (d := p.differentiate(a)).is_zero()} for p in rows]
     Q = np.zeros(len(z))
     for v in vals:
         Q += np.abs(v) ** 2
@@ -431,7 +449,7 @@ def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
         P += np.abs(z[:, a]) ** 2
     inv = 1.0 / P
     g2 = Q * inv
-    DQ = [sum(grads[i][a] * np.conj(vals[i]) for i in range(len(rows)))
+    DQ = [sum(gr[a] * np.conj(v) for gr, v in zip(grads, vals) if a in gr)
           for a in range(N)]
     # P depends on the fiber coordinates u alone: with w_b = u_b / P,
     # d_a dbar_b log P = (delta_ab - conj(w_a) w_b) / P there, and every
@@ -441,8 +459,8 @@ def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
     Hlog = [[0.0] * N for _ in range(N)]
     for a in range(N):
         for b in range(a, N):  # both Hessians are Hermitian
-            h = sum(grads[i][a] * np.conj(grads[i][b])
-                    for i in range(len(rows))) * inv
+            h = sum(gr[a] * np.conj(gr[b]) for gr in grads
+                    if a in gr and b in gr) * inv
             if b >= n:
                 h = h - DQ[a] * w[b] * inv
             if a >= n:
@@ -523,7 +541,8 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
             per = [(eps, coeff * val) for eps, val in table]
             per_eps_total += [val for _eps, val in per]
             stderr_total += coeff * np.array(stderrs)
-            details.append(MassEstimate(per[-1][1], 0.0, per, False, []))
+            details.append(MassEstimate(per[-1][1], coeff * stderrs[-1],
+                                        per, False, []))
     per_eps = [(eps, float(per_eps_total[i]))
                for i, eps in enumerate(cfg.epsilon_schedule)]
     mass = _limit(per_eps, list(stderr_total), cfg).value

@@ -633,19 +633,23 @@ def resultant(f1: Polynomial, f2: Polynomial, eliminate: int):
 
 def _sturm(a, b):
     """Sturm's signed remainder sequence a, b, -rem(a, b), ... of real
-    polynomials (ascending Fraction lists, a != 0 without trailing zeros):
+    polynomials (ascending integer lists, a != 0 without trailing zeros):
     the Cauchy index of b/a over the real line, V(-oo) - V(+oo), and the
-    sequence's last entry, a multiple of gcd(a, b)."""
+    sequence's last entry, a multiple of gcd(a, b).  Each remainder is
+    taken in integers, times |lc(b)|^(deg a - deg b + 1) and over its
+    content: positive factors, so no sign in the sequence changes."""
     seq = [a]
     while any(b):
         while not b[-1]:
             b = b[:-1]
-        r = a
+        r, lead, sign = a, abs(b[-1]), 1 if b[-1] > 0 else -1
         while len(r) >= len(b):  # a zero leading term just drops
-            f, s = r[-1] / b[-1], len(r) - len(b)
-            r = r[:s] + [c - f * e for c, e in zip(r[s:-1], b)]
+            f, s = sign * r[-1], len(r) - len(b)
+            r = [lead * c for c in r[:s]] + [lead * c - f * e
+                                             for c, e in zip(r[s:-1], b)]
+        content = math.gcd(*r) or 1
         seq.append(b)
-        a, b = b, [-c for c in r]
+        a, b = b, [-c // content for c in r]
     var = [sum(u != v for u, v in zip(s, s[1:])) for s in
            ([x ** (len(p) - 1) * (1 if p[-1] > 0 else -1) for p in seq]
             for x in (-1, 1))]
@@ -678,8 +682,8 @@ def disk_root_count(coeffs, radius) -> Optional[int]:
     u, v = q[-1]
     if not (u or v):
         return None
-    re = [Fraction(x * u + y * v) for x, y in q]
-    im = [Fraction(y * u - x * v) for x, y in q]
+    re = [x * u + y * v for x, y in q]
+    im = [y * u - x * v for x, y in q]
     index, g = _sturm(re, im)
     if _sturm(g, [k * c for k, c in enumerate(g)][1:])[0]:
         return None  # the Cauchy index of g'/g counts g's real roots

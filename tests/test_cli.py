@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -40,6 +41,9 @@ OVERFLOW_SPECS = (
      "reg": {"radius": 10.0}},
     {"variables": ["x1", "x2"], "matrix": [["x1^2", "x2"]],
      "reg": {"radius": 1e200}},
+    {"variables": ["x1"],
+     "matrix": [["x1^200", "0", "0"], ["0", "x1", "0"], ["0", "0", "x1^2"]],
+     "reg": {"radius": 10.0, "samples": 4096}},
 )
 
 
@@ -283,6 +287,38 @@ def test_mass_command(tmp_path):
     rep = json.loads(out.read_text())
     mb = rep["results"]["mass_balance"]
     assert mb["det_count"] == 3 and mb["pass"]
+
+
+# one spec per mass class, and the sha256 of its report re-encoded by
+# json.dumps(indent=2) without "versions" and without the mass-balance
+# details' "stderr"; pinned before the mass oracles skipped their
+# identically zero terms, which must leave every other byte as it was
+MASS_SPECS = {
+    "balance2": ({"variables": ["x1"], "matrix": [["x1^2", "0"], ["0", "x1^3"]],
+                  "reg": {"seed": 11, "samples": 4096}},
+                 "38f4c5cd29b6f922c37de31b461b65040ad0f87ac38d2c8cd68bd522113f3ef9"),
+    "balance3": ({"variables": ["x1"],
+                  "matrix": [["x1^2", "0", "0"], ["0", "x1", "0"],
+                             ["0", "0", "x1^3"]],
+                  "reg": {"seed": 12, "samples": 4096}},
+                 "07bf7b3a83c639ed5d265fce2c8da34515856294bbdacc1184ede2c600116b1f"),
+    "eps_table": ({"variables": ["x1", "x2"],
+                   "matrix": [["x1^2 - 3/4*x2^3", "x2^2"]],
+                   "reg": {"seed": 13, "samples": 4096}},
+                  "f102cf8be9cee6dbc231f30ca880397fcef768ea3d60f4ce4786012c45317348"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASS_SPECS))
+def test_mass_report_pinned(tmp_path, capsys, name):
+    spec, digest = MASS_SPECS[name]
+    assert main(["mass", write_spec(tmp_path, spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["versions"]
+    for detail in report["results"].get("mass_balance", {}).get("detail", []):
+        assert detail.pop("stderr") > 0
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cli_subprocess_entry():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -96,11 +97,13 @@ def test_disk_samples_match_chart_reference(radius, ncomplex, samples):
     assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
 
 
-@pytest.mark.parametrize("d", [2, 4, 6, 8])
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 12])
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
 def test_halton_matches_scipy(d, seed):
     qmc = pytest.importorskip("scipy.stats.qmc")
-    for n in (16, 1000, 40000):
+    # the sizes around powers of 2 and 3 move the split between tabulated
+    # low digits and broadcast high digits
+    for n in (16, 17, 243, 244, 1000, 1024, 1025, 6561, 6562, 40000):
         ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
         assert np.array_equal(_halton(d, n, seed), ref), n
 
@@ -529,6 +532,43 @@ def test_wedges_match_permutation_sum(N):
     for j in range(N):
         assert _close(got[j], _wedge_coeff_reference([A] * (j + 1)
                                                      + [B] * (N - 1 - j)))
+
+
+def _laplace_reference(jac, rows, cols):
+    """_batch_minor_dets before it skipped scalar-0 terms, kept verbatim as
+    the reference."""
+    if len(rows) == 1:
+        return jac[rows[0]][cols[0]]
+    acc = None
+    for j, c in enumerate(cols):
+        t = jac[rows[0]][c] * _laplace_reference(jac, rows[1:],
+                                                 cols[:j] + cols[j + 1:])
+        acc = t if acc is None else acc - t if j % 2 else acc + t
+    return acc
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_wedges_skip_scalar_zero_rows_exactly(N):
+    """B shaped like the log P Hessian: its base row and column are the
+    scalar 0.  The skipped terms are exact zeros, so every bit stays."""
+    rng = np.random.default_rng(10 + N)
+
+    def stack():
+        return [[rng.normal(size=300) + 1j * rng.normal(size=300)
+                 for _ in range(N)] for _ in range(N)]
+
+    A, B = stack(), stack()
+    B[0] = [0.0] * N
+    for a in range(1, N):
+        B[a][0] = np.conj(0.0)
+    full = tuple(range(N))
+    got = _wedges(A, B)
+    for j in full:
+        ref = sum(_laplace_reference([A[a] if a in S else B[a] for a in full],
+                                     full, full)
+                  for S in itertools.combinations(full, j + 1))
+        assert np.array_equal(got[j], ref * (math.factorial(j + 1)
+                                             * math.factorial(N - 1 - j)))
 
 
 def _chart_hessians_reference(g, chart, z):

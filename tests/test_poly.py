@@ -1,12 +1,14 @@
 import itertools
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from segre_kit import poly
 from segre_kit.errors import InputError, ParseError
 from segre_kit.poly import (
     PolyMatrix,
@@ -16,6 +18,8 @@ from segre_kit.poly import (
     determinant_and_minors,
     format_polynomial,
     _gauss_det,
+    _sturm,
+    disk_root_count,
     parse_polynomial,
     resultant,
     strip_common_factor,
@@ -288,6 +292,56 @@ def resultant_pairs(draw):
 def test_resultant_matches_reference(case):
     f1, f2, eliminate = case
     assert resultant(f1, f2, eliminate) == reference_resultant(f1, f2, eliminate)
+
+
+def _sturm_reference(a, b):
+    """poly._sturm over Fractions, before its integer pseudo-remainders,
+    kept verbatim as the reference."""
+    seq = [a]
+    while any(b):
+        while not b[-1]:
+            b = b[:-1]
+        r = a
+        while len(r) >= len(b):  # a zero leading term just drops
+            f, s = r[-1] / b[-1], len(r) - len(b)
+            r = r[:s] + [c - f * e for c, e in zip(r[s:-1], b)]
+        seq.append(b)
+        a, b = b, [-c for c in r]
+    var = [sum(u != v for u, v in zip(s, s[1:])) for s in
+           ([x ** (len(p) - 1) * (1 if p[-1] > 0 else -1) for p in seq]
+            for x in (-1, 1))]
+    return var[0] - var[1], seq[-1]
+
+
+def _fraction_sturm(a, b):
+    return _sturm_reference([Fraction(c) for c in a], [Fraction(c) for c in b])
+
+
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=9),
+       st.lists(st.integers(-30, 30), max_size=9))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sturm_matches_fraction_reference(a, b):
+    """Same Cauchy index, and a last entry that differs by a positive factor."""
+    assume(a[-1])
+    index, g = _sturm(a, b)
+    ref_index, ref_g = _fraction_sturm(a, b)
+    assert index == ref_index
+    ratio = Fraction(g[-1]) / ref_g[-1]
+    assert ratio > 0 and [Fraction(c) for c in g] == [ratio * c for c in ref_g]
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                min_size=1, max_size=9),
+       st.sampled_from([1.0, 0.85, Fraction(3, 7)]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_disk_root_count_matches_fraction_sturm(coeffs, radius):
+    """Gaussian-integer polynomials of degree <= 8, also at radii whose
+    Fraction has a large denominator (0.85 has 2^53)."""
+    assume(any(a or b for a, b in coeffs))
+    cs = [Scalar(a, b) for a, b in coeffs]
+    with mock.patch.object(poly, "_sturm", _fraction_sturm):
+        ref = disk_root_count(cs, radius)
+    assert disk_root_count(cs, radius) == ref
 
 
 def leibniz_det(rows):
