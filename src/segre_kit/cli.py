@@ -136,11 +136,15 @@ def load_spec(data: dict) -> MorphismSpec:
 
 def read_spec_file(path: str) -> MorphismSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno,
                          column=exc.colno)
+    except (ValueError, RecursionError) as exc:
+        # text that is not UTF-8, an integer past the int-digit limit, or
+        # nesting past the recursion limit
+        raise ParseError(f"invalid JSON: {exc}")
     except OSError as exc:
         raise ParseError(str(exc))
     return load_spec(data)

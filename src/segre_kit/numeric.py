@@ -7,6 +7,8 @@ with unit mass, and the (dd^c|G|^2)^k density against Lebesgue measure is
 
 Every routine is deterministic given its seed; sample accumulation is blocked
 so the error estimate and the reduction order do not depend on chunking.
+numpy is imported inside the functions that use arrays, so importing this
+module, and any exact-engine run, never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from segre_kit.cycles import (
     MovingFactor,
@@ -126,6 +126,8 @@ def _richardson(per_eps, stderrs, order: int):
     Each point is weighted by its statistical error plus a truncation model
     ~ eps^{2*order}, so noisy small-eps values and curved large-eps values
     both lose influence; returns (value, stderr, warnings)."""
+    import numpy as np
+
     warnings = []
     vals = np.array([v for _, v in per_eps])
     eps = np.array([e ** order for e, _ in per_eps])
@@ -247,6 +249,8 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     round the same.  With m the number of digits of n - 1 and i = hi * b^h
     + lo, h = ceil(m / 2), the low digits' sums are tabulated per lo, a high
     digit's term per hi, and the digits past m add one scalar."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     u = np.empty((n, d))
     for k, base in enumerate(_primes(d)):
@@ -275,6 +279,8 @@ def _disk_samples(cfg: RegConfig, coords, center=None):
     complex coordinate: the modulus is drawn as radius * u^power (power 1/2
     is uniform; larger powers concentrate toward the center, with exact
     weights).  Returns (points, weights) with integral f dV = mean(f * weights)."""
+    import numpy as np
+
     u = _halton(2 * len(coords), cfg.samples, cfg.seed)
     z = np.empty((cfg.samples, len(coords)), dtype=complex)
     weight = np.ones(cfg.samples)
@@ -295,6 +301,8 @@ def _disk_samples(cfg: RegConfig, coords, center=None):
 
 
 def _is_scalar_zero(x) -> bool:
+    import numpy as np
+
     return np.ndim(x) == 0 and x == 0
 
 
@@ -319,6 +327,8 @@ def _batch_minor_dets(jac, rows, cols):
 
 
 def _require_finite(density, z):
+    import numpy as np
+
     if not np.all(np.isfinite(density)):
         bad = int(np.argmax(~np.isfinite(density)))
         raise NumericalFailureError("non-finite integrand sample",
@@ -328,6 +338,8 @@ def _require_finite(density, z):
 def _epsilon_table(g2, density, weight, power, cfg: RegConfig):
     """Per-epsilon blocked sample means of eps/(g2+eps)^power * density *
     weight and their standard errors (over _BLOCKS equal blocks)."""
+    import numpy as np
+
     per_eps, stderrs = [], []
     for eps in cfg.epsilon_schedule:
         values = eps / (g2 + eps) ** power * density * weight
@@ -347,7 +359,6 @@ def _limit(per_eps, stderrs, cfg: RegConfig) -> MassEstimate:
     return MassEstimate(per_eps[-1][1], stderrs[-1], per_eps, False, [])
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
                  cfg: Optional[RegConfig] = None,
                  center=None) -> List[MassEstimate]:
@@ -359,6 +370,8 @@ def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
     polydisk (the mass then converges to the local intersection count).
     Below the zero set's codimension the limit is 0 but the epsilon-tail is of
     fractional order; tune ``extrapolation_order`` for those regimes."""
+    import numpy as np
+
     cfg = cfg or RegConfig()
     G = [p for p in G]
     N = G[0].nvars
@@ -367,31 +380,32 @@ def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
     ks = list(ks)
     if not ks or not all(1 <= k <= N for k in ks):
         raise InputError(f"degrees k = {ks} must be a nonempty list in 1..{N}")
-    z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N, center)
-    vals = [p.eval_array(z) for p in G]
-    g2 = np.zeros(len(z))
-    for v in vals:
-        g2 += np.abs(v) ** 2
-    # a derivative that vanishes identically stays the scalar 0 (no term)
-    jac = [[0.0 if (d := p.differentiate(j)).is_zero() else d.eval_array(z)
-            for j in range(N)] for p in G]
-    out = []
-    for k in ks:
-        density = np.zeros(len(z))
-        for rows in itertools.combinations(range(len(G)), k):
-            for cols in itertools.combinations(range(N), k):
-                density += np.abs(_batch_minor_dets(jac, rows, cols)) ** 2
-        density *= math.factorial(k) / math.pi ** k
-        _require_finite(density, z)
-        if np.any(density < 0):
-            raise NumericalFailureError(
-                "negative integrand sample in epsilon_mass")
-        out.append(_limit(*_epsilon_table(g2, density, weight, k + 1, cfg),
-                          cfg))
-    if not np.any(g2 <= cfg.epsilon_schedule[-1]):
-        for est in out:
-            est.warnings.append("no sample has |G|^2 <= the smallest epsilon: "
-                                "the samples miss the zero set")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N, center)
+        vals = [p.eval_array(z) for p in G]
+        g2 = np.zeros(len(z))
+        for v in vals:
+            g2 += np.abs(v) ** 2
+        # a derivative that vanishes identically stays the scalar 0 (no term)
+        jac = [[0.0 if (d := p.differentiate(j)).is_zero() else d.eval_array(z)
+                for j in range(N)] for p in G]
+        out = []
+        for k in ks:
+            density = np.zeros(len(z))
+            for rows in itertools.combinations(range(len(G)), k):
+                for cols in itertools.combinations(range(N), k):
+                    density += np.abs(_batch_minor_dets(jac, rows, cols)) ** 2
+            density *= math.factorial(k) / math.pi ** k
+            _require_finite(density, z)
+            if np.any(density < 0):
+                raise NumericalFailureError(
+                    "negative integrand sample in epsilon_mass")
+            out.append(_limit(*_epsilon_table(g2, density, weight, k + 1, cfg),
+                              cfg))
+        if not np.any(g2 <= cfg.epsilon_schedule[-1]):
+            for est in out:
+                est.warnings.append("no sample has |G|^2 <= the smallest "
+                                    "epsilon: the samples miss the zero set")
     return out
 
 
@@ -419,6 +433,8 @@ def _wedges(A, B):
 def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
     """Hessian-entry arrays of |G|^2 = Q/P and of log P on the chart
     alpha_chart = 1, with coordinates (x, u_1..u_{r-1})."""
+    import numpy as np
+
     n, r = g.nvars, g.cols
     N = n + r - 1
     # map ambient (x, alpha) -> chart coords: alpha_chart = 1, others to u slots
@@ -490,13 +506,14 @@ class MassBalanceResult:
                 "detail": [m.to_record() for m in self.detail]}
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
                        ) -> MassBalanceResult:
     """Compare the fiber-integrated epsilon-mass of the degree-1 current of a
     square matrix over the disk against the exact count of the zeros of
     det g in it (``contour_root_count``); while a zero lies exactly on the
     circle, the radius shrinks by the factor 0.85 (six tries at most)."""
+    import numpy as np
+
     from segre_kit.poly import determinant
 
     cfg = cfg or RegConfig()
@@ -521,31 +538,34 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
     r = g.cols
     N = 1 + (r - 1)
     run_cfg = cfg.replace(radius=radius) if radius != cfg.radius else cfg
-    per_eps_total = np.zeros(len(cfg.epsilon_schedule))
-    stderr_total = np.zeros(len(cfg.epsilon_schedule))
-    details = []
-    # the base coordinate over the disk of the contour radius, radially
-    # concentrated; the fiber chart coordinates uniform over unit disks (the
-    # a.e. partition of P^{r-1} by max-modulus charts)
-    z, weight = _disk_samples(run_cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
-    for chart in range(r):
-        Hf, Hlog, g2 = _chart_hessians(g, chart, z)
-        for j, wedge in enumerate(_wedges(Hf, Hlog)):
-            wedge = wedge / (2 * math.pi) ** N
-            if np.max(np.abs(wedge.imag)) > 1e-6 * (1 + np.max(np.abs(wedge.real))):
-                raise NumericalFailureError("wedge coefficient not real")
-            density = wedge.real * 2 ** N
-            _require_finite(density, z)
-            coeff = math.comb(r, j + 1)
-            table, stderrs = _epsilon_table(g2, density, weight, j + 2, cfg)
-            per = [(eps, coeff * val) for eps, val in table]
-            per_eps_total += [val for _eps, val in per]
-            stderr_total += coeff * np.array(stderrs)
-            details.append(MassEstimate(per[-1][1], coeff * stderrs[-1],
-                                        per, False, []))
-    per_eps = [(eps, float(per_eps_total[i]))
-               for i, eps in enumerate(cfg.epsilon_schedule)]
-    mass = _limit(per_eps, list(stderr_total), cfg).value
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        per_eps_total = np.zeros(len(cfg.epsilon_schedule))
+        stderr_total = np.zeros(len(cfg.epsilon_schedule))
+        details = []
+        # the base coordinate over the disk of the contour radius, radially
+        # concentrated; the fiber chart coordinates uniform over unit disks
+        # (the a.e. partition of P^{r-1} by max-modulus charts)
+        z, weight = _disk_samples(run_cfg,
+                                  [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
+        for chart in range(r):
+            Hf, Hlog, g2 = _chart_hessians(g, chart, z)
+            for j, wedge in enumerate(_wedges(Hf, Hlog)):
+                wedge = wedge / (2 * math.pi) ** N
+                if np.max(np.abs(wedge.imag)) > \
+                        1e-6 * (1 + np.max(np.abs(wedge.real))):
+                    raise NumericalFailureError("wedge coefficient not real")
+                density = wedge.real * 2 ** N
+                _require_finite(density, z)
+                coeff = math.comb(r, j + 1)
+                table, stderrs = _epsilon_table(g2, density, weight, j + 2, cfg)
+                per = [(eps, coeff * val) for eps, val in table]
+                per_eps_total += [val for _eps, val in per]
+                stderr_total += coeff * np.array(stderrs)
+                details.append(MassEstimate(per[-1][1], coeff * stderrs[-1],
+                                            per, False, []))
+        per_eps = [(eps, float(per_eps_total[i]))
+                   for i, eps in enumerate(cfg.epsilon_schedule)]
+        mass = _limit(per_eps, list(stderr_total), cfg).value
     passed = bool(abs(mass - det_count) < 0.1)
     return MassBalanceResult(float(mass), det_count, passed, radius, details)
 
@@ -555,6 +575,8 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
 # ---------------------------------------------------------------------------
 
 def _rationalized_unit(rng, dim: int):
+    import numpy as np
+
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     den = 1 << 16
@@ -622,33 +644,35 @@ def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
             return 0  # residue-free power above the top level vanishes
         rfactors.append(MovingFactor(tuple(args), f.power, f.weights, f.averaged))
     j_total = sum(f.power for f in rfactors)
+    if j_total != 1 and (j_total, nprime) != (2, 2):
+        raise UndecidedError(f"no oracle rule for total slice power {j_total} "
+                             f"in dimension {nprime}")
+    import numpy as np
 
     estimates = []
     for rep in range(3):
         rng = np.random.default_rng(cfg.seed + 104729 * rep)
-        estimates.append(_one_crofton_estimate(rfactors, nprime, j_total, rng))
+        estimates.append(_one_crofton_estimate(rfactors, j_total, rng))
     if len(set(estimates)) != 1:
         raise UndecidedError(f"slice estimates did not stabilize: {estimates}",
                              diagnostics={"estimates": estimates})
     return estimates[0]
 
 
-def _one_crofton_estimate(rfactors, nprime, j_total, rng) -> int:
-    """One slice estimate of the multiplicity at the origin."""
+def _one_crofton_estimate(rfactors, j_total, rng) -> int:
+    """One slice estimate of the multiplicity at the origin; a total power
+    other than 1 is 2 in dimension 2 (the caller checks the rule)."""
     if j_total == 1:
         s = _slice_poly(rfactors[0], _rationalized_unit(rng, len(rfactors[0].args)))
         if s.is_zero():
             raise UndecidedError("the slice vanishes identically")
         return min(map(sum, s.terms))  # the slice's vanishing order at 0
-    if j_total == 2 and nprime == 2:
-        slices = []
-        for f in rfactors:
-            for _ in range(f.power):
-                slices.append(_slice_poly(f, _rationalized_unit(rng, len(f.args))))
-        count = perturbation_root_count(slices)
-        for f in rfactors:
-            if f.power == len(f.args) == 2:
-                count -= perturbation_root_count(f.args)
-        return count
-    raise UndecidedError(
-        f"no oracle rule for total slice power {j_total} in dimension {nprime}")
+    slices = []
+    for f in rfactors:
+        for _ in range(f.power):
+            slices.append(_slice_poly(f, _rationalized_unit(rng, len(f.args))))
+    count = perturbation_root_count(slices)
+    for f in rfactors:
+        if f.power == len(f.args) == 2:
+            count -= perturbation_root_count(f.args)
+    return count

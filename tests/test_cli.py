@@ -153,6 +153,20 @@ def test_exit_codes(tmp_path):
     broken.write_text("{oops")
     assert main(["run", str(broken)]) == 2
 
+    # files the JSON decoder cannot read: not UTF-8, nested past the
+    # recursion limit, an integer past the int-digit limit (Python >= 3.11)
+    unreadable = {"latin1.json": '{"variables": ["\xe9"]}'.encode("latin-1"),
+                  "deep.json": b"[" * 100000 + b"]" * 100000}
+    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
+        seed = "1" + "0" * sys.get_int_max_str_digits()
+        unreadable["digits.json"] = json.dumps(
+            {**DIAG2_SPEC, "reg": {"seed": 0}}).replace(
+            '"seed": 0', f'"seed": {seed}').encode()
+    for name, data in unreadable.items():
+        (tmp_path / name).write_bytes(data)
+        for command in ("run", "mass"):
+            assert main([command, str(tmp_path / name)]) == 2, name
+
     bad_poly = write_spec(tmp_path, {**DIAG2_SPEC, "matrix": [["x1", "+"], ["0", "x2"]]},
                           "badpoly.json")
     assert main(["run", bad_poly]) == 2

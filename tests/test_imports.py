@@ -2,8 +2,9 @@
 every private module-level helper is referenced somewhere in the package (no
 linter runs on the package, and deletions tend to leave strays behind), the
 third-party modules the package imports are exactly its declared
-dependencies, the mass command runs without importing scipy, and every
-function the benchmark's tracer wraps by name exists."""
+dependencies, the mass command runs without importing scipy, the exact
+engine without importing numpy and the numeric paths load numpy when they
+need it, and every function the benchmark's tracer wraps by name exists."""
 
 import ast
 import importlib
@@ -105,6 +106,14 @@ def test_third_party_modules_found_in_function_bodies():
     assert third_party_modules(source) == {"numpy", "scipy"}
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Runs ``code`` in a new interpreter that imports segre_kit from SRC."""
+    return subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n{code}"],
+        capture_output=True, text=True)
+
+
 MASS_SPECS = {
     "mass_balance": {"variables": ["x1"], "matrix": [["x1^2", "0"], ["0", "x1"]]},
     "epsilon_mass": {"variables": ["x1", "x2"], "matrix": [["x1", "x2"]]},
@@ -115,14 +124,79 @@ MASS_SPECS = {
 def test_mass_command_does_not_import_scipy(tmp_path, kind):
     spec, out = tmp_path / "spec.json", tmp_path / "out.json"
     spec.write_text(json.dumps({**MASS_SPECS[kind], "reg": {"samples": 1000}}))
-    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r})\n"
-            "from segre_kit import cli\n"
-            f"assert cli.main(['mass', {str(spec)!r}, '--out', {str(out)!r}]) == 0\n"
-            "assert 'scipy' not in sys.modules\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+    proc = run_fresh(
+        "from segre_kit import cli\n"
+        f"assert cli.main(['mass', {str(spec)!r}, '--out', {str(out)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules and 'numpy' in sys.modules\n")
     assert proc.returncode == 0, proc.stderr
     assert kind in json.loads(out.read_text())["results"]
+
+
+# exact runs, with their exit code and stderr: every task of the exact engine
+# with the moving term decided by its exact rule, and a power-2 moving term in
+# dimension 3 that no oracle rule covers
+EXACT_RUNS = {
+    "tasks": ({"variables": ["x1", "x2", "x3"],
+               "matrix": [["x1*x3", "x2*x3", "x3^2"]],
+               "points": [["0", "0", "0"], ["1", "0", "0"]],
+               "tasks": ["Mg", "segre", "distinguished", "singular_metrics"]},
+              0, ""),
+    "no_oracle_rule": (
+        {"variables": ["x1", "x2", "x3", "x4"],
+         "matrix": [["3*x1*x4", "0", "0"], ["0", "3*x1*x3^2", "0"],
+                    ["0", "0", "x1*x2"]],
+         "points": [["0", "0", "0", "0"]]},
+        4, "undecided: no oracle rule for total slice power 2 in dimension 3\n"),
+}
+
+
+@pytest.mark.parametrize("kind", ["import", *sorted(EXACT_RUNS)])
+def test_exact_path_does_not_import_numpy(tmp_path, kind):
+    code = "import segre_kit\n"
+    if kind != "import":
+        data, exit_code, stderr = EXACT_RUNS[kind]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        code = ("from segre_kit import cli\n"
+                f"code = cli.main(['run', {str(spec)!r}, '--out', "
+                f"{str(tmp_path / 'out.json')!r}])\n"
+                f"assert code == {exit_code}, code\n")
+    proc = run_fresh(code + "assert 'numpy' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+    if kind != "import":
+        assert proc.stderr == stderr
+
+
+# numeric paths beside the mass command; SPEC holds the row (x1, x2) with a
+# point at the origin
+NUMERIC_CALLS = {
+    "run_engine_both": (
+        "import json\n"
+        "from segre_kit import cli\n"
+        "assert cli.main(['run', SPEC, '--engine', 'both', '--out', OUT]) == 0\n"
+        "rows = json.load(open(OUT))['results']['comparison']\n"
+        "assert rows and all(row['agree'] for row in rows), rows\n"),
+    "crofton": (
+        "from segre_kit import MovingFactor, VarietyRef, parse_polynomial\n"
+        "from segre_kit import crofton_moving_multiplicity\n"
+        "f = MovingFactor((parse_polynomial('x1', 2),\n"
+        "                  parse_polynomial('x2^2', 2)), 1)\n"
+        "assert crofton_moving_multiplicity(\n"
+        "    [f], VarietyRef.whole_space(), [0, 0]) == 1\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NUMERIC_CALLS))
+def test_numeric_paths_load_numpy_on_demand(tmp_path, kind):
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    spec.write_text(json.dumps({"variables": ["x1", "x2"],
+                                "matrix": [["x1", "x2"]],
+                                "points": [["0", "0"]],
+                                "reg": {"samples": 1000}}))
+    proc = run_fresh(f"SPEC, OUT = {str(spec)!r}, {str(out)!r}\n"
+                     "assert 'numpy' not in sys.modules\n"
+                     + NUMERIC_CALLS[kind] + "assert 'numpy' in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
 
 
 def traced_names(source: str):
