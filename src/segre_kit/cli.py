@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from json.encoder import INFINITY, encode_basestring_ascii
 from typing import List, Optional
 
 from segre_kit import __version__
@@ -192,7 +193,7 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
     if "distinguished" in spec.tasks and res is not None:
         base = res.M[0].space
         results["distinguished"] = [
-            {"equations": [str(q) for q in ref.equations(base)],
+            {"equations": ref.equations(base),
              "coefficient": co, "codim": k}
             for ref, co, k in res.distinguished]
     if "Ma" in spec.tasks:
@@ -512,8 +513,49 @@ def run_mass(spec: MorphismSpec) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _json_text(value, indent: str = "") -> str:
+    """The text ``json.dumps(value, indent=2)`` gives, without the
+    pure-Python encoder that ``indent`` selects: strings go through the same
+    C escaper, numbers through ``int.__repr__`` and ``float.__repr__``.
+    Dict keys are str, int, float, bool or None, as ``json.dumps`` needs."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == INFINITY:
+            return "Infinity"
+        if value == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{\n" + inner + sep.join(
+            encode_basestring_ascii(k if isinstance(k, str) else _json_text(k))
+            + ": " + _json_text(v, inner) for k, v in value.items()) \
+            + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[\n" + inner + sep.join(_json_text(v, inner) for v in value) \
+            + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
 def _emit(report: dict, out_path: Optional[str]):
-    text = json.dumps(report, indent=2, sort_keys=False)
+    text = _json_text(report)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

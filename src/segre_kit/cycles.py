@@ -187,39 +187,41 @@ class VarietyRef:
             return ("fhyp", tuple(p.key() for p in self.hypersurface))
         raise InputError("key")
 
-    def equations(self, space: Space):
-        """Defining equations as polynomials in the ambient variables."""
-        nv = space.total_vars
+    def equations(self, space: Space, names=None) -> list:
+        """Defining equations as text in the ambient variable ``names``
+        (default ``space.var_names()``); a coordinate subspace's equations
+        are its vanishing variables' names."""
+        if names is None:
+            names = space.var_names()
         k = self.kind
         if k == VarietyKind.WHOLE_SPACE:
             return []
         if k == VarietyKind.COORDINATE_SUBSPACE:
-            eqs = [Polynomial.variable(nv, v) for v in sorted(self.base_zeros)]
-            eqs += [Polynomial.variable(nv, space.n + j)
-                    for j in sorted(self.fiber_zeros)]
-            return eqs
+            return [names[v] for v in sorted(self.base_zeros)] \
+                + [names[space.n + j] for j in sorted(self.fiber_zeros)]
+        nv = space.total_vars
         if k == VarietyKind.POINT:
-            return [Polynomial.variable(nv, v) - Polynomial.constant(nv, c)
-                    for v, c in enumerate(self.point)]
-        if k == VarietyKind.FIBER_HYPERSURFACE:
+            eqs = [Polynomial.variable(nv, v) - Polynomial.constant(nv, c)
+                   for v, c in enumerate(self.point)]
+        elif k == VarietyKind.FIBER_HYPERSURFACE:
             acc = Polynomial.zero(nv)
             for j, f in enumerate(self.hypersurface):
                 acc = acc + f.extend(nv) * Polynomial.variable(nv, space.n + j)
-            return [acc]
-        raise InputError("equations")
+            eqs = [acc]
+        else:
+            raise InputError("equations")
+        return [format_polynomial(q, names) for q in eqs]
 
     def describe(self, space: Space) -> str:
-        names = space.var_names()
         k = self.kind
         if k == VarietyKind.WHOLE_SPACE:
             return "X"
         if k == VarietyKind.COORDINATE_SUBSPACE:
-            vs = [names[v] for v in sorted(self.base_zeros)]
-            vs += [names[space.n + j] for j in sorted(self.fiber_zeros)]
-            return "[" + "=".join(vs) + "=0]"
+            return "[" + "=".join(self.equations(space)) + "=0]"
         if k == VarietyKind.POINT:
             return "[point (" + ", ".join(str(c) for c in self.point) + ")]"
         if k == VarietyKind.FIBER_HYPERSURFACE:
+            names = space.var_names()
             parts = []
             base_names = names[:space.n]
             for j, f in enumerate(self.hypersurface):
@@ -288,8 +290,7 @@ class MovingFactor:
             s += " (averaged)"
         return s
 
-    def to_record(self, space: Space):
-        names = space.var_names()
+    def to_record(self, names):
         rec = {"args": [format_polynomial(p, names) for p in self.args],
                "power": self.power}
         if self.weights:
@@ -329,17 +330,16 @@ class CycleTerm:
         coeff = "" if self.coefficient == 1 else f"{self.coefficient}*"
         return coeff + " ^ ".join(parts)
 
-    def to_record(self, space: Space):
-        names = space.var_names()
+    def to_record(self, space: Space, names):
+        """The term's record, with ``names`` = ``space.var_names()``."""
         return {
             "coefficient": str(self.coefficient),
             "fixed": {
                 "kind": self.fixed.kind.value,
-                "equations": [format_polynomial(q, names)
-                              for q in self.fixed.equations(space)],
+                "equations": self.fixed.equations(space, names),
             },
             "omega_power": self.omega_power,
-            "moving": [f.to_record(space) for f in self.moving],
+            "moving": [f.to_record(names) for f in self.moving],
             "bidegree": self.bidegree(space),
             "provenance": EXACT,
         }
@@ -428,8 +428,9 @@ class GeneralizedCycle:
         return f"<Cycle deg {self.degree} on {self.space.kind}: {self.describe()}>"
 
     def to_record(self):
+        names = self.space.var_names()
         return {"space": self.space.to_record(), "degree": self.degree,
-                "terms": [t.to_record(self.space) for t in self.terms]}
+                "terms": [t.to_record(self.space, names) for t in self.terms]}
 
 
 def _expand_terms(space: Space, terms):

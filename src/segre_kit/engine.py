@@ -95,7 +95,7 @@ class SegreReport:
             "point": [str(c) for c in self.point],
             "numbers": list(self.numbers),
             "distinguished": [
-                {"equations": [str(q) for q in ref.equations(self.space)],
+                {"equations": ref.equations(self.space),
                  "coefficient": int(co), "codim": k}
                 for ref, co, k in self.distinguished],
             "provenance": list(self.provenance),
@@ -155,7 +155,8 @@ def _verify_charts(entries, space: Space, global_ring):
             local_terms = {}
             for t in local:
                 ht = _homogenize_chart_term(t, space, chart)
-                local_terms[ht.key()] = local_terms.get(ht.key(), Fraction(0)) \
+                key = ht.key()
+                local_terms[key] = local_terms.get(key, Fraction(0)) \
                     + ht.coefficient
             global_visible = {}
             for t in global_ring[level].terms:

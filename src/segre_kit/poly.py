@@ -346,6 +346,16 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int(token: str, column: int) -> int:
+    """A digit token as an int; past the interpreter's int-digit limit it is
+    a ParseError at the token's column, not a ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(token)} digits is too long",
+                         column=column) from None
+
+
 class _Parser:
     def __init__(self, tokens, nvars, names):
         self.tokens = tokens
@@ -412,7 +422,7 @@ class _Parser:
                 e_tok, col = self.next()
                 if not e_tok.isdigit():
                     raise ParseError("exponent must be a decimal integer", column=col)
-                exp = int(e_tok)
+                exp = _int(e_tok, col)
             return Polynomial.monomial(
                 self.nvars, [exp if j == var else 0 for j in range(self.nvars)])
         col = self.tokens[self.i][1]
@@ -422,13 +432,14 @@ class _Parser:
         num_tok, col = self.next()
         if not num_tok.isdigit():
             raise ParseError("expected a number", column=col)
-        num = int(num_tok)
+        num = _int(num_tok, col)
         if self.peek() == "/":
             self.next()
             den_tok, col = self.next()
-            if not den_tok.isdigit() or int(den_tok) == 0:
+            den = _int(den_tok, col) if den_tok.isdigit() else 0
+            if den == 0:
                 raise ParseError("bad denominator", column=col)
-            return Fraction(num, int(den_tok))
+            return Fraction(num, den)
         return num
 
     def parse_complex(self) -> Scalar:

@@ -5,10 +5,11 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from segre_kit.cli import (
+    _json_text,
     load_spec,
     main,
     parse_scalar_text,
@@ -177,6 +178,17 @@ def test_exit_codes(tmp_path):
         path = write_spec(tmp_path, {**DIAG2_SPEC, **bad}, f"truncated{i}.json")
         assert main(["run", path, "--skip-numeric"]) == 2, bad
 
+    # integer literals past the int-digit limit (Python >= 3.11) in a matrix
+    # cell, a point coordinate and an exponent
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        big = "1" + "0" * 5000
+        for i, bad in enumerate(({"matrix": [[f"{big}*x1", "0"], ["0", "x2"]]},
+                                 {"points": [[big, "0"]]},
+                                 {"matrix": [[f"x1^{big}", "0"], ["0", "x2"]]})):
+            path = write_spec(tmp_path, {**DIAG2_SPEC, **bad}, f"digits{i}.json")
+            for command in ("run", "mass"):
+                assert main([command, path]) == 2, (command, i)
+
     # malformed specs and bad regularization values exit 2, never a traceback
     for i, bad in enumerate(({"reg": {"foo": 1}},
                              {"reg": {"chi_thresholds": [0.5, 0.75]}},
@@ -225,6 +237,9 @@ def test_parse_error_positions(tmp_path, capsys):
              ({"matrix": [["x1", "0"], ["0", "x2^y"]]},
               "exponent must be a decimal integer (column 4)"),
              ({"matrix": [["(1", "0"], ["0", "x2"]]}, "expected ')'")]
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        cases.append(({"points": [["1/2", "(1 + " + "7" * 5000 + "*i)"]]},
+                      "integer literal of 5000 digits is too long (column 6)"))
     for i, (bad, message) in enumerate(cases):
         path = write_spec(tmp_path, {**DIAG2_SPEC, **bad}, f"pos{i}.json")
         assert main(["run", path, "--skip-numeric"]) == 2
@@ -333,6 +348,70 @@ def test_mass_report_pinned(tmp_path, capsys, name):
         assert detail.pop("stderr") > 0
     text = json.dumps(report, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# one exact spec per report shape and the sha256 of its report without
+# "versions"; pinned while reports were still written by json.dumps, and
+# cli._json_text must leave every byte as it was
+EXACT_TASKS = ["Mg", "segre", "distinguished", "singular_metrics"]
+RUN_SPECS = {
+    "diag_monomial": ({"variables": ["x1", "x2", "x3"],
+                       "matrix": [["x1*x3", "0", "0"], ["0", "2*x2*x3", "0"],
+                                  ["0", "0", "x3^2"]],
+                       "points": [["0", "0", "0"], ["1", "0", "0"],
+                                  ["0", "-1", "0"]],
+                       "tasks": EXACT_TASKS},
+                      "f12cb3b08199634cb92016b16c97d363a5715a4972c0de8fc409e101d38dcdeb"),
+    "coprime_row": ({"variables": ["x1", "x2", "x3"],
+                     "matrix": [["x1^2*x3", "3*x2*x3"]],
+                     "points": [["0", "0", "0"], ["0", "2", "0"]],
+                     "tasks": EXACT_TASKS},
+                    "a60e0d56f7a009beeaea4b382bb0b5097885719c55346a5cc2fd18a4cc3149e6"),
+    "general_row_both": ({"variables": ["x1", "x2"],
+                          "matrix": [["x1^2 - 3/4*x2^3", "x1*x2^2"]],
+                          "engine": "both", "tasks": ["Ma"]},
+                         "fdd0de84620ff5ffb3fffb66e1456aa169bee42bdfe3c0676d4f5713dcc4c67e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SPECS))
+def test_run_report_pinned(tmp_path, capsys, name):
+    spec, digest = RUN_SPECS[name]
+    path = write_spec(tmp_path, spec)
+    out = tmp_path / "report.json"
+    assert main(["run", path]) == 0
+    text = capsys.readouterr().out
+    assert main(["run", path, "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+    del report["versions"]
+    text = json.dumps(report, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+JSON_STRINGS = st.text() | st.sampled_from(
+    ["", " ", "\ud800", "\udfff\ud800", "\x00\x1f\x7f\n\t", '"\\/', "\u00e9\u2211",
+     "\U0001f600"])
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-10 ** 300, 10 ** 300) | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0,
+                       5e-324, 1e16])
+    | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS | st.integers() | st.booleans() | st.none()
+                      | st.floats(), inner, max_size=4),
+    max_leaves=25)
+
+
+@given(value=REPORT_VALUES)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(value=[[], {}, (), {"a": [{}]}, [[()]]])
+@example(value={"x": True, "y": 1, "z": [False, 0, 10 ** 200, -0.0]})
+def test_report_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_cli_subprocess_entry():

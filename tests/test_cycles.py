@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from segre_kit.cycles import (
     GeneralizedCycle,
     MovingFactor,
+    VarietyKind,
     VarietyRef,
     base_space,
     fixed_moving_split,
@@ -16,7 +18,8 @@ from segre_kit.cycles import (
     wedge,
 )
 from segre_kit.errors import InputError, UndecidedError
-from segre_kit.poly import parse_polynomial
+from segre_kit.poly import Polynomial, format_polynomial, parse_polynomial
+from segre_kit.scalars import Scalar
 from segre_kit.tower import pushforward_cycle
 
 B2 = base_space(2)
@@ -225,3 +228,46 @@ def test_record_round_trip():
     ])
     rec = c.to_record()
     assert json.loads(json.dumps(rec)) == rec
+
+
+def _defining_polynomials(ref, space):
+    """The defining polynomials of ``ref`` in the ambient variables of
+    ``space``: the reference for ``VarietyRef.equations``."""
+    nv = space.total_vars
+    if ref.kind == VarietyKind.WHOLE_SPACE:
+        return []
+    if ref.kind == VarietyKind.COORDINATE_SUBSPACE:
+        return [Polynomial.variable(nv, v) for v in sorted(ref.base_zeros)] \
+            + [Polynomial.variable(nv, space.n + j)
+               for j in sorted(ref.fiber_zeros)]
+    if ref.kind == VarietyKind.POINT:
+        return [Polynomial.variable(nv, v) - Polynomial.constant(nv, c)
+                for v, c in enumerate(ref.point)]
+    acc = Polynomial.zero(nv)
+    for j, f in enumerate(ref.hypersurface):
+        acc = acc + f.extend(nv) * Polynomial.variable(nv, space.n + j)
+    return [acc]
+
+
+def test_equations_text_matches_formatted_polynomials():
+    hyp = VarietyRef.fiber_hypersurface(
+        (bp("x1 - 2*x2", 3), bp("0", 3), bp("i*x3^2 + 1/3", 3)))
+    base_refs = [
+        VarietyRef.whole_space(),
+        VarietyRef.coordinate_subspace([2, 0]),
+        VarietyRef.point_at([0, 0, 0]),
+        VarietyRef.point_at([Scalar(Fraction(1, 2)), Scalar(0, -1),
+                             Scalar(-3, 2)])]
+    proj_refs = base_refs + [VarietyRef.coordinate_subspace([1], [2, 0]),
+                             VarietyRef.coordinate_subspace([], [1]), hyp]
+    assert {ref.kind for ref in proj_refs} == set(VarietyKind)
+    for space, refs in ((B3, base_refs), (proj_space(3, 3), proj_refs)):
+        names = space.var_names()
+        for ref in refs:
+            expected = [format_polynomial(q, names)
+                        for q in _defining_polynomials(ref, space)]
+            assert ref.equations(space) == expected, (space, ref)
+            assert ref.equations(space, names) == expected
+    # a fiber hypersurface needs the fiber coordinates of the projectivization
+    with pytest.raises(InputError):
+        hyp.equations(B3)
