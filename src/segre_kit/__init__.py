@@ -5,8 +5,8 @@ The library computes the currents M^g_k attached to a polynomial matrix g
 fixed/moving decomposition, Segre numbers and distinguished varieties of the
 cokernel sheaf, the signed current M^a of the induced quotient morphism, and
 Segre/Chern forms of the associated singular metrics.  Exact results are
-produced for monomial-structured matrices; a seeded numerical engine
-cross-validates them and covers general inputs at desk scale.
+produced for monomial-structured matrices; seeded numeric oracles
+cross-validate them and estimate the masses of general inputs at desk scale.
 """
 
 from segre_kit.scalars import Scalar

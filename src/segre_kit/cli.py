@@ -1,8 +1,9 @@
 """Batch front end: parse a morphism spec file, run the requested engines,
 emit a JSON report, and run the built-in golden verification suite.
 
-Exit codes: 0 all checks pass, 1 golden/verify mismatch, 2 parse error,
-3 unsupported structure for the requested engine, 4 undecided numerics.
+Exit codes: 0 all checks pass, 1 golden/verify mismatch, 2 parse error or
+an unwritable --out, 3 structure unsupported by the exact engine, 4 undecided
+numerics.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from json.encoder import INFINITY, encode_basestring_ascii
 from typing import List, Optional
 
@@ -27,7 +29,6 @@ from segre_kit.cycles import (
     multiplicity_at,
 )
 from segre_kit.engine import (
-    _oracle_from_cfg,
     compute_Ma,
     compute_Mg,
     segre_numbers,
@@ -50,8 +51,8 @@ from segre_kit.numeric import (
 from segre_kit.poly import (
     PolyMatrix,
     Polynomial,
-    classify_structure,
     determinant,
+    is_variable_name,
     parse_polynomial,
 )
 from segre_kit.scalars import Scalar
@@ -98,6 +99,10 @@ def load_spec(data: dict) -> MorphismSpec:
             isinstance(v, str) for v in variables) \
             or len(set(variables)) != len(variables):
         raise ParseError("'variables' must be a list of distinct names")
+    for v in variables:
+        if not is_variable_name(v):
+            raise ParseError(f"variable {v!r} is not a name polynomial text "
+                             "can refer to (one identifier other than 'i')")
     n = len(variables)
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(isinstance(cell, str) for cell in row)
@@ -106,7 +111,7 @@ def load_spec(data: dict) -> MorphismSpec:
     matrix = PolyMatrix([[parse_polynomial(cell, n, variables) for cell in row]
                          for row in rows])
     engine = data.get("engine", "exact")
-    if engine not in ("exact", "numeric", "both"):
+    if engine not in ("exact", "both"):
         raise ParseError(f"unknown engine {engine!r}")
     raw_points = data.get("points", [])
     if not isinstance(raw_points, list) or not all(
@@ -174,21 +179,19 @@ def _report(input, results, checks, seed) -> dict:
 
 def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
     results, checks = {}, []
-    res = None
+    res = reports = None
     if any(t in spec.tasks for t in EXACT_TASKS):
-        if spec.engine == "numeric":
-            raise UnsupportedInputError(
-                f"tasks {'/'.join(EXACT_TASKS)} need the exact engine; run "
-                "with engine 'exact' or 'both'",
-                structure=classify_structure(spec.matrix).value)
         res = compute_Mg(spec.matrix)
+
+    def segre_reports():
+        cfg = None if skip_numeric else spec.reg
+        return [segre_numbers(spec.matrix, pt, cfg=cfg, result=res)
+                for pt in spec.points]
 
     if "Mg" in spec.tasks and res is not None:
         results["Mg"] = res.to_record()
     if "segre" in spec.tasks and res is not None:
-        cfg = None if skip_numeric else spec.reg
-        reports = [segre_numbers(spec.matrix, pt, cfg=cfg, result=res)
-                   for pt in spec.points]
+        reports = segre_reports()
         results["segre"] = [r.to_record() for r in reports]
     if "distinguished" in spec.tasks and res is not None:
         base = res.M[0].space
@@ -211,7 +214,8 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
         results["singular_metrics"] = out
 
     if spec.engine == "both" and res is not None and not skip_numeric:
-        results["comparison"] = _comparison_block(spec, res)
+        results["comparison"] = _comparison_block(
+            res, reports if reports is not None else segre_reports(), spec.reg)
 
     if "verify" in spec.tasks:
         golden = golden_suite(skip_numeric=skip_numeric, reg=spec.reg)
@@ -219,16 +223,17 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
     return _report(spec.raw, results, checks, spec.reg.seed)
 
 
-def _comparison_block(spec: MorphismSpec, res) -> list:
-    """Exact multiplicities re-estimated through the numeric oracles."""
+def _comparison_block(res, reports, cfg: RegConfig) -> list:
+    """The Segre numbers of ``reports`` against the same multiplicities
+    re-estimated through the numeric oracles."""
     out = []
-    for pt in spec.points:
+    for report in reports:
         for k, cyc in enumerate(res.M):
-            exact = multiplicity_at(cyc, pt, oracle=_oracle_from_cfg(spec.reg))
-            numeric = _numeric_multiplicity(cyc, pt, spec.reg)
+            exact = report.numbers[k]
+            numeric = _numeric_multiplicity(cyc, report.point, cfg)
             if numeric is None:
                 continue
-            out.append({"point": [str(c) for c in pt], "k": k,
+            out.append({"point": [str(c) for c in report.point], "k": k,
                         "exact": exact, "numeric": numeric,
                         "agree": exact == numeric})
     return out
@@ -560,7 +565,7 @@ def _emit(report: dict, out_path: Optional[str]):
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 def _flag_reg(reg: RegConfig, args) -> RegConfig:
@@ -570,7 +575,7 @@ def _flag_reg(reg: RegConfig, args) -> RegConfig:
     overrides = {"seed": args.seed, "samples": args.samples,
                  "epsilon_schedule": schedule and schedule.split(","),
                  "radius": args.radius, "extrapolation": args.extrapolation}
-    return reg.replace(**{k: v for k, v in overrides.items() if v is not None})
+    return replace(reg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 @functools.cache
@@ -581,14 +586,14 @@ def _parser() -> argparse.ArgumentParser:
         description="residue currents, Segre numbers and distinguished "
                     "varieties of polynomial morphisms")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "mass"):
-        sp = sub.add_parser(name)
+    run, mass, golden = map(sub.add_parser, ("run", "mass", "golden"))
+    for sp in (run, mass):
         sp.add_argument("spec", help="path to a morphism spec (JSON)")
-        sp.add_argument("--engine", choices=("exact", "numeric", "both"),
-                        default=None)
+    run.add_argument("--engine", choices=("exact", "both"))
+    for sp in (run, golden):
+        sp.add_argument("--skip-numeric", action="store_true")
+    for sp in (run, mass, golden):
         _common_flags(sp)
-    sp = sub.add_parser("golden")
-    _common_flags(sp)
     return parser
 
 
@@ -602,11 +607,10 @@ def main(argv=None) -> int:
         else:
             spec = read_spec_file(args.spec)
             spec.reg = _flag_reg(spec.reg, args)
-            if args.engine is not None:
-                spec.engine = args.engine
             if args.command == "mass":
                 report = run_mass(spec)
             else:
+                spec.engine = args.engine or spec.engine
                 report = run_spec(spec, skip_numeric=args.skip_numeric)
     except ParseError as exc:
         pos = ", ".join(f"{name} {value}" for name, value in
@@ -627,7 +631,15 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_UNDECIDED
 
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        if args.out or not isinstance(exc, BrokenPipeError):
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        # the reader closed stdout (``| head``): as the signal module's docs
+        # advise, point it at devnull so that the last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     failures = [c for c in report["checks"] if not c["pass"]]
     for c in failures:
         print(f"CHECK FAILED {c['name']}: expected {c['expected']!r}, "
@@ -644,7 +656,6 @@ def _common_flags(sp):
     sp.add_argument("--extrapolation", choices=("NONE", "RICHARDSON"),
                     default=None)
     sp.add_argument("--out", default=None, help="write the report here")
-    sp.add_argument("--skip-numeric", action="store_true")
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
     if structure not in EXACT_CLASSES:
         raise UnsupportedInputError(
             f"structure {structure.value} is outside the exact engine; "
-            "use the numeric engine", structure=structure.value)
+            "'segre-kit mass' estimates its masses", structure=structure.value)
     n, r = g.nvars, g.cols
     if r < 2:
         raise InputError("ring currents live on P(E) with rank E >= 2")

@@ -24,7 +24,7 @@ class ParseError(InputError):
 
 
 class UnsupportedInputError(SegreKitError):
-    """The exact engine cannot handle this structure class; use the numeric engine."""
+    """The exact engine cannot handle this structure class; see ``segre-kit mass``."""
 
     def __init__(self, message, structure=None):
         super().__init__(message)

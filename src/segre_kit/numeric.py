@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -92,13 +92,6 @@ class RegConfig:
         if not _is_int(self.seed) or self.seed < 0:
             raise InputError("seed must be a non-negative integer")
         object.__setattr__(self, "epsilon_schedule", sched)
-
-    def replace(self, **kw) -> "RegConfig":
-        from dataclasses import asdict
-
-        d = asdict(self)
-        d.update(kw)
-        return RegConfig(**d)
 
 
 @dataclass
@@ -537,7 +530,7 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
 
     r = g.cols
     N = 1 + (r - 1)
-    run_cfg = cfg.replace(radius=radius) if radius != cfg.radius else cfg
+    run_cfg = replace(cfg, radius=radius) if radius != cfg.radius else cfg
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         per_eps_total = np.zeros(len(cfg.epsilon_schedule))
         stderr_total = np.zeros(len(cfg.epsilon_schedule))

@@ -329,7 +329,14 @@ def format_polynomial(p: Polynomial, names: Optional[Sequence[str]] = None) -> s
 # parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = _re.compile(r"\s*(?:(\d+|[A-Za-z_]\w*|[-+*/^()])|(.)|$)", _re.S)
+_NAME = r"[A-Za-z_]\w*"
+_TOKEN = _re.compile(rf"\s*(?:(\d+|{_NAME}|[-+*/^()])|(.)|$)", _re.S)
+
+
+def is_variable_name(name: str) -> bool:
+    """Whether polynomial text can refer to ``name``: one whole identifier
+    token, other than the imaginary unit ``i``."""
+    return name != "i" and _re.fullmatch(_NAME, name) is not None
 
 
 def _tokenize(text: str):

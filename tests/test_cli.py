@@ -57,8 +57,8 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def fuzz_specs(draw):
-    """Exact-engine specs over n = 0..3 with up to 3x3 cells; sometimes one
-    key holds an arbitrary JSON value instead."""
+    """Specs for either engine over n = 0..3 with up to 3x3 cells; sometimes
+    one key holds an arbitrary JSON value instead."""
     n = draw(st.integers(0, 3))
     names = [f"x{i + 1}" for i in range(n)]
     monomials = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
@@ -66,18 +66,21 @@ def fuzz_specs(draw):
         or "1")
     cells = monomials | st.sampled_from(["0", "x1 + x2", "1/2*x1", "i*x2"])
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # off-diagonal zeros often enough to reach the exact classes
+    diagonal = draw(st.booleans())
     coords = st.sampled_from(["0", "1", "-1", "1/2", "i"])
     spec = {
         "variables": names,
-        "matrix": [[draw(cells) for _ in range(cols)] for _ in range(rows)],
-        "engine": "exact",
+        "matrix": [[draw(cells) if i == j or not diagonal else "0"
+                    for j in range(cols)] for i in range(rows)],
+        "engine": draw(st.sampled_from(["exact", "both"])),
         "points": draw(st.lists(st.lists(coords, min_size=n, max_size=n),
                                 max_size=2)),
         "tasks": draw(st.lists(st.sampled_from(
-            ["Mg", "segre", "distinguished", "singular_metrics"]),
-            min_size=1, max_size=4, unique=True)),
+            ["Mg", "segre", "distinguished", "Ma", "singular_metrics"]),
+            min_size=1, max_size=5, unique=True)),
     }
-    key = draw(st.sampled_from([None, "reg", *spec]))
+    key = draw(st.none() | st.sampled_from(["reg", *spec]))
     if key is not None:
         spec[key] = draw(JSON_VALUES)
     return spec
@@ -99,8 +102,9 @@ def test_parse_scalar_text():
 def test_load_spec_validation():
     spec = load_spec(DIAG2_SPEC)
     assert spec.matrix.rows == 2 and spec.engine == "exact"
-    with pytest.raises(ParseError):
-        load_spec({**DIAG2_SPEC, "engine": "quantum"})
+    for engine in ("quantum", "numeric"):
+        with pytest.raises(ParseError):
+            load_spec({**DIAG2_SPEC, "engine": engine})
     with pytest.raises(ParseError):
         load_spec({**DIAG2_SPEC, "tasks": ["Mg", "nope"]})
     with pytest.raises(ParseError):
@@ -114,6 +118,13 @@ def test_load_spec_validation():
     for bad in BAD_SHAPES:
         with pytest.raises(ParseError):
             load_spec({**DIAG2_SPEC, **bad})
+    # names that polynomial text cannot refer to: the imaginary unit, and
+    # anything that is not one whole identifier token
+    for names, bad in ((["i", "x2"], "'i'"), (["x1", "x1 "], "'x1 '"),
+                       (["x 1", "x2"], "'x 1'"), (["2x", "x2"], "'2x'")):
+        with pytest.raises(ParseError, match=bad):
+            load_spec({**DIAG2_SPEC, "variables": names,
+                       "matrix": [[names[0], names[1]]]})
     spec = load_spec({**DIAG2_SPEC, "reg": {"samples": 5000, "radius": 0.5}})
     assert (spec.reg.samples, spec.reg.radius) == (5000, 0.5)
     assert load_spec({**DIAG2_SPEC, "points": [[0, 0]]}).points == \
@@ -126,7 +137,7 @@ def test_run_spec_diag2():
     assert json.loads(json.dumps(report)) == report
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     ok = write_spec(tmp_path, DIAG2_SPEC)
     assert main(["run", ok, "--out", str(tmp_path / "r.json"),
                  "--skip-numeric"]) == 0
@@ -136,6 +147,7 @@ def test_exit_codes(tmp_path):
         "matrix": [["x1", "x2 + 1"], ["x2", "x1"]],
         "engine": "exact", "tasks": ["Mg"]}, "general.json")
     assert main(["run", general, "--out", str(tmp_path / "g.json")]) == 3
+    assert "'segre-kit mass'" in capsys.readouterr().err
 
     # a common zero at (1e-7, 0) besides the origin: no exact M^a
     near = write_spec(tmp_path, {
@@ -209,9 +221,17 @@ def test_exit_codes(tmp_path):
     # numeric flags are validated by RegConfig, for golden as for run
     assert main(["run", ok, "--skip-numeric", "--epsilon-schedule", "abc"]) == 2
     assert main(["golden", "--skip-numeric", "--epsilon-schedule", "5,1"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["golden", "--engine", "both"])
-    assert exc.value.code == 2
+    # the spec engine is exact or both; only run takes --engine, and only
+    # run and golden take --skip-numeric
+    numeric = write_spec(tmp_path, {**DIAG2_SPEC, "engine": "numeric"},
+                         "numeric.json")
+    assert main(["run", numeric]) == 2
+    for argv in (["golden", "--engine", "both"],
+                 ["run", ok, "--engine", "numeric"],
+                 ["mass", ok, "--engine", "both"], ["mass", ok, "--skip-numeric"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_overflow_reaches_stderr_as_one_line(tmp_path, capsys):
@@ -251,12 +271,14 @@ def test_parse_error_positions(tmp_path, capsys):
 
 
 @given(spec=fuzz_specs())
-@settings(max_examples=60, deadline=None, derandomize=True,
+@settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_contract_on_generated_specs(tmp_path, spec):
-    # any spec: an exit code of the contract, never an escaping exception
+    # any spec, with or without the numeric oracles: an exit code of the
+    # contract, never an escaping exception
     path = write_spec(tmp_path, spec)
     assert main(["run", path, "--skip-numeric"]) in (0, 2, 3, 4)
+    assert main(["run", path]) in (0, 2, 3, 4)
 
 
 def test_undecided_exit_code(tmp_path, capsys):
@@ -423,6 +445,32 @@ def test_cli_subprocess_entry():
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    # the reader is gone before the report is written (``| head``): the
+    # checks' exit code, and nothing on stderr
+    spec = write_spec(tmp_path, DIAG2_SPEC)
+    with subprocess.Popen(
+            [sys.executable, "-m", "segre_kit.cli", "run", spec,
+             "--skip-numeric"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_is_an_output_error(tmp_path, target):
+    spec = write_spec(tmp_path, DIAG2_SPEC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "segre_kit.cli", "run", spec, "--skip-numeric",
+         "--out", str(tmp_path / target)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("output error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_flag_overrides(tmp_path):
     spec = write_spec(tmp_path, {**DIAG2_SPEC, "tasks": ["Mg"]})
     out = tmp_path / "o.json"
@@ -439,7 +487,7 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
     import segre_kit.cli as cli
 
     spec = write_spec(tmp_path, {**DIAG2_SPEC, "tasks": ["Mg", "segre"]})
-    calls = (["run", spec, "--engine", "numeric"], ["run", spec],
+    calls = (["run", spec, "--engine", "both"], ["run", spec],
              ["run", spec, "--seed", "7"], ["run", spec])
     first = []
     for argv in calls:
@@ -447,10 +495,11 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
         first.append((main(argv), capsys.readouterr()))
     again = [(main(argv), capsys.readouterr()) for argv in calls]
     assert again == first
-    # the flags take effect: Mg needs the exact engine, and the seed is
-    # reported
-    assert [code for code, _ in first] == [3, 0, 0, 0]
-    assert "need the exact engine" in first[0][1].err
+    # the flags take effect: --engine both adds the comparison block, and the
+    # seed is reported
+    assert [code for code, _ in first] == [0, 0, 0, 0]
+    assert '"comparison"' in first[0][1].out
+    assert '"comparison"' not in first[1][1].out
     assert '"seed": 7' in first[2][1].out and '"seed": 7' not in first[3][1].out
 
 

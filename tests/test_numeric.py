@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -653,7 +654,7 @@ def test_comparability_numeric_mass():
                      Polynomial.zero(1)) for j in range(2)] for i in range(2)]
 
     composed = PolyMatrix(matmul(matmul(C, list(map(list, g.entries))), D))
-    res = mass_balance_check(composed, CFG.replace(samples=60000))
+    res = mass_balance_check(composed, replace(CFG, samples=60000))
     assert res.det_count == 3
     assert abs(res.numeric_mass - 3) < 0.1
 
@@ -667,8 +668,8 @@ def test_mass_balance_fractional_order_knob():
     # the degenerate entry x1^2 leaves a half-order epsilon tail; the
     # extrapolation-order knob absorbs it
     g = mat([["x1^2", "0"], ["0", "x1"]], 1)
-    res = mass_balance_check(g, CFG.replace(extrapolation_order=0.5,
-                                            samples=60000))
+    res = mass_balance_check(g, replace(CFG, extrapolation_order=0.5,
+                                        samples=60000))
     assert res.det_count == 3
     assert abs(res.numeric_mass - 3) < 0.03
 
