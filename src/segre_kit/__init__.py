@@ -33,7 +33,6 @@ from segre_kit.engine import (
     SegreReport,
     compute_Ma,
     compute_Mg,
-    distinguished_varieties,
     ring_M_Galpha,
     segre_numbers,
     singular_metric_forms,
@@ -56,8 +55,7 @@ __all__ = [
     "CycleTerm", "GeneralizedCycle", "MovingFactor", "VarietyRef",
     "fixed_moving_split", "multiplicity_at", "wedge",
     "MorphismResult", "SegreReport", "compute_Ma", "compute_Mg",
-    "distinguished_varieties", "ring_M_Galpha", "segre_numbers",
-    "singular_metric_forms",
+    "ring_M_Galpha", "segre_numbers", "singular_metric_forms",
     "MassEstimate", "RegConfig", "contour_root_count",
     "crofton_moving_multiplicity", "epsilon_mass", "mass_balance_check",
     "perturbation_root_count",

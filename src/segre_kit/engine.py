@@ -32,10 +32,16 @@ from segre_kit.cycles import (
     wedge,
 )
 from segre_kit.errors import InputError, UnsupportedInputError
+from segre_kit.numeric import (
+    confirm_origin_only_zero,
+    crofton_moving_multiplicity,
+    perturbation_root_count,
+)
 from segre_kit.poly import (
     Polynomial,
     PolyMatrix,
     StructureClass,
+    _lift_entries,
     classify_structure,
     determinant,
     monomial_degree,
@@ -105,20 +111,6 @@ class SegreReport:
 # ---------------------------------------------------------------------------
 # the lifted section and its ring currents
 # ---------------------------------------------------------------------------
-
-def _lift_entries(g: PolyMatrix):
-    """Rows of G = g*alpha as polynomials on the ambient (x, alpha)."""
-    n, r, m = g.nvars, g.cols, g.rows
-    nv = n + r
-    rows = []
-    for i in range(m):
-        acc = Polynomial.zero(nv)
-        for j in range(r):
-            if not g.entries[i][j].is_zero():
-                acc = acc + g.entries[i][j].extend(nv) * Polynomial.variable(nv, n + j)
-        rows.append(acc)
-    return [p for p in rows if not p.is_zero()]
-
 
 def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
     """The list of twisted Monge-Ampere residues of G = g*alpha on P(E),
@@ -284,7 +276,6 @@ def _describe_Z(res: MorphismResult) -> str:
 def _oracle_from_cfg(cfg):
     if cfg is None:
         return None
-    from segre_kit.numeric import crofton_moving_multiplicity
 
     def oracle(factors, fixed, point):
         return crofton_moving_multiplicity(factors, fixed, point, cfg)
@@ -312,11 +303,6 @@ def segre_numbers(g: PolyMatrix, point, cfg=None,
             raise RuntimeError(f"negative Segre number e_{k} = {numbers[-1]}")
     return SegreReport(tuple(point), numbers, res.distinguished, provenance,
                        base)
-
-
-def distinguished_varieties(g: PolyMatrix):
-    """Fixed-part components over all degrees, with their coefficients."""
-    return [(ref, co) for ref, co, _k in compute_Mg(g).distinguished]
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +346,6 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
     point_terms = []
     zero_info = _reduced_pair_zeros(r1, r2, n, cfg)
     if zero_info == "origin":
-        from segre_kit.numeric import perturbation_root_count
-
         c = perturbation_root_count((r1, r2))
         origin = VarietyRef.point_at([0] * n)
         point_terms.append(term(-c, origin))
@@ -389,17 +373,15 @@ def _reduced_pair_zeros(r1: Polynomial, r2: Polynomial, n: int, cfg):
             raise UnsupportedInputError(
                 "reduced monomial pair has non-isolated zeros for n != 2")
         return "origin"
-    # general pair: confirm numerically that the origin is the only zero
+    # general pair: confirm, exactly, that the origin is the only zero
     if cfg is None:
         raise UnsupportedInputError(
             "non-monomial reduced pair needs a RegConfig for oracle confirmation")
     if n != 2:
         raise UnsupportedInputError("general-pair zero counting needs n = 2")
-    if not r1.evaluate([0, 0]).is_zero() or not r2.evaluate([0, 0]).is_zero():
+    if not (r1.constant_value().is_zero() and r2.constant_value().is_zero()):
         raise UnsupportedInputError(
             "reduced pair does not vanish at the origin; unsupported recipe")
-    from segre_kit.numeric import confirm_origin_only_zero
-
     if not confirm_origin_only_zero(r1, r2, cfg.radius):
         raise UnsupportedInputError(
             "reduced pair has common zeros away from the origin in the polydisk")

@@ -7,8 +7,10 @@ with unit mass, and the (dd^c|G|^2)^k density against Lebesgue measure is
 
 Every routine is deterministic given its seed; sample accumulation is blocked
 so the error estimate and the reduction order do not depend on chunking.
-numpy is imported inside the functions that use arrays, so importing this
-module, and any exact-engine run, never loads it.
+Root counts, intersection numbers and Crofton slices are exact: their only
+randomness is the slice coefficients, Gaussian integers from ``random``.
+numpy is imported inside the functions that use arrays (the masses), so
+importing this module, or running any exact count, never loads it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import random
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from segre_kit.cycles import (
@@ -35,6 +37,8 @@ from segre_kit.errors import (
 from segre_kit.poly import (
     Polynomial,
     PolyMatrix,
+    _lift_entries,
+    determinant,
     disk_root_count,
     resultant,
     strip_common_factor,
@@ -439,8 +443,6 @@ def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
         else:
             mapping.append(slot)
             slot += 1
-    from segre_kit.engine import _lift_entries
-
     # substitute_one zeroes the chart exponent, so its slot in the (otherwise
     # injective) mapping is never exercised
     safe_mapping = [m if m >= 0 else 0 for m in mapping]
@@ -507,8 +509,6 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
     circle, the radius shrinks by the factor 0.85 (six tries at most)."""
     import numpy as np
 
-    from segre_kit.poly import determinant
-
     cfg = cfg or RegConfig()
     if g.nvars != 1:
         raise InputError("mass_balance_check works over one base variable")
@@ -567,14 +567,14 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
 # Crofton slice multiplicities
 # ---------------------------------------------------------------------------
 
-def _rationalized_unit(rng, dim: int):
-    import numpy as np
-
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    den = 1 << 16
-    return [Scalar(Fraction(int(round(c.real * den)), den),
-                   Fraction(int(round(c.imag * den)), den)) for c in v]
+def _gaussian_integers(rng: random.Random, dim: int) -> List[Scalar]:
+    """``dim`` Gaussian integers with real and imaginary parts uniform in
+    [-2^16, 2^16]: slice coefficients outside a proper algebraic set with
+    high probability.  Neither count a slice gives changes when it is
+    scaled, so they need no normalization."""
+    bound = 1 << 16
+    return [Scalar(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            for _ in range(dim)]
 
 
 def _slice_poly(factor: MovingFactor, gamma) -> Polynomial:
@@ -606,8 +606,9 @@ def _translate(p: Polynomial, point) -> Polynomial:
 
 def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
                                 cfg: Optional[RegConfig] = None) -> int:
-    """Estimate the multiplicity at ``point`` of [fixed] ^ prod <...>^{p_t} by
-    random Fubini-Study slices; the estimate must agree across repetitions."""
+    """The multiplicity at ``point`` of [fixed] ^ prod <...>^{p_t}, counted
+    exactly on slices with seeded Gaussian-integer coefficients (three
+    draws, which must agree)."""
     cfg = cfg or RegConfig()
     factors = [f.reduced() for f in factors]
     if not factors:
@@ -640,11 +641,9 @@ def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
     if j_total != 1 and (j_total, nprime) != (2, 2):
         raise UndecidedError(f"no oracle rule for total slice power {j_total} "
                              f"in dimension {nprime}")
-    import numpy as np
-
     estimates = []
     for rep in range(3):
-        rng = np.random.default_rng(cfg.seed + 104729 * rep)
+        rng = random.Random(cfg.seed + 104729 * rep)
         estimates.append(_one_crofton_estimate(rfactors, j_total, rng))
     if len(set(estimates)) != 1:
         raise UndecidedError(f"slice estimates did not stabilize: {estimates}",
@@ -656,14 +655,14 @@ def _one_crofton_estimate(rfactors, j_total, rng) -> int:
     """One slice estimate of the multiplicity at the origin; a total power
     other than 1 is 2 in dimension 2 (the caller checks the rule)."""
     if j_total == 1:
-        s = _slice_poly(rfactors[0], _rationalized_unit(rng, len(rfactors[0].args)))
+        s = _slice_poly(rfactors[0], _gaussian_integers(rng, len(rfactors[0].args)))
         if s.is_zero():
             raise UndecidedError("the slice vanishes identically")
         return min(map(sum, s.terms))  # the slice's vanishing order at 0
     slices = []
     for f in rfactors:
         for _ in range(f.power):
-            slices.append(_slice_poly(f, _rationalized_unit(rng, len(f.args))))
+            slices.append(_slice_poly(f, _gaussian_integers(rng, len(f.args))))
     count = perturbation_root_count(slices)
     for f in rfactors:
         if f.power == len(f.args) == 2:

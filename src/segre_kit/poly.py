@@ -213,31 +213,21 @@ class Polynomial:
                                        for m, c in self.terms.items() if m[var]))
 
     def evaluate(self, point):
-        """Evaluate at a point.
-
-        Exact Scalars in, exact Scalar out; any float/complex coordinate
-        switches the whole evaluation to machine complex arithmetic.
-        """
+        """The exact value at a point of ints, Fractions or Scalars;
+        ``eval_array`` evaluates in floating point."""
         if len(point) != self.nvars:
             raise InputError(f"point has length {len(point)}, expected {self.nvars}")
-        exact = all(isinstance(c, (int, Scalar, Fraction)) for c in point)
-        if exact:
-            pt = [Scalar.from_value(c) for c in point]
-            acc = Scalar(0)
-            for m, c in self.terms.items():
-                v = c
-                for x, e in zip(pt, m):
-                    for _ in range(e):
-                        v = v * x
-                acc = acc + v
-            return acc
-        pt = [complex(c) for c in point]
-        acc = 0j
+        if not all(isinstance(c, (int, Scalar, Fraction)) for c in point):
+            raise InputError("evaluate takes exact coordinates; "
+                             "eval_array evaluates in floating point")
+        pt = [Scalar.from_value(c) for c in point]
+        acc = Scalar(0)
         for m, c in self.terms.items():
-            v = complex(c)
+            v = c
             for x, e in zip(pt, m):
-                v *= x ** e
-            acc += v
+                for _ in range(e):
+                    v = v * x
+            acc = acc + v
         return acc
 
     def eval_array(self, points):
@@ -482,9 +472,14 @@ class _Parser:
 def parse_polynomial(text: str, nvars: int,
                      names: Optional[Sequence[str]] = None) -> Polynomial:
     """Parse the polynomial text syntax (terms joined by +/-, monomials like
-    ``x1^2*x2``, rational coefficients ``a/b``, imaginary unit ``i``)."""
+    ``x1^2*x2``, rational coefficients ``a/b``, imaginary unit ``i``) over
+    the variables ``names``, each of which must pass ``is_variable_name``."""
     if names is None:
         names = [f"x{i + 1}" for i in range(nvars)]
+    for name in names:
+        if not is_variable_name(name):
+            raise ParseError(f"variable {name!r} is not a name polynomial "
+                             "text can refer to (one identifier other than 'i')")
     return _Parser(_tokenize(text), nvars, list(names)).parse_poly()
 
 
@@ -532,6 +527,20 @@ class PolyMatrix:
     def nonzero_positions(self):
         return [(i, j) for i in range(self.rows) for j in range(self.cols)
                 if not self.entries[i][j].is_zero()]
+
+
+def _lift_entries(g: PolyMatrix):
+    """Rows of G = g*alpha as polynomials on the ambient (x, alpha)."""
+    n, r, m = g.nvars, g.cols, g.rows
+    nv = n + r
+    rows = []
+    for i in range(m):
+        acc = Polynomial.zero(nv)
+        for j in range(r):
+            if not g.entries[i][j].is_zero():
+                acc = acc + g.entries[i][j].extend(nv) * Polynomial.variable(nv, n + j)
+        rows.append(acc)
+    return [p for p in rows if not p.is_zero()]
 
 
 def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:

@@ -1,10 +1,13 @@
 """Every name a segre_kit module imports is referenced in that module and
 every private module-level helper is referenced somewhere in the package (no
-linter runs on the package, and deletions tend to leave strays behind), the
-third-party modules the package imports are exactly its declared
-dependencies, the mass command runs without importing scipy, the exact
-engine without importing numpy and the numeric paths load numpy when they
-need it, and every function the benchmark's tracer wraps by name exists."""
+linter runs on the package, and deletions tend to leave strays behind), no
+function body imports a segre_kit module (the package's imports form no
+cycle), the third-party modules the package imports are exactly its declared
+dependencies, the mass command runs without importing scipy, every exact
+path (exact runs, the Crofton oracle, `--engine both`, `golden
+--skip-numeric`) without importing numpy and the full golden suite loads it
+when it needs it, and every function the benchmark's tracer wraps by name
+exists."""
 
 import ast
 import importlib
@@ -42,6 +45,38 @@ def test_unused_import_is_caught():
     source = ("from segre_kit.errors import InputError, ParseError\n"
               "raise InputError('x')\n")
     assert unused_imports(source) == ["ParseError"]
+
+
+def nested_package_imports(source: str):
+    """``function:module`` for each segre_kit module that a function body
+    in the source imports."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] if node.level == 0 else ["."]
+            else:
+                continue
+            found += [f"{fn.name}:{m}" for m in mods
+                      if m == "." or m.split(".")[0] == "segre_kit"]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_package_imports_in_function_bodies(path):
+    assert nested_package_imports(path.read_text()) == []
+
+
+def test_nested_package_import_is_caught():
+    source = ("import numpy\nfrom segre_kit.poly import Polynomial\n"
+              "def f():\n    import json\n    from segre_kit.engine import g\n"
+              "    def h():\n        import segre_kit.numeric\n")
+    assert nested_package_imports(source) == [
+        "f:segre_kit.engine", "f:segre_kit.numeric", "h:segre_kit.numeric"]
 
 
 def unreferenced_private_names(sources):
@@ -132,70 +167,71 @@ def test_mass_command_does_not_import_scipy(tmp_path, kind):
     assert kind in json.loads(out.read_text())["results"]
 
 
-# exact runs, with their exit code and stderr: every task of the exact engine
-# with the moving term decided by its exact rule, and a power-2 moving term in
-# dimension 3 that no oracle rule covers
+# fresh-interpreter runs after which numpy must not be loaded: (spec written
+# to SPEC, code, expected stderr).  Every exact task with the moving term
+# decided by its exact rule; a power-2 moving term in dimension 3 that no
+# oracle rule covers (exit 4); the comparison block, every row present and
+# agreeing; a direct Crofton call; the exact golden checks
+ROW_SPEC = {"variables": ["x1", "x2"], "matrix": [["x1", "x2"]],
+            "points": [["0", "0"]], "reg": {"samples": 1000}}
+RUN = ("from segre_kit import cli\n"
+       "code = cli.main(['run', SPEC, '--out', OUT])\n"
+       "assert code == {}, code\n")
 EXACT_RUNS = {
+    "import": (ROW_SPEC, "import segre_kit\n", ""),
     "tasks": ({"variables": ["x1", "x2", "x3"],
                "matrix": [["x1*x3", "x2*x3", "x3^2"]],
                "points": [["0", "0", "0"], ["1", "0", "0"]],
                "tasks": ["Mg", "segre", "distinguished", "singular_metrics"]},
-              0, ""),
+              RUN.format(0), ""),
     "no_oracle_rule": (
         {"variables": ["x1", "x2", "x3", "x4"],
          "matrix": [["3*x1*x4", "0", "0"], ["0", "3*x1*x3^2", "0"],
                     ["0", "0", "x1*x2"]],
          "points": [["0", "0", "0", "0"]]},
-        4, "undecided: no oracle rule for total slice power 2 in dimension 3\n"),
-}
-
-
-@pytest.mark.parametrize("kind", ["import", *sorted(EXACT_RUNS)])
-def test_exact_path_does_not_import_numpy(tmp_path, kind):
-    code = "import segre_kit\n"
-    if kind != "import":
-        data, exit_code, stderr = EXACT_RUNS[kind]
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(data))
-        code = ("from segre_kit import cli\n"
-                f"code = cli.main(['run', {str(spec)!r}, '--out', "
-                f"{str(tmp_path / 'out.json')!r}])\n"
-                f"assert code == {exit_code}, code\n")
-    proc = run_fresh(code + "assert 'numpy' not in sys.modules\n")
-    assert proc.returncode == 0, proc.stderr
-    if kind != "import":
-        assert proc.stderr == stderr
-
-
-# numeric paths beside the mass command; SPEC holds the row (x1, x2) with a
-# point at the origin
-NUMERIC_CALLS = {
+        RUN.format(4),
+        "undecided: no oracle rule for total slice power 2 in dimension 3\n"),
     "run_engine_both": (
+        ROW_SPEC,
         "import json\n"
         "from segre_kit import cli\n"
         "assert cli.main(['run', SPEC, '--engine', 'both', '--out', OUT]) == 0\n"
         "rows = json.load(open(OUT))['results']['comparison']\n"
-        "assert rows and all(row['agree'] for row in rows), rows\n"),
+        "assert [row['k'] for row in rows] == [0, 1, 2], rows\n"
+        "assert all(row['agree'] for row in rows), rows\n", ""),
     "crofton": (
+        ROW_SPEC,
         "from segre_kit import MovingFactor, VarietyRef, parse_polynomial\n"
         "from segre_kit import crofton_moving_multiplicity\n"
         "f = MovingFactor((parse_polynomial('x1', 2),\n"
         "                  parse_polynomial('x2^2', 2)), 1)\n"
         "assert crofton_moving_multiplicity(\n"
-        "    [f], VarietyRef.whole_space(), [0, 0]) == 1\n"),
+        "    [f], VarietyRef.whole_space(), [0, 0]) == 1\n", ""),
+    "golden_skip_numeric": (
+        ROW_SPEC,
+        "from segre_kit import cli\n"
+        "assert cli.main(['golden', '--skip-numeric', '--out', OUT]) == 0\n",
+        ""),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(NUMERIC_CALLS))
-def test_numeric_paths_load_numpy_on_demand(tmp_path, kind):
+@pytest.mark.parametrize("kind", sorted(EXACT_RUNS))
+def test_exact_path_does_not_import_numpy(tmp_path, kind):
+    data, code, stderr = EXACT_RUNS[kind]
     spec, out = tmp_path / "spec.json", tmp_path / "out.json"
-    spec.write_text(json.dumps({"variables": ["x1", "x2"],
-                                "matrix": [["x1", "x2"]],
-                                "points": [["0", "0"]],
-                                "reg": {"samples": 1000}}))
-    proc = run_fresh(f"SPEC, OUT = {str(spec)!r}, {str(out)!r}\n"
+    spec.write_text(json.dumps(data))
+    proc = run_fresh(f"SPEC, OUT = {str(spec)!r}, {str(out)!r}\n" + code
+                     + "assert 'numpy' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == stderr
+
+
+def test_full_golden_loads_numpy_on_demand(tmp_path):
+    out = tmp_path / "out.json"
+    proc = run_fresh("from segre_kit import cli\n"
                      "assert 'numpy' not in sys.modules\n"
-                     + NUMERIC_CALLS[kind] + "assert 'numpy' in sys.modules\n")
+                     f"assert cli.main(['golden', '--out', {str(out)!r}]) == 0\n"
+                     "assert 'numpy' in sys.modules\n")
     assert proc.returncode == 0, proc.stderr
 
 

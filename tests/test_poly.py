@@ -62,8 +62,12 @@ def test_evaluate_examples():
 
 
 def test_evaluate_machine_complex():
-    val = p("x1^2 - x2").evaluate([1j, 0.5])
-    assert val == pytest.approx(-1 - 0.5)
+    # machine complex points go through eval_array; evaluate stays exact
+    val = p("x1^2 - x2").eval_array(np.array([[1j, 0.5]]))
+    assert val[0] == pytest.approx(-1 - 0.5)
+    for point in ([1j, 0.5], [1, 0.5]):
+        with pytest.raises(InputError):
+            p("x1^2 - x2").evaluate(point)
 
 
 def test_evaluate_dimension_mismatch():
@@ -83,15 +87,14 @@ def test_derivative_matches_finite_differences():
     rng = np.random.default_rng(7)
     poly = p("x1^3*x2 - 2*x1*x2^2 + x2 + 1/2*x1^2")
     h = 1e-5
-    for _ in range(20):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        z /= max(1.0, float(np.max(np.abs(z))))
-        for var in range(2):
-            step = np.zeros(2, dtype=complex)
-            step[var] = h
-            fd = (poly.evaluate(list(z + step)) - poly.evaluate(list(z - step))) / (2 * h)
-            ex = poly.differentiate(var).evaluate(list(z))
-            assert abs(fd - ex) <= 1e-6 * max(1.0, abs(ex))
+    z = rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2))
+    z /= np.maximum(1.0, np.max(np.abs(z), axis=1))[:, None]
+    for var in range(2):
+        step = np.zeros(2, dtype=complex)
+        step[var] = h
+        fd = (poly.eval_array(z + step) - poly.eval_array(z - step)) / (2 * h)
+        ex = poly.differentiate(var).eval_array(z)
+        assert np.all(np.abs(fd - ex) <= 1e-6 * np.maximum(1.0, np.abs(ex)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +462,14 @@ def test_parse_examples():
     for text in ("x1^", "3/", "1/", "(1+", "("):
         with pytest.raises(ParseError, match="unexpected end of input"):
             p(text)
+    # a variable name that polynomial text cannot refer to is refused, not
+    # read as the imaginary unit or left unreachable
+    for text, names, bad in (("i + x2", ["i", "x2"], "'i'"),
+                             ("x1", ["x1", "x1 "], "'x1 '")):
+        with pytest.raises(ParseError, match=bad):
+            parse_polynomial(text, 2, names)
+    assert parse_polynomial("y + i", 2, ["y", "z"]) == \
+        Polynomial(2, {(1, 0): 1, (0, 0): Scalar(0, 1)})
     # a power is built as one monomial, not by repeated multiplication
     assert parse_polynomial("x1^200000", 1) == Polynomial.monomial(1, [200000])
     assert p("x1^0*x2") == Polynomial.variable(2, 1)
