@@ -95,11 +95,14 @@ def load_spec(data: dict) -> MorphismSpec:
         rows = data["matrix"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"spec needs 'variables' and 'matrix': {exc}")
-    if not isinstance(variables, list) or not all(
-            isinstance(v, str) for v in variables) \
-            or len(set(variables)) != len(variables):
-        raise ParseError("'variables' must be a list of distinct names")
+    if not isinstance(variables, list):
+        raise ParseError("'variables' must be a list of names")
+    # reports name the base coordinates x1..xn and the fiber ones a1..ar
     n = len(variables)
+    for j, name in enumerate(variables):
+        if name != f"x{j + 1}":
+            raise ParseError(f"'variables' must be x1..x{n} in order: "
+                             f"name {j + 1} is {name!r}, not 'x{j + 1}'")
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(isinstance(cell, str) for cell in row)
             for row in rows):

@@ -206,7 +206,8 @@ class VarietyRef:
         elif k == VarietyKind.FIBER_HYPERSURFACE:
             acc = Polynomial.zero(nv)
             for j, f in enumerate(self.hypersurface):
-                acc = acc + f.extend(nv) * Polynomial.variable(nv, space.n + j)
+                acc = acc + f.map_variables(range(space.n), nv) \
+                    * Polynomial.variable(nv, space.n + j)
             eqs = [acc]
         else:
             raise InputError("equations")
@@ -520,35 +521,45 @@ def fixed_moving_split(c: GeneralizedCycle):
 # multiplicities
 # ---------------------------------------------------------------------------
 
-def _restrict_args_to_subspace(factor: MovingFactor, fixed: VarietyRef):
-    """Restrict the factor's arguments to the fixed part, a coordinate
-    subspace or the whole space (which has no zero coordinates); returns the
-    surviving argument list or None when the restriction is identically zero
-    (improper)."""
-    restricted = []
-    for p in factor.args:
-        q = p
-        for v in fixed.base_zeros:
-            q = q.restrict_zero(v)
-        if not q.is_zero():
-            restricted.append(q)
-    return restricted or None
-
-
-def _monomial_order_at(p: Polynomial, point) -> int:
-    """ord_x of a scalar*monomial at an exact point: total exponent over the
-    vanishing coordinates."""
-    cm = p.as_monomial()
-    if cm is None:
-        raise UndecidedError("order rule needs a monomial argument")
-    _, m = cm
-    pt = [Scalar.from_value(c) for c in point]
-    return sum(e for v, e in enumerate(m) if e and pt[v].is_zero())
+def localize(factors, fixed: VarietyRef, point):
+    """The moving factors of [fixed] ^ prod <f>^p at ``point``, on the fixed
+    part: each factor reduced, its arguments restricted to ``fixed`` (the
+    whole space or a coordinate subspace) and renumbered on the kept
+    coordinates.  Returns (factors, point on the kept coordinates), or None
+    when the multiplicity there is 0: the point is off the fixed part, or a
+    factor's restricted arguments are all constant (a pluriharmonic
+    potential) or fewer than its power (a residue-free power above the top
+    level)."""
+    if fixed.kind not in (VarietyKind.WHOLE_SPACE,
+                          VarietyKind.COORDINATE_SUBSPACE):
+        raise UndecidedError("moving factor against unsupported fixed part")
+    if any(p.nvars != len(point) for f in factors for p in f.args):
+        raise InputError("point dimension mismatch")
+    if not fixed.contains_point(point):
+        return None
+    keep = [v for v in range(len(point)) if v not in fixed.base_zeros]
+    mapping = {v: j for j, v in enumerate(keep)}
+    local = []
+    for f in factors:
+        f = f.reduced()
+        args = []
+        for p in f.args:
+            for v in fixed.base_zeros:
+                p = p.restrict_zero(v)
+            if not p.is_zero():
+                args.append(p.map_variables(mapping, len(keep))
+                            if fixed.base_zeros else p)
+        if not args:
+            raise UndecidedError("fixed part sits inside a factor's zero set")
+        if all(p.is_constant() for p in args) or f.power > len(args):
+            return None
+        local.append(MovingFactor(tuple(args), f.power, f.weights, f.averaged))
+    return local, [Scalar.from_value(point[v]) for v in keep]
 
 
 def _exact_moving_multiplicity(t: CycleTerm, point):
-    """Exact rule for a single moving factor; returns an int or raises
-    UndecidedError when no rule applies."""
+    """Exact rule for a single moving factor of monomial arguments; returns
+    an int or raises UndecidedError when no rule applies."""
     if len(t.moving) != 1:
         raise UndecidedError("no exact rule for products of distinct moving factors",
                              term=t)
@@ -558,25 +569,19 @@ def _exact_moving_multiplicity(t: CycleTerm, point):
         return 0
     if any(p.as_monomial() is None for p in factor.args):
         raise UndecidedError("moving factor with non-monomial arguments", term=t)
-    if t.fixed.kind not in (VarietyKind.WHOLE_SPACE,
-                            VarietyKind.COORDINATE_SUBSPACE):
-        raise UndecidedError("moving factor against unsupported fixed part", term=t)
-    if not t.fixed.contains_point(point):
-        return 0
-
     reduced = factor.reduced()
-    if reduced.has_constant_arg():
-        return 0
-    s = len(reduced.args)
-    if reduced.power >= s:
+    if reduced.has_constant_arg() or reduced.power >= len(reduced.args):
         # the residue-free power at or above the top level is the zero current
         return 0
-    if reduced.power == 1:
-        rest = _restrict_args_to_subspace(reduced, t.fixed)
-        if rest is None:
-            raise UndecidedError("fixed part inside the factor's zero set", term=t)
-        return min(_monomial_order_at(p, point) for p in rest)
-    raise UndecidedError("no exact rule for this moving power", term=t)
+    local = localize([reduced], t.fixed, point)
+    if local is None:
+        return 0
+    (factor,), pt = local
+    if factor.power != 1:
+        raise UndecidedError("no exact rule for this moving power", term=t)
+    # the generic-slice order: the least order at the point of an argument
+    return min(sum(e for e, c in zip(p.as_monomial()[1], pt) if c.is_zero())
+               for p in factor.args)
 
 
 def _term_sum(c: GeneralizedCycle, point,

@@ -22,12 +22,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from segre_kit.cycles import (
-    MovingFactor,
-    VarietyKind,
-    VarietyRef,
-    _restrict_args_to_subspace,
-)
+from segre_kit.cycles import MovingFactor, VarietyRef, localize
 from segre_kit.errors import (
     ContourTooCloseError,
     InputError,
@@ -588,20 +583,31 @@ def _slice_poly(factor: MovingFactor, gamma) -> Polynomial:
 
 
 def _translate(p: Polynomial, point) -> Polynomial:
-    """p(x + point): moves ``point`` to the origin."""
-    if not any(point):
+    """p(x + point): moves ``point`` to the origin.  Each term c x^m expands
+    by the binomial theorem in the coordinates v with a_v = point[v] != 0,
+    (x_v + a_v)^e = sum over k <= e of C(e, k) a_v^(e - k) x_v^k, and the
+    (monomial, coefficient) pairs go to one constructor call, which adds up
+    the repeated monomials."""
+    shifted = [v for v, a in enumerate(point) if a]
+    if not shifted:
         return p
-    n = p.nvars
-    coords = [Polynomial.variable(n, i) + Polynomial.constant(n, point[i])
-              for i in range(n)]
-    acc = Polynomial.zero(n)
+    rows = {}  # (v, e): [(k, C(e, k) a_v^(e - k))], None for the 1 at k = e
+    pairs = []
     for m, c in p.terms.items():
-        t = Polynomial.constant(n, c)
-        for x, e in zip(coords, m):
-            for _ in range(e):
-                t = t * x
-        acc = acc + t
-    return acc
+        for v in shifted:
+            if (v, m[v]) not in rows:
+                row, pw = [(m[v], None)], Scalar(1)
+                for k in range(m[v] - 1, -1, -1):
+                    pw = pw * point[v]
+                    row.append((k, pw * math.comb(m[v], k)))
+                rows[v, m[v]] = row
+        for combo in itertools.product(*(rows[v, m[v]] for v in shifted)):
+            mono, coeff = list(m), c
+            for v, (k, b) in zip(shifted, combo):
+                if b is not None:
+                    mono[v], coeff = k, coeff * b
+            pairs.append((tuple(mono), coeff))
+    return Polynomial(p.nvars, pairs)
 
 
 def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
@@ -610,37 +616,19 @@ def crofton_moving_multiplicity(factors, fixed: VarietyRef, point,
     exactly on slices with seeded Gaussian-integer coefficients (three
     draws, which must agree)."""
     cfg = cfg or RegConfig()
-    factors = [f.reduced() for f in factors]
     if not factors:
         raise InputError("no moving factors supplied")
-    n = factors[0].args[0].nvars
-    if fixed.kind not in (VarietyKind.WHOLE_SPACE, VarietyKind.COORDINATE_SUBSPACE):
-        raise UndecidedError("oracle supports whole-space or coordinate fixed parts")
-    if fixed.kind == VarietyKind.COORDINATE_SUBSPACE and \
-            not fixed.contains_point(point):
+    local = localize(factors, fixed, point)
+    if local is None:
         return 0
-    keep = [i for i in range(n) if i not in fixed.base_zeros]
-    nprime = len(keep)
-    # the restricted arguments live on the kept coordinates, numbered in
-    # order, moved once so that the point sits at the origin
-    mapping = [keep.index(i) if i in keep else 0 for i in range(n)]
-    sub_point = [Scalar.from_value(point[i]) for i in keep]
-    rfactors = []
-    for f in factors:
-        args = _restrict_args_to_subspace(f, fixed)
-        if args is None:
-            raise UndecidedError("fixed part sits inside a factor's zero set")
-        args = [_translate(p.map_variables(mapping, nprime), sub_point)
-                for p in args]
-        if all(p.is_constant() for p in args):
-            return 0  # pluriharmonic potential on the subspace
-        if f.power > len(args):
-            return 0  # residue-free power above the top level vanishes
-        rfactors.append(MovingFactor(tuple(args), f.power, f.weights, f.averaged))
+    # the arguments are moved once so that the point sits at the origin
+    factors, sub_point = local
+    rfactors = [MovingFactor(tuple(_translate(p, sub_point) for p in f.args),
+                             f.power, f.weights, f.averaged) for f in factors]
     j_total = sum(f.power for f in rfactors)
-    if j_total != 1 and (j_total, nprime) != (2, 2):
+    if j_total != 1 and (j_total, len(sub_point)) != (2, 2):
         raise UndecidedError(f"no oracle rule for total slice power {j_total} "
-                             f"in dimension {nprime}")
+                             f"in dimension {len(sub_point)}")
     estimates = []
     for rep in range(3):
         rng = random.Random(cfg.seed + 104729 * rep)

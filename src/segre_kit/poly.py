@@ -254,18 +254,6 @@ class Polynomial:
         return Polynomial(self.nvars,
                           {monomial_div(m, h): c for m, c in self.terms.items()})
 
-    def extend(self, nvars: int, offset: int = 0) -> "Polynomial":
-        """Re-embed into a larger ambient, shifting variable indices by ``offset``."""
-        if offset + self.nvars > nvars:
-            raise InputError("extension does not fit")
-        terms = {}
-        for m, c in self.terms.items():
-            mm = [0] * nvars
-            for j, e in enumerate(m):
-                mm[offset + j] = e
-            terms[tuple(mm)] = c
-        return Polynomial(nvars, terms)
-
     def map_variables(self, mapping: Sequence[int], nvars: int) -> "Polynomial":
         """Send old variable j to new index mapping[j] (must be injective)."""
         def image(m):
@@ -473,13 +461,16 @@ def parse_polynomial(text: str, nvars: int,
                      names: Optional[Sequence[str]] = None) -> Polynomial:
     """Parse the polynomial text syntax (terms joined by +/-, monomials like
     ``x1^2*x2``, rational coefficients ``a/b``, imaginary unit ``i``) over
-    the variables ``names``, each of which must pass ``is_variable_name``."""
+    the variables ``names``, each of which must pass ``is_variable_name``
+    and differ from the others."""
     if names is None:
         names = [f"x{i + 1}" for i in range(nvars)]
-    for name in names:
+    for j, name in enumerate(names):
         if not is_variable_name(name):
             raise ParseError(f"variable {name!r} is not a name polynomial "
                              "text can refer to (one identifier other than 'i')")
+        if name in names[:j]:
+            raise ParseError(f"variable {name!r} is named twice")
     return _Parser(_tokenize(text), nvars, list(names)).parse_poly()
 
 
@@ -538,7 +529,8 @@ def _lift_entries(g: PolyMatrix):
         acc = Polynomial.zero(nv)
         for j in range(r):
             if not g.entries[i][j].is_zero():
-                acc = acc + g.entries[i][j].extend(nv) * Polynomial.variable(nv, n + j)
+                acc = acc + g.entries[i][j].map_variables(range(n), nv) \
+                    * Polynomial.variable(nv, n + j)
         rows.append(acc)
     return [p for p in rows if not p.is_zero()]
 

@@ -125,6 +125,12 @@ def test_load_spec_validation():
         with pytest.raises(ParseError, match=bad):
             load_spec({**DIAG2_SPEC, "variables": names,
                        "matrix": [[names[0], names[1]]]})
+    # reports name the coordinates x1..xn: other names, or the right names
+    # out of order, are refused at the first one that differs
+    for names, bad in ((["x2", "x1"], "'x2'"), (["a1", "x"], "'a1'"),
+                       (["x1", "x2", 3], "3")):
+        with pytest.raises(ParseError, match=f"name .* is {bad}"):
+            load_spec({**DIAG2_SPEC, "variables": names})
     spec = load_spec({**DIAG2_SPEC, "reg": {"samples": 5000, "radius": 0.5}})
     assert (spec.reg.samples, spec.reg.radius) == (5000, 0.5)
     assert load_spec({**DIAG2_SPEC, "points": [[0, 0]]}).points == \
@@ -183,6 +189,18 @@ def test_exit_codes(tmp_path, capsys):
     bad_poly = write_spec(tmp_path, {**DIAG2_SPEC, "matrix": [["x1", "+"], ["0", "x2"]]},
                           "badpoly.json")
     assert main(["run", bad_poly]) == 2
+
+    # variables other than x1..xn in order, whose reports would name the
+    # coordinates otherwise or clash with the fiber coordinates a1..ar
+    capsys.readouterr()
+    for i, (names, cells) in enumerate(((["x2", "x1"], ["x2^2", "x1"]),
+                                        (["a1", "x"], ["a1", "x"]))):
+        path = write_spec(tmp_path, {**DIAG2_SPEC, "variables": names,
+                                     "matrix": [[cells[0], "0"], ["0", cells[1]]]},
+                          f"names{i}.json")
+        for command in ("run", "mass"):
+            assert main([command, path]) == 2
+            assert f"is {names[0]!r}, not 'x1'" in capsys.readouterr().err
 
     # truncated text in a matrix cell or a point coordinate
     for i, bad in enumerate(({"matrix": [["x1^", "0"], ["0", "x2"]]},
@@ -393,6 +411,13 @@ RUN_SPECS = {
                           "matrix": [["x1^2 - 3/4*x2^3", "x1*x2^2"]],
                           "engine": "both", "tasks": ["Ma"]},
                          "fdd0de84620ff5ffb3fffb66e1456aa169bee42bdfe3c0676d4f5713dcc4c67e"),
+    "monomial_row_both": ({"variables": ["x1", "x2"],
+                           "matrix": [["2*x1^2*x2", "3*x1*x2^3"]],
+                           "engine": "both",
+                           "points": [["0", "0"], ["1", "0"], ["0", "-1"],
+                                      ["2", "1"]],
+                           "tasks": ["Mg", "segre", "Ma"]},
+                          "b832e0e1eb4ab4af56c788a02aa779ae8b89515621bb47a7145efde0b2821d99"),
 }
 
 

@@ -12,6 +12,7 @@ from segre_kit.cycles import (
     VarietyRef,
     base_space,
     fixed_moving_split,
+    localize,
     multiplicity_at,
     proj_space,
     term,
@@ -56,6 +57,29 @@ def test_moving_first_power_rule():
     c = GeneralizedCycle(B2, 1, [term(1, VarietyRef.whole_space(), moving=(f,))])
     assert multiplicity_at(c, [0, 0]) == 1
     assert multiplicity_at(c, [1, 0]) == 0
+
+
+def test_localize_restricts_and_renumbers():
+    # on [x2 = 0] the arguments lose their x2 terms and x1, x3 become the
+    # coordinates 1, 2; the common factor x1 of the arguments is divided out
+    on_x2 = VarietyRef.coordinate_subspace([1])
+    f = MovingFactor((bp("x1^3 + x1^2*x2", 3), bp("x1*x3^2 + x1*x2", 3),
+                      bp("x1*x2", 3)), 1)
+    (g,), pt = localize([f], on_x2, [2, 0, Scalar(0, 1)])
+    assert g.args == (bp("x1^2"), bp("x2^2")) and g.power == 1
+    assert pt == [Scalar(2), Scalar(0, 1)]
+    assert localize([f], on_x2, [2, 1, 0]) is None  # off the fixed part
+    # multiplicity 0 on the subspace: a pluriharmonic potential, and a power
+    # above the number of surviving arguments
+    for args, power in ((("1 + x2", "x2"), 1), (("x1", "x2", "x3"), 3)):
+        f = MovingFactor(tuple(bp(a, 3) for a in args), power)
+        assert localize([f], on_x2, [0, 0, 0]) is None
+    with pytest.raises(UndecidedError, match="zero set"):
+        localize([MovingFactor((bp("x1", 3), bp("x2", 3)), 1)],
+                 VarietyRef.coordinate_subspace([0, 1]), [0, 0, 0])
+    for point in ([0, 0], [0, 0, 0, 0]):
+        with pytest.raises(InputError, match="dimension"):
+            localize([f], on_x2, point)
 
 
 def test_moving_top_power_is_zero_current():
@@ -245,7 +269,8 @@ def _defining_polynomials(ref, space):
                 for v, c in enumerate(ref.point)]
     acc = Polynomial.zero(nv)
     for j, f in enumerate(ref.hypersurface):
-        acc = acc + f.extend(nv) * Polynomial.variable(nv, space.n + j)
+        acc = acc + f.map_variables(range(space.n), nv) \
+            * Polynomial.variable(nv, space.n + j)
     return [acc]
 
 

@@ -2,7 +2,7 @@
 every private module-level helper is referenced somewhere in the package (no
 linter runs on the package, and deletions tend to leave strays behind), no
 function body imports a segre_kit module (the package's imports form no
-cycle), the third-party modules the package imports are exactly its declared
+cycle), numeric imports no private name from cycles, the third-party modules the package imports are exactly its declared
 dependencies, the mass command runs without importing scipy, every exact
 path (exact runs, the Crofton oracle, `--engine both`, `golden
 --skip-numeric`) without importing numpy and the full golden suite loads it
@@ -45,6 +45,21 @@ def test_unused_import_is_caught():
     source = ("from segre_kit.errors import InputError, ParseError\n"
               "raise InputError('x')\n")
     assert unused_imports(source) == ["ParseError"]
+
+
+def private_imports(source: str, module: str):
+    """The underscore-prefixed names the source imports from ``module``."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for a in node.names if a.name.startswith("_")]
+
+
+def test_numeric_imports_no_private_name_from_cycles():
+    # the oracles reach the cycle layer through its public localization
+    source = (SRC / "numeric.py").read_text()
+    assert private_imports(source, "segre_kit.cycles") == []
+    assert private_imports("from segre_kit.cycles import _x, y\n",
+                           "segre_kit.cycles") == ["_x"]
 
 
 def nested_package_imports(source: str):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from segre_kit.cycles import MovingFactor, VarietyRef
+from segre_kit.cli import _grid, _numeric_multiplicity, _random_diag_monomial
+from segre_kit.cycles import MovingFactor, VarietyRef, multiplicity_at
+from segre_kit.engine import compute_Mg
 from segre_kit.errors import (
     ContourTooCloseError,
     InputError,
@@ -21,6 +24,7 @@ from segre_kit.numeric import (
     _chart_hessians,
     _disk_samples,
     _halton,
+    _translate,
     _wedges,
     confirm_origin_only_zero,
     contour_root_count,
@@ -29,7 +33,12 @@ from segre_kit.numeric import (
     mass_balance_check,
     perturbation_root_count,
 )
-from segre_kit.poly import Polynomial, PolyMatrix, parse_polynomial
+from segre_kit.poly import (
+    Polynomial,
+    PolyMatrix,
+    parse_polynomial,
+    strip_common_factor,
+)
 from segre_kit.scalars import Scalar
 
 
@@ -438,10 +447,6 @@ def test_crofton_order_is_exact():
     # reduced arguments (2 x1, 8 x2^2) give a generic slice of order 1 at 0;
     # the order is exact, so no seed may leave it undecided (which would
     # drop the row from a comparison block)
-    from segre_kit.cli import _numeric_multiplicity
-    from segre_kit.cycles import multiplicity_at
-    from segre_kit.engine import compute_Mg
-
     M1 = compute_Mg(mat([["2*x1^2", "8*x1*x2^2"]], 2)).M[1]
     (term,) = [t for t in M1.terms if t.moving]
     assert multiplicity_at(M1, [0, 0]) == 2
@@ -470,29 +475,58 @@ def coprime_monomial_rows(draw):
     return row, n
 
 
-@given(coprime_monomial_rows())
-@settings(max_examples=10, deadline=None, derandomize=True)
-def test_crofton_matches_exact_rule_on_coprime_rows(row_n):
+def _has_common_factor(g):
+    return any(strip_common_factor([g.entries[i][j]
+                                    for i, j in g.nonzero_positions()])[0])
+
+
+@given(coprime_monomial_rows().map(lambda row_n: mat([row_n[0]], row_n[1]))
+       | st.integers(0, 2 ** 16).map(
+           lambda seed: _random_diag_monomial(random.Random(seed))).filter(
+           _has_common_factor))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_crofton_matches_exact_rule_on_coprime_rows(g):
     # every moving term of M_k through the Crofton oracle (the comparison
     # block's count) against the exact order rule, at grid points and for
-    # seeds 0-19; a term outside the oracle's rules leaves a count undecided
-    from segre_kit.cli import _grid, _numeric_multiplicity
-    from segre_kit.cycles import multiplicity_at
-    from segre_kit.engine import compute_Mg
-
-    row, n = row_n
-    res = compute_Mg(mat([row], n))
+    # seeds 0-19; a term outside the oracle's rules leaves a count undecided.
+    # A diagonal's common factor puts moving terms on [x_v = 0], so both
+    # rules restrict and renumber the arguments there
+    res = compute_Mg(g)
     decided = 0
     for k, cyc in enumerate(res.M):
         if not any(t.moving for t in cyc.terms):
             continue
-        for pt in _grid(n)[::3]:
-            exact = multiplicity_at(cyc, pt)
+        for pt in _grid(g.nvars)[::3]:
+            try:
+                exact = multiplicity_at(cyc, pt)
+            except UndecidedError:
+                continue  # a moving power with no exact rule
             for seed in range(20):
                 got = _numeric_multiplicity(cyc, pt, RegConfig(seed=seed))
-                assert got in (None, exact), (row, k, pt, seed, got, exact)
+                assert got in (None, exact), (g, k, pt, seed, got, exact)
                 decided += got is not None
     assume(decided)
+
+
+@st.composite
+def shifted_polynomials(draw):
+    """(p, c, x): a polynomial in 1-3 variables, a shift c and a point x,
+    all with Gaussian-rational coefficients."""
+    n = draw(st.integers(1, 3))
+    part = st.fractions(-3, 3, max_denominator=4)
+    gauss = st.builds(Scalar, part, part)
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * n),
+                                    gauss), max_size=5))
+    c, x = (draw(st.lists(gauss, min_size=n, max_size=n)) for _ in range(2))
+    return Polynomial(n, terms), c, x
+
+
+@given(shifted_polynomials())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_translate_evaluates_at_the_shifted_point(pcx):
+    poly, c, x = pcx
+    assert _translate(poly, c).evaluate(x) == \
+        poly.evaluate([a + b for a, b in zip(x, c)])
 
 
 def test_crofton_undecided():
@@ -721,8 +755,6 @@ def test_exact_top_segre_matches_oracles_random():
     # column pairs (x1^a, x2^b): exact top multiplicity a*b must agree with
     # the perturbation count and the epsilon mass
     import numpy as np
-    from segre_kit.cycles import multiplicity_at
-    from segre_kit.engine import compute_Mg
 
     rng = np.random.default_rng(5)
     for _ in range(4):

@@ -465,7 +465,8 @@ def test_parse_examples():
     # a variable name that polynomial text cannot refer to is refused, not
     # read as the imaginary unit or left unreachable
     for text, names, bad in (("i + x2", ["i", "x2"], "'i'"),
-                             ("x1", ["x1", "x1 "], "'x1 '")):
+                             ("x1", ["x1", "x1 "], "'x1 '"),
+                             ("x", ["x", "x"], "'x' is named twice")):
         with pytest.raises(ParseError, match=bad):
             parse_polynomial(text, 2, names)
     assert parse_polynomial("y + i", 2, ["y", "z"]) == \
