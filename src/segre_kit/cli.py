@@ -74,7 +74,6 @@ EXIT_UNDECIDED = 4
 
 @dataclass
 class MorphismSpec:
-    variables: List[str]
     matrix: PolyMatrix
     engine: str = "exact"
     points: list = field(default_factory=list)
@@ -107,8 +106,7 @@ def load_spec(data: dict) -> MorphismSpec:
             isinstance(row, list) and all(isinstance(cell, str) for cell in row)
             for row in rows):
         raise ParseError("'matrix' must be a list of rows of polynomial strings")
-    matrix = PolyMatrix([[parse_polynomial(cell, n, variables) for cell in row]
-                         for row in rows])
+    matrix = PolyMatrix([[parse_polynomial(cell, n) for cell in row] for row in rows])
     engine = data.get("engine", "exact")
     if engine not in ("exact", "both"):
         raise ParseError(f"unknown engine {engine!r}")
@@ -136,7 +134,7 @@ def load_spec(data: dict) -> MorphismSpec:
     if unknown:
         raise ParseError(f"unknown reg keys {unknown}; accepted: {known}")
     reg = RegConfig(**reg)
-    return MorphismSpec(variables, matrix, engine, points, tasks, reg, dict(data))
+    return MorphismSpec(matrix, engine, points, tasks, reg, dict(data))
 
 
 def read_spec_file(path: str) -> MorphismSpec:

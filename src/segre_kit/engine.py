@@ -54,9 +54,6 @@ from segre_kit.tower import (
     tower_residue,
 )
 
-EXACT_CLASSES = (StructureClass.DIAGONAL_MONOMIAL, StructureClass.SINGLE_ROW,
-                 StructureClass.COLUMN_SECTION)
-
 
 # ---------------------------------------------------------------------------
 # results
@@ -116,7 +113,7 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
     """The list of twisted Monge-Ampere residues of G = g*alpha on P(E),
     levels 0..n+r-1, for the supported structure classes."""
     structure = classify_structure(g)
-    if structure not in EXACT_CLASSES:
+    if structure is StructureClass.GENERAL:
         raise UnsupportedInputError(
             f"structure {structure.value} is outside the exact engine; "
             "'segre-kit mass' estimates its masses", structure=structure.value)

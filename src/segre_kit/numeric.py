@@ -266,7 +266,7 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     return u
 
 
-def _disk_samples(cfg: RegConfig, coords, center=None):
+def _disk_samples(cfg: RegConfig, coords):
     """Low-discrepancy samples on a polydisk, one ``(radius, power)`` per
     complex coordinate: the modulus is drawn as radius * u^power (power 1/2
     is uniform; larger powers concentrate toward the center, with exact
@@ -287,8 +287,6 @@ def _disk_samples(cfg: RegConfig, coords, center=None):
         ang = 2 * np.pi * u[:, 2 * j + 1]
         z[:, j] = rad * np.exp(1j * ang)
         weight *= 2 * np.pi * power * area * t ** (2 * power - 1)
-        if center is not None:
-            z[:, j] += complex(center[j])
     return z, weight
 
 
@@ -352,8 +350,7 @@ def _limit(per_eps, stderrs, cfg: RegConfig) -> MassEstimate:
 
 
 def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
-                 cfg: Optional[RegConfig] = None,
-                 center=None) -> List[MassEstimate]:
+                 cfg: Optional[RegConfig] = None) -> List[MassEstimate]:
     """Quasi-Monte-Carlo mass of the kernel eps/(|G|^2+eps)^{k+1} (dd^c|G|^2)^k
     over the polydisk, per epsilon, optionally Richardson-extrapolated; one
     estimate per degree k in ``ks``, all from the same samples.
@@ -373,7 +370,7 @@ def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
     if not ks or not all(1 <= k <= N for k in ks):
         raise InputError(f"degrees k = {ks} must be a nonempty list in 1..{N}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N, center)
+        z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N)
         vals = [p.eval_array(z) for p in G]
         g2 = np.zeros(len(z))
         for v in vals:

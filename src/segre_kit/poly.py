@@ -342,11 +342,10 @@ def _int(token: str, column: int) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens, nvars, names):
+    def __init__(self, tokens, nvars):
         self.tokens = tokens
         self.i = 0
         self.nvars = nvars
-        self.names = {name: j for j, name in enumerate(names)}
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -364,59 +363,46 @@ class _Parser:
             raise ParseError(f"expected {what!r}", column=col)
         return self.next()
 
-    def parse_poly(self) -> Polynomial:
-        acc = Polynomial.zero(self.nvars)
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
-        acc = acc + self.parse_term() * sign
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
-            acc = acc + self.parse_term() * sign
-        if self.i != len(self.tokens):
-            raise ParseError("trailing input", column=self.tokens[self.i][1])
-        return acc
-
-    def parse_term(self) -> Polynomial:
-        acc = self.parse_factor()
-        while self.peek() == "*":
-            self.next()
-            acc = acc * self.parse_factor()
-        return acc
-
-    def parse_factor(self) -> Polynomial:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if tok == "(":
-            self.next()
-            inner = self.parse_complex()
-            self.expect(")")
-            return Polynomial.constant(self.nvars, inner)
-        if tok.isdigit():
-            return Polynomial.constant(self.nvars, self.parse_rational())
-        if tok == "i":
-            self.next()
-            return Polynomial.constant(self.nvars, Scalar(0, 1))
-        if tok in self.names:
-            self.next()
-            var = self.names[tok]
-            exp = 1
-            if self.peek() == "^":
+    def parse_sum(self, names) -> list:
+        """Terms joined by + and -, one (exponents, coefficient) pair each: a
+        term's factors add their exponents and multiply their coefficients.
+        ``names`` maps the variables in scope to their indices; none is in
+        scope inside parentheses, so the text there is a constant."""
+        pairs = []
+        while True:
+            sign = self.next()[0] if self.peek() in ("+", "-") else "+"
+            exps, coeff = [0] * self.nvars, Scalar(-1 if sign == "-" else 1)
+            while True:
+                tok, col = self.next()
+                if tok in names:
+                    exp = 1
+                    if self.peek() == "^":
+                        self.next()
+                        e_tok, col = self.next()
+                        if not e_tok.isdigit():
+                            raise ParseError("exponent must be a decimal integer",
+                                             column=col)
+                        exp = _int(e_tok, col)
+                    exps[names[tok]] += exp
+                elif tok.isdigit():
+                    coeff = coeff * self.parse_rational(tok, col)
+                elif tok == "i":
+                    coeff = coeff * Scalar(0, 1)
+                elif tok == "(":
+                    coeff = coeff * sum(c for _, c in self.parse_sum({}))
+                    self.expect(")")
+                else:
+                    raise ParseError(f"unknown symbol {tok!r}", column=col)
+                if self.peek() != "*":
+                    break
                 self.next()
-                e_tok, col = self.next()
-                if not e_tok.isdigit():
-                    raise ParseError("exponent must be a decimal integer", column=col)
-                exp = _int(e_tok, col)
-            return Polynomial.monomial(
-                self.nvars, [exp if j == var else 0 for j in range(self.nvars)])
-        col = self.tokens[self.i][1]
-        raise ParseError(f"unknown symbol {tok!r}", column=col)
+            pairs.append((exps, coeff))
+            if self.peek() not in ("+", "-"):
+                return pairs
 
-    def parse_rational(self):
-        num_tok, col = self.next()
-        if not num_tok.isdigit():
-            raise ParseError("expected a number", column=col)
+    def parse_rational(self, num_tok, col):
+        """The number ``num_tok``, read already, over the denominator that
+        follows a '/'."""
         num = _int(num_tok, col)
         if self.peek() == "/":
             self.next()
@@ -427,51 +413,33 @@ class _Parser:
             return Fraction(num, den)
         return num
 
-    def parse_complex(self) -> Scalar:
-        """Inside parens: rational (+|-) rational [*] i, or a lone rational/i form."""
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
-        first = self._simple_part() * sign
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
-            second = self._simple_part() * sign
-            return first + second
-        return first
-
-    def _simple_part(self) -> Scalar:
-        if self.peek() == "i":
-            self.next()
-            return Scalar(0, 1)
-        q = self.parse_rational()
-        if self.peek() == "*":
-            save = self.i
-            self.next()
-            if self.peek() == "i":
-                self.next()
-                return Scalar(0, q)
-            self.i = save
-        elif self.peek() == "i":
-            self.next()
-            return Scalar(0, q)
-        return Scalar(q)
-
 
 def parse_polynomial(text: str, nvars: int,
                      names: Optional[Sequence[str]] = None) -> Polynomial:
     """Parse the polynomial text syntax (terms joined by +/-, monomials like
-    ``x1^2*x2``, rational coefficients ``a/b``, imaginary unit ``i``) over
-    the variables ``names``, each of which must pass ``is_variable_name``
-    and differ from the others."""
+    ``x1^2*x2``, rational coefficients ``a/b``, imaginary unit ``i``,
+    parentheses around a constant in the same syntax) over the variables
+    x1..xn, or over ``names`` when given: one per variable, each passing
+    ``is_variable_name`` and differing from the others."""
     if names is None:
-        names = [f"x{i + 1}" for i in range(nvars)]
-    for j, name in enumerate(names):
-        if not is_variable_name(name):
-            raise ParseError(f"variable {name!r} is not a name polynomial "
-                             "text can refer to (one identifier other than 'i')")
-        if name in names[:j]:
-            raise ParseError(f"variable {name!r} is named twice")
-    return _Parser(_tokenize(text), nvars, list(names)).parse_poly()
+        names = [f"x{j + 1}" for j in range(nvars)]
+    elif len(names) != nvars:
+        raise ParseError(f"{len(names)} variable names for {nvars} variables")
+    else:
+        for j, name in enumerate(names):
+            if not is_variable_name(name):
+                raise ParseError(f"variable {name!r} is not a name polynomial "
+                                 "text can refer to (one identifier other than 'i')")
+            if name in names[:j]:
+                raise ParseError(f"variable {name!r} is named twice")
+    parser = _Parser(_tokenize(text), nvars)
+    try:
+        pairs = parser.parse_sum({name: j for j, name in enumerate(names)})
+    except RecursionError:
+        raise ParseError("parentheses nested too deep") from None
+    if parser.i != len(parser.tokens):
+        raise ParseError("trailing input", column=parser.tokens[parser.i][1])
+    return Polynomial(nvars, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +689,6 @@ def strip_common_factor(polys):
 class StructureClass(Enum):
     DIAGONAL_MONOMIAL = "DIAGONAL_MONOMIAL"
     SINGLE_ROW = "SINGLE_ROW"
-    COLUMN_SECTION = "COLUMN_SECTION"
     GENERAL = "GENERAL"
 
 
@@ -739,8 +706,6 @@ def classify_structure(g: PolyMatrix) -> StructureClass:
     and every nonzero entry is a scalar times a monomial.
     SINGLE_ROW: one row, >= 2 nonzero monomial entries that become pairwise
     coprime after extracting the common monomial factor.
-    COLUMN_SECTION: one row with exactly two nonzero entries, kept for the
-    quotient-current computation even when the entries are not monomials.
     """
     nz = g.nonzero_positions()
     all_monomial = all(g.entries[i][j].as_monomial() is not None for i, j in nz)
@@ -755,6 +720,4 @@ def classify_structure(g: PolyMatrix) -> StructureClass:
         _, red = strip_common_factor([g.entries[i][j] for i, j in nz])
         if _pairwise_coprime([p.as_monomial()[1] for p in red]):
             return StructureClass.SINGLE_ROW
-    if g.rows == 1 and g.cols == 2 and len(nz) == 2:
-        return StructureClass.COLUMN_SECTION
     return StructureClass.GENERAL

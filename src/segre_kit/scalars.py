@@ -115,7 +115,7 @@ def _frac_str(q: Fraction) -> str:
 
 
 def format_scalar(s: Scalar) -> str:
-    """Render in the polynomial text syntax: '3', '-1/2', 'i', '(1+2i)'."""
+    """Render in the polynomial text syntax: '3', '-1/2', 'i', '(1+2*i)'."""
     if s.im == 0:
         return _frac_str(s.re)
     if s.re == 0:

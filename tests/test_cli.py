@@ -64,11 +64,15 @@ def fuzz_specs(draw):
     monomials = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
         lambda exps: "*".join(f"{v}^{e}" for v, e in zip(names, exps) if e)
         or "1")
-    cells = monomials | st.sampled_from(["0", "x1 + x2", "1/2*x1", "i*x2"])
+    # the parenthesized forms: a Gaussian coefficient, constant expressions,
+    # and text the grammar refuses ('2i' without '*', a name in parentheses)
+    parenthesized = ["(1+2*i)*x1", "(2*3)", "(1+2i)", "(x1)", "((1))"]
+    cells = monomials | st.sampled_from(["0", "x1 + x2", "1/2*x1", "i*x2",
+                                         *parenthesized])
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     # off-diagonal zeros often enough to reach the exact classes
     diagonal = draw(st.booleans())
-    coords = st.sampled_from(["0", "1", "-1", "1/2", "i"])
+    coords = st.sampled_from(["0", "1", "-1", "1/2", "i", *parenthesized])
     spec = {
         "variables": names,
         "matrix": [[draw(cells) if i == j or not diagonal else "0"
@@ -154,6 +158,16 @@ def test_exit_codes(tmp_path, capsys):
         "engine": "exact", "tasks": ["Mg"]}, "general.json")
     assert main(["run", general, "--out", str(tmp_path / "g.json")]) == 3
     assert "'segre-kit mass'" in capsys.readouterr().err
+
+    # a non-monomial two-entry row: the exact tower refuses it, while the
+    # origin certificate and Fulton's count give its M^a
+    pair = {"variables": ["x1", "x2"], "matrix": [["x1^2 - x2^3", "x1*x2"]],
+            "engine": "exact"}
+    path = write_spec(tmp_path, {**pair, "tasks": ["Mg"]}, "pair_mg.json")
+    assert main(["run", path, "--out", str(tmp_path / "pg.json")]) == 3
+    assert "structure GENERAL is outside the exact engine" in capsys.readouterr().err
+    path = write_spec(tmp_path, {**pair, "tasks": ["Ma"]}, "pair_ma.json")
+    assert main(["run", path, "--out", str(tmp_path / "pa.json")]) == 0
 
     # a common zero at (1e-7, 0) besides the origin: no exact M^a
     near = write_spec(tmp_path, {

@@ -736,11 +736,6 @@ def test_comparability_numeric_mass():
     assert abs(res.numeric_mass - 3) < 0.1
 
 
-def test_epsilon_mass_center_shift():
-    (est,) = epsilon_mass([p("x1 - 2"), p("x2 - 2")], [2], CFG, center=[2, 2])
-    assert abs(est.value - 1) < 0.05
-
-
 def test_mass_balance_fractional_order_knob():
     # the degenerate entry x1^2 leaves a half-order epsilon tail; the
     # extrapolation-order knob absorbs it

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from segre_kit import poly
+from segre_kit.cli import parse_scalar_text
 from segre_kit.errors import InputError, ParseError
 from segre_kit.poly import (
     PolyMatrix,
@@ -16,6 +18,7 @@ from segre_kit.poly import (
     StructureClass,
     classify_structure,
     determinant_and_minors,
+    format_monomial,
     format_polynomial,
     _gauss_det,
     _sturm,
@@ -24,7 +27,7 @@ from segre_kit.poly import (
     resultant,
     strip_common_factor,
 )
-from segre_kit.scalars import Scalar
+from segre_kit.scalars import Scalar, format_scalar
 
 
 def p(text, n=2):
@@ -439,7 +442,7 @@ def test_classify_examples():
     assert classify_structure(mat([["x1", "x2 + 1"], ["x2", "x1"]], 2)) \
         == StructureClass.GENERAL
     assert classify_structure(mat([["x1^2 - x2^3", "x1*x2"]], 2)) \
-        == StructureClass.COLUMN_SECTION
+        == StructureClass.GENERAL
     # permuted diagonal stays diagonal
     assert classify_structure(mat([["0", "x2"], ["x1", "0"]], 2)) \
         == StructureClass.DIAGONAL_MONOMIAL
@@ -469,8 +472,22 @@ def test_parse_examples():
                              ("x", ["x", "x"], "'x' is named twice")):
         with pytest.raises(ParseError, match=bad):
             parse_polynomial(text, 2, names)
+    with pytest.raises(ParseError, match="1 variable names for 2 variables"):
+        parse_polynomial("x1", 2, ["x1"])
     assert parse_polynomial("y + i", 2, ["y", "z"]) == \
         Polynomial(2, {(1, 0): 1, (0, 0): Scalar(0, 1)})
+    # parentheses hold a constant in the same syntax; a name there is
+    # unknown, and '2i' needs its '*'
+    assert p("(2*3)*x1") == Polynomial(2, {(1, 0): 6})
+    assert p("((1))") == Polynomial.constant(2, 1)
+    assert p("(i*i)*x2 + (1/2-(1+i))") == Polynomial(
+        2, {(0, 1): -1, (0, 0): Scalar(Fraction(-1, 2), -1)})
+    for text, message in (("(1+2i)", "expected ')'"), ("(x1)", "unknown symbol 'x1'"),
+                          ("(" * 5000 + "1" + ")" * 5000, "nested too deep")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            p(text)
+    # a monomial that cancels and comes back keeps its first position
+    assert list(p("x1 - x1 + x2 + x1").terms) == [(1, 0), (0, 1)]
     # a power is built as one monomial, not by repeated multiplication
     assert parse_polynomial("x1^200000", 1) == Polynomial.monomial(1, [200000])
     assert p("x1^0*x2") == Polynomial.variable(2, 1)
@@ -492,7 +509,51 @@ def polynomials(draw, nvars=3, max_terms=6, max_exp=4):
     return Polynomial(nvars, terms)
 
 
-@given(polynomials())
+@given(polynomials(), scalar_strategy)
 @settings(max_examples=150, deadline=None)
-def test_text_round_trip(poly):
+def test_text_round_trip(poly, s):
     assert parse_polynomial(format_polynomial(poly), poly.nvars) == poly
+    assert parse_scalar_text(format_scalar(s)) == s
+
+
+@given(polynomials(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_parse_rendered_terms(poly, data):
+    """Terms in any order, coefficients split as (c - d)*m + d*m, and
+    coefficients in parentheses parse to the Polynomial that arithmetic
+    builds from the same pieces."""
+    pieces = []
+    for m, c in poly.terms.items():
+        d = data.draw(scalar_strategy) if data.draw(st.booleans()) else Scalar(0)
+        pieces += [(m, c - d), (m, d)]
+    pieces = data.draw(st.permutations(pieces))
+    texts = [f"({format_scalar(c)})*{format_monomial(m)}" if data.draw(st.booleans())
+             else format_polynomial(Polynomial.monomial(poly.nvars, m, c))
+             for m, c in pieces]
+    text = " ".join(t if k == 0 or t.startswith("-") else f"+ {t}"
+                    for k, t in enumerate(texts)) or "0"
+    built = sum((Polynomial.monomial(poly.nvars, m, c) for m, c in pieces),
+                Polynomial.zero(poly.nvars))
+    assert built == poly
+    assert parse_polynomial(text, poly.nvars) == built
+
+
+def test_one_polynomial_per_parse(monkeypatch):
+    """A parse hands every term's (monomial, coefficient) pair to a single
+    Polynomial constructor call; no Polynomial is built per token."""
+    calls = []
+    init = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    for text in ("x1^2*x2 - 3/4*x2 + x1 - x1", "(2*3)*x1 + ((1+2*i))*i*x2^3", "0"):
+        calls.clear()
+        parse_polynomial(text, 2)
+        assert len(calls) == 1, text
+    for text in ("1/2", "-(1-2*i)", "i*(2*3)"):
+        calls.clear()
+        parse_scalar_text(text)
+        assert len(calls) == 1, text
