@@ -30,6 +30,7 @@ from segre_kit.cycles import (
     multiplicity_at,
 )
 from segre_kit.engine import (
+    _distinguished_records,
     compute_Ma,
     compute_Mg,
     segre_numbers,
@@ -185,21 +186,18 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
         return [segre_numbers(spec.matrix, pt, cfg=cfg, result=res)
                 for pt in spec.points]
 
-    if "Mg" in spec.tasks and res is not None:
+    if "Mg" in spec.tasks:
         results["Mg"] = res.to_record()
-    if "segre" in spec.tasks and res is not None:
+    if "segre" in spec.tasks:
         reports = segre_reports()
         results["segre"] = [r.to_record() for r in reports]
-    if "distinguished" in spec.tasks and res is not None:
-        base = res.M[0].space
-        results["distinguished"] = [
-            {"equations": ref.equations(base),
-             "coefficient": co, "codim": k}
-            for ref, co, k in res.distinguished]
+    if "distinguished" in spec.tasks:
+        results["distinguished"] = _distinguished_records(res.distinguished,
+                                                          res.M[0].space)
     if "Ma" in spec.tasks:
         ma = compute_Ma(spec.matrix, cfg=spec.reg)
         results["Ma"] = [c.to_record() for c in ma]
-    if "singular_metrics" in spec.tasks and res is not None:
+    if "singular_metrics" in spec.tasks:
         out = {}
         for which in ("SEGRE_E_HAT", "CHERN_E_HAT", "SEGRE_F_HAT"):
             try:

@@ -49,6 +49,7 @@ from segre_kit.poly import (
 )
 from segre_kit.tower import (
     _divisor_terms,
+    _normalized_weights,
     _recognize_omega,
     pushforward_cycle,
     tower_residue,
@@ -85,6 +86,12 @@ class MorphismResult:
         }
 
 
+def _distinguished_records(distinguished, space: Space) -> list:
+    """The report records of (VarietyRef, coefficient, codim) triples."""
+    return [{"equations": ref.equations(space), "coefficient": int(co),
+             "codim": k} for ref, co, k in distinguished]
+
+
 @dataclass
 class SegreReport:
     point: tuple
@@ -97,10 +104,8 @@ class SegreReport:
         return {
             "point": [str(c) for c in self.point],
             "numbers": list(self.numbers),
-            "distinguished": [
-                {"equations": ref.equations(self.space),
-                 "coefficient": int(co), "codim": k}
-                for ref, co, k in self.distinguished],
+            "distinguished": _distinguished_records(self.distinguished,
+                                                    self.space),
             "provenance": list(self.provenance),
         }
 
@@ -190,10 +195,11 @@ def _homogenize_chart_term(t: CycleTerm, space: Space, chart: int) -> CycleTerm:
 # the morphism currents
 # ---------------------------------------------------------------------------
 
-def _strip_unit_blocks(g: PolyMatrix) -> Optional[PolyMatrix]:
+def _strip_unit_blocks(g: PolyMatrix):
     """Remove rows/columns of nonzero-constant entries that are alone in both
     their row and column: a pointwise-injective unit summand leaves M^g
-    unchanged at trivial metrics.  Returns None when nothing can be removed."""
+    unchanged at trivial metrics.  Returns the reduced matrix and its
+    columns' indices in g, or None when nothing can be removed."""
     nz = g.nonzero_positions()
     row_counts = [0] * g.rows
     col_counts = [0] * g.cols
@@ -208,16 +214,21 @@ def _strip_unit_blocks(g: PolyMatrix) -> Optional[PolyMatrix]:
             drop_cols.add(j)
     if not drop_rows or len(drop_cols) == g.cols or len(drop_rows) == g.rows:
         return None
-    kept = [[g.entries[i][j] for j in range(g.cols) if j not in drop_cols]
+    cols = [j for j in range(g.cols) if j not in drop_cols]
+    kept = [[g.entries[i][j] for j in cols]
             for i in range(g.rows) if i not in drop_rows]
-    return PolyMatrix(kept)
+    return PolyMatrix(kept), cols
 
 
 def compute_Mg(g: PolyMatrix,
                fiber_metric_weights: Optional[Sequence] = None) -> MorphismResult:
-    """All currents M^g_k, k = 0..n, for an exact-class input."""
+    """All currents M^g_k, k = 0..n, for an exact-class input; the fiber
+    metric sum w_j |a_j|^2 takes r positive int or Fraction weights
+    (default all 1)."""
     n, r = g.nvars, g.cols
     base = base_space(n)
+    if fiber_metric_weights is not None:
+        _normalized_weights(fiber_metric_weights, r)  # refuses bad weights
 
     if g.is_zero():
         M = [GeneralizedCycle.one(base)]
@@ -239,21 +250,23 @@ def compute_Mg(g: PolyMatrix,
         if stripped is None:
             raise
         # a unit diagonal summand leaves the morphism currents unchanged
-        res = compute_Mg(stripped, fiber_metric_weights)
+        kept, cols = stripped
+        res = compute_Mg(kept, fiber_metric_weights and
+                         [fiber_metric_weights[j] for j in cols])
         res.Z_description += " (computed from the unit-reduced presentation)"
         return res
-    space = ring[1].space if len(ring) > 1 else proj_space(n, r)
-    M = []
-    for k in range(n + 1):
-        acc = GeneralizedCycle.zero(base, k)
-        for level, cyc in enumerate(ring):
+    # omega^e ^ ring_M_l, 0 <= e <= r - 1, pushes down to degree
+    # k = l + e - (r - 1)
+    terms = [[] for _ in range(n + 1)]
+    for level, cyc in enumerate(ring):
+        if cyc.is_zero():
+            continue
+        for k in range(max(0, level - r + 1), min(n, level) + 1):
             e = k + r - 1 - level
-            if e < 0 or e > r - 1 or cyc.is_zero() or level + e > space.dim:
-                continue
             part = wedge(cyc, ("omega", e)) if e else cyc
-            acc = acc + pushforward_cycle(part, fiber_metric_weights)
-        M.append(acc)
-    return MorphismResult(M, ring)
+            terms[k] += pushforward_cycle(part, fiber_metric_weights).terms
+    return MorphismResult([GeneralizedCycle(base, k, ts)
+                           for k, ts in enumerate(terms)], ring)
 
 
 def _describe_Z(res: MorphismResult) -> str:
@@ -412,10 +425,9 @@ def singular_metric_forms(g: PolyMatrix, which: str,
             raise InputError("s(F-hat) needs det g not identically zero")
     res = result or compute_Mg(g)
     base = res.M[0].space
-    sign = 1 if which == "SEGRE_E_HAT" else -1
-    cycles = [GeneralizedCycle.one(base)]
-    for k in range(1, base.n + 1):
-        cycles.append(res.M[k].scale(sign))
+    cycles = [GeneralizedCycle.one(base)] + (
+        res.M[1:] if which == "SEGRE_E_HAT"
+        else [c.scale(-1) for c in res.M[1:]])
     metadata = {}
     if which == "SEGRE_E_HAT":
         metadata["smooth_tail"] = "1_{X\\Z} s(Im g) (not expanded; trivial metrics)"

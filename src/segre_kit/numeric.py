@@ -573,10 +573,9 @@ def _slice_poly(factor: MovingFactor, gamma) -> Polynomial:
     """sum_i gamma_i f_i.  The weights are left out: positive weights do not
     change a Lelong number (Demailly's comparison theorem), and gamma is
     random anyway."""
-    acc = Polynomial.zero(factor.args[0].nvars)
-    for g_c, p in zip(gamma, factor.args):
-        acc = acc + p * g_c
-    return acc
+    return Polynomial(factor.args[0].nvars,
+                      [(m, c * g_c) for g_c, p in zip(gamma, factor.args)
+                       for m, c in p.terms.items()])
 
 
 def _translate(p: Polynomial, point) -> Polynomial:

@@ -19,11 +19,14 @@ hyperplane of the common factor restricts the tuple once, and the levels of
 that inner walk shift up by one.  The residue of a level is read off its full
 power by dropping the terms whose fixed part is the whole space.
 
-The fiber pushforward uses that every slice of a fiber-linear factor cuts a
-projective hyperplane out of each fiber: j slice factors together with
-omega^e integrate to 1 when j + e equals the fiber dimension, vanish below
-it, and produce the (j+e-fiberdim)-th power of the base-argument potential
-above it (a Fubini-Study-averaged representative; multiplicities are exact).
+The fiber pushforward has one rule per term.  Its fiber content is q slices
+by base arguments f_j, each cutting a hyperplane out of every fiber: none for
+a coordinate subspace, one for a fiber hypersurface sum f_j a_j = 0, q for a
+fiber-linear factor of power q; f_j takes the metric weight of a_j.  With
+omega^e the term pushes to zero while e + q is below d, the dimension of its
+fibers (r - 1 less its fiber zeros), to its base part at d, and above it to
+the (e+q-d)-th tower level of the f_j (a Fubini-Study-averaged
+representative but for one hypersurface slice; multiplicities are exact).
 """
 
 from __future__ import annotations
@@ -86,16 +89,14 @@ def _divisor_terms(space: Space, p: Polynomial) -> List[CycleTerm]:
 
 def _fiber_linear_args(space: Space, q: Polynomial):
     """Decompose q = sum_j f_j(x) * a_j; error when q is not fiber-linear."""
-    args = [Polynomial.zero(space.total_vars) for _ in range(space.r)]
+    pairs = [[] for _ in range(space.r)]  # (monomial, coefficient) per a_j
     for m, c in q.terms.items():
         fiber_part = [(j, e) for j, e in enumerate(m[space.n:]) if e]
         if len(fiber_part) != 1 or fiber_part[0][1] != 1:
             raise UnsupportedInputError(
                 "exact tower supports divisors linear in the fiber variables")
-        j = fiber_part[0][0]
-        base_m = m[:space.n] + (0,) * space.r
-        args[j] = args[j] + Polynomial(space.total_vars, {base_m: c})
-    return tuple(args)
+        pairs[fiber_part[0][0]].append((m[:space.n] + (0,) * space.r, c))
+    return tuple(Polynomial(space.total_vars, ps) for ps in pairs)
 
 
 def _attach_factor(space: Space, terms: List[CycleTerm],
@@ -204,21 +205,6 @@ def _levels(entries, space: Space) -> List[List[CycleTerm]]:
     return out
 
 
-def full_power_base(args: Sequence[Polynomial], n: int,
-                    level: int) -> List[CycleTerm]:
-    """[dd^c log sum|args|^2]^level on the base polydisk in C^n."""
-    space = base_space(n)
-    clipped = [p for p in args if not p.is_zero()]
-    if not clipped:
-        raise InputError("base power of the zero tuple")
-    if all(p.is_constant() for p in clipped):
-        # pluriharmonic potential: the positive powers are the zero current
-        return [] if level >= 1 else [term(1, VarietyRef.whole_space())]
-    if level > n:
-        return []
-    return _levels(clipped, space)[level]
-
-
 # ---------------------------------------------------------------------------
 # fiber pushforward
 # ---------------------------------------------------------------------------
@@ -231,10 +217,23 @@ def _strip_to_base(p: Polynomial, space: Space) -> Polynomial:
     return Polynomial(space.n, terms)
 
 
-def _normalized_weights(weights):
-    if not weights:
-        return ()
-    fr = [Fraction(w) for w in weights]
+def _fiber_coordinate(space: Space, p: Polynomial) -> Optional[int]:
+    """j when every term of p carries exactly the fiber coordinate a_j."""
+    js = {m[space.n:].index(1) if sum(m[space.n:]) == 1 else None
+          for m in p.terms}
+    return js.pop() if len(js) == 1 else None
+
+
+def _normalized_weights(weights, r: int) -> tuple:
+    """The base-argument weights of the fiber metric sum w_j |a_j|^2: the
+    1/w_j as coprime integers, () when they are all equal.  Anything but r
+    positive ints or Fractions raises InputError."""
+    ws = tuple(weights) if isinstance(weights, (list, tuple)) else ()
+    if len(ws) != r or not all(type(w) in (int, Fraction) and w > 0
+                               for w in ws):
+        raise InputError(
+            f"fiber_metric_weights must be {r} positive ints or Fractions")
+    fr = [1 / Fraction(w) for w in ws]
     if len(set(fr)) == 1:
         return ()
     scale = math.lcm(*(f.denominator for f in fr))
@@ -256,23 +255,21 @@ def pushforward_cycle(c: GeneralizedCycle,
     space = c.space
     if space.kind != "PROJ":
         raise InputError("pushforward_cycle expects a cycle on the projectivization")
-    r = space.r
-    out_deg = c.degree - (r - 1)
+    out_deg = c.degree - (space.r - 1)
     base = base_space(space.n)
     if out_deg < 0:
         return GeneralizedCycle.zero(base, 0)
-    out_terms: List[CycleTerm] = []
-    for t in c.terms:
-        out_terms.extend(_push_term(t, space, base, fiber_metric_weights))
-    return GeneralizedCycle(base, out_deg, out_terms)
+    weights = () if fiber_metric_weights is None else \
+        _normalized_weights(fiber_metric_weights, space.r)
+    return GeneralizedCycle(base, out_deg, [
+        p for t in c.terms for p in _push_term(t, space, base, weights)])
 
 
 def _push_term(t: CycleTerm, space: Space, base: Space,
-               metric_weights) -> List[CycleTerm]:
-    r = space.r
+               weights: tuple) -> List[CycleTerm]:
+    """One term's pushforward by the rule in the module docstring."""
     e = t.omega_power
-    base_factors = []
-    slice_factor = None
+    base_factors, slices = [], []
     for f in t.moving:
         involves_fiber = any(any(m[space.n:]) for p in f.args for m in p.terms)
         if not involves_fiber:
@@ -281,70 +278,42 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
                 f.power, f.weights, f.averaged))
         elif _is_full_fiber_frame(space, f.args):
             e += f.power  # a variant Fubini-Study form: integrates like omega
-        elif slice_factor is None:
-            slice_factor = f
         else:
-            raise UnsupportedTermError(
-                f"term has several fiber moving factors: {t.describe(space)}",
-                term=t)
-
+            slices.append(f)
     fixed = t.fixed
-    if fixed.kind == VarietyKind.FIBER_HYPERSURFACE:
-        if slice_factor is not None:
-            raise UnsupportedTermError(
-                f"hypersurface term with extra fiber factor: {t.describe(space)}",
-                term=t)
-        args = [p for p in fixed.hypersurface if not p.is_zero()]
-        return _push_slices(t, [_strip_to_base(p, space) for p in args], 1, e,
-                            VarietyRef.whole_space(), base, base_factors, space,
-                            metric_weights, exact_single_slice=True)
-
-    if fixed.kind not in (VarietyKind.WHOLE_SPACE, VarietyKind.COORDINATE_SUBSPACE):
-        raise UnsupportedTermError(f"unsupported fixed part: {t.describe(space)}",
-                                   term=t)
+    hypersurface = fixed.kind == VarietyKind.FIBER_HYPERSURFACE
+    if fixed.kind == VarietyKind.POINT or len(slices) > 1 or \
+            slices and (hypersurface or fixed.fiber_zeros):
+        raise UnsupportedTermError(
+            f"unsupported fiber content: {t.describe(space)}", term=t)
+    if hypersurface:
+        # entry j is the coefficient of a_j; zero entries drop out
+        js = [j for j, p in enumerate(fixed.hypersurface) if not p.is_zero()]
+        args, q = [fixed.hypersurface[j] for j in js], 1
+    else:
+        args = slices[0].args if slices else ()
+        q = slices[0].power if slices else 0
+        js = [_fiber_coordinate(space, p) for p in args] if weights else ()
     base_fixed = VarietyRef.coordinate_subspace(fixed.base_zeros)
-
-    if slice_factor is not None:
-        if fixed.fiber_zeros:
-            raise UnsupportedTermError(
-                f"moving factor against a fiber subspace: {t.describe(space)}",
-                term=t)
-        args = [_strip_to_base(p, space) for p in slice_factor.args]
-        return _push_slices(t, args, slice_factor.power, e, base_fixed, base,
-                            base_factors, space, metric_weights,
-                            exact_single_slice=False)
-
-    # pure subspace content: integrate omega^e over the fiber part
-    d = fixed.fiber_dimension(space)
-    if e != d:
+    jp = e + q - (space.r - 1 - len(fixed.fiber_zeros))  # e + q - d
+    if jp < 0:
         return []
-    return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors))]
-
-
-def _push_slices(t: CycleTerm, base_args, q: int, e: int,
-                 base_fixed: VarietyRef, base: Space, base_factors,
-                 space: Space, metric_weights, exact_single_slice: bool
-                 ) -> List[CycleTerm]:
-    """j fiber slices with omega^e: zero below fiber-filling degree, the
-    constant 1 at it, and the (q+e-(r-1))-th base power above it."""
-    r = space.r
-    if e + q < r - 1:
-        return []
-    if e + q == r - 1:
+    if jp == 0:
         return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors))]
-    jp = e + q - (r - 1)
-    weights = ()
-    if metric_weights is not None:
-        weights = _normalized_weights([Fraction(1, 1) / Fraction(w)
-                                       for w in metric_weights])
-    expanded = full_power_base(base_args, base.n, jp)
+    base_args = [_strip_to_base(p, space) for p in args]
+    if jp > base.n or all(p.is_constant() for p in base_args):
+        return []
+    ws = tuple(weights[j] for j in js if j is not None) if weights else ()
+    ws = ws if len(set(ws)) > 1 else ()
+    averaged = not (hypersurface and jp == 1)
     out = []
-    averaged = not (exact_single_slice and jp == 1)
-    for sub in expanded:
+    for sub in _levels(base_args, base)[jp]:
         moving = list(base_factors)
         for f in sub.moving:
-            moving.append(MovingFactor(f.args, f.power,
-                                       weights or f.weights, averaged))
+            if weights and not len(f.args) == len(set(js) - {None}) == len(js):
+                raise UnsupportedInputError(
+                    "fiber metric weights do not match a factor's arguments")
+            moving.append(MovingFactor(f.args, f.power, ws, averaged))
         out.append(CycleTerm(t.coefficient * sub.coefficient,
                              meet(base_fixed, sub.fixed), 0, tuple(moving)))
     return out

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from segre_kit.cycles import (
@@ -12,7 +12,9 @@ from segre_kit.cycles import (
     base_space,
     fixed_moving_split,
     multiplicity_at,
+    proj_space,
     term,
+    wedge,
 )
 from segre_kit.engine import (
     MorphismResult,
@@ -24,8 +26,14 @@ from segre_kit.engine import (
 )
 from segre_kit.errors import InputError, UnsupportedInputError
 from segre_kit.numeric import RegConfig
-from segre_kit.poly import PolyMatrix, Polynomial, parse_polynomial
+from segre_kit.poly import (
+    PolyMatrix,
+    Polynomial,
+    format_polynomial,
+    parse_polynomial,
+)
 from segre_kit.scalars import Scalar
+from segre_kit.tower import pushforward_cycle
 
 
 def mat(rows, n):
@@ -100,6 +108,124 @@ def test_dimension_principle_diag():
     res = compute_Mg(mat([["x1", "0"], ["0", "x1"]], 1))
     assert res.M[0].is_zero()
     assert res.M[1].describe() == "2*[x1=0]"
+
+
+def _reference_M(g, weights=None):
+    """Each M_k as the engine docstring's sum over ring levels l of the
+    pushforwards of omega^e ^ ring_M_l, e = k + r - 1 - l, added up with
+    GeneralizedCycle.__add__."""
+    ring, n, r = ring_M_Galpha(g), g.nvars, g.cols
+    M = []
+    for k in range(n + 1):
+        acc = GeneralizedCycle.zero(base_space(n), k)
+        for level, cyc in enumerate(ring):
+            e = k + r - 1 - level
+            if 0 <= e <= r - 1:
+                acc = acc + pushforward_cycle(wedge(cyc, ("omega", e)),
+                                              weights)
+        M.append(acc)
+    return M
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_Mg_is_the_sum_of_pushed_ring_levels(seed, as_row, weighted):
+    # a permuted diagonal, or its entries as one pairwise-coprime row
+    from segre_kit.cli import _random_diag_monomial
+
+    rng = random.Random(seed)
+    g = _random_diag_monomial(rng)
+    if as_row:
+        g = PolyMatrix([[g.entries[i][j] for i, j in
+                         sorted(g.nonzero_positions(), key=lambda ij: ij[1])]])
+    assume(g.cols >= 2)
+    weights = [rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(g.cols)] \
+        if weighted else None
+    assert compute_Mg(g, weights).M == _reference_M(g, weights), str(g)
+
+
+def test_Mg_adds_no_cycles(monkeypatch):
+    # each M_k is built from its pushed terms by one constructor call
+    calls = []
+    add = GeneralizedCycle.__add__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return add(a, b)
+
+    monkeypatch.setattr(GeneralizedCycle, "__add__", counted)
+    for rows, n in [([["x1*x3", "0", "0"], ["0", "x2*x3", "0"],
+                      ["0", "0", "x3^2"]], 3),
+                    ([["x1", "x2"]], 2),
+                    ([["x1", "x2", "0"], ["0", "0", "1"]], 2)]:
+        compute_Mg(mat(rows, n))
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# fiber metric weights
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("weights", [
+    (0, 1), (-1, 1), (1,), (1, 2, 3), (), (1.0, 2), (True, 1), ("1", 2), 3,
+])
+def test_bad_weights_are_refused(weights):
+    with pytest.raises(InputError, match="fiber_metric_weights"):
+        compute_Mg(mat([["x1", "x2"]], 2), weights)
+
+
+def _weighted_args(cyc):
+    """The sorted (argument text, weight) pairs of each moving factor of a
+    base cycle."""
+    names = cyc.space.var_names()
+    return [sorted((format_polynomial(p, names), str(w))
+                   for p, w in zip(f.args, f.weights or [1] * len(f.args)))
+            for t in cyc.terms for f in t.moving]
+
+
+@pytest.mark.parametrize("rows, n, weights, k, expected", [
+    # a zero entry of the row drops out with the weight of its column
+    ([["x1", "0", "x2"]], 2, (1, 2, 3), 1,
+     "X ^ <dd^c log(6*|x1|^2 + 2*|x2|^2)>"),
+    # the slices on [x3 = 0] miss a3, so they take w1 and w2 only
+    ([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3,
+     (1, 2, 3), 2,
+     "[x3=0] ^ <dd^c log(6*|x1|^2 + 3*|x2|^2)> (averaged) + [x1=x2=0] "
+     "+ 2*[x1=x3=0] + 2*[x2=x3=0]"),
+    ([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3,
+     (1, 1, 2), 2,
+     "[x3=0] ^ <dd^c log(|x1|^2 + |x2|^2)> (averaged) + [x1=x2=0] "
+     "+ 2*[x1=x3=0] + 2*[x2=x3=0]"),
+    # the unit block's column takes its weight along
+    ([["x1", "x2", "0"], ["0", "0", "1"]], 2, (1, 2, 3), 1,
+     "X ^ <dd^c log(2*|x1|^2 + |x2|^2)>"),
+    ([["x1", "x2"]], 2, (1, Fraction(1, 2)), 1,
+     "X ^ <dd^c log(|x1|^2 + 2*|x2|^2)>"),
+])
+def test_weights_follow_the_fiber_coordinate(rows, n, weights, k, expected):
+    assert compute_Mg(mat(rows, n), weights).M[k].describe() == expected
+
+
+def test_weights_survive_a_row_swap():
+    # the same morphism up to a unitary automorphism of F: x1 sits in
+    # column 1 either way, so it takes the weight of a1
+    diag = mat([["x1*x3", "0"], ["0", "x2*x3"]], 3)
+    swap = mat([["0", "x2*x3"], ["x1*x3", "0"]], 3)
+    want = [[("x1", "2"), ("x2", "1")]]
+    for g in (diag, swap):
+        assert _weighted_args(compute_Mg(g, (1, 2)).M[2]) == want
+
+
+def test_unmatched_weights_raise():
+    # slices whose arguments do not carry distinct fiber coordinates
+    a1, a2 = Polynomial.variable(4, 2), Polynomial.variable(4, 3)
+    x1, x2 = Polynomial.variable(4, 0), Polynomial.variable(4, 1)
+    for args in [(x1 * a1, x2 * a1), (x1 * a1, x2), (x1 * a1, x2 * a1 * a2)]:
+        c = GeneralizedCycle(proj_space(2, 2), 2, [
+            term(1, VarietyRef.whole_space(), 1, (MovingFactor(args, 1),))])
+        assert pushforward_cycle(c).degree == 1
+        with pytest.raises(UnsupportedInputError, match="weights"):
+            pushforward_cycle(c, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +453,10 @@ def test_singular_metric_examples():
     c_hat = singular_metric_forms(pow_g, "CHERN_E_HAT")
     assert c_hat.cycles[1].describe() == "-3*[x1=0]"
 
-    e_hat = singular_metric_forms(g, "SEGRE_E_HAT")
+    res = compute_Mg(g)
+    e_hat = singular_metric_forms(g, "SEGRE_E_HAT", result=res)
     assert e_hat.cycles[1].describe() == "[x1=0] + [x2=0]"
+    assert all(a is b for a, b in zip(e_hat.cycles[1:], res.M[1:]))
     assert "smooth_tail" in e_hat.metadata
 
 
