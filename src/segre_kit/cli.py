@@ -53,6 +53,7 @@ from segre_kit.numeric import (
 from segre_kit.poly import (
     PolyMatrix,
     Polynomial,
+    _parse_terms,
     determinant,
     parse_polynomial,
 )
@@ -84,9 +85,10 @@ class MorphismSpec:
 
 
 def parse_scalar_text(text: str) -> Scalar:
-    """Exact coordinate syntax: 'a/b', 'i', '-2', '(1+2*i)'."""
-    p = parse_polynomial(str(text), 0)
-    return p.constant_value()
+    """Exact coordinate syntax: 'a/b', 'i', '-2', '(1+2*i)': the sum of the
+    terms of constant polynomial text, with no Polynomial built."""
+    (_, first), *rest = _parse_terms(str(text), 0, {})
+    return sum((c for _, c in rest), first)
 
 
 def load_spec(data: dict) -> MorphismSpec:
@@ -507,11 +509,59 @@ def run_mass(spec: MorphismSpec) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _json_text(value, indent: str = "") -> str:
+def _json_text(value) -> str:
     """The text ``json.dumps(value, indent=2)`` gives, without the
     pure-Python encoder that ``indent`` selects: strings go through the same
     C escaper, numbers through ``int.__repr__`` and ``float.__repr__``.
     Dict keys are str, int, float, bool or None, as ``json.dumps`` needs."""
+    parts = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+# the text of the two commonest leaves of a report, by exact type
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_parts(value, newline: str, parts: list):
+    """Append the text of ``value`` to ``parts`` piece by piece; ``newline``
+    is a line break followed by the indent of the line ``value`` ends on."""
+    kind = type(value)
+    if kind is dict:
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in value.items():
+            parts += (sep, encode_basestring_ascii(
+                k if isinstance(k, str) else _json_atom(k)), ": ")
+            leaf = _LEAF_TEXT.get(type(v))
+            if leaf is None:
+                _json_parts(v, inner, parts)
+            else:
+                parts.append(leaf(v))
+            sep = comma
+        parts.append(newline + "}" if value else "{}")
+    elif kind is list or kind is tuple:
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in value:
+            parts.append(sep)
+            leaf = _LEAF_TEXT.get(type(v))
+            if leaf is None:
+                _json_parts(v, inner, parts)
+            else:
+                parts.append(leaf(v))
+            sep = comma
+        parts.append(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        _json_parts(dict(value), newline, parts)
+    elif isinstance(value, (list, tuple)):
+        _json_parts(list(value), newline, parts)
+    else:
+        parts.append(_json_atom(value))
+
+
+def _json_atom(value) -> str:
+    """The text of a string, number, bool or None."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -530,20 +580,6 @@ def _json_text(value, indent: str = "") -> str:
         if value == -INFINITY:
             return "-Infinity"
         return float.__repr__(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{\n" + inner + sep.join(
-            encode_basestring_ascii(k if isinstance(k, str) else _json_text(k))
-            + ": " + _json_text(v, inner) for k, v in value.items()) \
-            + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[\n" + inner + sep.join(_json_text(v, inner) for v in value) \
-            + "\n" + indent + "]"
     raise TypeError(f"Object of type {type(value).__name__} "
                     "is not JSON serializable")
 

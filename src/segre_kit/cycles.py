@@ -14,6 +14,8 @@ rule for single first-power monomial factors, else the numeric oracle).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,6 +31,23 @@ from segre_kit.scalars import Scalar
 
 EXACT = "EXACT"
 ORACLE = "ORACLE"
+
+
+def _built_once(method):
+    """A method of no arguments whose value is built on the first call and
+    then returned from the instance dict, where the frozen dataclasses'
+    equality, hash and repr do not look."""
+    name = "_" + method.__name__
+
+    @functools.wraps(method)
+    def stored(self):
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = self.__dict__[name] = method(self)
+            return value
+
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +193,7 @@ class VarietyRef:
 
     # -- bookkeeping -----------------------------------------------------------
 
+    @_built_once
     def key(self):
         k = self.kind
         if k == VarietyKind.WHOLE_SPACE:
@@ -260,6 +280,7 @@ class MovingFactor:
         if self.weights and len(self.weights) != len(self.args):
             raise InputError("weights length mismatch")
 
+    @_built_once
     def key(self):
         w = tuple(Fraction(x) for x in self.weights) if self.weights else ()
         return (tuple(p.key() for p in self.args), self.power, w, self.averaged)
@@ -316,6 +337,7 @@ class CycleTerm:
         return (self.fixed.codim(space) + self.omega_power
                 + sum(f.power for f in self.moving))
 
+    @_built_once
     def key(self):
         return (self.fixed.key(), self.omega_power,
                 tuple(sorted(f.key() for f in self.moving)))
@@ -362,7 +384,7 @@ class GeneralizedCycle:
     def __init__(self, space: Space, degree: int, terms: Sequence[CycleTerm]):
         if degree < 0 or degree > space.dim:
             raise InputError(f"bidegree {degree} outside 0..{space.dim}")
-        merged = {}
+        live = []
         for t in _expand_terms(space, terms):
             if t.coefficient == 0 or t.fixed.is_empty(space):
                 continue
@@ -370,15 +392,18 @@ class GeneralizedCycle:
                 raise InputError(
                     f"term {t.describe(space)} has bidegree {t.bidegree(space)}, "
                     f"cycle declares {degree}")
-            k = t.key()
-            if k in merged:
-                old = merged[k]
-                merged[k] = CycleTerm(old.coefficient + t.coefficient, old.fixed,
-                                      old.omega_power, old.moving)
-            else:
-                merged[k] = t
-        kept = [t for t in merged.values() if t.coefficient != 0]
-        kept.sort(key=lambda t: (t.fixed.codim(space), t.key()))
+            live.append(t)
+        # the stable sort puts equal keys side by side in their given order;
+        # each key keeps its first term, with the group's coefficient sum
+        live.sort(key=lambda t: (t.fixed.codim(space), t.key()))
+        kept = []
+        for _, group in itertools.groupby(live, CycleTerm.key):
+            t, *same = group
+            if same:
+                t = CycleTerm(sum((s.coefficient for s in same), t.coefficient),
+                              t.fixed, t.omega_power, t.moving)
+            if t.coefficient:
+                kept.append(t)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", tuple(kept))

@@ -170,19 +170,20 @@ def _visible_in_chart(t: CycleTerm, space: Space, chart: int) -> bool:
     return True
 
 
+def _times_variable(p: Polynomial, var: int) -> Polynomial:
+    """p * z_var for a p free of z_var: each exponent of z_var goes 0 -> 1."""
+    return Polynomial(p.nvars, ((m[:var] + (1,) + m[var + 1:], c)
+                                for m, c in p.terms.items()))
+
+
 def _homogenize_chart_term(t: CycleTerm, space: Space, chart: int) -> CycleTerm:
     """Map a chart-local term to global coordinates: multiply alpha-free
     moving arguments by alpha_chart and re-run the omega recognition."""
     omega = t.omega_power
     moving = []
     for f in t.moving:
-        args = []
-        for p in f.args:
-            if any(any(m[space.n:]) for m in p.terms):
-                args.append(p)
-            else:
-                args.append(p * Polynomial.variable(space.total_vars,
-                                                    space.n + chart))
+        args = [p if any(any(m[space.n:]) for m in p.terms)
+                else _times_variable(p, space.n + chart) for p in f.args]
         if _recognize_omega(space, args):
             omega += f.power
         else:

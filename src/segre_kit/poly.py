@@ -82,25 +82,26 @@ class Polynomial:
 
     ``terms`` is a dict or an iterable of (monomial, coefficient) pairs; the
     coefficients of a repeated monomial are added, and the terms keep the
-    order in which their monomials first occur."""
+    order in which their monomials first occur.  ``key()`` is built on first
+    use and kept in the ``_key`` slot."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_key")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0 or nvars > MAX_VARS:
             raise InputError(f"ambient dimension {nvars} outside 0..{MAX_VARS}")
         clean = {}
         for m, c in terms.items() if isinstance(terms, dict) else terms or ():
-            c = Scalar.from_value(c)
+            if type(c) is not Scalar:
+                c = Scalar.from_value(c)
             m = tuple(m)
             if len(m) != nvars:
                 raise InputError("monomial length does not match ambient dimension")
-            if any(e < 0 for e in m):
+            if m and min(m) < 0:
                 raise InputError("negative exponent")
             clean[m] = clean[m] + c if m in clean else c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms",
-                           {m: c for m, c in clean.items() if not c.is_zero()})
+        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -156,9 +157,14 @@ class Polynomial:
 
     def key(self):
         """Hashable canonical form."""
-        return (self.nvars,
-                tuple(sorted(((m, c.re, c.im) for m, c in self.terms.items()),
-                             key=lambda t: _term_sort_key(t[0]))))
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.nvars,
+                   tuple(sorted(((m, c.re, c.im) for m, c in self.terms.items()),
+                                key=lambda t: _term_sort_key(t[0]))))
+            object.__setattr__(self, "_key", key)
+            return key
 
     # -- arithmetic -------------------------------------------------------
 
@@ -432,14 +438,20 @@ def parse_polynomial(text: str, nvars: int,
                                  "text can refer to (one identifier other than 'i')")
             if name in names[:j]:
                 raise ParseError(f"variable {name!r} is named twice")
+    return Polynomial(nvars, _parse_terms(
+        text, nvars, {name: j for j, name in enumerate(names)}))
+
+
+def _parse_terms(text: str, nvars: int, names: dict) -> list:
+    """The (exponents, coefficient) pair of each term of the whole text."""
     parser = _Parser(_tokenize(text), nvars)
     try:
-        pairs = parser.parse_sum({name: j for j, name in enumerate(names)})
+        pairs = parser.parse_sum(names)
     except RecursionError:
         raise ParseError("parentheses nested too deep") from None
     if parser.i != len(parser.tokens):
         raise ParseError("trailing input", column=parser.tokens[parser.i][1])
-    return Polynomial(nvars, pairs)
+    return pairs
 
 
 # ---------------------------------------------------------------------------

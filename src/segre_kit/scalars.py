@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)  # shared by every part of a Scalar left at its default
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -25,7 +27,7 @@ class Scalar:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=_ZERO, im=_ZERO):
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
 
@@ -44,7 +46,9 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        o = Scalar.from_value(other)
+        o = other if type(other) is Scalar else Scalar.from_value(other)
+        if not (self.im or o.im):
+            return Scalar(self.re + o.re)
         return Scalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -59,14 +63,16 @@ class Scalar:
         return Scalar.from_value(other) + (-self)
 
     def __mul__(self, other):
-        o = Scalar.from_value(other)
+        o = other if type(other) is Scalar else Scalar.from_value(other)
+        if not (self.im or o.im):
+            return Scalar(self.re * o.re)
         return Scalar(self.re * o.re - self.im * o.im,
                       self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Scalar.from_value(other)
+        o = other if type(other) is Scalar else Scalar.from_value(other)
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero Scalar")
@@ -83,10 +89,10 @@ class Scalar:
     # -- predicates / conversions ---------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))

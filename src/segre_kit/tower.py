@@ -99,22 +99,6 @@ def _fiber_linear_args(space: Space, q: Polynomial):
     return tuple(Polynomial(space.total_vars, ps) for ps in pairs)
 
 
-def _attach_factor(space: Space, terms: List[CycleTerm],
-                   args: Sequence[Polynomial], power: int) -> List[CycleTerm]:
-    """Wedge <dd^c log sum|args|^2>^power onto each term, recognizing the
-    full-fiber equal-weight tuple as the Fubini-Study form omega^power."""
-    omega = _recognize_omega(space, args)
-    out = []
-    for t in terms:
-        if omega:
-            out.append(CycleTerm(t.coefficient, t.fixed, t.omega_power + power,
-                                 t.moving))
-        else:
-            out.append(CycleTerm(t.coefficient, t.fixed, t.omega_power,
-                                 t.moving + (MovingFactor(tuple(args), power),)))
-    return out
-
-
 def _is_full_fiber_frame(space: Space, args) -> bool:
     """True when args are c_j * a_j, one for each fiber coordinate a_j: a
     smooth variant Fubini-Study frame whatever the coefficient moduli."""
@@ -185,22 +169,25 @@ def _levels(entries, space: Space) -> List[List[CycleTerm]]:
     for v, e in enumerate(h):
         if not e:
             continue
-        restricted = [p for p in reduced if p.restrict_zero(v) == p]
+        restricted = [p for p in reduced if not p.degree_in(v)]
         for level, inner in enumerate(_levels(restricted, space)[:-1]):
-            out[level + 1] += _prefix_subspace(space, v, Fraction(e), inner)
+            out[level + 1] += _prefix_subspace(space, v, e, inner)
 
     # <T'>^l: locally integrable below the top level s, zero above it, and at
     # it the proper-intersection cycle [div T'_1] ^ ... ^ [div T'_s] expanded
-    # over the hyperplanes of each entry's divisor (empty if an entry is a unit)
+    # over the hyperplanes of each entry's divisor (empty if an entry is a
+    # unit); a full-fiber equal-weight tuple is omega itself
     s = len(reduced)
-    whole = [term(1, VarietyRef.whole_space())]
+    whole = VarietyRef.whole_space()
+    omega = _recognize_omega(space, reduced)
     for level in range(1, min(s, space.dim + 1)):
-        out[level] += _attach_factor(space, whole, reduced, level)
+        out[level].append(term(1, whole, level) if omega else term(
+            1, whole, moving=(MovingFactor(tuple(reduced), level),)))
     if s <= space.dim and all(monomial_degree(m) for m in red_mons):
-        top = whole
+        top = [term(1, whole)]
         for m in red_mons:
             top = [t for v, e in enumerate(m) if e
-                   for t in _prefix_subspace(space, v, Fraction(e), top)]
+                   for t in _prefix_subspace(space, v, e, top)]
         out[s] += top
     return out
 
@@ -249,8 +236,9 @@ def pushforward_cycle(c: GeneralizedCycle,
 
     Supported fiber content per term: a coordinate subspace with omega powers;
     a fiber hypersurface (one slice) with omega powers; a single
-    fiber-involving moving factor (power = that many slices) with omega
-    powers.  Anything else raises UnsupportedTermError naming the term.
+    fiber-involving moving factor (power = that many slices), each argument
+    of one fiber monomial, with omega powers.  Anything else raises
+    UnsupportedTermError naming the term.
     """
     space = c.space
     if space.kind != "PROJ":
@@ -282,7 +270,11 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
             slices.append(f)
     fixed = t.fixed
     hypersurface = fixed.kind == VarietyKind.FIBER_HYPERSURFACE
-    if fixed.kind == VarietyKind.POINT or len(slices) > 1 or \
+    # a slice argument whose terms carry different fiber monomials mixes
+    # fiber coordinates: it has no base argument
+    mixed = slices and any(len({m[space.n:] for m in p.terms}) > 1
+                           for p in slices[0].args)
+    if fixed.kind == VarietyKind.POINT or len(slices) > 1 or mixed or \
             slices and (hypersurface or fixed.fiber_zeros):
         raise UnsupportedTermError(
             f"unsupported fiber content: {t.describe(space)}", term=t)

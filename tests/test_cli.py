@@ -66,13 +66,18 @@ def fuzz_specs(draw):
         or "1")
     # the parenthesized forms: a Gaussian coefficient, constant expressions,
     # and text the grammar refuses ('2i' without '*', a name in parentheses)
-    parenthesized = ["(1+2*i)*x1", "(2*3)", "(1+2i)", "(x1)", "((1))"]
+    parenthesized = ["(1+2*i)*x1", "(2*3)", "(1+2i)", "(x1)", "((1))",
+                     "(-1/2)*x1", "-(i)*x2", "(2*(3+i))"]
+    # a minus sign starts a term, and nowhere else
+    signed = ["-x1", "x1 - 2*x2", "-i*x1 + x2", "- 1/2*x2", "x1*-x2", "--x1",
+              "x1^-1", "2*-3", "x1 + -x2", "-"]
     cells = monomials | st.sampled_from(["0", "x1 + x2", "1/2*x1", "i*x2",
-                                         *parenthesized])
+                                         "i", "-i", *parenthesized, *signed])
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     # off-diagonal zeros often enough to reach the exact classes
     diagonal = draw(st.booleans())
-    coords = st.sampled_from(["0", "1", "-1", "1/2", "i", *parenthesized])
+    coords = st.sampled_from(["0", "1", "-1", "1/2", "i", "-i", "(-1)",
+                              "--1", "1*-1", "-(1+i)", *parenthesized])
     spec = {
         "variables": names,
         "matrix": [[draw(cells) if i == j or not diagonal else "0"
@@ -305,12 +310,16 @@ def test_parse_error_positions(tmp_path, capsys):
 @given(spec=fuzz_specs())
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_cli_contract_on_generated_specs(tmp_path, spec):
+def test_cli_contract_on_generated_specs(tmp_path, capsys, spec):
     # any spec, with or without the numeric oracles: an exit code of the
-    # contract, never an escaping exception
+    # contract, never an escaping exception or a traceback, and no NaN or
+    # infinite value in a report
     path = write_spec(tmp_path, spec)
-    assert main(["run", path, "--skip-numeric"]) in (0, 2, 3, 4)
-    assert main(["run", path]) in (0, 2, 3, 4)
+    for flags in (["--skip-numeric"], []):
+        assert main(["run", path, *flags]) in (0, 2, 3, 4)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "NaN" not in out and "Infinity" not in out
 
 
 def test_undecided_exit_code(tmp_path, capsys):

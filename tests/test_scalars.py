@@ -1,8 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segre_kit.scalars import Scalar, format_scalar
+
+parts = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+# real Scalars often, to reach the real-only paths of + and *
+scalars = st.builds(Scalar, parts, parts | st.just(0)) | st.integers(-3, 3)
 
 
 def test_arithmetic_is_exact():
@@ -32,3 +38,18 @@ def test_formatting():
     assert format_scalar(Scalar(0, Fraction(3, 4))) == "3/4*i"
     assert format_scalar(Scalar(1, 2)) == "(1+2*i)"
     assert format_scalar(Scalar(1, -1)) == "(1-i)"
+
+
+@given(scalars, scalars)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_sum_and_product_follow_the_complex_formulas(a, b):
+    # real + real and real * real take one Fraction operation; the results
+    # equal the full formulas, part for part and in type
+    x = a if isinstance(a, Scalar) else Scalar(a)
+    y = Scalar.from_value(b)
+    for got, re, im in (
+            (x + b, x.re + y.re, x.im + y.im),
+            (x * b, x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)):
+        assert (got.re, got.im) == (re, im)
+        assert type(got.re) is type(got.im) is Fraction
+    assert x.is_zero() == (x.re == 0 and x.im == 0) == (not x)
