@@ -4,7 +4,7 @@ powers and log-potential moving factors.
 A term is ``coeff * [fixed variety] ^ omega_alpha^e ^ prod <dd^c log sum w_i|f_i|^2>^p``.
 Cycles live either on the base polydisk (BASE) or on the projectivized bundle
 X x P^{r-1} (PROJ); in the latter case polynomials use the ambient variable
-list (x_1..x_n, a_1..a_r).
+list (x_1..x_n, a_1..a_r), a layout that only ``Space`` reads and writes.
 
 Multiplicity evaluation is one loop over the terms: pure Lelong terms count
 by point membership, any positive smooth-form power contributes zero, and
@@ -87,6 +87,45 @@ class Space:
             return {"kind": "BASE", "n": self.n}
         return {"kind": "PROJECTIVIZATION", "n": self.n, "r": self.r}
 
+    # -- the ambient (x, a) of PROJ: the n base exponents, then a_1..a_r -----
+
+    def lift(self, fs) -> Polynomial:
+        """sum_j f_j a_j from f_j given as a sequence (f_1..f_r) or a {j: f_j}
+        dict, each on the base or on the ambient free of the a (its first n
+        exponents are read): an exponent shift, terms in the given order."""
+        n, r = self.n, self.r
+        pairs = list(fs.items() if isinstance(fs, dict) else enumerate(fs))
+        if self.kind != "PROJ" or any(not 0 <= j < r for j, _ in pairs):
+            raise InputError("lift needs one polynomial per fiber coordinate")
+        unit = [(0,) * j + (1,) + (0,) * (r - 1 - j) for j in range(r)]
+        return Polynomial(n + r, ((m[:n] + unit[j], c) for j, f in pairs
+                                  for m, c in f.terms.items()))
+
+    def split(self, p: Polynomial) -> dict:
+        """{fiber exponents e: terms {base exponents: coefficient} of p_e}
+        with p = sum_e p_e(x) a^e, both in the order of p's terms."""
+        parts = {}
+        for m, c in p.terms.items():
+            parts.setdefault(m[self.n:], {})[m[:self.n]] = c
+        return parts
+
+    def chart(self, p: Polynomial, c: int) -> Polynomial:
+        """p on the affine chart a_c = 1 in its coordinates: x, then the a_j
+        with j != c in order."""
+        k = self.n + c
+        return Polynomial(self.total_vars - 1, ((m[:k] + m[k + 1:], v)
+                                                for m, v in p.terms.items()))
+
+    def hyperplane(self, var: int) -> VarietyRef:
+        """[z_var = 0] for an ambient variable index."""
+        zeros = ([var], []) if var < self.n else ([], [var - self.n])
+        return VarietyRef.coordinate_subspace(*zeros)
+
+    def dehomogenize(self, p: Polynomial, c: int) -> Polynomial:
+        """p at a_c = 1 on the ambient itself, where the chart's terms are
+        compared with global ones."""
+        return p.substitute_one(self.n + c)
+
 
 def base_space(n: int) -> Space:
     return Space("BASE", n)
@@ -120,7 +159,7 @@ class VarietyRef:
     base_zeros: frozenset = frozenset()
     fiber_zeros: frozenset = frozenset()
     point: Optional[tuple] = None
-    hypersurface: Optional[tuple] = None  # tuple of base-ambient Polynomials
+    hypersurface: Optional[tuple] = None  # (f_1..f_r), Polynomials on the base
 
     # -- constructors ------------------------------------------------------
 
@@ -224,11 +263,7 @@ class VarietyRef:
             eqs = [Polynomial.variable(nv, v) - Polynomial.constant(nv, c)
                    for v, c in enumerate(self.point)]
         elif k == VarietyKind.FIBER_HYPERSURFACE:
-            acc = Polynomial.zero(nv)
-            for j, f in enumerate(self.hypersurface):
-                acc = acc + f.map_variables(range(space.n), nv) \
-                    * Polynomial.variable(nv, space.n + j)
-            eqs = [acc]
+            eqs = [space.lift(self.hypersurface)]
         else:
             raise InputError("equations")
         return [format_polynomial(q, names) for q in eqs]
@@ -292,6 +327,7 @@ class MovingFactor:
     def has_constant_arg(self) -> bool:
         return any(p.is_constant() and not p.is_zero() for p in self.args)
 
+    @_built_once
     def reduced(self) -> "MovingFactor":
         """The factor with the arguments' common monomial factor h stripped:
         <h f'>^p = <f'>^p outside the zero set of h."""
@@ -528,16 +564,18 @@ def wedge(c: GeneralizedCycle, factor) -> GeneralizedCycle:
 # fixed / moving decomposition
 # ---------------------------------------------------------------------------
 
+def _in_fixed_part(t: CycleTerm, c: GeneralizedCycle) -> bool:
+    """Whether a term of c is a pure Lelong term whose variety has
+    codimension exactly c's bidegree."""
+    return t.is_pure_fixed() and t.fixed.codim(c.space) == c.degree
+
+
 def fixed_moving_split(c: GeneralizedCycle):
-    """Siu-type decomposition: the fixed part collects the pure Lelong terms
-    whose variety has codimension exactly the cycle bidegree; the moving part
-    is the remainder."""
+    """Siu-type decomposition: the fixed part collects the terms
+    ``_in_fixed_part`` picks, the moving part the remainder."""
     fixed, moving = [], []
     for t in c.terms:
-        if t.is_pure_fixed() and t.fixed.codim(c.space) == c.degree:
-            fixed.append(t)
-        else:
-            moving.append(t)
+        (fixed if _in_fixed_part(t, c) else moving).append(t)
     return (GeneralizedCycle(c.space, c.degree, fixed),
             GeneralizedCycle(c.space, c.degree, moving))
 
@@ -594,11 +632,11 @@ def _exact_moving_multiplicity(t: CycleTerm, point):
         return 0
     if any(p.as_monomial() is None for p in factor.args):
         raise UndecidedError("moving factor with non-monomial arguments", term=t)
-    reduced = factor.reduced()
+    reduced = factor.reduced()  # stored: localize reads the same strip
     if reduced.has_constant_arg() or reduced.power >= len(reduced.args):
         # the residue-free power at or above the top level is the zero current
         return 0
-    local = localize([reduced], t.fixed, point)
+    local = localize([factor], t.fixed, point)
     if local is None:
         return 0
     (factor,), pt = local

@@ -24,8 +24,8 @@ from segre_kit.cycles import (
     Space,
     VarietyKind,
     VarietyRef,
+    _in_fixed_part,
     base_space,
-    fixed_moving_split,
     multiplicity_at,
     proj_space,
     term,
@@ -41,7 +41,6 @@ from segre_kit.poly import (
     Polynomial,
     PolyMatrix,
     StructureClass,
-    _lift_entries,
     classify_structure,
     determinant,
     monomial_degree,
@@ -69,11 +68,9 @@ class MorphismResult:
     distinguished: list = field(init=False)
 
     def __post_init__(self):
-        self.distinguished = []
-        for k, cyc in enumerate(self.M):
-            fixed, _ = fixed_moving_split(cyc)
-            self.distinguished += [(t.fixed, int(t.coefficient), k)
-                                   for t in fixed.terms]
+        self.distinguished = [(t.fixed, int(t.coefficient), k)
+                              for k, cyc in enumerate(self.M)
+                              for t in cyc.terms if _in_fixed_part(t, cyc)]
         if self.Z_description is None:
             self.Z_description = _describe_Z(self)
 
@@ -126,7 +123,7 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
     if r < 2:
         raise InputError("ring currents live on P(E) with rank E >= 2")
     space = proj_space(n, r)
-    entries = _lift_entries(g)
+    entries = [p for p in map(space.lift, g.entries) if not p.is_zero()]
     if not entries:
         # the zero morphism: Z' = P(E), only the degree-0 residue survives
         out = [GeneralizedCycle.one(space)]
@@ -144,7 +141,7 @@ def _verify_charts(entries, space: Space, global_ring):
     alpha_i = 1 and check the homogenized chart terms against the globally
     visible ones."""
     for chart in range(space.r):
-        chart_entries = [p.substitute_one(space.n + chart) for p in entries]
+        chart_entries = [space.dehomogenize(p, chart) for p in entries]
         for level, local in enumerate(tower_residue(chart_entries, space)):
             local_terms = {}
             for t in local:
@@ -170,20 +167,14 @@ def _visible_in_chart(t: CycleTerm, space: Space, chart: int) -> bool:
     return True
 
 
-def _times_variable(p: Polynomial, var: int) -> Polynomial:
-    """p * z_var for a p free of z_var: each exponent of z_var goes 0 -> 1."""
-    return Polynomial(p.nvars, ((m[:var] + (1,) + m[var + 1:], c)
-                                for m, c in p.terms.items()))
-
-
 def _homogenize_chart_term(t: CycleTerm, space: Space, chart: int) -> CycleTerm:
     """Map a chart-local term to global coordinates: multiply alpha-free
     moving arguments by alpha_chart and re-run the omega recognition."""
     omega = t.omega_power
     moving = []
     for f in t.moving:
-        args = [p if any(any(m[space.n:]) for m in p.terms)
-                else _times_variable(p, space.n + chart) for p in f.args]
+        args = [p if any(map(any, space.split(p)))
+                else space.lift({chart: p}) for p in f.args]
         if _recognize_omega(space, args):
             omega += f.power
         else:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from segre_kit.cycles import MovingFactor, VarietyRef, localize
+from segre_kit.cycles import MovingFactor, VarietyRef, localize, proj_space
 from segre_kit.errors import (
     ContourTooCloseError,
     InputError,
@@ -32,7 +32,6 @@ from segre_kit.errors import (
 from segre_kit.poly import (
     Polynomial,
     PolyMatrix,
-    _lift_entries,
     determinant,
     disk_root_count,
     resultant,
@@ -424,22 +423,10 @@ def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
     alpha_chart = 1, with coordinates (x, u_1..u_{r-1})."""
     import numpy as np
 
-    n, r = g.nvars, g.cols
-    N = n + r - 1
-    # map ambient (x, alpha) -> chart coords: alpha_chart = 1, others to u slots
-    mapping = list(range(n))
-    slot = n
-    for j in range(r):
-        if j == chart:
-            mapping.append(-1)
-        else:
-            mapping.append(slot)
-            slot += 1
-    # substitute_one zeroes the chart exponent, so its slot in the (otherwise
-    # injective) mapping is never exercised
-    safe_mapping = [m if m >= 0 else 0 for m in mapping]
-    rows = [p.substitute_one(n + chart).map_variables(safe_mapping, N)
-            for p in _lift_entries(g)]
+    space = proj_space(g.nvars, g.cols)
+    n, N = space.n, space.dim
+    rows = [space.chart(p, chart) for p in map(space.lift, g.entries)
+            if not p.is_zero()]
     vals = [p.eval_array(z) for p in rows]
     # {a: d_a row}: a derivative that vanishes identically adds no term
     grads = [{a: d.eval_array(z) for a in range(N)

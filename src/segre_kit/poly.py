@@ -500,21 +500,6 @@ class PolyMatrix:
                 if not self.entries[i][j].is_zero()]
 
 
-def _lift_entries(g: PolyMatrix):
-    """Rows of G = g*alpha as polynomials on the ambient (x, alpha)."""
-    n, r, m = g.nvars, g.cols, g.rows
-    nv = n + r
-    rows = []
-    for i in range(m):
-        acc = Polynomial.zero(nv)
-        for j in range(r):
-            if not g.entries[i][j].is_zero():
-                acc = acc + g.entries[i][j].map_variables(range(n), nv) \
-                    * Polynomial.variable(nv, n + j)
-        rows.append(acc)
-    return [p for p in rows if not p.is_zero()]
-
-
 def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     n = len(rows)
     if n == 1:

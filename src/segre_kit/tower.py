@@ -59,12 +59,6 @@ from segre_kit.poly import (
 # helpers
 # ---------------------------------------------------------------------------
 
-def _hyperplane(space: Space, var: int) -> VarietyRef:
-    """[z_var = 0] for an ambient variable index (base, then fiber)."""
-    zeros = ([var], []) if var < space.n else ([], [var - space.n])
-    return VarietyRef.coordinate_subspace(*zeros)
-
-
 def _divisor_terms(space: Space, p: Polynomial) -> List[CycleTerm]:
     """[div p] for a single entry: expand the monomial content into weighted
     coordinate hyperplanes; a non-monomial remainder must be fiber-linear and
@@ -72,7 +66,7 @@ def _divisor_terms(space: Space, p: Polynomial) -> List[CycleTerm]:
     if p.is_zero():
         raise InputError("divisor of the zero polynomial")
     h = p.content_monomial()
-    out = [term(e, _hyperplane(space, v)) for v, e in enumerate(h) if e]
+    out = [term(e, space.hyperplane(v)) for v, e in enumerate(h) if e]
     q = p.divide_monomial(h)
     if q.is_constant():
         return out
@@ -82,21 +76,15 @@ def _divisor_terms(space: Space, p: Polynomial) -> List[CycleTerm]:
     if space.kind != "PROJ":
         raise UnsupportedInputError(
             "divisor of a non-monomial base polynomial is outside the exact tower")
-    args = _fiber_linear_args(space, q)
-    out.append(term(1, VarietyRef.fiber_hypersurface(args)))
+    # q = sum_j f_j(x) a_j: each term carries one fiber coordinate, once
+    parts = space.split(q)
+    if any(sum(e) != 1 for e in parts):
+        raise UnsupportedInputError(
+            "exact tower supports divisors linear in the fiber variables")
+    by_j = {e.index(1): base for e, base in parts.items()}
+    out.append(term(1, VarietyRef.fiber_hypersurface(
+        [Polynomial(space.n, by_j.get(j)) for j in range(space.r)])))
     return out
-
-
-def _fiber_linear_args(space: Space, q: Polynomial):
-    """Decompose q = sum_j f_j(x) * a_j; error when q is not fiber-linear."""
-    pairs = [[] for _ in range(space.r)]  # (monomial, coefficient) per a_j
-    for m, c in q.terms.items():
-        fiber_part = [(j, e) for j, e in enumerate(m[space.n:]) if e]
-        if len(fiber_part) != 1 or fiber_part[0][1] != 1:
-            raise UnsupportedInputError(
-                "exact tower supports divisors linear in the fiber variables")
-        pairs[fiber_part[0][0]].append((m[:space.n] + (0,) * space.r, c))
-    return tuple(Polynomial(space.total_vars, ps) for ps in pairs)
 
 
 def _is_full_fiber_frame(space: Space, args) -> bool:
@@ -104,13 +92,11 @@ def _is_full_fiber_frame(space: Space, args) -> bool:
     smooth variant Fubini-Study frame whatever the coefficient moduli."""
     if space.kind != "PROJ" or len(args) != space.r:
         return False
-    seen = set()
-    for p in args:
-        cm = p.as_monomial()
-        if cm is None or any(cm[1][:space.n]) or sum(cm[1][space.n:]) != 1:
-            return False
-        seen.add(cm[1][space.n:].index(1))
-    return len(seen) == space.r
+    # single terms of degree 1 that involve the fiber, on distinct a_j
+    fibers = {e for p in args if len(p.terms) == 1
+              and monomial_degree(next(iter(p.terms))) == 1
+              for e in space.split(p) if any(e)}
+    return len(fibers) == space.r
 
 
 def _recognize_omega(space: Space, args) -> bool:
@@ -121,7 +107,7 @@ def _recognize_omega(space: Space, args) -> bool:
 
 def _prefix_subspace(space: Space, var: int, coeff, terms) -> List[CycleTerm]:
     """Wedge [z_var = 0] (ambient index) with coefficient into each term."""
-    div = _hyperplane(space, var)
+    div = space.hyperplane(var)
     return [CycleTerm(t.coefficient * coeff, meet(t.fixed, div), t.omega_power,
                       t.moving) for t in terms]
 
@@ -196,21 +182,6 @@ def _levels(entries, space: Space) -> List[List[CycleTerm]]:
 # fiber pushforward
 # ---------------------------------------------------------------------------
 
-def _strip_to_base(p: Polynomial, space: Space) -> Polynomial:
-    """Base-ambient copy of an argument; drops the (linear) fiber coordinate."""
-    terms = {}
-    for m, c in p.terms.items():
-        terms[m[:space.n]] = c
-    return Polynomial(space.n, terms)
-
-
-def _fiber_coordinate(space: Space, p: Polynomial) -> Optional[int]:
-    """j when every term of p carries exactly the fiber coordinate a_j."""
-    js = {m[space.n:].index(1) if sum(m[space.n:]) == 1 else None
-          for m in p.terms}
-    return js.pop() if len(js) == 1 else None
-
-
 def _normalized_weights(weights, r: int) -> tuple:
     """The base-argument weights of the fiber metric sum w_j |a_j|^2: the
     1/w_j as coprime integers, () when they are all equal.  Anything but r
@@ -259,40 +230,42 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
     e = t.omega_power
     base_factors, slices = [], []
     for f in t.moving:
-        involves_fiber = any(any(m[space.n:]) for p in f.args for m in p.terms)
-        if not involves_fiber:
+        # each argument as {fiber exponents: base terms}; the zero
+        # polynomial splits into nothing
+        parts = [space.split(p) for p in f.args]
+        if not any(any(fe) for s in parts for fe in s):
             base_factors.append(MovingFactor(
-                tuple(_strip_to_base(p, space) for p in f.args),
+                tuple(Polynomial(space.n, *s.values()) for s in parts),
                 f.power, f.weights, f.averaged))
         elif _is_full_fiber_frame(space, f.args):
             e += f.power  # a variant Fubini-Study form: integrates like omega
         else:
-            slices.append(f)
+            slices.append((f.power, parts))
     fixed = t.fixed
     hypersurface = fixed.kind == VarietyKind.FIBER_HYPERSURFACE
+    q, parts = slices[0] if slices else (0, [])
     # a slice argument whose terms carry different fiber monomials mixes
     # fiber coordinates: it has no base argument
-    mixed = slices and any(len({m[space.n:] for m in p.terms}) > 1
-                           for p in slices[0].args)
-    if fixed.kind == VarietyKind.POINT or len(slices) > 1 or mixed or \
+    if fixed.kind == VarietyKind.POINT or len(slices) > 1 or \
+            any(len(s) > 1 for s in parts) or \
             slices and (hypersurface or fixed.fiber_zeros):
         raise UnsupportedTermError(
             f"unsupported fiber content: {t.describe(space)}", term=t)
     if hypersurface:
         # entry j is the coefficient of a_j; zero entries drop out
         js = [j for j, p in enumerate(fixed.hypersurface) if not p.is_zero()]
-        args, q = [fixed.hypersurface[j] for j in js], 1
-    else:
-        args = slices[0].args if slices else ()
-        q = slices[0].power if slices else 0
-        js = [_fiber_coordinate(space, p) for p in args] if weights else ()
+        q = 1
+    else:  # the fiber coordinate a_j of each argument, if it has one
+        js = [next((fe.index(1) for fe in s if sum(fe) == 1), None)
+              for s in parts] if weights else ()
     base_fixed = VarietyRef.coordinate_subspace(fixed.base_zeros)
     jp = e + q - (space.r - 1 - len(fixed.fiber_zeros))  # e + q - d
     if jp < 0:
         return []
     if jp == 0:
         return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors))]
-    base_args = [_strip_to_base(p, space) for p in args]
+    base_args = [fixed.hypersurface[j] for j in js] if hypersurface else \
+        [Polynomial(space.n, *s.values()) for s in parts]
     if jp > base.n or all(p.is_constant() for p in base_args):
         return []
     ws = tuple(weights[j] for j in js if j is not None) if weights else ()

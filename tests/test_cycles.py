@@ -32,11 +32,6 @@ def bp(text, n=2):
     return parse_polynomial(text, n)
 
 
-def pp(text, n=2, r=2):
-    names = [f"x{i+1}" for i in range(n)] + [f"a{j+1}" for j in range(r)]
-    return parse_polynomial(text, n + r, names)
-
-
 # ---------------------------------------------------------------------------
 # multiplicity
 # ---------------------------------------------------------------------------
@@ -192,14 +187,17 @@ def test_pushforward_subspace_term():
 
 
 def test_pushforward_crofton_hypersurface():
-    # [x1 a1 + x2 a2 = 0] ^ omega -> dd^c log(|x1|^2+|x2|^2)
-    hyp = VarietyRef.fiber_hypersurface((pp("x1"), pp("x2")))
+    # [x1 a1 + x2 a2 = 0] ^ omega -> dd^c log(|x1|^2+|x2|^2); the
+    # hypersurface holds its base polynomials f_j
+    hyp = VarietyRef.fiber_hypersurface((bp("x1"), bp("x2")))
+    assert hyp.equations(P22) == ["x1*a1 + x2*a2"]
     c = GeneralizedCycle(P22, 2, [term(1, hyp, omega_power=1)])
     out = pushforward_cycle(c)
     assert out.degree == 1
     t = out.terms[0]
     assert t.fixed.kind.value == "WHOLE_SPACE"
-    assert [str(a) for a in t.moving[0].args] == ["x1", "x2"]
+    assert [(str(a), a.nvars) for a in t.moving[0].args] == [("x1", 2),
+                                                             ("x2", 2)]
     # and with omega^0 it pushes to the constant 1
     c0 = GeneralizedCycle(P22, 1, [term(1, hyp)])
     out0 = pushforward_cycle(c0)

@@ -347,21 +347,33 @@ def test_comparability_single_row(row, n):
 
 
 def test_one_fixed_moving_split_per_current(monkeypatch):
-    # the distinguished varieties depend on the result only: compute_Mg
-    # splits each M_k once and a Segre query at a point splits nothing
+    # the distinguished varieties depend on the result only: compute_Mg reads
+    # each term of each M_k once with the split's predicate, builds no cycle
+    # for it, and a Segre query at a point splits nothing
     import segre_kit.engine as engine
     from segre_kit.cli import _grid
+    from segre_kit.cycles import _in_fixed_part
 
     calls = []
 
-    def counted(c):
-        calls.append(c)
-        return fixed_moving_split(c)
+    def counted(t, c):
+        calls.append((t, c))
+        return _in_fixed_part(t, c)
 
-    monkeypatch.setattr(engine, "fixed_moving_split", counted)
+    monkeypatch.setattr(engine, "_in_fixed_part", counted)
     g = mat([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3)
     res = compute_Mg(g)
-    assert 0 < len(calls) <= len(res.M)
+    assert calls == [(t, c) for c in res.M for t in c.terms]
+    # the predicate picks what the split's fixed part holds
+    assert res.distinguished and res.distinguished == [
+        (t.fixed, int(t.coefficient), k) for k, c in enumerate(res.M)
+        for t in fixed_moving_split(c)[0].terms]
+    built = []
+    init = GeneralizedCycle.__init__
+    monkeypatch.setattr(GeneralizedCycle, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    MorphismResult(res.M, res.ring_M)
+    assert built == []
     calls.clear()
     for pt in _grid(3):
         segre_numbers(g, pt, result=res)

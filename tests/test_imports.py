@@ -7,7 +7,8 @@ dependencies, the mass command runs without importing scipy, every exact
 path (exact runs, the Crofton oracle, `--engine both`, `golden
 --skip-numeric`) without importing numpy and the full golden suite loads it
 when it needs it, and every function the benchmark's tracer wraps by name
-exists."""
+exists, and no module but cycles.py knows where the fiber exponents of the
+ambient start."""
 
 import ast
 import importlib
@@ -124,6 +125,48 @@ def test_unreferenced_private_helper_is_caught():
                         "class _Used:\n    pass\n"),
                "b.py": "from a import _Used\n"}
     assert unreferenced_private_names(sources) == ["a.py:_orphan"]
+
+
+def _is_n(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "n"
+
+
+def fiber_layout_sites(source: str):
+    """The expressions in the source that know where the fiber exponents of
+    the ambient (x, a) start: a subscript sliced at some ``.n``
+    (``m[:space.n]``, ``m[space.n:]``), a sum or difference with some
+    ``.n`` (``space.n + j``, ``var - space.n``), and ``n`` plus a
+    non-constant (``n + chart``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+            hit = any(_is_n(b) for b in (node.slice.lower, node.slice.upper))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            sides = (node.left, node.right)
+            hit = any(map(_is_n, sides)) or isinstance(node.op, ast.Add) and any(
+                isinstance(a, ast.Name) and a.id == "n"
+                and not isinstance(b, ast.Constant) for a, b in (sides, sides[::-1]))
+        else:
+            continue
+        if hit:
+            found.append(ast.get_source_segment(source, node))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_space_knows_the_fiber_layout(path):
+    # cycles.Space lifts, splits and charts every polynomial on X x P^{r-1}
+    if path.name != "cycles.py":
+        assert fiber_layout_sites(path.read_text()) == []
+
+
+def test_fiber_layout_site_is_caught():
+    source = ("def f(space, m, j, n, samples):\n"
+              "    base, fiber = m[:space.n], m[space.n:]\n"
+              "    index, back = space.n + j, j - space.n\n"
+              "    return n + j, n + 1, samples[:n], space.n * 2\n")
+    assert fiber_layout_sites(source) == [
+        "m[:space.n]", "m[space.n:]", "space.n + j", "j - space.n", "n + j"]
 
 
 def third_party_modules(source: str):

@@ -16,7 +16,6 @@ from segre_kit.cycles import (
     VarietyRef,
     proj_space,
 )
-from segre_kit.engine import _times_variable
 from segre_kit.errors import InputError
 from segre_kit.poly import Polynomial, _term_sort_key
 from segre_kit.scalars import Scalar
@@ -204,11 +203,21 @@ def _codim(variety_key, space):
     return space.n
 
 
-@given(polynomials(), st.integers(N, NV - 1))
+def reference_times_variable(p, var):
+    """engine._times_variable: p * z_var for a p free of z_var, each
+    exponent of z_var going 0 -> 1."""
+    return Polynomial(p.nvars, ((m[:var] + (1,) + m[var + 1:], c)
+                                for m, c in p.terms.items()))
+
+
+@given(polynomials(), st.integers(0, R - 1))
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_exponent_shift_equals_multiplication(p, var):
-    p = p.restrict_zero(var)
-    shifted = _times_variable(p, var)
-    product = p * Polynomial.variable(p.nvars, var)
-    assert list(shifted.terms.items()) == list(product.terms.items())
+def test_exponent_shift_equals_multiplication(p, j):
+    # the chart homogenization lifts a fiber-free argument to a_j
+    for v in range(N, NV):
+        p = p.restrict_zero(v)
+    shifted = proj_space(N, R).lift({j: p})
+    product = p * Polynomial.variable(p.nvars, N + j)
+    assert list(shifted.terms.items()) == list(product.terms.items()) \
+        == list(reference_times_variable(p, N + j).terms.items())
     assert shifted.key() == product.key() == reference_polynomial_key(product)

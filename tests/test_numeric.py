@@ -651,7 +651,8 @@ def test_wedges_skip_scalar_zero_rows_exactly(N):
 
 def _chart_hessians_reference(g, chart, z):
     """_chart_hessians before it shared the powers of P and skipped the
-    vanishing terms, kept verbatim as the reference."""
+    vanishing terms, kept verbatim as the reference, with the body of the
+    lift it called (poly._lift_entries) written out."""
     n, r = g.nvars, g.cols
     N = n + r - 1
     mapping = list(range(n))
@@ -662,11 +663,17 @@ def _chart_hessians_reference(g, chart, z):
         else:
             mapping.append(slot)
             slot += 1
-    from segre_kit.engine import _lift_entries
-
+    lifted = []  # poly._lift_entries: the rows of G = g*alpha
+    for row in g.entries:
+        acc = Polynomial.zero(n + r)
+        for j in range(r):
+            if not row[j].is_zero():
+                acc = acc + row[j].map_variables(range(n), n + r) \
+                    * Polynomial.variable(n + r, n + j)
+        lifted.append(acc)
     safe_mapping = [m if m >= 0 else 0 for m in mapping]
     rows = [p.substitute_one(n + chart).map_variables(safe_mapping, N)
-            for p in _lift_entries(g)]
+            for p in lifted if not p.is_zero()]
     vals = [p.eval_array(z) for p in rows]
     grads = [[p.differentiate(a).eval_array(z) for a in range(N)] for p in rows]
     Q = np.zeros(len(z))

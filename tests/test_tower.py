@@ -11,7 +11,7 @@ from segre_kit.cycles import (
     term,
 )
 from segre_kit.errors import UnsupportedTermError
-from segre_kit.poly import PolyMatrix, _lift_entries, parse_polynomial
+from segre_kit.poly import PolyMatrix, parse_polynomial
 from segre_kit.tower import pushforward_cycle, tower_residue
 
 
@@ -81,8 +81,8 @@ def _plant(monkeypatch, chart, fault):
 def _chart_levels(chart):
     g = mat(DIAG3, 3)
     space = proj_space(3, 3)
-    return tower_residue([p.substitute_one(3 + chart)
-                          for p in _lift_entries(g)], space)
+    return tower_residue([space.dehomogenize(space.lift(row), chart)
+                          for row in g.entries], space)
 
 
 @pytest.mark.parametrize("chart, level", [
