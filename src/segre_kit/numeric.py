@@ -205,10 +205,33 @@ def perturbation_root_count(f) -> int:
 def confirm_origin_only_zero(f1: Polynomial, f2: Polynomial,
                              radius: float) -> bool:
     """True when the only common zero of the pair in the closed bidisk is the
-    origin: in either projection, the resultant's cofactor of y^m has no
-    root in |y| <= radius (decided exactly by ``disk_root_count``)."""
+    origin.  Each entry splits as f_i = m_i q_i, m_i its monomial content,
+    so a common zero off the origin lies on a line x_v = 0 shared by m_1 and
+    m_2, or on x_v = 0 (v in m_1) and q_2 = 0, or the mirror case, or on
+    q_1 = q_2 = 0.  On a line, q restricted to it must have no nonzero root
+    in |y| <= radius; for q_1 = q_2 = 0, in either projection, the
+    resultant's cofactor of y^m must have none.  Every count is exact
+    (``disk_root_count``)."""
+    if f1.nvars != 2 or f2.nvars != 2:
+        raise InputError("confirm_origin_only_zero works in two variables")
+    if f1.is_zero() or f2.is_zero():
+        return False
+    (m1, (q1,)), (m2, (q2,)) = (strip_common_factor([f]) for f in (f1, f2))
+    if any(a and b for a, b in zip(m1, m2)):
+        return False  # a whole line x_v = 0 of common zeros
+    for m, q in ((m1, q2), (m2, q1)):
+        for v in (0, 1):
+            if not m[v]:
+                continue
+            line = {mono[1 - v]: c for mono, c in q.terms.items() if not mono[v]}
+            if not line or disk_root_count(
+                    [line.get(e, Scalar(0)) for e in range(max(line), -1, -1)],
+                    radius) != 0:
+                return False
+    if q1.is_constant() or q2.is_constant():
+        return True
     for eliminate in (0, 1):
-        r = resultant(f1, f2, eliminate)
+        r = resultant(q1, q2, eliminate)
         if r is None or disk_root_count(r, radius) != 0:
             return False
     return True

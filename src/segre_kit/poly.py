@@ -294,11 +294,11 @@ def format_polynomial(p: Polynomial, names: Optional[Sequence[str]] = None) -> s
         mono = format_monomial(m, names)
         # pull a leading minus out of real or purely imaginary coefficients
         sign = ""
-        if c.im == 0 and c.re < 0 or (c.re == 0 and c.im < 0):
+        if c.b == 0 and c.a < 0 or (c.a == 0 and c.b < 0):
             sign, c = "-", -c
         if mono == "1":
             body = format_scalar(c)
-        elif c == Scalar(1):
+        elif c == 1:
             body = mono
         else:
             body = f"{format_scalar(c)}*{mono}"
@@ -591,11 +591,10 @@ def resultant(f1: Polynomial, f2: Polynomial, eliminate: int):
               max(map(sum, f1.terms)) * max(map(sum, f2.terms)))
     scale, blocks = math.factorial(top), []
     for p, deg, copies in ((f1, m, n), (f2, n, m)):
-        den = math.lcm(*(q.denominator for c in p.terms.values()
-                         for q in (c.re, c.im)))
+        den = math.lcm(*(c.d for c in p.terms.values()))
         scale *= den ** copies
         blocks.append((deg, copies, [(deg - mono[eliminate], mono[other],
-                                      int(c.re * den), int(c.im * den))
+                                      c.a * (den // c.d), c.b * (den // c.d))
                                      for mono, c in p.terms.items()]))
     vals = []
     for y in range(top + 1):
@@ -654,9 +653,9 @@ def disk_root_count(coeffs, radius) -> Optional[int]:
     while not cs[-1]:
         cs.pop()
     d, (num, den) = len(cs) - 1, Fraction(radius).as_integer_ratio()
-    lcm = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
-    cs = [(int(c.re * s), int(c.im * s)) for k, c in enumerate(reversed(cs))
-          for s in (lcm * num ** k * den ** (d - k),)]
+    lcm = math.lcm(*(c.d for c in cs))
+    cs = [(c.a * s, c.b * s) for k, c in enumerate(reversed(cs))
+          for s in (lcm // c.d * num ** k * den ** (d - k),)]
     q = []
     for j in range(d + 1):  # t^j in (1 + it)^k (1 - it)^(d - k) is i^j w_k
         w = [sum((-1) ** (j - a) * math.comb(k, a) * math.comb(d - k, j - a)

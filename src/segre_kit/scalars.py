@@ -1,35 +1,36 @@
 """Gaussian rational scalars: exact complex numbers a + b*i with a, b in Q.
 
 All exact-engine coefficients live here so that no computation ever rounds.
-`fractions.Fraction` keeps denominators reduced; equality and hashing are
-structural.
+A Scalar is one reduced integer triple (a + b*i)/d with d > 0 and
+gcd(a, b, d) = 1, so equality is structural; ``re`` and ``im`` read the two
+parts as Fractions, and a real Scalar hashes as its rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-_ZERO = Fraction(0)  # shared by every part of a Scalar left at its default
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot build an exact rational from {x!r}")
+def _ratio(x):
+    """(numerator, denominator > 0) of an int, Fraction or 'a/b' string."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"cannot build an exact rational from {x!r}")
+    q = Fraction(x)
+    return q.numerator, q.denominator
 
 
 class Scalar:
-    """An exact Gaussian rational re + im*i."""
+    """An exact Gaussian rational (a + b*i)/d, in lowest terms."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=_ZERO, im=_ZERO):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+    def __init__(self, re=0, im=0):
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        _fill(self, p * s, r * q, q * s)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -41,71 +42,90 @@ class Scalar:
         """Coerce an int, Fraction, Scalar or 'a/b' string."""
         if isinstance(x, Scalar):
             return x
-        return Scalar(_frac(x))
+        n, d = _ratio(x)
+        return _fill(_new(Scalar), n, 0, d)
+
+    # -- parts ---------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         o = other if type(other) is Scalar else Scalar.from_value(other)
-        if not (self.im or o.im):
-            return Scalar(self.re + o.re)
-        return Scalar(self.re + o.re, self.im + o.im)
+        if self.d == o.d:
+            return _fill(_new(Scalar), self.a + o.a, self.b + o.b, self.d)
+        return _fill(_new(Scalar), self.a * o.d + o.a * self.d,
+                     self.b * o.d + o.b * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _fill(_new(Scalar), -self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-Scalar.from_value(other))
+        o = other if type(other) is Scalar else Scalar.from_value(other)
+        if self.d == o.d:
+            return _fill(_new(Scalar), self.a - o.a, self.b - o.b, self.d)
+        return _fill(_new(Scalar), self.a * o.d - o.a * self.d,
+                     self.b * o.d - o.b * self.d, self.d * o.d)
 
     def __rsub__(self, other):
-        return Scalar.from_value(other) + (-self)
+        return Scalar.from_value(other) - self
 
     def __mul__(self, other):
         o = other if type(other) is Scalar else Scalar.from_value(other)
-        if not (self.im or o.im):
-            return Scalar(self.re * o.re)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        return _fill(_new(Scalar), self.a * o.a - self.b * o.b,
+                     self.a * o.b + self.b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = other if type(other) is Scalar else Scalar.from_value(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        n = o.a * o.a + o.b * o.b
+        if not n:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar((self.re * o.re + self.im * o.im) / d,
-                      (self.im * o.re - self.re * o.im) / d)
+        return _fill(_new(Scalar), (self.a * o.a + self.b * o.b) * o.d,
+                     (self.b * o.a - self.a * o.b) * o.d, self.d * n)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _fill(_new(Scalar), self.a, -self.b, self.d)
 
     def norm_sq(self) -> Fraction:
         """Exact |z|^2, a non-negative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     # -- predicates / conversions ---------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return not (self.a or self.b)
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return bool(self.a or self.b)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self.a / self.d, self.b / self.d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is Scalar:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return self.d == 1 and not self.b and self.a == other
+        if isinstance(other, Fraction):
+            return not self.b and self.a == other.numerator \
+                and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     # -- text -----------------------------------------------------------
 
@@ -116,21 +136,34 @@ class Scalar:
         return f"Scalar({self.re!r}, {self.im!r})"
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+_new = object.__new__
+_set_a, _set_b, _set_d = (Scalar.__dict__[part].__set__ for part in "abd")
+
+
+def _fill(s: Scalar, a: int, b: int, d: int) -> Scalar:
+    """Store (a + b*i)/d, d > 0, in lowest terms on ``s``: the only writer of
+    a Scalar's parts."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+def _ratio_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def format_scalar(s: Scalar) -> str:
     """Render in the polynomial text syntax: '3', '-1/2', 'i', '(1+2*i)'."""
-    if s.im == 0:
-        return _frac_str(s.re)
-    if s.re == 0:
-        if s.im == 1:
-            return "i"
-        if s.im == -1:
-            return "-i"
-        return f"{_frac_str(s.im)}*i"
-    im_part = "i" if s.im == 1 else ("-i" if s.im == -1 else f"{_frac_str(s.im)}*i")
-    if not im_part.startswith("-"):
-        im_part = "+" + im_part
-    return f"({_frac_str(s.re)}{im_part})"
+    a, b, d = s.a, s.b, s.d
+    if not b:  # gcd(a, d) = 1 already
+        return str(a) if d == 1 else f"{a}/{d}"
+    im_part = "i" if b == d else ("-i" if b == -d else f"{_ratio_str(b, d)}*i")
+    if not a:
+        return im_part
+    return f"({_ratio_str(a, d)}{im_part if b < 0 else '+' + im_part})"

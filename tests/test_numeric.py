@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from segre_kit.cli import _grid, _numeric_multiplicity, _random_diag_monomial
 from segre_kit.cycles import MovingFactor, VarietyRef, multiplicity_at
-from segre_kit.engine import compute_Mg
+from segre_kit import numeric, poly
+from segre_kit.engine import compute_Ma, compute_Mg
 from segre_kit.errors import (
     ContourTooCloseError,
     InputError,
@@ -36,7 +37,9 @@ from segre_kit.numeric import (
 from segre_kit.poly import (
     Polynomial,
     PolyMatrix,
+    disk_root_count,
     parse_polynomial,
+    resultant,
     strip_common_factor,
 )
 from segre_kit.scalars import Scalar
@@ -217,6 +220,61 @@ def test_contour_count_matches_numpy_roots(coeffs, radius):
     roots = np.roots([complex(a, b) for a, b in reversed(coeffs)])
     assume(np.all(np.abs(np.abs(roots) - radius) >= 1e-3))
     assert contour_root_count(poly, radius) == np.sum(np.abs(roots) < radius)
+
+
+def reference_confirm_origin_only_zero(f1: Polynomial, f2: Polynomial,
+                                       radius: float) -> bool:
+    """numeric.confirm_origin_only_zero before it split off the monomial
+    contents, kept verbatim as the reference."""
+    for eliminate in (0, 1):
+        r = resultant(f1, f2, eliminate)
+        if r is None or disk_root_count(r, radius) != 0:
+            return False
+    return True
+
+
+def gaussian(bound):
+    return st.builds(Scalar, st.integers(-bound, bound),
+                     st.integers(-bound, bound))
+
+
+# a large constant term often keeps a cofactor's zeros out of the disk
+cofactors = st.builds(
+    lambda terms, c0: Polynomial(2, [*terms.items(), ((0, 0), c0)]),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    gaussian(3), min_size=1, max_size=4),
+    gaussian(20) | st.just(Scalar(0)))
+exponents = st.integers(0, 2)
+contents = st.tuples(st.tuples(exponents, exponents),
+                     st.tuples(exponents, exponents)) | st.builds(
+    lambda a, b: ((a, 0), (0, b)), exponents, exponents)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(contents, cofactors, cofactors, st.sampled_from([0.5, 1.0, 2.0]))
+def test_split_certificate_matches_two_resultants(ms, q1, q2, radius):
+    """Shared and disjoint monomial contents, Gaussian coefficients, and the
+    zero polynomial when a cofactor cancels out; about a fifth of the
+    generated pairs are certified."""
+    f1, f2 = (q * Polynomial.monomial(2, m) for m, q in zip(ms, (q1, q2)))
+    assert confirm_origin_only_zero(f1, f2, radius) == \
+        reference_confirm_origin_only_zero(f1, f2, radius)
+
+
+def test_general_row_of_degree_40_needs_no_resultant(monkeypatch):
+    """(x1^d - 3*x2^(d+1), x1*x2^d) at d = 40: both lines x1 = 0 and x2 = 0
+    decide the certificate, and Fulton's count gives d^2 + d + 1."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return resultant(*args)
+
+    monkeypatch.setattr(poly, "resultant", counting)
+    monkeypatch.setattr(numeric, "resultant", counting)
+    ma = compute_Ma(mat([["x1^40 - 3*x2^41", "x1*x2^40"]], 2), cfg=CFG)
+    assert ma[2].describe() == "-1641*[point (0, 0)]"
+    assert calls == []
 
 
 def test_confirm_origin_only_zero():
