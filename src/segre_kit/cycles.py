@@ -241,7 +241,7 @@ class VarietyRef:
             return ("coord", tuple(sorted(self.base_zeros)),
                     tuple(sorted(self.fiber_zeros)))
         if k == VarietyKind.POINT:
-            return ("point", tuple((c.re, c.im) for c in self.point))
+            return ("point", tuple(c.parts() for c in self.point))
         if k == VarietyKind.FIBER_HYPERSURFACE:
             return ("fhyp", tuple(p.key() for p in self.hypersurface))
         raise InputError("key")
@@ -317,7 +317,7 @@ class MovingFactor:
 
     @_built_once
     def key(self):
-        w = tuple(Fraction(x) for x in self.weights) if self.weights else ()
+        w = tuple(map(_rational, self.weights))
         return (tuple(p.key() for p in self.args), self.power, w, self.averaged)
 
     def is_zero_current(self) -> bool:
@@ -364,7 +364,7 @@ class MovingFactor:
 
 @dataclass(frozen=True)
 class CycleTerm:
-    coefficient: Fraction
+    coefficient: int | Fraction  # an int when integral (see _rational)
     fixed: VarietyRef
     omega_power: int = 0
     moving: tuple = ()  # tuple of MovingFactor
@@ -404,8 +404,18 @@ class CycleTerm:
         }
 
 
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction: the one form of a
+    cycle coefficient and of a moving-factor weight in a key."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def term(coefficient, fixed: VarietyRef, omega_power=0, moving=()) -> CycleTerm:
-    return CycleTerm(Fraction(coefficient), fixed, omega_power, tuple(moving))
+    return CycleTerm(_rational(coefficient), fixed, omega_power, tuple(moving))
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +446,12 @@ class GeneralizedCycle:
         for _, group in itertools.groupby(live, CycleTerm.key):
             t, *same = group
             if same:
-                t = CycleTerm(sum((s.coefficient for s in same), t.coefficient),
-                              t.fixed, t.omega_power, t.moving)
+                total = sum((s.coefficient for s in same), t.coefficient)
+                t = CycleTerm(_rational(total), t.fixed, t.omega_power,
+                              t.moving)
             if t.coefficient:
                 kept.append(t)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", tuple(kept))
+        _fill(self, space, degree, tuple(kept))
 
     def __setattr__(self, *a):
         raise AttributeError("GeneralizedCycle is immutable")
@@ -465,11 +474,14 @@ class GeneralizedCycle:
                                 list(self.terms) + list(other.terms))
 
     def scale(self, c) -> "GeneralizedCycle":
-        c = Fraction(c)
-        return GeneralizedCycle(self.space, self.degree,
-                                [CycleTerm(t.coefficient * c, t.fixed,
-                                           t.omega_power, t.moving)
-                                 for t in self.terms])
+        c = _rational(c)
+        if not c:
+            return GeneralizedCycle.zero(self.space, self.degree)
+        # a nonzero factor keeps the keys, their order and every coefficient
+        # nonzero
+        return _canonical(self.space, self.degree, tuple(
+            CycleTerm(_rational(t.coefficient * c), t.fixed, t.omega_power,
+                      t.moving) for t in self.terms))
 
     def __eq__(self, other):
         return (isinstance(other, GeneralizedCycle) and self.space == other.space
@@ -495,14 +507,31 @@ class GeneralizedCycle:
                 "terms": [t.to_record(self.space, names) for t in self.terms]}
 
 
+def _fill(c: GeneralizedCycle, space: Space, degree: int,
+          terms: tuple) -> GeneralizedCycle:
+    """Store the parts of ``c``: the only writer of a cycle's slots."""
+    object.__setattr__(c, "space", space)
+    object.__setattr__(c, "degree", degree)
+    object.__setattr__(c, "terms", terms)
+    return c
+
+
+def _canonical(space: Space, degree: int, terms: tuple) -> GeneralizedCycle:
+    """A cycle of terms that are already canonical: live, of bidegree
+    ``degree``, with distinct keys in the constructor's order and normalized
+    coefficients.  Nothing is re-expanded, sorted or merged."""
+    return _fill(object.__new__(GeneralizedCycle), space, degree, terms)
+
+
 def _expand_terms(space: Space, terms):
-    """Canonical rewrites: all-constant moving factors kill the term, and
-    omega powers beyond the fiber dimension of the support vanish
-    identically."""
+    """Canonical rewrites: coefficients normalized by ``_rational``,
+    all-constant moving factors kill the term, and omega powers beyond the
+    fiber dimension of the support vanish identically."""
     for t in terms:
-        if not isinstance(t.coefficient, Fraction):
-            t = CycleTerm(Fraction(t.coefficient), t.fixed, t.omega_power,
-                          t.moving)
+        if type(t.coefficient) is not int:
+            c = _rational(t.coefficient)
+            if c is not t.coefficient:
+                t = CycleTerm(c, t.fixed, t.omega_power, t.moving)
         if any(f.is_zero_current() for f in t.moving):
             continue
         if space.kind == "PROJ" and t.omega_power > 0:
@@ -537,18 +566,21 @@ def meet(a: VarietyRef, b: VarietyRef) -> VarietyRef:
 
 def wedge(c: GeneralizedCycle, factor) -> GeneralizedCycle:
     """Wedge with omega_alpha^j (pass ("omega", j)) or a MovingFactor.
-    Distributes over terms and re-canonicalizes."""
+    Distributes over terms and re-canonicalizes; raising every omega power
+    by j keeps the terms' order, so only the fiber-dimension cap of
+    ``_expand_terms`` can change an omega wedge."""
     if isinstance(factor, tuple) and len(factor) == 2 and factor[0] == "omega":
         j = factor[1]
         if c.space.kind != "PROJ":
             raise InputError("omega_alpha lives on the projectivization")
+        if j < 0:
+            raise InputError("omega power must be >= 0")
         new_deg = c.degree + j
         if new_deg > c.space.dim:
             raise InputError("bidegree overflow in wedge")
-        return GeneralizedCycle(
-            c.space, new_deg,
-            [CycleTerm(t.coefficient, t.fixed, t.omega_power + j, t.moving)
-             for t in c.terms])
+        return _canonical(c.space, new_deg, tuple(_expand_terms(c.space, (
+            CycleTerm(t.coefficient, t.fixed, t.omega_power + j, t.moving)
+            for t in c.terms))))
     if isinstance(factor, MovingFactor):
         new_deg = c.degree + factor.power
         if new_deg > c.space.dim:
@@ -659,7 +691,7 @@ def _term_sum(c: GeneralizedCycle, point,
         raise InputError("multiplicities are evaluated on the base space")
     if len(point) != c.space.n:
         raise InputError("point dimension mismatch")
-    total = Fraction(0)
+    total = 0
     for t in c.terms:
         if t.omega_power > 0:
             continue

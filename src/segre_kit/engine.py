@@ -12,7 +12,6 @@ homogenized chart terms must agree with the global terms visible there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from segre_kit.cycles import (
@@ -147,8 +146,7 @@ def _verify_charts(entries, space: Space, global_ring):
             for t in local:
                 ht = _homogenize_chart_term(t, space, chart)
                 key = ht.key()
-                local_terms[key] = local_terms.get(key, Fraction(0)) \
-                    + ht.coefficient
+                local_terms[key] = local_terms.get(key, 0) + ht.coefficient
             global_visible = {}
             for t in global_ring[level].terms:
                 if _visible_in_chart(t, space, chart):

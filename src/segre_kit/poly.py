@@ -161,7 +161,7 @@ class Polynomial:
             return self._key
         except AttributeError:
             key = (self.nvars,
-                   tuple(sorted(((m, c.re, c.im) for m, c in self.terms.items()),
+                   tuple(sorted(((m, *c.parts()) for m, c in self.terms.items()),
                                 key=lambda t: _term_sort_key(t[0]))))
             object.__setattr__(self, "_key", key)
             return key

@@ -3,7 +3,8 @@
 All exact-engine coefficients live here so that no computation ever rounds.
 A Scalar is one reduced integer triple (a + b*i)/d with d > 0 and
 gcd(a, b, d) = 1, so equality is structural; ``re`` and ``im`` read the two
-parts as Fractions, and a real Scalar hashes as its rational.
+parts as Fractions, ``parts`` reads them in the form keys use (ints when
+d = 1), and a real Scalar hashes as its rational.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ class Scalar:
     @property
     def im(self) -> Fraction:
         return Fraction(self.b, self.d)
+
+    def parts(self) -> tuple:
+        """(re, im) as ints when d = 1, else as Fractions: equal to
+        (re, im), and hashing and sorting alike."""
+        if self.d == 1:
+            return self.a, self.b
+        return Fraction(self.a, self.d), Fraction(self.b, self.d)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from segre_kit.errors import InputError, UndecidedError
 from segre_kit.poly import Polynomial, format_polynomial, parse_polynomial
 from segre_kit.scalars import Scalar
 from segre_kit.tower import pushforward_cycle
+from test_keys import N as KEY_N, R as KEY_R, cycle_terms
 
 B2 = base_space(2)
 B3 = base_space(3)
@@ -231,6 +233,71 @@ def test_canonicalization_confluent(rnd):
     shuffled = terms[:]
     rnd.shuffle(shuffled)
     assert GeneralizedCycle(B2, 1, terms) == GeneralizedCycle(B2, 1, shuffled)
+
+
+# scaled and omega-wedged cycles are built from their canonical terms without
+# a second sort or merge; each must be what the full constructor makes of the
+# same rewritten terms, on the generated terms of the key tests
+KEY_SPACE = proj_space(KEY_N, KEY_R)
+
+
+def _canonical_cycle(terms):
+    """The cycle of the drawn terms of the first term's bidegree, or None."""
+    space = KEY_SPACE
+    degree = terms[0].bidegree(space)
+    if degree > space.dim:
+        return None
+    return GeneralizedCycle(space, degree, [t for t in terms
+                                            if t.bidegree(space) == degree])
+
+
+def _same_cycle(got, want):
+    assert (got.space, got.degree) == (want.space, want.degree)
+    assert [(t, type(t.coefficient), t.key()) for t in got.terms] == \
+        [(t, type(t.coefficient), t.key()) for t in want.terms]
+
+
+@given(st.lists(cycle_terms, min_size=1, max_size=6),
+       st.lists(st.integers(-2, 2), max_size=3))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_scale_and_omega_wedge_equal_the_full_constructor(terms, copies):
+    # copies of the first term under integer coefficients: merged sums
+    terms += [dataclasses.replace(terms[0], coefficient=Fraction(k))
+              for k in copies]
+    c = _canonical_cycle(terms)
+    if c is None:
+        return
+    assert all(type(t.coefficient) is int or t.coefficient.denominator != 1
+               for t in c.terms)
+    for k in (-1, 2, Fraction(1, 2)):
+        _same_cycle(c.scale(k), GeneralizedCycle(c.space, c.degree, [
+            dataclasses.replace(t, coefficient=t.coefficient * k)
+            for t in c.terms]))
+    assert c.scale(0) == GeneralizedCycle.zero(c.space, c.degree)
+    assert c.scale(0).is_zero()
+    for j in range(c.space.dim - c.degree + 1):
+        _same_cycle(wedge(c, ("omega", j)),
+                    GeneralizedCycle(c.space, c.degree + j, [
+                        dataclasses.replace(t, omega_power=t.omega_power + j)
+                        for t in c.terms]))
+
+
+def test_scale_and_omega_wedge_do_not_resort(monkeypatch):
+    # on X x P^2 the fibers of X and [x1 = 0] are planes, those of [a1 = 0]
+    # lines; the terms sort by codimension, then by key
+    c = GeneralizedCycle(proj_space(2, 3), 1, [
+        term(2, VarietyRef.coordinate_subspace([0])),
+        term(Fraction(1, 3), VarietyRef.whole_space(), 1),
+        term(1, VarietyRef.coordinate_subspace([], [0]))])
+    monkeypatch.setattr(GeneralizedCycle, "__init__", None)
+    assert [t.coefficient for t in c.scale(3).terms] == [1, 3, 6]
+    assert [type(t.coefficient) for t in c.scale(3).terms] == [int] * 3
+    assert [t.omega_power for t in wedge(c, ("omega", 1)).terms] == [2, 1, 1]
+    # omega^3 on X and omega^2 on [a1 = 0] exceed their fiber dimensions
+    assert [(t.coefficient, t.omega_power)
+            for t in wedge(c, ("omega", 2)).terms] == [(2, 2)]
+    with pytest.raises(InputError):
+        wedge(c, ("omega", -1))
 
 
 def test_zero_coefficient_and_empty_fiber_dropped():

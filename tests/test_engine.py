@@ -24,11 +24,15 @@ from segre_kit.engine import (
     segre_numbers,
     singular_metric_forms,
 )
+from segre_kit.cli import load_spec, run_spec
 from segre_kit.errors import InputError, UnsupportedInputError
 from segre_kit.numeric import RegConfig
 from segre_kit.poly import (
     PolyMatrix,
     Polynomial,
+    StructureClass,
+    classify_structure,
+    determinant,
     format_polynomial,
     parse_polynomial,
 )
@@ -546,3 +550,82 @@ def test_localization_invariance_random():
             continue
         assert a == b, (str(g), pt, a, b)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# the determinant law and integral coefficients, over generated inputs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def permuted_diagonals(draw):
+    """(g, e): a square permuted-diagonal monomial matrix, n <= 3, r <= 3,
+    coefficients 1-3, whose reduced entries are pairwise coprime (each
+    variable belongs to at most one slot), with or without a shared factor;
+    e[v] is the exponent of x_v in det g."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    owners = [draw(st.integers(-1, r - 1)) for _ in range(n)]
+    common = [draw(st.integers(0, 1)) for _ in range(n)] \
+        if draw(st.booleans()) else [0] * n
+    entries = [(draw(st.integers(1, 3)),
+                [common[v] + (draw(st.integers(0, 2)) if owners[v] == slot
+                              else 0) for v in range(n)])
+               for slot in range(r)]
+    rows = draw(st.permutations(range(r)))
+    cols = draw(st.permutations(range(r)))
+    cells = [[Polynomial.zero(n)] * r for _ in range(r)]
+    for (c, exps), i, j in zip(entries, rows, cols):
+        cells[i][j] = Polynomial.monomial(n, exps, c)
+    return PolyMatrix(cells), [sum(exps[v] for _, exps in entries)
+                               for v in range(n)]
+
+
+@given(permuted_diagonals())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fixed_part_of_M1_is_the_divisor_of_det(case):
+    g, e = case
+    base = base_space(g.nvars)
+    det = determinant(g).as_monomial()
+    assert det is not None and list(det[1]) == e
+    div_det = GeneralizedCycle(base, 1, [
+        term(k, VarietyRef.coordinate_subspace([v])) for v, k in enumerate(e)
+        if k])
+    fixed, _ = fixed_moving_split(compute_Mg(g).M[1])
+    assert fixed == div_det, str(g)
+
+
+@given(permuted_diagonals(), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_Mg_coefficients_are_ints(case, as_row):
+    g, _ = case
+    if as_row:  # the entries as one pairwise-coprime row
+        g = PolyMatrix([[g.entries[i][j] for i, j in g.nonzero_positions()]])
+    assert classify_structure(g) in (StructureClass.DIAGONAL_MONOMIAL,
+                                     StructureClass.SINGLE_ROW)
+    res = compute_Mg(g)
+    for cyc in res.M + res.ring_M:
+        assert all(type(t.coefficient) is int for t in cyc.terms), str(g)
+
+
+def test_exact_run_builds_no_fraction(monkeypatch):
+    # every coefficient and key part of an exact run on a diagonal is an
+    # integer, so no Fraction is made from the parsed spec to the report
+    spec = load_spec({
+        "variables": ["x1", "x2", "x3"],
+        "matrix": [["x1*x3", "0", "0"], ["0", "x2*x3", "0"],
+                   ["0", "0", "x3^2"]],
+        "engine": "exact",
+        "points": [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+        "tasks": ["Mg", "segre", "distinguished", "singular_metrics"]})
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    report = run_spec(spec)
+    monkeypatch.undo()
+    assert made == []
+    assert [r["numbers"] for r in report["results"]["segre"]] == \
+        [[0, 6, 6, 2], [0, 5, 2, 0], [0, 2, 1, 0]]

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -264,3 +265,24 @@ def test_constructor_refuses_what_the_reference_refuses(bad, error):
             make(bad)
     with pytest.raises(TypeError):  # a part is a rational, not a Scalar
         Scalar(Scalar(1))
+
+
+# -- the key form of the parts ----------------------------------------------
+
+# Gaussian integers (d = 1) and Gaussian rationals, mostly with d > 1
+keyed = st.one_of(
+    st.builds(Scalar, st.integers(-4, 4), st.integers(-4, 4)),
+    st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+              st.integers(-9, 9), st.integers(-9, 9), st.integers(2, 6)))
+
+
+@given(keyed, keyed)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parts_are_re_and_im_in_key_form(x, y):
+    got, want = x.parts(), (x.re, x.im)
+    assert got == want and hash(got) == hash(want)
+    assert all(type(p) is (int if x.d == 1 else Fraction) for p in got)
+    other = (y.re, y.im)
+    for compare in (operator.lt, operator.le, operator.eq, operator.gt):
+        assert compare(got, y.parts()) == compare(want, other)
+    assert ({got: 1}.get(want), {want: 1}.get(got)) == (1, 1)
