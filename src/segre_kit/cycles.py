@@ -151,6 +151,7 @@ class VarietyRef:
     """A supported irreducible variety.
 
     COORDINATE_SUBSPACE: base_zeros / fiber_zeros are the vanishing coordinates.
+    WHOLE_SPACE: the coordinate subspace with none; only its key and text differ.
     POINT: an explicit base point.
     FIBER_HYPERSURFACE: {sum_i f_i(x) a_i = 0} on PROJ, args = (f_1..f_r).
     """
@@ -189,91 +190,60 @@ class VarietyRef:
     # -- geometry ------------------------------------------------------------
 
     def codim(self, space: Space) -> int:
-        k = self.kind
-        if k == VarietyKind.WHOLE_SPACE:
-            return 0
-        if k == VarietyKind.COORDINATE_SUBSPACE:
-            return len(self.base_zeros) + len(self.fiber_zeros)
-        if k == VarietyKind.FIBER_HYPERSURFACE:
-            return 1
-        if k == VarietyKind.POINT:
+        if self.kind == VarietyKind.POINT:
             return space.n
-        raise InputError(f"codim of {k}")
-
-    def is_empty(self, space: Space) -> bool:
-        # all fiber coordinates cannot vanish simultaneously on P^{r-1}
-        return (self.kind == VarietyKind.COORDINATE_SUBSPACE
-                and space.kind == "PROJ"
-                and len(self.fiber_zeros) >= space.r)
+        if self.kind == VarietyKind.FIBER_HYPERSURFACE:
+            return 1
+        return len(self.base_zeros) + len(self.fiber_zeros)
 
     def fiber_dimension(self, space: Space) -> int:
-        """Dimension of the generic fiber of the support over the base."""
-        if space.kind != "PROJ":
-            return 0
-        if self.kind in (VarietyKind.WHOLE_SPACE, VarietyKind.POINT):
-            return space.r - 1
-        if self.kind == VarietyKind.COORDINATE_SUBSPACE:
-            return space.r - 1 - len(self.fiber_zeros)
-        if self.kind == VarietyKind.FIBER_HYPERSURFACE:
-            return space.r - 2
-        raise InputError("fiber dimension")
+        """r - 1 less the fiber zeros: the largest fiber of the support over
+        the base (a fiber hypersurface holds whole fibers where its
+        coefficients vanish); negative when the support is empty."""
+        return space.r - 1 - len(self.fiber_zeros)
 
     def contains_point(self, point) -> bool:
         """Point membership for BASE varieties (exact coordinates)."""
         pt = [Scalar.from_value(c) for c in point]
-        k = self.kind
-        if k == VarietyKind.WHOLE_SPACE:
-            return True
-        if k == VarietyKind.COORDINATE_SUBSPACE:
-            return all(pt[v].is_zero() for v in self.base_zeros)
-        if k == VarietyKind.POINT:
+        if self.kind == VarietyKind.POINT:
             return all((a - b).is_zero() for a, b in zip(self.point, pt))
-        raise InputError(f"point membership undefined for {k}")
+        if self.kind == VarietyKind.FIBER_HYPERSURFACE:
+            raise InputError(f"point membership undefined for {self.kind}")
+        return all(pt[v].is_zero() for v in self.base_zeros)
 
     # -- bookkeeping -----------------------------------------------------------
 
     @_built_once
     def key(self):
         k = self.kind
-        if k == VarietyKind.WHOLE_SPACE:
-            return ("whole",)
-        if k == VarietyKind.COORDINATE_SUBSPACE:
-            return ("coord", tuple(sorted(self.base_zeros)),
-                    tuple(sorted(self.fiber_zeros)))
         if k == VarietyKind.POINT:
             return ("point", tuple(c.parts() for c in self.point))
         if k == VarietyKind.FIBER_HYPERSURFACE:
             return ("fhyp", tuple(p.key() for p in self.hypersurface))
-        raise InputError("key")
+        if k == VarietyKind.WHOLE_SPACE:
+            return ("whole",)
+        return ("coord", tuple(sorted(self.base_zeros)),
+                tuple(sorted(self.fiber_zeros)))
 
     def equations(self, space: Space, names=None) -> list:
         """Defining equations as text in the ambient variable ``names``
         (default ``space.var_names()``); a coordinate subspace's equations
-        are its vanishing variables' names."""
+        are its vanishing variables' names, none for the whole space."""
         if names is None:
             names = space.var_names()
-        k = self.kind
-        if k == VarietyKind.WHOLE_SPACE:
-            return []
-        if k == VarietyKind.COORDINATE_SUBSPACE:
-            return [names[v] for v in sorted(self.base_zeros)] \
-                + [names[space.n + j] for j in sorted(self.fiber_zeros)]
-        nv = space.total_vars
-        if k == VarietyKind.POINT:
+        if self.kind == VarietyKind.POINT:
+            nv = space.total_vars
             eqs = [Polynomial.variable(nv, v) - Polynomial.constant(nv, c)
                    for v, c in enumerate(self.point)]
-        elif k == VarietyKind.FIBER_HYPERSURFACE:
+        elif self.kind == VarietyKind.FIBER_HYPERSURFACE:
             eqs = [space.lift(self.hypersurface)]
         else:
-            raise InputError("equations")
+            return [names[v] for v in sorted(self.base_zeros)] \
+                + [names[space.n + j] for j in sorted(self.fiber_zeros)]
         return [format_polynomial(q, names) for q in eqs]
 
     def describe(self, space: Space) -> str:
         k = self.kind
-        if k == VarietyKind.WHOLE_SPACE:
-            return "X"
-        if k == VarietyKind.COORDINATE_SUBSPACE:
-            return "[" + "=".join(self.equations(space)) + "=0]"
         if k == VarietyKind.POINT:
             return "[point (" + ", ".join(str(c) for c in self.point) + ")]"
         if k == VarietyKind.FIBER_HYPERSURFACE:
@@ -285,7 +255,9 @@ class VarietyRef:
                     continue
                 parts.append(f"({format_polynomial(f, base_names)})*{names[space.n + j]}")
             return "[" + " + ".join(parts) + " = 0]"
-        raise InputError("describe")
+        if k == VarietyKind.WHOLE_SPACE:
+            return "X"
+        return "[" + "=".join(self.equations(space)) + "=0]"
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +404,7 @@ class GeneralizedCycle:
             raise InputError(f"bidegree {degree} outside 0..{space.dim}")
         live = []
         for t in _expand_terms(space, terms):
-            if t.coefficient == 0 or t.fixed.is_empty(space):
+            if t.coefficient == 0:
                 continue
             if t.bidegree(space) != degree:
                 raise InputError(
@@ -525,8 +497,9 @@ def _canonical(space: Space, degree: int, terms: tuple) -> GeneralizedCycle:
 
 def _expand_terms(space: Space, terms):
     """Canonical rewrites: coefficients normalized by ``_rational``,
-    all-constant moving factors kill the term, and omega powers beyond the
-    fiber dimension of the support vanish identically."""
+    all-constant moving factors kill the term, and on PROJ omega powers
+    beyond the fiber dimension of the support vanish identically (at power 0
+    that drops the empty supports, all fiber coordinates zero)."""
     for t in terms:
         if type(t.coefficient) is not int:
             c = _rational(t.coefficient)
@@ -534,11 +507,9 @@ def _expand_terms(space: Space, terms):
                 t = CycleTerm(c, t.fixed, t.omega_power, t.moving)
         if any(f.is_zero_current() for f in t.moving):
             continue
-        if space.kind == "PROJ" and t.omega_power > 0:
-            cap = t.fixed.fiber_dimension(space) \
-                if t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE else space.r - 1
-            if t.omega_power > cap:
-                continue
+        if space.kind == "PROJ" and \
+                t.omega_power > t.fixed.fiber_dimension(space):
+            continue
         yield t
 
 

@@ -11,6 +11,7 @@ homogenized chart terms must agree with the global terms visible there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -21,7 +22,6 @@ from segre_kit.cycles import (
     GeneralizedCycle,
     MovingFactor,
     Space,
-    VarietyKind,
     VarietyRef,
     _in_fixed_part,
     base_space,
@@ -159,10 +159,7 @@ def _verify_charts(entries, space: Space, global_ring):
 
 
 def _visible_in_chart(t: CycleTerm, space: Space, chart: int) -> bool:
-    if t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE and \
-            chart in t.fixed.fiber_zeros:
-        return False
-    return True
+    return chart not in t.fixed.fiber_zeros
 
 
 def _homogenize_chart_term(t: CycleTerm, space: Space, chart: int) -> CycleTerm:
@@ -273,22 +270,13 @@ def _describe_Z(res: MorphismResult) -> str:
 # Segre numbers and distinguished varieties
 # ---------------------------------------------------------------------------
 
-def _oracle_from_cfg(cfg):
-    if cfg is None:
-        return None
-
-    def oracle(factors, fixed, point):
-        return crofton_moving_multiplicity(factors, fixed, point, cfg)
-
-    return oracle
-
-
 def segre_numbers(g: PolyMatrix, point, cfg=None,
                   result: Optional[MorphismResult] = None) -> SegreReport:
     """e_k at the query point together with the distinguished varieties."""
     res = result or compute_Mg(g)
     base = res.M[0].space
-    oracle = _oracle_from_cfg(cfg)
+    oracle = None if cfg is None else \
+        functools.partial(crofton_moving_multiplicity, cfg=cfg)
     numbers, provenance = [], []
     for k, cyc in enumerate(res.M):
         calls = []
@@ -333,12 +321,8 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
     h, (r1, r2) = strip_common_factor([g1, g2])
 
     # M^a_1 = [div h]: the exceptional component of div(a') pushes to zero
-    if monomial_degree(h) > 0:
-        m1_terms = [term(e, VarietyRef.coordinate_subspace([v]))
-                    for v, e in enumerate(h) if e]
-    else:
-        m1_terms = []
-    out.append(GeneralizedCycle(base, 1, m1_terms))
+    out.append(GeneralizedCycle(base, 1, _divisor_terms(
+        base, Polynomial.monomial(n, h))))
 
     if n < 2:
         return out

@@ -100,9 +100,13 @@ def _is_full_fiber_frame(space: Space, args) -> bool:
 
 
 def _recognize_omega(space: Space, args) -> bool:
-    """A full fiber frame with equal coefficient moduli is omega itself."""
-    return _is_full_fiber_frame(space, args) and \
-        len({p.as_monomial()[0].norm_sq() for p in args}) == 1
+    """A full fiber frame with equal coefficient moduli is omega itself: the
+    moduli (a^2 + b^2)/d^2 of (a + b*i)/d compared in integers."""
+    if not _is_full_fiber_frame(space, args):
+        return False
+    c0, *rest = (p.as_monomial()[0] for p in args)
+    m0, d0 = c0.a * c0.a + c0.b * c0.b, c0.d * c0.d
+    return all((c.a * c.a + c.b * c.b) * d0 == m0 * c.d * c.d for c in rest)
 
 
 def _prefix_subspace(space: Space, var: int, coeff, terms) -> List[CycleTerm]:
@@ -259,7 +263,7 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
         js = [next((fe.index(1) for fe in s if sum(fe) == 1), None)
               for s in parts] if weights else ()
     base_fixed = VarietyRef.coordinate_subspace(fixed.base_zeros)
-    jp = e + q - (space.r - 1 - len(fixed.fiber_zeros))  # e + q - d
+    jp = e + q - fixed.fiber_dimension(space)  # e + q - d
     if jp < 0:
         return []
     if jp == 0:

@@ -361,3 +361,38 @@ def test_equations_text_matches_formatted_polynomials():
     # a fiber hypersurface needs the fiber coordinates of the projectivization
     with pytest.raises(InputError):
         hyp.equations(B3)
+
+
+# one support of each kind on X x P^1 over C^2: (codim, equations, describe,
+# key, fiber dimension).  Every kind must have a row, so a new kind states
+# each answer here before any code reads it.
+KIND_TABLE = {
+    VarietyKind.WHOLE_SPACE: (
+        VarietyRef.whole_space(), 0, [], "X", ("whole",), 1),
+    VarietyKind.COORDINATE_SUBSPACE: (
+        VarietyRef.coordinate_subspace([1], [0]), 2, ["x2", "a1"],
+        "[x2=a1=0]", ("coord", (1,), (0,)), 0),
+    VarietyKind.POINT: (
+        VarietyRef.point_at([0, "1/2"]), 2, ["x1", "x2 - 1/2"],
+        "[point (0, 1/2)]", ("point", ((0, 0), (Fraction(1, 2), 0))), 1),
+    VarietyKind.FIBER_HYPERSURFACE: (
+        VarietyRef.fiber_hypersurface((bp("x1"), bp("2*x2 - i"))), 1,
+        ["x1*a1 + 2*x2*a2 - i*a2"], "[(x1)*a1 + (2*x2 - i)*a2 = 0]",
+        ("fhyp", (bp("x1").key(), bp("2*x2 - i").key())), 1),
+}
+
+
+def test_every_variety_kind_answers_each_question():
+    assert set(KIND_TABLE) == set(VarietyKind)
+    for kind, (ref, codim, equations, text, key, fiber_dim) in \
+            KIND_TABLE.items():
+        assert ref.kind == kind
+        assert ref.codim(P22) == codim
+        assert ref.equations(P22) == equations
+        assert ref.describe(P22) == text
+        assert ref.key() == key
+        # r - 1 less the fiber zeros, for every kind; -1 on the base (r = 0)
+        assert ref.fiber_dimension(P22) == fiber_dim
+        assert ref.fiber_dimension(B2) == -1 - len(ref.fiber_zeros)
+    # the whole space is the coordinate subspace without zeros
+    assert VarietyRef.coordinate_subspace((), ()) == VarietyRef.whole_space()

@@ -606,9 +606,19 @@ def test_Mg_coefficients_are_ints(case, as_row):
         assert all(type(t.coefficient) is int for t in cyc.terms), str(g)
 
 
+# diag(c1*x1, c2*x1) over n = 2: its reduced tuple (c1*a1, c2*a2) is a full
+# fiber frame, omega itself when |c1| = |c2|; ring_M[2] for each (c1, c2)
+FIBER_FRAMES = {
+    ("2", "(1+i)"): "[x1=0] ^ <dd^c log(|2*a1|^2 + |(1+i)*a2|^2)>",
+    ("5", "(3+4*i)"): "[x1=0] ^ omega^1",
+    ("1", "(3/5+4/5*i)"): "[x1=0] ^ omega^1",
+}
+
+
 def test_exact_run_builds_no_fraction(monkeypatch):
     # every coefficient and key part of an exact run on a diagonal is an
-    # integer, so no Fraction is made from the parsed spec to the report
+    # integer, so no Fraction is made from the parsed spec to the report;
+    # the moduli of a full fiber frame are compared in integers too
     spec = load_spec({
         "variables": ["x1", "x2", "x3"],
         "matrix": [["x1*x3", "0", "0"], ["0", "x2*x3", "0"],
@@ -616,6 +626,10 @@ def test_exact_run_builds_no_fraction(monkeypatch):
         "engine": "exact",
         "points": [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "1"]],
         "tasks": ["Mg", "segre", "distinguished", "singular_metrics"]})
+    frames = [load_spec({
+        "variables": ["x1", "x2"],
+        "matrix": [[f"{c1}*x1", "0"], ["0", f"{c2}*x1"]],
+        "engine": "exact", "points": [["0", "0"]]}) for c1, c2 in FIBER_FRAMES]
     made = []
     new = Fraction.__new__
 
@@ -625,7 +639,11 @@ def test_exact_run_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted)
     report = run_spec(spec)
+    for frame in frames:
+        run_spec(frame)
+    ring2 = [compute_Mg(frame.matrix).ring_M[2].describe() for frame in frames]
     monkeypatch.undo()
     assert made == []
     assert [r["numbers"] for r in report["results"]["segre"]] == \
         [[0, 6, 6, 2], [0, 5, 2, 0], [0, 2, 1, 0]]
+    assert ring2 == list(FIBER_FRAMES.values())

@@ -7,8 +7,9 @@ dependencies, the mass command runs without importing scipy, every exact
 path (exact runs, the Crofton oracle, `--engine both`, `golden
 --skip-numeric`) without importing numpy and the full golden suite loads it
 when it needs it, and every function the benchmark's tracer wraps by name
-exists, and no module but cycles.py knows where the fiber exponents of the
-ambient start."""
+exists, no module but cycles.py knows where the fiber exponents of the
+ambient start, and no module but cycles.py and tower.py names the kind of a
+variety."""
 
 import ast
 import importlib
@@ -167,6 +168,36 @@ def test_fiber_layout_site_is_caught():
               "    return n + j, n + 1, samples[:n], space.n * 2\n")
     assert fiber_layout_sites(source) == [
         "m[:space.n]", "m[space.n:]", "space.n + j", "j - space.n", "n + j"]
+
+
+KIND_READERS = {"cycles.py", "tower.py"}
+
+
+def variety_kind_lines(source: str):
+    """The lines of the source that name ``VarietyKind``: an import of it,
+    a bare use or an attribute of a module."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.alias) and node.name == "VarietyKind"
+                   or isinstance(node, ast.Name) and node.id == "VarietyKind"
+                   or isinstance(node, ast.Attribute)
+                   and node.attr == "VarietyKind"})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_cycles_and_tower_name_the_variety_kind(path):
+    # everything else reads a support's zero sets, codim and text
+    if path.name not in KIND_READERS:
+        assert variety_kind_lines(path.read_text()) == []
+
+
+def test_variety_kind_name_is_caught():
+    source = ('"""Reads VarietyKind only in this docstring."""\n'
+              "from segre_kit.cycles import VarietyKind as K, VarietyRef\n"
+              "import segre_kit.cycles as cycles\n"
+              "def f(t):\n"
+              "    return t.kind == cycles.VarietyKind.POINT or \\\n"
+              "        isinstance(t, VarietyKind)\n")
+    assert variety_kind_lines(source) == [2, 5, 6]
 
 
 def third_party_modules(source: str):

@@ -1,6 +1,8 @@
 """Canonical keys are built once and kept on the immutable object; each must
 equal the key its class used to rebuild on every call (the reference
-bodies below, kept as they were)."""
+bodies below, kept as they were).  The emptiness and omega-cap rules that
+the one fiber-dimension rule replaced are kept here too, and a cycle must
+keep exactly the terms they kept."""
 
 import dataclasses
 from fractions import Fraction
@@ -15,6 +17,7 @@ from segre_kit.cycles import (
     VarietyKind,
     VarietyRef,
     proj_space,
+    wedge,
 )
 from segre_kit.errors import InputError
 from segre_kit.poly import Polynomial, _term_sort_key
@@ -58,6 +61,45 @@ def reference_term_key(self):
 
 
 # ---------------------------------------------------------------------------
+# the emptiness and omega-cap rules as they were, before the one
+# fiber-dimension rule: VarietyRef.is_empty, the kind-by-kind
+# fiber_dimension and the kind-guarded cap of _expand_terms
+# ---------------------------------------------------------------------------
+
+
+def reference_is_empty(self, space):
+    return (self.kind == VarietyKind.COORDINATE_SUBSPACE
+            and space.kind == "PROJ"
+            and len(self.fiber_zeros) >= space.r)
+
+
+def reference_fiber_dimension(self, space):
+    if space.kind != "PROJ":
+        return 0
+    if self.kind in (VarietyKind.WHOLE_SPACE, VarietyKind.POINT):
+        return space.r - 1
+    if self.kind == VarietyKind.COORDINATE_SUBSPACE:
+        return space.r - 1 - len(self.fiber_zeros)
+    return space.r - 2
+
+
+def reference_within_cap(t, space):
+    if space.kind != "PROJ" or not t.omega_power:
+        return True
+    cap = reference_fiber_dimension(t.fixed, space) \
+        if t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE else space.r - 1
+    return t.omega_power <= cap
+
+
+def reference_kept(t, space):
+    """Whether the old constructor kept a term (before merging)."""
+    return (t.coefficient != 0
+            and not any(f.is_zero_current() for f in t.moving)
+            and reference_within_cap(t, space)
+            and not reference_is_empty(t.fixed, space))
+
+
+# ---------------------------------------------------------------------------
 # generated objects on X x P^1 with n = 2: ambient (x1, x2, a1, a2)
 # ---------------------------------------------------------------------------
 
@@ -73,30 +115,41 @@ def polynomials(nvars=NV):
         lambda pairs: Polynomial(nvars, pairs))
 
 
-moving_factors = st.builds(
-    MovingFactor,
-    st.lists(polynomials(), min_size=1, max_size=3).map(tuple),
-    st.integers(1, 3),
-    st.just(()),
-    st.booleans(),
-) | st.lists(polynomials(), min_size=2, max_size=2).flatmap(
-    lambda args: st.builds(MovingFactor, st.just(tuple(args)),
-                           st.integers(1, 2),
-                           st.tuples(st.integers(1, 3), st.integers(1, 3)),
-                           st.booleans()))
+def moving_factors_on(nvars=NV):
+    return st.builds(
+        MovingFactor,
+        st.lists(polynomials(nvars), min_size=1, max_size=3).map(tuple),
+        st.integers(1, 3),
+        st.just(()),
+        st.booleans(),
+    ) | st.lists(polynomials(nvars), min_size=2, max_size=2).flatmap(
+        lambda args: st.builds(MovingFactor, st.just(tuple(args)),
+                               st.integers(1, 2),
+                               st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                               st.booleans()))
 
-varieties = st.one_of(
-    st.just(VarietyRef.whole_space()),
-    st.builds(VarietyRef.coordinate_subspace,
-              st.sets(st.integers(0, N - 1)), st.sets(st.integers(0, R - 1))),
-    st.builds(VarietyRef.point_at, st.lists(scalars, min_size=N, max_size=N)),
-    st.lists(polynomials(N), min_size=R, max_size=R).filter(
-        lambda args: any(not p.is_zero() for p in args)).map(
-        VarietyRef.fiber_hypersurface),
-)
 
-cycle_terms = st.builds(CycleTerm, small, varieties, st.integers(0, 2),
-                        st.lists(moving_factors, max_size=2).map(tuple))
+def varieties_on(r=R):
+    """Every kind of support on X x P^{r-1}, with up to r fiber zeros."""
+    return st.one_of(
+        st.just(VarietyRef.whole_space()),
+        st.builds(VarietyRef.coordinate_subspace,
+                  st.sets(st.integers(0, N - 1)), st.sets(st.integers(0, r - 1))),
+        st.builds(VarietyRef.point_at, st.lists(scalars, min_size=N, max_size=N)),
+        st.lists(polynomials(N), min_size=r, max_size=r).filter(
+            lambda args: any(not p.is_zero() for p in args)).map(
+            VarietyRef.fiber_hypersurface),
+    )
+
+
+def cycle_terms_on(r=R):
+    return st.builds(CycleTerm, small, varieties_on(r),
+                     st.integers(0, max(2, r)),
+                     st.lists(moving_factors_on(N + r), max_size=2).map(tuple))
+
+
+moving_factors, varieties, cycle_terms = \
+    moving_factors_on(), varieties_on(), cycle_terms_on()
 
 KEYED = ((polynomials(), reference_polynomial_key),
          (varieties, reference_variety_key),
@@ -164,14 +217,11 @@ def test_cycle_merge_matches_the_reference_keys(terms, rnd):
     # GeneralizedCycle merges and sorts on the stored keys; redo both on the
     # reference keys, whatever the order the terms come in
     space = proj_space(N, R)
-    terms = [t for t in terms if not t.fixed.is_empty(space)]
+    terms = [t for t in terms if not reference_is_empty(t.fixed, space)]
     degree = max((t.bidegree(space) for t in terms), default=0)
     terms = [t for t in terms if t.bidegree(space) == degree
              and not any(f.is_zero_current() for f in t.moving)
-             and (not t.omega_power or t.omega_power <= (
-                 t.fixed.fiber_dimension(space)
-                 if t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE
-                 else R - 1))]
+             and reference_within_cap(t, space)]
     if degree > space.dim:
         return
     # copies of drawn terms under other coefficients: merges and cancellations
@@ -201,6 +251,45 @@ def _codim(variety_key, space):
     if kind == "fhyp":
         return 1
     return space.n
+
+
+def reference_merge(terms, space):
+    """(reference key, coefficient) of each merged nonzero term, in the
+    constructor's order."""
+    sums = {}
+    for t in terms:
+        sums[reference_term_key(t)] = \
+            sums.get(reference_term_key(t), Fraction(0)) + t.coefficient
+    return sorted(((k, c) for k, c in sums.items() if c),
+                  key=lambda kc: (_codim(kc[0][0], space), kc[0]))
+
+
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(cycle_terms_on(r), max_size=6))), st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_one_fiber_dimension_rule_keeps_the_terms_the_old_rules_kept(drawn, data):
+    # fiber_dimension is the old omega cap of every kind, and the d that the
+    # pushforward read inline; a cycle keeps what is_empty and that cap kept
+    r, terms = drawn
+    space = proj_space(N, r)
+    for t in terms:
+        assert t.fixed.fiber_dimension(space) == (
+            reference_fiber_dimension(t.fixed, space)
+            if t.fixed.kind == VarietyKind.COORDINATE_SUBSPACE else r - 1) \
+            == r - 1 - len(t.fixed.fiber_zeros)
+    # give every term the drawn bidegree through its omega power
+    degree = data.draw(st.integers(0, space.dim))
+    terms = [dataclasses.replace(t, omega_power=e) for t in terms
+             for e in [degree - t.bidegree(space) + t.omega_power] if e >= 0]
+    cyc = GeneralizedCycle(space, degree, terms)
+    assert [(reference_term_key(t), t.coefficient) for t in cyc.terms] == \
+        reference_merge([t for t in terms if reference_kept(t, space)], space)
+    j = data.draw(st.integers(0, space.dim - degree))
+    raised = [dataclasses.replace(t, omega_power=t.omega_power + j)
+              for t in cyc.terms]
+    assert [(reference_term_key(t), t.coefficient)
+            for t in wedge(cyc, ("omega", j)).terms] == \
+        reference_merge([t for t in raised if reference_kept(t, space)], space)
 
 
 def reference_times_variable(p, var):
