@@ -535,32 +535,20 @@ def meet(a: VarietyRef, b: VarietyRef) -> VarietyRef:
     raise UnsupportedTermError(f"wedge of {ka.value} with {kb.value} unsupported")
 
 
-def wedge(c: GeneralizedCycle, factor) -> GeneralizedCycle:
-    """Wedge with omega_alpha^j (pass ("omega", j)) or a MovingFactor.
-    Distributes over terms and re-canonicalizes; raising every omega power
-    by j keeps the terms' order, so only the fiber-dimension cap of
-    ``_expand_terms`` can change an omega wedge."""
-    if isinstance(factor, tuple) and len(factor) == 2 and factor[0] == "omega":
-        j = factor[1]
-        if c.space.kind != "PROJ":
-            raise InputError("omega_alpha lives on the projectivization")
-        if j < 0:
-            raise InputError("omega power must be >= 0")
-        new_deg = c.degree + j
-        if new_deg > c.space.dim:
-            raise InputError("bidegree overflow in wedge")
-        return _canonical(c.space, new_deg, tuple(_expand_terms(c.space, (
-            CycleTerm(t.coefficient, t.fixed, t.omega_power + j, t.moving)
-            for t in c.terms))))
-    if isinstance(factor, MovingFactor):
-        new_deg = c.degree + factor.power
-        if new_deg > c.space.dim:
-            raise InputError("bidegree overflow in wedge")
-        return GeneralizedCycle(
-            c.space, new_deg,
-            [CycleTerm(t.coefficient, t.fixed, t.omega_power,
-                       t.moving + (factor,)) for t in c.terms])
-    raise InputError(f"cannot wedge with {factor!r}")
+def wedge(c: GeneralizedCycle, j: int) -> GeneralizedCycle:
+    """Wedge with omega_alpha^j, the one factor M^g's levels take before the
+    pushforward.  Raising every omega power by j keeps the terms' order, so
+    only the fiber-dimension cap of ``_expand_terms`` can change the terms."""
+    if c.space.kind != "PROJ":
+        raise InputError("omega_alpha lives on the projectivization")
+    if j < 0:
+        raise InputError("omega power must be >= 0")
+    new_deg = c.degree + j
+    if new_deg > c.space.dim:
+        raise InputError("bidegree overflow in wedge")
+    return _canonical(c.space, new_deg, tuple(_expand_terms(c.space, (
+        CycleTerm(t.coefficient, t.fixed, t.omega_power + j, t.moving)
+        for t in c.terms))))
 
 
 # ---------------------------------------------------------------------------

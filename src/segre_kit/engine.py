@@ -187,14 +187,9 @@ def _strip_unit_blocks(g: PolyMatrix):
     their row and column: a pointwise-injective unit summand leaves M^g
     unchanged at trivial metrics.  Returns the reduced matrix and its
     columns' indices in g, or None when nothing can be removed."""
-    nz = g.nonzero_positions()
-    row_counts = [0] * g.rows
-    col_counts = [0] * g.cols
-    for i, j in nz:
-        row_counts[i] += 1
-        col_counts[j] += 1
+    row_counts, col_counts = g.line_counts()
     drop_rows, drop_cols = set(), set()
-    for i, j in nz:
+    for i, j in g.nonzero_positions():
         p = g.entries[i][j]
         if p.is_constant() and row_counts[i] == 1 and col_counts[j] == 1:
             drop_rows.add(i)
@@ -250,7 +245,7 @@ def compute_Mg(g: PolyMatrix,
             continue
         for k in range(max(0, level - r + 1), min(n, level) + 1):
             e = k + r - 1 - level
-            part = wedge(cyc, ("omega", e)) if e else cyc
+            part = wedge(cyc, e) if e else cyc
             terms[k] += pushforward_cycle(part, fiber_metric_weights).terms
     return MorphismResult([GeneralizedCycle(base, k, ts)
                            for k, ts in enumerate(terms)], ring)
@@ -360,7 +355,8 @@ def _reduced_pair_zeros(r1: Polynomial, r2: Polynomial, n: int, cfg):
     # general pair: confirm, exactly, that the origin is the only zero
     if cfg is None:
         raise UnsupportedInputError(
-            "non-monomial reduced pair needs a RegConfig for oracle confirmation")
+            "non-monomial reduced pair needs a RegConfig: its exact origin-only "
+            "zero check reads the polydisk radius")
     if n != 2:
         raise UnsupportedInputError("general-pair zero counting needs n = 2")
     if not (r1.constant_value().is_zero() and r2.constant_value().is_zero()):

@@ -591,9 +591,9 @@ def _slice_poly(factor: MovingFactor, gamma) -> Polynomial:
 def _translate(p: Polynomial, point) -> Polynomial:
     """p(x + point): moves ``point`` to the origin.  Each term c x^m expands
     by the binomial theorem in the coordinates v with a_v = point[v] != 0,
-    (x_v + a_v)^e = sum over k <= e of C(e, k) a_v^(e - k) x_v^k, and the
-    (monomial, coefficient) pairs go to one constructor call, which adds up
-    the repeated monomials."""
+    (x_v + a_v)^e = sum over k <= e of C(e, k) a_v^(e - k) x_v^k, C(e, k)
+    = C(e, k + 1) (k + 1) / (e - k) in integers; the (monomial, coefficient)
+    pairs go to one constructor call, which adds up the repeated monomials."""
     shifted = [v for v, a in enumerate(point) if a]
     if not shifted:
         return p
@@ -602,10 +602,10 @@ def _translate(p: Polynomial, point) -> Polynomial:
     for m, c in p.terms.items():
         for v in shifted:
             if (v, m[v]) not in rows:
-                row, pw = [(m[v], None)], Scalar(1)
+                row, pw, binom = [(m[v], None)], Scalar(1), 1
                 for k in range(m[v] - 1, -1, -1):
-                    pw = pw * point[v]
-                    row.append((k, pw * math.comb(m[v], k)))
+                    pw, binom = pw * point[v], binom * (k + 1) // (m[v] - k)
+                    row.append((k, pw * binom))
                 rows[v, m[v]] = row
         for combo in itertools.product(*(rows[v, m[v]] for v in shifted)):
             mono, coeff = list(m), c

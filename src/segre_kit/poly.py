@@ -313,14 +313,7 @@ def format_polynomial(p: Polynomial, names: Optional[Sequence[str]] = None) -> s
 # parsing
 # ---------------------------------------------------------------------------
 
-_NAME = r"[A-Za-z_]\w*"
-_TOKEN = _re.compile(rf"\s*(?:(\d+|{_NAME}|[-+*/^()])|(.)|$)", _re.S)
-
-
-def is_variable_name(name: str) -> bool:
-    """Whether polynomial text can refer to ``name``: one whole identifier
-    token, other than the imaginary unit ``i``."""
-    return name != "i" and _re.fullmatch(_NAME, name) is not None
+_TOKEN = _re.compile(r"\s*(?:(\d+|[A-Za-z_]\w*|[-+*/^()])|(.)|$)", _re.S)
 
 
 def _tokenize(text: str):
@@ -420,26 +413,13 @@ class _Parser:
         return num
 
 
-def parse_polynomial(text: str, nvars: int,
-                     names: Optional[Sequence[str]] = None) -> Polynomial:
+def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse the polynomial text syntax (terms joined by +/-, monomials like
     ``x1^2*x2``, rational coefficients ``a/b``, imaginary unit ``i``,
     parentheses around a constant in the same syntax) over the variables
-    x1..xn, or over ``names`` when given: one per variable, each passing
-    ``is_variable_name`` and differing from the others."""
-    if names is None:
-        names = [f"x{j + 1}" for j in range(nvars)]
-    elif len(names) != nvars:
-        raise ParseError(f"{len(names)} variable names for {nvars} variables")
-    else:
-        for j, name in enumerate(names):
-            if not is_variable_name(name):
-                raise ParseError(f"variable {name!r} is not a name polynomial "
-                                 "text can refer to (one identifier other than 'i')")
-            if name in names[:j]:
-                raise ParseError(f"variable {name!r} is named twice")
+    x1..xn, n = ``nvars``."""
     return Polynomial(nvars, _parse_terms(
-        text, nvars, {name: j for j, name in enumerate(names)}))
+        text, nvars, {f"x{j + 1}": j for j in range(nvars)}))
 
 
 def _parse_terms(text: str, nvars: int, names: dict) -> list:
@@ -498,6 +478,14 @@ class PolyMatrix:
     def nonzero_positions(self):
         return [(i, j) for i in range(self.rows) for j in range(self.cols)
                 if not self.entries[i][j].is_zero()]
+
+    def line_counts(self):
+        """The number of nonzero entries in each row and in each column."""
+        rows, cols = [0] * self.rows, [0] * self.cols
+        for i, j in self.nonzero_positions():
+            rows[i] += 1
+            cols[j] += 1
+        return rows, cols
 
 
 def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -705,12 +693,7 @@ def classify_structure(g: PolyMatrix) -> StructureClass:
     """
     nz = g.nonzero_positions()
     all_monomial = all(g.entries[i][j].as_monomial() is not None for i, j in nz)
-    row_counts = [0] * g.rows
-    col_counts = [0] * g.cols
-    for i, j in nz:
-        row_counts[i] += 1
-        col_counts[j] += 1
-    if all_monomial and all(c <= 1 for c in row_counts) and all(c <= 1 for c in col_counts):
+    if all_monomial and max(map(max, g.line_counts())) <= 1:
         return StructureClass.DIAGONAL_MONOMIAL
     if g.rows == 1 and len(nz) >= 2 and all_monomial:
         _, red = strip_common_factor([g.entries[i][j] for i, j in nz])

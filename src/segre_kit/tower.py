@@ -70,9 +70,6 @@ def _divisor_terms(space: Space, p: Polynomial) -> List[CycleTerm]:
     q = p.divide_monomial(h)
     if q.is_constant():
         return out
-    cm = q.as_monomial()
-    if cm is not None:
-        raise InputError("monomial content extraction left a monomial remainder")
     if space.kind != "PROJ":
         raise UnsupportedInputError(
             "divisor of a non-monomial base polynomial is outside the exact tower")

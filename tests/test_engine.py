@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from segre_kit.cycles import (
     GeneralizedCycle,
     MovingFactor,
+    VarietyKind,
     VarietyRef,
     base_space,
     fixed_moving_split,
@@ -24,7 +27,7 @@ from segre_kit.engine import (
     segre_numbers,
     singular_metric_forms,
 )
-from segre_kit.cli import load_spec, run_spec
+from segre_kit.cli import _grid, _random_diag_monomial, load_spec, run_spec
 from segre_kit.errors import InputError, UnsupportedInputError
 from segre_kit.numeric import RegConfig
 from segre_kit.poly import (
@@ -125,23 +128,27 @@ def _reference_M(g, weights=None):
         for level, cyc in enumerate(ring):
             e = k + r - 1 - level
             if 0 <= e <= r - 1:
-                acc = acc + pushforward_cycle(wedge(cyc, ("omega", e)),
+                acc = acc + pushforward_cycle(wedge(cyc, e),
                                               weights)
         M.append(acc)
     return M
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_Mg_is_the_sum_of_pushed_ring_levels(seed, as_row, weighted):
-    # a permuted diagonal, or its entries as one pairwise-coprime row
-    from segre_kit.cli import _random_diag_monomial
-
-    rng = random.Random(seed)
+def _diagonal_or_row(rng, as_row):
+    """A permuted diagonal drawn by ``rng``, or its entries as one
+    pairwise-coprime row: the DIAGONAL_MONOMIAL and SINGLE_ROW classes."""
     g = _random_diag_monomial(rng)
     if as_row:
         g = PolyMatrix([[g.entries[i][j] for i, j in
                          sorted(g.nonzero_positions(), key=lambda ij: ij[1])]])
+    return g
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_Mg_is_the_sum_of_pushed_ring_levels(seed, as_row, weighted):
+    rng = random.Random(seed)
+    g = _diagonal_or_row(rng, as_row)
     assume(g.cols >= 2)
     weights = [rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(g.cols)] \
         if weighted else None
@@ -316,23 +323,20 @@ def _disguise(g, rng):
                        for i in rows])
 
 
-def _invariants(g):
+def _invariants(g, weights=None, points=None):
     """Sorted distinguished varieties (describe, coefficient, codim) and the
-    Segre numbers on the sample grid."""
-    from segre_kit.cli import _grid
-
-    res = compute_Mg(g)
+    Segre numbers at ``points`` (default the sample grid), both read off M^g
+    at the fiber metric ``weights``."""
+    res = compute_Mg(g, weights)
     base = res.M[0].space
     disting = sorted((ref.describe(base), co, k) for ref, co, k in res.distinguished)
     return disting, [segre_numbers(g, pt, result=res).numbers
-                     for pt in _grid(g.nvars)]
+                     for pt in points or _grid(g.nvars)]
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_comparability_random_diagonal(seed):
-    from segre_kit.cli import _random_diag_monomial
-
     rng = random.Random(seed)
     g = _random_diag_monomial(rng)
     assert _invariants(_disguise(g, rng)) == _invariants(g), str(g)
@@ -355,7 +359,6 @@ def test_one_fixed_moving_split_per_current(monkeypatch):
     # each term of each M_k once with the split's predicate, builds no cycle
     # for it, and a Segre query at a point splits nothing
     import segre_kit.engine as engine
-    from segre_kit.cli import _grid
     from segre_kit.cycles import _in_fixed_part
 
     calls = []
@@ -506,8 +509,6 @@ def test_unit_block_reduction_rank4():
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_direct_sum_with_unit_block(seed):
     # g (+) (1) has the morphism currents of g
-    from segre_kit.cli import _random_diag_monomial
-
     g = _random_diag_monomial(random.Random(seed))
     n, zero = g.nvars, Polynomial.zero(g.nvars)
     gsum = PolyMatrix([list(row) + [zero] for row in g.entries]
@@ -521,7 +522,6 @@ def test_localization_invariance_random():
     # presentation localized there (coordinates vanishing at the point stay,
     # the others become units); a sheaf-theoretic consistency property
     from itertools import product
-    from segre_kit.cli import _random_diag_monomial
     from segre_kit.errors import UnsupportedInputError
 
     rng = random.Random(314)
@@ -647,3 +647,70 @@ def test_exact_run_builds_no_fraction(monkeypatch):
     assert [r["numbers"] for r in report["results"]["segre"]] == \
         [[0, 6, 6, 2], [0, 5, 2, 0], [0, 2, 1, 0]]
     assert ring2 == list(FIBER_FRAMES.values())
+
+
+# ---------------------------------------------------------------------------
+# the paper's invariance statements, over generated inputs
+# ---------------------------------------------------------------------------
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_segre_numbers_do_not_depend_on_the_fiber_metric(seed, as_row):
+    # positive weights w_j in sum w_j |a_j|^2 change how M^g is written, not
+    # its multiplicities
+    rng = random.Random(seed)
+    g = _diagonal_or_row(rng, as_row)
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+               for _ in range(g.cols)]
+    assert _invariants(g, weights) == _invariants(g), (str(g), weights)
+
+
+def _compose(p, ks):
+    """p(x1^k1, ..., xn^kn)."""
+    return Polynomial(p.nvars, ((tuple(e * k for e, k in zip(m, ks)), c)
+                                for m, c in p.terms.items()))
+
+
+def _pull_back(cyc, ks):
+    """f*cyc for f(x) = (x1^k1, ..., xn^kn), on a base cycle supported on
+    coordinate subspaces and the origin: [x_i = 0, i in S] is multiplied by
+    the product of the k_i over S, the origin by the product of all k_i, and
+    every moving argument is composed with f."""
+    terms = []
+    for t in cyc.terms:
+        if t.fixed.kind == VarietyKind.POINT:
+            assert all(c.is_zero() for c in t.fixed.point)
+            zeros = range(len(ks))
+        else:
+            zeros = t.fixed.base_zeros
+        moving = [dataclasses.replace(
+            f, args=tuple(_compose(p, ks) for p in f.args)) for f in t.moving]
+        terms.append(term(t.coefficient * math.prod(ks[i] for i in zeros),
+                          t.fixed, t.omega_power, moving))
+    return GeneralizedCycle(cyc.space, cyc.degree, terms)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_Mg_pulls_back_along_finite_monomial_maps(seed, as_row, weighted):
+    # M^{f*g} = f*M^g for f(x) = (x1^k1, ..., xn^kn)
+    rng = random.Random(seed)
+    g = _diagonal_or_row(rng, as_row)
+    ks = [rng.randint(1, 3) for _ in range(g.nvars)]
+    weights = [rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(g.cols)] \
+        if weighted else None
+    fg = PolyMatrix([[_compose(p, ks) for p in row] for row in g.entries])
+    assert compute_Mg(fg, weights).M == \
+        [_pull_back(c, ks) for c in compute_Mg(g, weights).M], (str(g), ks)
+
+
+@pytest.mark.parametrize("rows, same_coker", [
+    ([["x1", "x1*x2"]], [["x1", "0"]]),
+    ([["x1^2", "x1"]], [["0", "x1"]]),
+    ([["x1", "0"], ["0", "x2"]], [["x1", "0"], ["0", "x2"], ["0", "0"]]),
+])
+def test_multiplicities_depend_only_on_the_cokernel(rows, same_coker):
+    # a column operation, or an appended zero row, keeps coker g*
+    pts = [[0, 0], [1, 0], [0, 1]]
+    assert _invariants(mat(rows, 2), points=pts) == \
+        _invariants(mat(same_coker, 2), points=pts)

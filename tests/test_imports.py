@@ -1,6 +1,7 @@
-"""Every name a segre_kit module imports is referenced in that module and
-every private module-level helper is referenced somewhere in the package (no
-linter runs on the package, and deletions tend to leave strays behind), no
+"""Every name a segre_kit module imports is referenced in that module,
+every private module-level helper is referenced somewhere in the package and
+every public one there or in the package's ``__all__`` (no linter runs on
+the package, and deletions tend to leave strays behind), no
 function body imports a segre_kit module (the package's imports form no
 cycle), numeric imports no private name from cycles, the third-party modules the package imports are exactly its declared
 dependencies, the mass command runs without importing scipy, every exact
@@ -96,16 +97,17 @@ def test_nested_package_import_is_caught():
         "f:segre_kit.engine", "f:segre_kit.numeric", "h:segre_kit.numeric"]
 
 
-def unreferenced_private_names(sources):
-    """``module:name`` for each module-level private function or class
-    (leading underscore) that no source in ``sources`` (a dict of module
-    name to text) mentions outside the lines of its own definition."""
+def unreferenced_names(sources, public=False, exported=()):
+    """``module:name`` for each module-level function or class, private
+    (leading underscore) or, with ``public``, public, that no source in
+    ``sources`` (a dict of module name to text) mentions outside the lines
+    of its own definition and that ``exported`` does not list."""
     found = []
     for module, source in sources.items():
         lines = source.splitlines()
         for node in ast.parse(source).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
-                    not node.name.startswith("_"):
+                    node.name.startswith("_") == public or node.name in exported:
                 continue
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             rest = lines[:start - 1] + lines[node.end_lineno:]
@@ -118,14 +120,40 @@ def unreferenced_private_names(sources):
 
 def test_private_helpers_are_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources) == []
 
 
 def test_unreferenced_private_helper_is_caught():
     sources = {"a.py": ("def _orphan(n):\n    return _orphan(n - 1)\n\n\n"
                         "class _Used:\n    pass\n"),
                "b.py": "from a import _Used\n"}
-    assert unreferenced_private_names(sources) == ["a.py:_orphan"]
+    assert unreferenced_names(sources) == ["a.py:_orphan"]
+
+
+def exported_names(source: str) -> set:
+    """The names a module lists in its ``__all__``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and \
+                [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_public_names_are_referenced_or_exported():
+    # a public function or class that only tests call is a door the
+    # package does not use; the package's API is what __init__ exports
+    sources = {p.name: p.read_text() for p in MODULES}
+    exported = exported_names((SRC / "__init__.py").read_text())
+    assert exported and unreferenced_names(sources, True, exported) == []
+
+
+def test_unreferenced_public_name_is_caught():
+    sources = {"a.py": ("def orphan(n):\n    return orphan(n - 1)\n\n\n"
+                        "def api():\n    pass\n\n\nclass Used:\n    pass\n"
+                        "\n\ndef _private():\n    pass\n"),
+               "b.py": "from a import Used\n"}
+    exported = exported_names("__all__ = ['api']\n")
+    assert unreferenced_names(sources, True, exported) == ["a.py:orphan"]
 
 
 def _is_n(node) -> bool:

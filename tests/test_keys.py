@@ -288,7 +288,7 @@ def test_one_fiber_dimension_rule_keeps_the_terms_the_old_rules_kept(drawn, data
     raised = [dataclasses.replace(t, omega_power=t.omega_power + j)
               for t in cyc.terms]
     assert [(reference_term_key(t), t.coefficient)
-            for t in wedge(cyc, ("omega", j)).terms] == \
+            for t in wedge(cyc, j).terms] == \
         reference_merge([t for t in raised if reference_kept(t, space)], space)
 
 

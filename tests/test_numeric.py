@@ -3,10 +3,11 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from segre_kit.cli import _grid, _numeric_multiplicity, _random_diag_monomial
@@ -581,6 +582,10 @@ def shifted_polynomials(draw):
 
 @given(shifted_polynomials())
 @settings(max_examples=100, deadline=None, derandomize=True)
+# exponents near 60 at the shift (2, 1 + i), past the drawn exponents <= 4:
+# the binomial rows of _translate come from a recurrence
+@example((Polynomial(2, {(60, 0): 1, (3, 59): Scalar(1, -1), (0, 0): 5}),
+          [Scalar(2), Scalar(1, 1)], [Scalar(Fraction(1, 2)), Scalar(0, 1)]))
 def test_translate_evaluates_at_the_shifted_point(pcx):
     poly, c, x = pcx
     assert _translate(poly, c).evaluate(x) == \

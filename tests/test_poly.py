@@ -465,17 +465,6 @@ def test_parse_examples():
     for text in ("x1^", "3/", "1/", "(1+", "("):
         with pytest.raises(ParseError, match="unexpected end of input"):
             p(text)
-    # a variable name that polynomial text cannot refer to is refused, not
-    # read as the imaginary unit or left unreachable
-    for text, names, bad in (("i + x2", ["i", "x2"], "'i'"),
-                             ("x1", ["x1", "x1 "], "'x1 '"),
-                             ("x", ["x", "x"], "'x' is named twice")):
-        with pytest.raises(ParseError, match=bad):
-            parse_polynomial(text, 2, names)
-    with pytest.raises(ParseError, match="1 variable names for 2 variables"):
-        parse_polynomial("x1", 2, ["x1"])
-    assert parse_polynomial("y + i", 2, ["y", "z"]) == \
-        Polynomial(2, {(1, 0): 1, (0, 0): Scalar(0, 1)})
     # parentheses hold a constant in the same syntax; a name there is
     # unknown, and '2i' needs its '*'
     assert p("(2*3)*x1") == Polynomial(2, {(1, 0): 6})

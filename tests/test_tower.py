@@ -114,10 +114,10 @@ def test_chart_check_catches_an_extra_term(monkeypatch, chart, level):
 
 def test_push_refuses_a_slice_argument_mixing_fiber_coordinates():
     # x1*a1 + 2*x1*a2 is no base argument times one fiber coordinate; the
-    # pushforward once kept only its last coefficient, 2*x1
-    names = ["x1", "x2", "a1", "a2"]
-    args = tuple(parse_polynomial(s, 4, names)
-                 for s in ("x1*a1 + 2*x1*a2", "x2*a2"))
+    # pushforward once kept only its last coefficient, 2*x1; on X x P^1
+    # the fiber coordinates a1, a2 are x3, x4
+    args = tuple(parse_polynomial(s, 4)
+                 for s in ("x1*x3 + 2*x1*x4", "x2*x4"))
     c = GeneralizedCycle(proj_space(2, 2), 2, [
         term(1, VarietyRef.whole_space(), 1, (MovingFactor(args, 1),))])
     assert c.describe() == ("X ^ omega^1 ^ "
@@ -126,10 +126,10 @@ def test_push_refuses_a_slice_argument_mixing_fiber_coordinates():
         pushforward_cycle(c)
     # one fiber monomial per argument still pushes down
     for texts, omega, pushed in (
-            (("2*x1*a1", "x2*a2"), 1,
+            (("2*x1*x3", "x2*x4"), 1,
              "X ^ <dd^c log(|2*x1|^2 + |x2|^2)> (averaged)"),
-            (("x1*a1 + x2*a1", "x2*a2"), 0, "X")):
-        ok = tuple(parse_polynomial(s, 4, names) for s in texts)
+            (("x1*x3 + x2*x3", "x2*x4"), 0, "X")):
+        ok = tuple(parse_polynomial(s, 4) for s in texts)
         c = GeneralizedCycle(proj_space(2, 2), 1 + omega, [
             term(1, VarietyRef.whole_space(), omega, (MovingFactor(ok, 1),))])
         assert pushforward_cycle(c).describe() == pushed
