@@ -184,8 +184,7 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
 
     def segre_reports():
         cfg = None if skip_numeric else spec.reg
-        return [segre_numbers(spec.matrix, pt, cfg=cfg, result=res)
-                for pt in spec.points]
+        return [segre_numbers(res, pt, cfg=cfg) for pt in spec.points]
 
     if "Mg" in spec.tasks:
         results["Mg"] = res.to_record()
@@ -199,15 +198,10 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
         ma = compute_Ma(spec.matrix, cfg=spec.reg)
         results["Ma"] = [c.to_record() for c in ma]
     if "singular_metrics" in spec.tasks:
-        out = {}
-        for which in ("SEGRE_E_HAT", "CHERN_E_HAT", "SEGRE_F_HAT"):
-            try:
-                forms = singular_metric_forms(spec.matrix, which, result=res)
-            except InputError:
-                continue
-            out[which] = {"cycles": [c.to_record() for c in forms.cycles],
-                          "metadata": forms.metadata}
-        results["singular_metrics"] = out
+        results["singular_metrics"] = {
+            name: {"cycles": [c.to_record() for c in cycles], "metadata": meta}
+            for name, (cycles, meta)
+            in singular_metric_forms(spec.matrix, res).items()}
 
     if spec.engine == "both" and res is not None and not skip_numeric:
         results["comparison"] = _comparison_block(
@@ -310,7 +304,7 @@ def golden_suite(skip_numeric: bool = False,
                          "[x1=a2=0] + [x1=x2=0] + [x2=a1=0]",
                          res_diag2.ring_M[2].describe()))
     checks.append(_check("diag2.segre_origin", [0, 2, 1],
-                         segre_numbers(g_diag2, [0, 0], result=res_diag2).numbers))
+                         segre_numbers(res_diag2, [0, 0]).numbers))
 
     # --- diag(x^2, x) over C^1 ----------------------------------------------
     g_pow = _mat([["x1^2", "0"], ["0", "x1"]], 1)
@@ -328,7 +322,7 @@ def golden_suite(skip_numeric: bool = False,
                          res_s1.M[1].describe()))
     checks.append(_check("row2.M2", "0", res_s1.M[2].describe()))
     checks.append(_check("row2.mult", [[1, 1, 0], [1, 0, 0], [1, 0, 0]],
-                         [segre_numbers(g_s1, pt, result=res_s1).numbers
+                         [segre_numbers(res_s1, pt).numbers
                           for pt in ([0, 0], [1, 0], [0, 1])]))
     res_s1_alt = compute_Mg(g_s1, fiber_metric_weights=(1, 2))
     checks.append(_check("row2.alt_metric",
@@ -376,8 +370,8 @@ def golden_suite(skip_numeric: bool = False,
     grid2 = _grid(2)
     checks.append(_check(
         "dsum.segre_grid", True,
-        all(segre_numbers(g_diag2, pt, result=res_diag2).numbers
-            == segre_numbers(g_dsum, pt, result=res_dsum).numbers
+        all(segre_numbers(res_diag2, pt).numbers
+            == segre_numbers(res_dsum, pt).numbers
             for pt in grid2)))
     checks.append(_check("dsum.distinguished", disting_diag2,
                          disting(res_dsum)))
@@ -387,8 +381,8 @@ def golden_suite(skip_numeric: bool = False,
     res_cmp = compute_Mg(g_cmp)
     checks.append(_check(
         "comparability.grid", True,
-        all(segre_numbers(g_diag2, pt, result=res_diag2).numbers
-            == segre_numbers(g_cmp, pt, result=res_cmp).numbers
+        all(segre_numbers(res_diag2, pt).numbers
+            == segre_numbers(res_cmp, pt).numbers
             for pt in grid2)))
 
     # --- determinant law on random diagonal matrices -----------------------------

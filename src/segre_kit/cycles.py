@@ -56,31 +56,27 @@ def _built_once(method):
 
 @dataclass(frozen=True)
 class Space:
-    """BASE = polydisk in C^n; PROJ = X x P^{r-1} with fiber coordinates."""
+    """BASE = polydisk in C^n (fiber rank r = 0); PROJ = X x P^{r-1} with
+    fiber coordinates a_1..a_r."""
 
-    kind: str  # "BASE" | "PROJ"
     n: int
     r: int = 0
 
-    def __post_init__(self):
-        if self.kind not in ("BASE", "PROJ"):
-            raise InputError(f"unknown space kind {self.kind}")
-        if self.kind == "PROJ" and self.r < 1:
-            raise InputError("projectivization needs fiber rank >= 1")
+    @property
+    def kind(self) -> str:
+        return "PROJ" if self.r else "BASE"
 
     @property
     def total_vars(self) -> int:
-        return self.n + (self.r if self.kind == "PROJ" else 0)
+        return self.n + self.r
 
     @property
     def dim(self) -> int:
-        return self.n + (self.r - 1 if self.kind == "PROJ" else 0)
+        return self.n + (self.r - 1 if self.r else 0)
 
     def var_names(self):
-        names = [f"x{i + 1}" for i in range(self.n)]
-        if self.kind == "PROJ":
-            names += [f"a{j + 1}" for j in range(self.r)]
-        return names
+        return ([f"x{i + 1}" for i in range(self.n)]
+                + [f"a{j + 1}" for j in range(self.r)])
 
     def to_record(self):
         if self.kind == "BASE":
@@ -128,11 +124,13 @@ class Space:
 
 
 def base_space(n: int) -> Space:
-    return Space("BASE", n)
+    return Space(n)
 
 
 def proj_space(n: int, r: int) -> Space:
-    return Space("PROJ", n, r)
+    if r < 1:
+        raise InputError("projectivization needs fiber rank >= 1")
+    return Space(n, r)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ from segre_kit.cycles import (
 )
 from segre_kit.errors import InputError, UnsupportedInputError
 from segre_kit.numeric import (
+    RegConfig,
     confirm_origin_only_zero,
     crofton_moving_multiplicity,
     perturbation_root_count,
 )
 from segre_kit.poly import (
+    MAX_VARS,
     Polynomial,
     PolyMatrix,
     StructureClass,
@@ -94,7 +96,7 @@ class SegreReport:
     numbers: List[int]
     distinguished: list            # (VarietyRef, int coefficient, codim)
     provenance: List[str]
-    space: Space = field(default=None)
+    space: Space
 
     def to_record(self):
         return {
@@ -122,6 +124,9 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
     if r < 2:
         raise InputError("ring currents live on P(E) with rank E >= 2")
     space = proj_space(n, r)
+    if space.total_vars > MAX_VARS:
+        raise UnsupportedInputError(
+            f"P(E) needs n + r = {n} + {r} variables, more than {MAX_VARS}")
     entries = [p for p in map(space.lift, g.entries) if not p.is_zero()]
     if not entries:
         # the zero morphism: Z' = P(E), only the degree-0 residue survives
@@ -265,10 +270,9 @@ def _describe_Z(res: MorphismResult) -> str:
 # Segre numbers and distinguished varieties
 # ---------------------------------------------------------------------------
 
-def segre_numbers(g: PolyMatrix, point, cfg=None,
-                  result: Optional[MorphismResult] = None) -> SegreReport:
-    """e_k at the query point together with the distinguished varieties."""
-    res = result or compute_Mg(g)
+def segre_numbers(res: MorphismResult, point, cfg=None) -> SegreReport:
+    """e_k of the currents ``res`` at the query point together with their
+    distinguished varieties."""
     base = res.M[0].space
     oracle = None if cfg is None else \
         functools.partial(crofton_moving_multiplicity, cfg=cfg)
@@ -297,6 +301,7 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
     two-entry row (g1, g2); degree-n point masses may be negative."""
     if g.rows != 1 or g.cols != 2:
         raise InputError("compute_Ma expects a 1x2 matrix (g1, g2)")
+    cfg = cfg or RegConfig()
     n = g.nvars
     base = base_space(n)
     g1, g2 = g.entries[0]
@@ -353,10 +358,6 @@ def _reduced_pair_zeros(r1: Polynomial, r2: Polynomial, n: int, cfg):
                 "reduced monomial pair has non-isolated zeros for n != 2")
         return "origin"
     # general pair: confirm, exactly, that the origin is the only zero
-    if cfg is None:
-        raise UnsupportedInputError(
-            "non-monomial reduced pair needs a RegConfig: its exact origin-only "
-            "zero check reads the polydisk radius")
     if n != 2:
         raise UnsupportedInputError("general-pair zero counting needs n = 2")
     if not (r1.constant_value().is_zero() and r2.constant_value().is_zero()):
@@ -372,33 +373,18 @@ def _reduced_pair_zeros(r1: Polynomial, r2: Polynomial, n: int, cfg):
 # singular-metric Segre / Chern forms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SingularMetricForms:
-    which: str
-    cycles: List[GeneralizedCycle]
-    metadata: dict
-
-
-def singular_metric_forms(g: PolyMatrix, which: str,
-                          result: Optional[MorphismResult] = None
-                          ) -> SingularMetricForms:
-    """Forms for the singular metrics induced by g, at trivial smooth metrics:
-    s(E-hat) = 1 + sum M_k (plus the smooth tail as metadata),
-    c(E-hat) = 1 - sum M_k, and s(F-hat) = 1 - sum M_k for square generically
-    invertible g."""
-    if which not in ("SEGRE_E_HAT", "CHERN_E_HAT", "SEGRE_F_HAT"):
-        raise InputError(f"unknown singular metric form {which!r}")
-    if which == "SEGRE_F_HAT":
-        if g.rows != g.cols:
-            raise InputError("s(F-hat) needs a square matrix")
-        if determinant(g).is_zero():
-            raise InputError("s(F-hat) needs det g not identically zero")
+def singular_metric_forms(g: PolyMatrix,
+                          result: Optional[MorphismResult] = None) -> dict:
+    """Every form for the singular metrics induced by g, at trivial smooth
+    metrics, as {name: (cycles, metadata)}: s(E-hat) = 1 + sum M_k (plus the
+    smooth tail as metadata), c(E-hat) = 1 - sum M_k and, for square
+    generically invertible g only, s(F-hat) = 1 - sum M_k."""
     res = result or compute_Mg(g)
-    base = res.M[0].space
-    cycles = [GeneralizedCycle.one(base)] + (
-        res.M[1:] if which == "SEGRE_E_HAT"
-        else [c.scale(-1) for c in res.M[1:]])
-    metadata = {}
-    if which == "SEGRE_E_HAT":
-        metadata["smooth_tail"] = "1_{X\\Z} s(Im g) (not expanded; trivial metrics)"
-    return SingularMetricForms(which, cycles, metadata)
+    one = GeneralizedCycle.one(res.M[0].space)
+    negated = [one] + [c.scale(-1) for c in res.M[1:]]
+    tail = "1_{X\\Z} s(Im g) (not expanded; trivial metrics)"
+    forms = {"SEGRE_E_HAT": ([one] + res.M[1:], {"smooth_tail": tail}),
+             "CHERN_E_HAT": (negated, {})}
+    if g.rows == g.cols and not determinant(g).is_zero():
+        forms["SEGRE_F_HAT"] = (negated, {})
+    return forms

@@ -34,6 +34,7 @@ from segre_kit.poly import (
     PolyMatrix,
     determinant,
     disk_root_count,
+    laplace_det,
     resultant,
     strip_common_factor,
 )
@@ -320,22 +321,11 @@ def _is_scalar_zero(x) -> bool:
 
 def _batch_minor_dets(jac, rows, cols):
     """Determinant of the (rows x cols) submatrix per sample, by Laplace
-    expansion along the first row (np.linalg.det is far slower on stacks of
-    small matrices).  An entry or minor that is the scalar 0 adds no term;
-    with no term left, the determinant is the scalar 0."""
-    if len(rows) == 1:
-        return jac[rows[0]][cols[0]]
-    acc = None
-    for j, c in enumerate(cols):
-        if _is_scalar_zero(jac[rows[0]][c]):
-            continue
-        minor = _batch_minor_dets(jac, rows[1:], cols[:j] + cols[j + 1:])
-        if _is_scalar_zero(minor):
-            continue
-        t = jac[rows[0]][c] * minor
-        acc = (-t if j % 2 else t) if acc is None else \
-            acc - t if j % 2 else acc + t
-    return 0.0 if acc is None else acc
+    expansion (np.linalg.det is far slower on stacks of small matrices).  An
+    entry or minor that is the scalar 0 adds no term; with no term left, the
+    determinant is the scalar 0."""
+    det = laplace_det(jac, rows, cols, _is_scalar_zero)
+    return 0.0 if det is None else det
 
 
 def _require_finite(density, z):

@@ -488,17 +488,23 @@ class PolyMatrix:
         return rows, cols
 
 
-def _det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = Polynomial.zero(rows[0][0].nvars)
-    for j in range(n):
-        if rows[0][j].is_zero():
+def laplace_det(a, rows, cols, is_zero):
+    """Determinant of the (rows x cols) submatrix of ``a`` by Laplace
+    expansion along its first row, over any ring whose entries multiply, add
+    and subtract.  An entry or minor for which ``is_zero`` holds adds no
+    term; with no term left, the result is None."""
+    if len(rows) == 1:
+        return a[rows[0]][cols[0]]
+    acc = None
+    for j, c in enumerate(cols):
+        if is_zero(a[rows[0]][c]):
             continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
+        minor = laplace_det(a, rows[1:], cols[:j] + cols[j + 1:], is_zero)
+        if minor is None or is_zero(minor):
+            continue
+        t = a[rows[0]][c] * minor
+        acc = (-t if j % 2 else t) if acc is None else \
+            acc - t if j % 2 else acc + t
     return acc
 
 
@@ -507,11 +513,10 @@ def determinant_and_minors(g: PolyMatrix, k: int):
     subset).  For k = rows = cols the single entry is det g."""
     if not 1 <= k <= min(g.rows, g.cols):
         raise InputError(f"minor size {k} outside 1..{min(g.rows, g.cols)}")
-    out = []
-    for rs in itertools.combinations(range(g.rows), k):
-        for cs in itertools.combinations(range(g.cols), k):
-            out.append(_det([[g.entries[i][j] for j in cs] for i in rs]))
-    return out
+    zero = Polynomial.zero(g.nvars)
+    return [laplace_det(g.entries, rs, cs, Polynomial.is_zero) or zero
+            for rs in itertools.combinations(range(g.rows), k)
+            for cs in itertools.combinations(range(g.cols), k)]
 
 
 def determinant(g: PolyMatrix) -> Polynomial:

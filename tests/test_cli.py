@@ -165,6 +165,23 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", general, "--out", str(tmp_path / "g.json")]) == 3
     assert "'segre-kit mass'" in capsys.readouterr().err
 
+    # well formed, but P(E) needs n + r = 5 + 4 variables, past MAX_VARS
+    wide = write_spec(tmp_path, {
+        "variables": ["x1", "x2", "x3", "x4", "x5"],
+        "matrix": [["x1", "0", "0", "0"], ["0", "x2", "0", "0"],
+                   ["0", "0", "x3", "0"], ["0", "0", "0", "x4*x5"]],
+        "engine": "exact", "tasks": ["Mg"]}, "wide.json")
+    assert main(["run", wide, "--out", str(tmp_path / "w.json")]) == 3
+    assert "n + r = 5 + 4" in capsys.readouterr().err
+    # a unit summand is stripped first: diag(x1, .., x4, 1) runs on 4 + 4
+    unit = write_spec(tmp_path, {
+        "variables": ["x1", "x2", "x3", "x4"],
+        "matrix": [["x1", "0", "0", "0", "0"], ["0", "x2", "0", "0", "0"],
+                   ["0", "0", "x3", "0", "0"], ["0", "0", "0", "x4", "0"],
+                   ["0", "0", "0", "0", "1"]],
+        "engine": "exact", "tasks": ["Mg"]}, "unit.json")
+    assert main(["run", unit, "--out", str(tmp_path / "u.json")]) == 0
+
     # a non-monomial two-entry row: the exact tower refuses it, while the
     # origin certificate and Fulton's count give its M^a
     pair = {"variables": ["x1", "x2"], "matrix": [["x1^2 - x2^3", "x1*x2"]],
@@ -449,6 +466,17 @@ RUN_SPECS = {
                                       ["2", "1"]],
                            "tasks": ["Mg", "segre", "Ma"]},
                           "b832e0e1eb4ab4af56c788a02aa779ae8b89515621bb47a7145efde0b2821d99"),
+    # no s(F-hat): a square g with det g = 0, and a row left by a unit block
+    "degenerate_square": ({"variables": ["x1", "x2"],
+                           "matrix": [["x1", "0"], ["0", "0"]],
+                           "points": [["0", "0"], ["0", "1"]],
+                           "tasks": EXACT_TASKS},
+                          "23ef3d706cf6625cef8e6d1f5ac8abe5dfc76e8483b7bce2c3e84ca63c89373a"),
+    "unit_reduced_row": ({"variables": ["x1", "x2"],
+                          "matrix": [["x1", "x2", "0"], ["0", "0", "1"]],
+                          "points": [["0", "0"], ["1", "0"]],
+                          "tasks": EXACT_TASKS},
+                         "58668410ead6fa958feedfefc68e24554194f92ca886938d7b6bc684d87e00b8"),
 }
 
 

@@ -245,16 +245,16 @@ def test_unmatched_weights_raise():
 
 def test_segre_examples():
     g = mat([["x1", "0"], ["0", "x2"]], 2)
-    assert segre_numbers(g, [0, 0]).numbers == [0, 2, 1]
-    row = mat([["x1", "x2"]], 2)
+    assert segre_numbers(compute_Mg(g), [0, 0]).numbers == [0, 2, 1]
+    row = compute_Mg(mat([["x1", "x2"]], 2))
     assert segre_numbers(row, [0, 0]).numbers == [1, 1, 0]
     assert segre_numbers(row, [1, 0]).numbers == [1, 0, 0]
     dsum = mat([["x1", "0", "0"], ["0", "x2", "0"], ["0", "0", "1"]], 2)
-    assert segre_numbers(dsum, [0, 0]).numbers == [0, 2, 1]
+    assert segre_numbers(compute_Mg(dsum), [0, 0]).numbers == [0, 2, 1]
 
 
 def test_segre_provenance_exact():
-    rep = segre_numbers(mat([["x1", "x2"]], 2), [0, 0])
+    rep = segre_numbers(compute_Mg(mat([["x1", "x2"]], 2)), [0, 0])
     assert rep.provenance == ["EXACT", "EXACT", "EXACT"]
     rec = rep.to_record()
     assert rec["numbers"] == [1, 1, 0]
@@ -270,7 +270,7 @@ def test_segre_provenance_oracle():
          GeneralizedCycle(base, 2, [term(1, VarietyRef.whole_space(),
                                          moving=(f1, f2))])]
     res = MorphismResult(M, [], "")
-    rep = segre_numbers(mat([["x1", "x2"]], 2), [0, 0], cfg=CFG, result=res)
+    rep = segre_numbers(res, [0, 0], cfg=CFG)
     assert rep.numbers == [0, 0, 1]
     assert rep.provenance == ["EXACT", "EXACT", "ORACLE"]
 
@@ -307,7 +307,8 @@ def test_comparability_scalar_and_permutation():
     h = mat([["0", "2*x2"], ["(1+1*i)*x1", "0"]], 2)
     pts = [[0, 0], [0, 1], [1, 0], [2, 2]]
     for pt in pts:
-        assert segre_numbers(g, pt).numbers == segre_numbers(h, pt).numbers
+        assert segre_numbers(compute_Mg(g), pt).numbers == \
+            segre_numbers(compute_Mg(h), pt).numbers
 
 
 UNITS = [Scalar(2), Scalar(1, 1), Scalar(Fraction(1, 3)), Scalar(0, -1),
@@ -330,7 +331,7 @@ def _invariants(g, weights=None, points=None):
     res = compute_Mg(g, weights)
     base = res.M[0].space
     disting = sorted((ref.describe(base), co, k) for ref, co, k in res.distinguished)
-    return disting, [segre_numbers(g, pt, result=res).numbers
+    return disting, [segre_numbers(res, pt).numbers
                      for pt in points or _grid(g.nvars)]
 
 
@@ -383,7 +384,7 @@ def test_one_fixed_moving_split_per_current(monkeypatch):
     assert built == []
     calls.clear()
     for pt in _grid(3):
-        segre_numbers(g, pt, result=res)
+        segre_numbers(res, pt)
     assert calls == []
 
 
@@ -458,36 +459,36 @@ def test_Ma_input_validation():
 
 def test_singular_metric_examples():
     g = mat([["x1", "0"], ["0", "x2"]], 2)
-    f_hat = singular_metric_forms(g, "SEGRE_F_HAT")
-    assert f_hat.cycles[0].describe() == "X"
-    assert f_hat.cycles[1].describe() == "-1*[x1=0] + -1*[x2=0]"
-    assert f_hat.cycles[2].describe() == "-1*[x1=x2=0]"
+    f_hat, meta = singular_metric_forms(g)["SEGRE_F_HAT"]
+    assert f_hat[0].describe() == "X"
+    assert f_hat[1].describe() == "-1*[x1=0] + -1*[x2=0]"
+    assert f_hat[2].describe() == "-1*[x1=x2=0]"
+    assert meta == {}
 
     ident = mat([["1", "0"], ["0", "1"]], 2)
-    f_hat = singular_metric_forms(ident, "SEGRE_F_HAT")
-    assert f_hat.cycles[0].describe() == "X"
-    assert all(c.is_zero() for c in f_hat.cycles[1:])
+    f_hat, _ = singular_metric_forms(ident)["SEGRE_F_HAT"]
+    assert f_hat[0].describe() == "X"
+    assert all(c.is_zero() for c in f_hat[1:])
 
     pow_g = mat([["x1^2", "0"], ["0", "x1"]], 1)
-    c_hat = singular_metric_forms(pow_g, "CHERN_E_HAT")
-    assert c_hat.cycles[1].describe() == "-3*[x1=0]"
+    c_hat, _ = singular_metric_forms(pow_g)["CHERN_E_HAT"]
+    assert c_hat[1].describe() == "-3*[x1=0]"
 
     res = compute_Mg(g)
-    e_hat = singular_metric_forms(g, "SEGRE_E_HAT", result=res)
-    assert e_hat.cycles[1].describe() == "[x1=0] + [x2=0]"
-    assert all(a is b for a, b in zip(e_hat.cycles[1:], res.M[1:]))
-    assert "smooth_tail" in e_hat.metadata
+    forms = singular_metric_forms(g, res)
+    assert list(forms) == ["SEGRE_E_HAT", "CHERN_E_HAT", "SEGRE_F_HAT"]
+    e_hat, meta = forms["SEGRE_E_HAT"]
+    assert e_hat[1].describe() == "[x1=0] + [x2=0]"
+    assert all(a is b for a, b in zip(e_hat[1:], res.M[1:]))
+    assert "smooth_tail" in meta
 
 
 def test_singular_metric_validation():
+    # s(F-hat) only for a square g with det g not identically zero
     row = mat([["x1", "x2"]], 2)
-    with pytest.raises(InputError):
-        singular_metric_forms(row, "SEGRE_F_HAT")
+    assert list(singular_metric_forms(row)) == ["SEGRE_E_HAT", "CHERN_E_HAT"]
     degen = mat([["x1", "0"], ["0", "0"]], 2)
-    with pytest.raises(InputError):
-        singular_metric_forms(degen, "SEGRE_F_HAT")
-    with pytest.raises(InputError):
-        singular_metric_forms(row, "NOPE")
+    assert list(singular_metric_forms(degen)) == ["SEGRE_E_HAT", "CHERN_E_HAT"]
 
 
 def test_single_row_with_common_factor():
@@ -544,8 +545,8 @@ def test_localization_invariance_random():
 
         loc = PolyMatrix([[localize(p) for p in row] for row in g.entries])
         try:
-            a = segre_numbers(g, list(pt)).numbers
-            b = segre_numbers(loc, [0] * n).numbers
+            a = segre_numbers(compute_Mg(g), list(pt)).numbers
+            b = segre_numbers(compute_Mg(loc), [0] * n).numbers
         except UnsupportedInputError:
             continue
         assert a == b, (str(g), pt, a, b)
@@ -665,43 +666,54 @@ def test_segre_numbers_do_not_depend_on_the_fiber_metric(seed, as_row):
     assert _invariants(g, weights) == _invariants(g), (str(g), weights)
 
 
-def _compose(p, ks):
-    """p(x1^k1, ..., xn^kn)."""
-    return Polynomial(p.nvars, ((tuple(e * k for e, k in zip(m, ks)), c)
-                                for m, c in p.terms.items()))
+def _compose(p, ks, sigma):
+    """p(x_sigma(1)^k1, ..., x_sigma(n)^kn): variable j goes to
+    x_sigma(j)^kj."""
+    def image(m):
+        out = [0] * len(m)
+        for j, e in enumerate(m):
+            out[sigma[j]] = e * ks[j]
+        return tuple(out)
+
+    return Polynomial(p.nvars, ((image(m), c) for m, c in p.terms.items()))
 
 
-def _pull_back(cyc, ks):
-    """f*cyc for f(x) = (x1^k1, ..., xn^kn), on a base cycle supported on
-    coordinate subspaces and the origin: [x_i = 0, i in S] is multiplied by
-    the product of the k_i over S, the origin by the product of all k_i, and
-    every moving argument is composed with f."""
+def _pull_back(cyc, ks, sigma):
+    """f*cyc for f(x) = (x_sigma(1)^k1, ..., x_sigma(n)^kn), on a base cycle
+    supported on coordinate subspaces and the origin: [x_i = 0, i in S]
+    becomes [x_sigma(i) = 0, i in S] times the product of the k_i over S, the
+    origin is multiplied by the product of all k_i, and every moving
+    argument is composed with f."""
     terms = []
     for t in cyc.terms:
         if t.fixed.kind == VarietyKind.POINT:
             assert all(c.is_zero() for c in t.fixed.point)
-            zeros = range(len(ks))
+            zeros, fixed = range(len(ks)), t.fixed
         else:
             zeros = t.fixed.base_zeros
+            fixed = VarietyRef.coordinate_subspace([sigma[i] for i in zeros])
         moving = [dataclasses.replace(
-            f, args=tuple(_compose(p, ks) for p in f.args)) for f in t.moving]
+            f, args=tuple(_compose(p, ks, sigma) for p in f.args))
+            for f in t.moving]
         terms.append(term(t.coefficient * math.prod(ks[i] for i in zeros),
-                          t.fixed, t.omega_power, moving))
+                          fixed, t.omega_power, moving))
     return GeneralizedCycle(cyc.space, cyc.degree, terms)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_Mg_pulls_back_along_finite_monomial_maps(seed, as_row, weighted):
-    # M^{f*g} = f*M^g for f(x) = (x1^k1, ..., xn^kn)
+    # M^{f*g} = f*M^g for f(x) = (x_sigma(1)^k1, ..., x_sigma(n)^kn)
     rng = random.Random(seed)
     g = _diagonal_or_row(rng, as_row)
     ks = [rng.randint(1, 3) for _ in range(g.nvars)]
     weights = [rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(g.cols)] \
         if weighted else None
-    fg = PolyMatrix([[_compose(p, ks) for p in row] for row in g.entries])
+    sigma = rng.sample(range(g.nvars), g.nvars)
+    fg = PolyMatrix([[_compose(p, ks, sigma) for p in row] for row in g.entries])
     assert compute_Mg(fg, weights).M == \
-        [_pull_back(c, ks) for c in compute_Mg(g, weights).M], (str(g), ks)
+        [_pull_back(c, ks, sigma) for c in compute_Mg(g, weights).M], \
+        (str(g), ks, sigma)
 
 
 @pytest.mark.parametrize("rows, same_coker", [
