@@ -21,8 +21,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from segre_kit.errors import InputError, UndecidedError, UnsupportedTermError
+from segre_kit.errors import (
+    InputError,
+    UndecidedError,
+    UnsupportedInputError,
+    UnsupportedTermError,
+)
 from segre_kit.poly import (
+    MAX_VARS,
     Polynomial,
     format_polynomial,
     strip_common_factor,
@@ -128,8 +134,13 @@ def base_space(n: int) -> Space:
 
 
 def proj_space(n: int, r: int) -> Space:
+    """P(E) over C^n for E of rank r; its n + r ambient variables must fit
+    in MAX_VARS (the one check of this, for exact runs and mass balances)."""
     if r < 1:
         raise InputError("projectivization needs fiber rank >= 1")
+    if n + r > MAX_VARS:
+        raise UnsupportedInputError(
+            f"P(E) needs n + r = {n} + {r} variables, more than {MAX_VARS}")
     return Space(n, r)
 
 

@@ -38,7 +38,6 @@ from segre_kit.numeric import (
     perturbation_root_count,
 )
 from segre_kit.poly import (
-    MAX_VARS,
     Polynomial,
     PolyMatrix,
     StructureClass,
@@ -124,9 +123,6 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
     if r < 2:
         raise InputError("ring currents live on P(E) with rank E >= 2")
     space = proj_space(n, r)
-    if space.total_vars > MAX_VARS:
-        raise UnsupportedInputError(
-            f"P(E) needs n + r = {n} + {r} variables, more than {MAX_VARS}")
     entries = [p for p in map(space.lift, g.entries) if not p.is_zero()]
     if not entries:
         # the zero morphism: Z' = P(E), only the degree-0 residue survives
@@ -154,7 +150,7 @@ def _verify_charts(entries, space: Space, global_ring):
                 local_terms[key] = local_terms.get(key, 0) + ht.coefficient
             global_visible = {}
             for t in global_ring[level].terms:
-                if _visible_in_chart(t, space, chart):
+                if _visible_in_chart(t, chart):
                     global_visible[t.key()] = t.coefficient
             local_terms = {k: v for k, v in local_terms.items() if v != 0}
             if local_terms != global_visible:
@@ -163,7 +159,7 @@ def _verify_charts(entries, space: Space, global_ring):
                     f"level {level}: {local_terms} vs {global_visible}")
 
 
-def _visible_in_chart(t: CycleTerm, space: Space, chart: int) -> bool:
+def _visible_in_chart(t: CycleTerm, chart: int) -> bool:
     return chart not in t.fixed.fiber_zeros
 
 

@@ -7,6 +7,15 @@ with unit mass, and the (dd^c|G|^2)^k density against Lebesgue measure is
 
 Every routine is deterministic given its seed; sample accumulation is blocked
 so the error estimate and the reduction order do not depend on chunking.
+The masses run on two threads: the samples are cut after error block
+_BLOCKS // 2, the calling thread evaluates the first half and one worker the
+second (numpy releases the GIL inside its loops), and the caller joins the
+16 block means in sample order.  A block mean is the mean of the same
+elementwise values as on one thread, each half reports its first failing
+sample and the caller raises in sample order, so no result, warning or
+error depends on the split or on how the threads are scheduled.  Symbolic
+work (lifts, chart rows, derivatives) is done once per call, before the
+split; no thread outlives its call.
 Root counts, intersection numbers and Crofton slices are exact: their only
 randomness is the slice coefficients, Gaussian integers from ``random``.
 numpy is imported inside the functions that use arrays (the masses), so
@@ -15,10 +24,12 @@ importing this module, or running any exact count, never loads it.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import numbers
 import random
+import threading
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -252,6 +263,40 @@ def _primes(count: int) -> List[int]:
     return primes
 
 
+def _halves(n: int):
+    """The two halves of n samples, cut after error block _BLOCKS // 2: each
+    holds _BLOCKS // 2 whole blocks, and the second also the samples past
+    the last block, which no block mean reads."""
+    cut = n // _BLOCKS * (_BLOCKS // 2)
+    return slice(0, cut), slice(cut, n)
+
+
+def _in_two_threads(work, first, second):
+    """(work(first), work(second)): the first in the calling thread, the
+    second in one worker thread that runs in a copy of the caller's context,
+    so under its numpy errstate.  The worker is joined on every path; when
+    both raise, the first's exception is the one raised."""
+    done = []
+
+    def run():
+        try:
+            done.append((work(second), None))
+        except BaseException as exc:
+            done.append((None, exc))
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(run,))
+    worker.start()
+    try:
+        mine = work(first)
+    finally:
+        worker.join()
+    theirs, exc = done[0]
+    if exc is not None:
+        raise exc
+    return mine, theirs
+
+
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
     """The first n points of the d-dimensional Halton sequence with Owen's
     random digit permutations (arXiv:1706.02808), bit for bit the draw of
@@ -263,29 +308,37 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     point receives the same float additions in the same order, so the sums
     round the same.  With m the number of digits of n - 1 and i = hi * b^h
     + lo, h = ceil(m / 2), the low digits' sums are tabulated per lo, a high
-    digit's term per hi, and the digits past m add one scalar."""
+    digit's term per hi, and the digits past m add one scalar.  Once every
+    permutation is drawn, the even and the odd columns are built in two
+    threads."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
+    perms = [np.repeat(np.arange(base)[None],
+                       math.ceil(54 / math.log2(base)) - 1, axis=0)
+             for base in _primes(d)]
+    for row in itertools.chain.from_iterable(perms):
+        rng.shuffle(row)
     u = np.empty((n, d))
-    for k, base in enumerate(_primes(d)):
-        perms = np.repeat(np.arange(base)[None],
-                          math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for row in perms:
-            rng.shuffle(row)
-        m = next(e for e in itertools.count() if base ** e >= n)
-        h = (m + 1) // 2
-        lo, hi = np.arange(base ** h), np.arange(-(-n // base ** h))[:, None]
-        seq, b2r = np.zeros(base ** h), 1.0 / base
-        for j, row in enumerate(perms):
-            if j < h:
-                seq += row[lo // base ** j % base] * b2r
-            elif j < m:  # broadcasts the table over the high digits
-                seq = seq + row[hi // base ** (j - h) % base] * b2r
-            else:
-                seq += row[0] * b2r
-            b2r /= base
-        u[:, k] = seq.reshape(-1)[:n]
+
+    def columns(ks):
+        for k in ks:
+            base = perms[k].shape[1]
+            m = next(e for e in itertools.count() if base ** e >= n)
+            h = (m + 1) // 2
+            lo, hi = np.arange(base ** h), np.arange(-(-n // base ** h))[:, None]
+            seq, b2r = np.zeros(base ** h), 1.0 / base
+            for j, row in enumerate(perms[k]):
+                if j < h:
+                    seq += row[lo // base ** j % base] * b2r
+                elif j < m:  # broadcasts the table over the high digits
+                    seq = seq + row[hi // base ** (j - h) % base] * b2r
+                else:
+                    seq += row[0] * b2r
+                b2r /= base
+            u[:, k] = seq.reshape(-1)[:n]
+
+    _in_two_threads(columns, range(0, d, 2), range(1, d, 2))
     return u
 
 
@@ -293,23 +346,28 @@ def _disk_samples(cfg: RegConfig, coords):
     """Low-discrepancy samples on a polydisk, one ``(radius, power)`` per
     complex coordinate: the modulus is drawn as radius * u^power (power 1/2
     is uniform; larger powers concentrate toward the center, with exact
-    weights).  Returns (points, weights) with integral f dV = mean(f * weights)."""
+    weights).  Returns (points, weights) with integral f dV = mean(f * weights);
+    the two halves of the rows are filled in two threads."""
     import numpy as np
 
     u = _halton(2 * len(coords), cfg.samples, cfg.seed)
     z = np.empty((cfg.samples, len(coords)), dtype=complex)
     weight = np.ones(cfg.samples)
-    for j, (radius, power) in enumerate(coords):
-        try:
-            area = radius ** 2
-        except OverflowError:
-            raise NumericalFailureError(
-                f"sampling radius {radius} overflows", location=radius)
-        t = u[:, 2 * j]
-        rad = radius * t ** power
-        ang = 2 * np.pi * u[:, 2 * j + 1]
-        z[:, j] = rad * np.exp(1j * ang)
-        weight *= 2 * np.pi * power * area * t ** (2 * power - 1)
+
+    def fill(rows):
+        for j, (radius, power) in enumerate(coords):
+            try:
+                area = radius ** 2
+            except OverflowError:
+                raise NumericalFailureError(
+                    f"sampling radius {radius} overflows", location=radius)
+            t = u[rows, 2 * j]
+            rad = radius * t ** power
+            ang = 2 * np.pi * u[rows, 2 * j + 1]
+            z[rows, j] = rad * np.exp(1j * ang)
+            weight[rows] *= 2 * np.pi * power * area * t ** (2 * power - 1)
+
+    _in_two_threads(fill, *_halves(cfg.samples))
     return z, weight
 
 
@@ -328,25 +386,40 @@ def _batch_minor_dets(jac, rows, cols):
     return 0.0 if det is None else det
 
 
-def _require_finite(density, z):
+def _non_finite_at(density, z):
+    """The point of the first sample whose density is not finite, or None."""
     import numpy as np
 
-    if not np.all(np.isfinite(density)):
-        bad = int(np.argmax(~np.isfinite(density)))
-        raise NumericalFailureError("non-finite integrand sample",
-                                    location=z[bad].tolist())
+    bad = ~np.isfinite(density)
+    return z[int(np.argmax(bad))].tolist() if np.any(bad) else None
 
 
-def _epsilon_table(g2, density, weight, power, cfg: RegConfig):
-    """Per-epsilon blocked sample means of eps/(g2+eps)^power * density *
-    weight and their standard errors (over _BLOCKS equal blocks)."""
+def _require_finite(first, second):
+    """Refuse the halves' non-finite samples, the first half's first."""
+    for location in (first, second):
+        if location is not None:
+            raise NumericalFailureError("non-finite integrand sample",
+                                        location=location)
+
+
+def _block_means(g2, density, weight, power, size, cfg: RegConfig):
+    """Per epsilon, the means of eps/(g2+eps)^power * density * weight over
+    the first _BLOCKS // 2 blocks of ``size`` samples: one half's share of
+    the error blocks."""
+    m = _BLOCKS // 2 * size
+    return [(eps / (g2 + eps) ** power * density * weight)[:m]
+            .reshape(_BLOCKS // 2, size).mean(axis=1)
+            for eps in cfg.epsilon_schedule]
+
+
+def _epsilon_table(first, second, cfg: RegConfig):
+    """Per-epsilon sample means and their standard errors over the _BLOCKS
+    blocks, from the two halves' block means joined in sample order."""
     import numpy as np
 
     per_eps, stderrs = [], []
-    for eps in cfg.epsilon_schedule:
-        values = eps / (g2 + eps) ** power * density * weight
-        m = len(values) // _BLOCKS * _BLOCKS
-        chunk = values[:m].reshape(_BLOCKS, -1).mean(axis=1)
+    for eps, a, b in zip(cfg.epsilon_schedule, first, second):
+        chunk = np.concatenate((a, b))
         per_eps.append((eps, float(np.mean(chunk))))
         stderrs.append(float(np.std(chunk) / math.sqrt(_BLOCKS)))
     return per_eps, stderrs
@@ -381,29 +454,37 @@ def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
     ks = list(ks)
     if not ks or not all(1 <= k <= N for k in ks):
         raise InputError(f"degrees k = {ks} must be a nonempty list in 1..{N}")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N)
-        vals = [p.eval_array(z) for p in G]
+    # a derivative that vanishes identically is None: it adds no term
+    jac_polys = [[None if (d := p.differentiate(j)).is_zero() else d
+                  for j in range(N)] for p in G]
+    size = cfg.samples // _BLOCKS
+
+    def half(z, weight):
         g2 = np.zeros(len(z))
-        for v in vals:
-            g2 += np.abs(v) ** 2
-        # a derivative that vanishes identically stays the scalar 0 (no term)
-        jac = [[0.0 if (d := p.differentiate(j)).is_zero() else d.eval_array(z)
-                for j in range(N)] for p in G]
-        out = []
+        for p in G:
+            g2 += np.abs(p.eval_array(z)) ** 2
+        jac = [[0.0 if d is None else d.eval_array(z) for d in row]
+               for row in jac_polys]
+        per_k = []
         for k in ks:
             density = np.zeros(len(z))
             for rows in itertools.combinations(range(len(G)), k):
                 for cols in itertools.combinations(range(N), k):
                     density += np.abs(_batch_minor_dets(jac, rows, cols)) ** 2
             density *= math.factorial(k) / math.pi ** k
-            _require_finite(density, z)
-            if np.any(density < 0):
-                raise NumericalFailureError(
-                    "negative integrand sample in epsilon_mass")
-            out.append(_limit(*_epsilon_table(g2, density, weight, k + 1, cfg),
-                              cfg))
-        if not np.any(g2 <= cfg.epsilon_schedule[-1]):
+            per_k.append((_non_finite_at(density, z),
+                          _block_means(g2, density, weight, k + 1, size, cfg)))
+        return per_k, bool(np.any(g2 <= cfg.epsilon_schedule[-1]))
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N)
+        (first, hit), (second, hit2) = _in_two_threads(
+            lambda part: half(z[part], weight[part]), *_halves(cfg.samples))
+        out = []
+        for (bad, means), (bad2, means2) in zip(first, second):
+            _require_finite(bad, bad2)
+            out.append(_limit(*_epsilon_table(means, means2, cfg), cfg))
+        if not (hit or hit2):
             for est in out:
                 est.warnings.append("no sample has |G|^2 <= the smallest "
                                     "epsilon: the samples miss the zero set")
@@ -431,19 +512,27 @@ def _wedges(A, B):
     return out
 
 
-def _chart_hessians(g: PolyMatrix, chart: int, z: np.ndarray):
-    """Hessian-entry arrays of |G|^2 = Q/P and of log P on the chart
-    alpha_chart = 1, with coordinates (x, u_1..u_{r-1})."""
-    import numpy as np
-
+def _chart_rows(g: PolyMatrix, chart: int):
+    """The nonzero rows of G = g*alpha on the chart alpha_chart = 1, with
+    coordinates (x, u_1..u_{r-1}), and per row {a: d_a row} over the
+    derivatives that do not vanish identically (the others add no term)."""
     space = proj_space(g.nvars, g.cols)
-    n, N = space.n, space.dim
     rows = [space.chart(p, chart) for p in map(space.lift, g.entries)
             if not p.is_zero()]
-    vals = [p.eval_array(z) for p in rows]
-    # {a: d_a row}: a derivative that vanishes identically adds no term
-    grads = [{a: d.eval_array(z) for a in range(N)
+    grads = [{a: d for a in range(space.dim)
               if not (d := p.differentiate(a)).is_zero()} for p in rows]
+    return rows, grads
+
+
+def _chart_hessians(n: int, rows, grads, z: np.ndarray):
+    """Hessian-entry arrays of |G|^2 = Q/P and of log P at the chart points
+    z, from the rows and derivatives of ``_chart_rows``; the first n
+    coordinates are the base's."""
+    import numpy as np
+
+    N = z.shape[1]
+    vals = [p.eval_array(z) for p in rows]
+    grads = [{a: d.eval_array(z) for a, d in gr.items()} for gr in grads]
     Q = np.zeros(len(z))
     for v in vals:
         Q += np.abs(v) ** 2
@@ -523,6 +612,23 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
     r = g.cols
     N = 1 + (r - 1)
     run_cfg = replace(cfg, radius=radius) if radius != cfg.radius else cfg
+    charts = [_chart_rows(g, chart) for chart in range(r)]
+    size = cfg.samples // _BLOCKS
+
+    def half(z, weight):
+        out = []
+        for chart in charts:
+            Hf, Hlog, g2 = _chart_hessians(g.nvars, *chart, z)
+            for j, wedge in enumerate(_wedges(Hf, Hlog)):
+                wedge = wedge / (2 * math.pi) ** N
+                density = wedge.real * 2 ** N
+                out.append((j, np.max(np.abs(wedge.imag)),
+                            np.max(np.abs(wedge.real)),
+                            _non_finite_at(density, z),
+                            _block_means(g2, density, weight, j + 2, size,
+                                         cfg)))
+        return out
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         per_eps_total = np.zeros(len(cfg.epsilon_schedule))
         stderr_total = np.zeros(len(cfg.epsilon_schedule))
@@ -532,22 +638,21 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
         # (the a.e. partition of P^{r-1} by max-modulus charts)
         z, weight = _disk_samples(run_cfg,
                                   [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
-        for chart in range(r):
-            Hf, Hlog, g2 = _chart_hessians(g, chart, z)
-            for j, wedge in enumerate(_wedges(Hf, Hlog)):
-                wedge = wedge / (2 * math.pi) ** N
-                if np.max(np.abs(wedge.imag)) > \
-                        1e-6 * (1 + np.max(np.abs(wedge.real))):
-                    raise NumericalFailureError("wedge coefficient not real")
-                density = wedge.real * 2 ** N
-                _require_finite(density, z)
-                coeff = math.comb(r, j + 1)
-                table, stderrs = _epsilon_table(g2, density, weight, j + 2, cfg)
-                per = [(eps, coeff * val) for eps, val in table]
-                per_eps_total += [val for _eps, val in per]
-                stderr_total += coeff * np.array(stderrs)
-                details.append(MassEstimate(per[-1][1], coeff * stderrs[-1],
-                                            per, False, []))
+        first, second = _in_two_threads(
+            lambda part: half(z[part], weight[part]), *_halves(cfg.samples))
+        for (j, imag, real, bad, means), (_j, imag2, real2, bad2, means2) in \
+                zip(first, second):
+            # decided on the maxima over all samples
+            if np.maximum(imag, imag2) > 1e-6 * (1 + np.maximum(real, real2)):
+                raise NumericalFailureError("wedge coefficient not real")
+            _require_finite(bad, bad2)
+            coeff = math.comb(r, j + 1)
+            table, stderrs = _epsilon_table(means, means2, cfg)
+            per = [(eps, coeff * val) for eps, val in table]
+            per_eps_total += [val for _eps, val in per]
+            stderr_total += coeff * np.array(stderrs)
+            details.append(MassEstimate(per[-1][1], coeff * stderrs[-1],
+                                        per, False, []))
         per_eps = [(eps, float(per_eps_total[i]))
                    for i, eps in enumerate(cfg.epsilon_schedule)]
         mass = _limit(per_eps, list(stderr_total), cfg).value

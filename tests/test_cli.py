@@ -173,6 +173,15 @@ def test_exit_codes(tmp_path, capsys):
         "engine": "exact", "tasks": ["Mg"]}, "wide.json")
     assert main(["run", wide, "--out", str(tmp_path / "w.json")]) == 3
     assert "n + r = 5 + 4" in capsys.readouterr().err
+    # the mass balance lives on the same P(E), so mass refuses it alike
+    diag8 = write_spec(tmp_path, {
+        "variables": ["x1"],
+        "matrix": [["x1" if i == j else "0" for j in range(8)]
+                   for i in range(8)]}, "diag8.json")
+    for command in ("run", "mass"):
+        assert main([command, diag8, "--out", str(tmp_path / "d.json")]) == 3
+        assert capsys.readouterr().err.endswith(
+            "P(E) needs n + r = 1 + 8 variables, more than 8\n"), command
     # a unit summand is stripped first: diag(x1, .., x4, 1) runs on 4 + 4
     unit = write_spec(tmp_path, {
         "variables": ["x1", "x2", "x3", "x4"],

@@ -6,8 +6,8 @@ function body imports a segre_kit module (the package's imports form no
 cycle), numeric imports no private name from cycles, the third-party modules the package imports are exactly its declared
 dependencies, the mass command runs without importing scipy, every exact
 path (exact runs, the Crofton oracle, `--engine both`, `golden
---skip-numeric`) without importing numpy and the full golden suite loads it
-when it needs it, and every function the benchmark's tracer wraps by name
+--skip-numeric`) without importing numpy or starting a thread and the full
+golden suite loads it when it needs it, and every function the benchmark's tracer wraps by name
 exists, no module but cycles.py knows where the fiber exponents of the
 ambient start, and no module but cycles.py and tower.py names the kind of a
 variety."""
@@ -277,9 +277,10 @@ def test_mass_command_does_not_import_scipy(tmp_path, kind):
     spec, out = tmp_path / "spec.json", tmp_path / "out.json"
     spec.write_text(json.dumps({**MASS_SPECS[kind], "reg": {"samples": 1000}}))
     proc = run_fresh(
-        "from segre_kit import cli\n"
+        COUNT_THREADS + "from segre_kit import cli\n"
         f"assert cli.main(['mass', {str(spec)!r}, '--out', {str(out)!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules and 'numpy' in sys.modules\n")
+        "assert 'scipy' not in sys.modules and 'numpy' in sys.modules\n"
+        "assert started and threading.active_count() == 1, started\n")
     assert proc.returncode == 0, proc.stderr
     assert kind in json.loads(out.read_text())["results"]
 
@@ -332,13 +333,25 @@ EXACT_RUNS = {
 }
 
 
+# counts every thread started after it runs (the mass oracles start one)
+COUNT_THREADS = ("import threading\n"
+                 "started = []\n"
+                 "_start = threading.Thread.start\n"
+                 "def counting_start(self):\n"
+                 "    started.append(self.name)\n"
+                 "    _start(self)\n"
+                 "threading.Thread.start = counting_start\n")
+
+
 @pytest.mark.parametrize("kind", sorted(EXACT_RUNS))
 def test_exact_path_does_not_import_numpy(tmp_path, kind):
     data, code, stderr = EXACT_RUNS[kind]
     spec, out = tmp_path / "spec.json", tmp_path / "out.json"
     spec.write_text(json.dumps(data))
-    proc = run_fresh(f"SPEC, OUT = {str(spec)!r}, {str(out)!r}\n" + code
-                     + "assert 'numpy' not in sys.modules\n")
+    proc = run_fresh(COUNT_THREADS
+                     + f"SPEC, OUT = {str(spec)!r}, {str(out)!r}\n" + code
+                     + "assert 'numpy' not in sys.modules\n"
+                     + "assert not started, started\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == stderr
 

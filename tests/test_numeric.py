@@ -2,8 +2,11 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
+from typing import List, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -21,11 +24,16 @@ from segre_kit.errors import (
     UndecidedError,
 )
 from segre_kit.numeric import (
+    _BLOCKS,
+    MassBalanceResult,
+    MassEstimate,
     RegConfig,
     _batch_minor_dets,
     _chart_hessians,
+    _chart_rows,
     _disk_samples,
     _halton,
+    _limit,
     _translate,
     _wedges,
     confirm_origin_only_zero,
@@ -38,6 +46,7 @@ from segre_kit.numeric import (
 from segre_kit.poly import (
     Polynomial,
     PolyMatrix,
+    determinant,
     disk_root_count,
     parse_polynomial,
     resultant,
@@ -778,7 +787,7 @@ def test_chart_hessians_match_reference(rows):
     z, _w = _disk_samples(RegConfig(samples=2000, seed=r),
                           [(1.0, 2.0)] + [(1.0, 0.5)] * (r - 1))
     for chart in range(r):
-        Hf, Hlog, g2 = _chart_hessians(g, chart, z)
+        Hf, Hlog, g2 = _chart_hessians(g.nvars, *_chart_rows(g, chart), z)
         Hf_ref, Hlog_ref, g2_ref = _chart_hessians_reference(g, chart, z)
         assert _close(g2, g2_ref)
         for got, ref in ((Hf, Hf_ref), (Hlog, Hlog_ref)):
@@ -832,3 +841,373 @@ def test_exact_top_segre_matches_oracles_random():
         assert perturbation_root_count(pair) == a * b
         (est,) = epsilon_mass(pair, [2], CFG)
         assert round(est.value) == a * b and abs(est.value - a * b) < 0.05 * a * b
+
+
+# ---------------------------------------------------------------------------
+# the two halves: the mass work split after error block _BLOCKS // 2
+# ---------------------------------------------------------------------------
+
+def _chart_hessians_whole(g, chart, z):
+    """_chart_hessians as the serial bodies below called it, on all of z."""
+    return _chart_hessians(g.nvars, *_chart_rows(g, chart), z)
+
+
+def _require_finite_reference(density, z):
+    import numpy as np
+
+    if not np.all(np.isfinite(density)):
+        bad = int(np.argmax(~np.isfinite(density)))
+        raise NumericalFailureError("non-finite integrand sample",
+                                    location=z[bad].tolist())
+
+
+def _epsilon_table_reference(g2, density, weight, power, cfg: RegConfig):
+    """Per-epsilon blocked sample means of eps/(g2+eps)^power * density *
+    weight and their standard errors (over _BLOCKS equal blocks)."""
+    import numpy as np
+
+    per_eps, stderrs = [], []
+    for eps in cfg.epsilon_schedule:
+        values = eps / (g2 + eps) ** power * density * weight
+        m = len(values) // _BLOCKS * _BLOCKS
+        chunk = values[:m].reshape(_BLOCKS, -1).mean(axis=1)
+        per_eps.append((eps, float(np.mean(chunk))))
+        stderrs.append(float(np.std(chunk) / math.sqrt(_BLOCKS)))
+    return per_eps, stderrs
+
+
+def _epsilon_mass_reference(G: Sequence[Polynomial], ks: Sequence[int],
+                            cfg: Optional[RegConfig] = None
+                            ) -> List[MassEstimate]:
+    """The serial epsilon_mass before the two halves, kept verbatim as the
+    reference (helpers renamed to their references)."""
+    import numpy as np
+
+    cfg = cfg or RegConfig()
+    G = [p for p in G]
+    N = G[0].nvars
+    if any(p.nvars != N for p in G):
+        raise InputError("tuple entries live in different ambient dimensions")
+    ks = list(ks)
+    if not ks or not all(1 <= k <= N for k in ks):
+        raise InputError(f"degrees k = {ks} must be a nonempty list in 1..{N}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N)
+        vals = [p.eval_array(z) for p in G]
+        g2 = np.zeros(len(z))
+        for v in vals:
+            g2 += np.abs(v) ** 2
+        # a derivative that vanishes identically stays the scalar 0 (no term)
+        jac = [[0.0 if (d := p.differentiate(j)).is_zero() else d.eval_array(z)
+                for j in range(N)] for p in G]
+        out = []
+        for k in ks:
+            density = np.zeros(len(z))
+            for rows in itertools.combinations(range(len(G)), k):
+                for cols in itertools.combinations(range(N), k):
+                    density += np.abs(_batch_minor_dets(jac, rows, cols)) ** 2
+            density *= math.factorial(k) / math.pi ** k
+            _require_finite_reference(density, z)
+            if np.any(density < 0):
+                raise NumericalFailureError(
+                    "negative integrand sample in epsilon_mass")
+            out.append(_limit(*_epsilon_table_reference(g2, density, weight,
+                                                        k + 1, cfg), cfg))
+        if not np.any(g2 <= cfg.epsilon_schedule[-1]):
+            for est in out:
+                est.warnings.append("no sample has |G|^2 <= the smallest "
+                                    "epsilon: the samples miss the zero set")
+    return out
+
+
+def _mass_balance_check_reference(g: PolyMatrix,
+                                  cfg: Optional[RegConfig] = None
+                                  ) -> MassBalanceResult:
+    """The serial mass_balance_check before the two halves, kept verbatim as
+    the reference (helpers renamed to their references)."""
+    import numpy as np
+
+    cfg = cfg or RegConfig()
+    if g.nvars != 1:
+        raise InputError("mass_balance_check works over one base variable")
+    if g.rows != g.cols:
+        raise InputError("mass_balance_check needs a square matrix")
+    det = determinant(g)
+    if det.is_zero():
+        raise InputError("det g is identically zero")
+    radius = cfg.radius
+    det_count = None
+    for _ in range(6):
+        try:
+            det_count = contour_root_count(det, radius)
+            break
+        except ContourTooCloseError:
+            radius *= 0.85
+    if det_count is None:
+        raise ContourTooCloseError("could not place the contour off the zeros")
+
+    r = g.cols
+    N = 1 + (r - 1)
+    run_cfg = replace(cfg, radius=radius) if radius != cfg.radius else cfg
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        per_eps_total = np.zeros(len(cfg.epsilon_schedule))
+        stderr_total = np.zeros(len(cfg.epsilon_schedule))
+        details = []
+        # the base coordinate over the disk of the contour radius, radially
+        # concentrated; the fiber chart coordinates uniform over unit disks
+        # (the a.e. partition of P^{r-1} by max-modulus charts)
+        z, weight = _disk_samples(run_cfg,
+                                  [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
+        for chart in range(r):
+            Hf, Hlog, g2 = _chart_hessians_whole(g, chart, z)
+            for j, wedge in enumerate(_wedges(Hf, Hlog)):
+                wedge = wedge / (2 * math.pi) ** N
+                if np.max(np.abs(wedge.imag)) > \
+                        1e-6 * (1 + np.max(np.abs(wedge.real))):
+                    raise NumericalFailureError("wedge coefficient not real")
+                density = wedge.real * 2 ** N
+                _require_finite_reference(density, z)
+                coeff = math.comb(r, j + 1)
+                table, stderrs = _epsilon_table_reference(g2, density, weight,
+                                                          j + 2, cfg)
+                per = [(eps, coeff * val) for eps, val in table]
+                per_eps_total += [val for _eps, val in per]
+                stderr_total += coeff * np.array(stderrs)
+                details.append(MassEstimate(per[-1][1], coeff * stderrs[-1],
+                                            per, False, []))
+        per_eps = [(eps, float(per_eps_total[i]))
+                   for i, eps in enumerate(cfg.epsilon_schedule)]
+        mass = _limit(per_eps, list(stderr_total), cfg).value
+    passed = bool(abs(mass - det_count) < 0.1)
+    return MassBalanceResult(float(mass), det_count, passed, radius, details)
+
+
+def _bits(result):
+    """Every float of a MassEstimate or MassBalanceResult, in one array."""
+    if isinstance(result, MassBalanceResult):
+        return np.concatenate([[result.numeric_mass, result.det_count,
+                                result.radius, result.passed]]
+                              + [_bits(m) for m in result.detail])
+    return np.array([result.value, result.stderr, result.extrapolated]
+                    + [x for pair in result.per_epsilon for x in pair])
+
+
+SPLIT_TUPLES = [
+    (["x1^2 - 3/4*x2^3", "x2^2"], 2, [1, 2]),
+    (["x1 + i*x3^2", "x2^3", "x3 - x1*x2"], 3, [3, 1, 2]),
+    (["x1^3"], 1, [1]),
+]
+SPLIT_MATRICES = [
+    [["x1^2", "0"], ["0", "x1^3"]],
+    [["x1 + 2", "1/2*x1"], ["i*x1^2", "x1 - 1/3"]],
+    [["x1", "0", "0"], ["0", "x1^2", "0"], ["0", "0", "x1"]],
+]
+
+
+@pytest.mark.parametrize("samples", [16, 17, 1000, 4099, 40000])
+def test_two_halves_change_no_bit(samples):
+    cfg = RegConfig(samples=samples, seed=samples + 5)
+    for texts, n, ks in SPLIT_TUPLES:
+        G = [p(t, n) for t in texts]
+        got, ref = epsilon_mass(G, ks, cfg), _epsilon_mass_reference(G, ks, cfg)
+        assert len(got) == len(ref) == len(ks)
+        for a, b in zip(got, ref):
+            assert np.array_equal(_bits(a), _bits(b)), (texts, samples)
+            assert a.warnings == b.warnings
+    for rows in SPLIT_MATRICES:
+        got = mass_balance_check(mat(rows, 1), cfg)
+        ref = _mass_balance_check_reference(mat(rows, 1), cfg)
+        assert np.array_equal(_bits(got), _bits(ref)), (rows, samples)
+
+
+def test_two_halves_keep_the_warning_and_the_shrunk_radius():
+    # no sample reaches |G|^2 <= 1e-3 at radius 1e6; a zero of det g on the
+    # unit circle shrinks the radius to 0.85 before sampling
+    G = [p("x1"), p("x2")]
+    cfg = RegConfig(radius=1e6, samples=4099)
+    for a, b in zip(epsilon_mass(G, [1, 2], cfg),
+                    _epsilon_mass_reference(G, [1, 2], cfg)):
+        assert a.warnings == b.warnings and "miss the zero set" in a.warnings[0]
+        assert np.array_equal(_bits(a), _bits(b))
+    # at radius 100 only sample 1812 has |G|^2 <= 1e-3 among the first 4000:
+    # in the first half of 4000 samples, in the second half of 3000
+    for samples, half in ((4000, 0), (3000, 1)):
+        cfg = RegConfig(radius=100.0, samples=samples)
+        z, _w = _disk_samples(cfg, [(100.0, 2.0)] * 2)
+        assert list(np.nonzero(np.sum(np.abs(z) ** 2, axis=1) <= 1e-3)[0]) \
+            == [1812]
+        assert numeric._halves(samples)[half].start <= 1812 \
+            < numeric._halves(samples)[half].stop
+        for est in epsilon_mass(G, [1, 2], cfg):
+            assert est.warnings == []
+    g = mat([["x1 - 1", "0"], ["0", "x1"]], 1)
+    cfg = RegConfig(samples=4099)
+    got = mass_balance_check(g, cfg)
+    assert got.radius == 0.85
+    assert np.array_equal(_bits(got), _bits(_mass_balance_check_reference(g, cfg)))
+
+
+def _planted(monkeypatch, at):
+    """Let _disk_samples, in numeric and in the references here, put the
+    point x1 = 1e200 at the given sample indices, where the derivative
+    3 x1^2 of x1^3 overflows."""
+    real = numeric._disk_samples
+
+    def planted(cfg, coords):
+        z, weight = real(cfg, coords)
+        z[list(at), 0] = 1e200
+        return z, weight
+
+    monkeypatch.setattr(numeric, "_disk_samples", planted)
+    monkeypatch.setitem(globals(), "_disk_samples", planted)
+
+
+# with 4099 samples the blocks hold 256 samples: the first half is 0..2047,
+# the second 2048..4098, and the samples 4096..4098 lie past the last block
+@pytest.mark.parametrize("at, reported", [
+    ((3000,), 3000), ((4097,), 4097), ((2048,), 2048), ((3000, 2047), 2047),
+    ((5, 3000), 5), ((100, 7), 7)])
+def test_non_finite_sample_reported_as_before(monkeypatch, at, reported):
+    cfg = RegConfig(samples=4099, seed=3)
+    _planted(monkeypatch, at)
+    G = [p("x1^3"), p("x2")]
+    locations = []
+    for mass in (epsilon_mass, _epsilon_mass_reference):
+        with pytest.raises(NumericalFailureError,
+                           match="non-finite integrand sample") as exc:
+            mass(G, [1, 2], cfg)
+        locations.append(exc.value.location)
+    monkeypatch.undo()
+    z, _w = _disk_samples(cfg, [(1.0, 2.0)] * 2)
+    z[list(at), 0] = 1e200
+    assert locations[0] == locations[1] == z[reported].tolist()
+    assert locations[0][0] == 1e200
+
+
+def test_non_finite_sample_in_the_mass_balance(monkeypatch):
+    cfg = RegConfig(samples=4099, seed=3)
+    g = mat([["x1^3", "0"], ["0", "x1"]], 1)
+    z, _w = _disk_samples(cfg, [(1.0, 2.0), (1.0, 0.5)])
+    z[[1000, 3000], 0] = 1e200
+    for at, reported in (((3000,), 3000), ((3000, 1000), 1000)):
+        monkeypatch.undo()
+        _planted(monkeypatch, at)
+        for check in (mass_balance_check, _mass_balance_check_reference):
+            with pytest.raises(NumericalFailureError,
+                               match="non-finite integrand sample") as exc:
+                check(g, cfg)
+            assert exc.value.location == z[reported].tolist()
+
+
+def _wedges_planting(monkeypatch, imaginary_in, large_real_in):
+    """Add i to one wedge sample of the half of length ``imaginary_in``,
+    and 1e7 to one of the half of length ``large_real_in`` (both after the
+    division by (2 pi)^N): the imaginary part then passes only against the
+    largest real part over all samples."""
+    real = numeric._wedges
+
+    def planted(A, B):
+        out = real(A, B)
+        scale = (2 * math.pi) ** len(A)
+        half = len(A[0][0])
+        if half == imaginary_in:
+            out[0] = out[0] + 0.0j
+            out[0][0] += 1j * scale
+        if half == large_real_in:
+            out[0] = out[0] + 0.0j
+            out[0][1] += 1e7 * scale
+        return out
+
+    monkeypatch.setattr(numeric, "_wedges", planted)
+
+
+@pytest.mark.parametrize("imaginary_in, large_real_in, raises", [
+    (2048, None, True), (2051, None, True),
+    (2048, 2051, False), (2051, 2048, False)])
+def test_wedge_reality_decided_over_all_samples(monkeypatch, imaginary_in,
+                                                large_real_in, raises):
+    # 4099 samples: the first half holds 2048 samples, the second 2051
+    _wedges_planting(monkeypatch, imaginary_in, large_real_in)
+    g = mat([["x1^2", "0"], ["0", "x1"]], 1)
+    if raises:
+        with pytest.raises(NumericalFailureError,
+                           match="wedge coefficient not real"):
+            mass_balance_check(g, RegConfig(samples=4099))
+    else:
+        mass_balance_check(g, RegConfig(samples=4099))
+
+
+def test_every_call_joins_its_worker(monkeypatch):
+    before = threading.active_count()
+    epsilon_mass([p("x1"), p("x2")], [1, 2], RegConfig(samples=1000))
+    mass_balance_check(mat([["x1^2", "0"], ["0", "x1"]], 1),
+                       RegConfig(samples=1000))
+    assert threading.active_count() == before
+    _planted(monkeypatch, (700,))
+    with pytest.raises(NumericalFailureError):
+        epsilon_mass([p("x1^3"), p("x2")], [1], RegConfig(samples=1000))
+    assert threading.active_count() == before
+    # an exception inside either half's work reaches the caller after the
+    # join, the calling thread's first when both raise
+    for failing in ((0,), (1,), (0, 1)):
+        def work(part, failing=failing):
+            if part in failing:
+                raise ValueError(part)
+            return part
+
+        with pytest.raises(ValueError) as exc:
+            numeric._in_two_threads(work, 0, 1)
+        assert exc.value.args == (failing[0],)
+        assert threading.active_count() == before
+    assert numeric._in_two_threads(lambda part: part * 2, 1, 2) == (2, 4)
+
+
+def test_concurrent_calls_under_a_short_switch_interval():
+    # four callers at once (eight threads on fewer cores), switching every
+    # microsecond: a lost or misplaced write to a shared array would change
+    # some bit
+    cfg = RegConfig(samples=1000, seed=9)
+    G = [p("x1^2 - 3/4*x2^3"), p("x2^2")]
+    g = mat([["x1^2", "0"], ["0", "x1^3"]], 1)
+    expected = ([_bits(m) for m in _epsilon_mass_reference(G, [1, 2], cfg)],
+                _bits(_mass_balance_check_reference(g, cfg)))
+    results = [None] * 4
+
+    def call(i):
+        results[i] = ([_bits(m) for m in epsilon_mass(G, [1, 2], cfg)],
+                      _bits(mass_balance_check(g, cfg)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in callers)
+    for masses, balance in results:
+        assert all(map(np.array_equal, masses, expected[0]))
+        assert np.array_equal(balance, expected[1])
+
+
+def test_worker_runs_under_the_callers_errstate():
+    # numpy's errstate lives in the context, which a new thread does not
+    # inherit by itself
+    def state(_part):
+        return np.geterr()["over"]
+
+    with np.errstate(over="ignore"):
+        assert numeric._in_two_threads(state, 0, 1) == ("ignore", "ignore")
+    with np.errstate(over="raise"):
+        assert numeric._in_two_threads(state, 0, 1) == ("raise", "raise")
+
+
+def test_halves_cut_after_the_middle_block():
+    for n in (16, 17, 31, 32, 1000, 4099, 40000):
+        first, second = numeric._halves(n)
+        size = n // 16
+        assert (first.start, first.stop) == (0, 8 * size)
+        assert (second.start, second.stop) == (8 * size, n)

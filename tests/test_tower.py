@@ -61,7 +61,7 @@ def test_one_tower_walk_per_tuple(monkeypatch, rows, n, walks):
 def test_chart_check_catches_a_planted_fault(monkeypatch):
     # terms on [a_i = 0] are invisible in chart i; claiming otherwise must
     # make the chart towers disagree with the global one
-    monkeypatch.setattr(engine, "_visible_in_chart", lambda t, space, chart: True)
+    monkeypatch.setattr(engine, "_visible_in_chart", lambda t, chart: True)
     with pytest.raises(RuntimeError, match="disagrees with the global tower"):
         engine.compute_Mg(mat([["x1", "0"], ["0", "x2"]], 2))
 
