@@ -483,6 +483,8 @@ def run_mass(spec: MorphismSpec) -> dict:
     """mass_balance_check for square matrices over one variable; otherwise the
     epsilon-mass table of the entry tuple at k = 1..n."""
     g = spec.matrix
+    if not g.nvars:
+        raise InputError("the spec has no variables: a mass needs x1 at least")
     results = {}
     if g.rows == g.cols and g.nvars == 1 and not determinant(g).is_zero():
         results["mass_balance"] = mass_balance_check(g, spec.reg).to_record()

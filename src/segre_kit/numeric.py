@@ -7,15 +7,16 @@ with unit mass, and the (dd^c|G|^2)^k density against Lebesgue measure is
 
 Every routine is deterministic given its seed; sample accumulation is blocked
 so the error estimate and the reduction order do not depend on chunking.
-The masses run on two threads: the samples are cut after error block
-_BLOCKS // 2, the calling thread evaluates the first half and one worker the
-second (numpy releases the GIL inside its loops), and the caller joins the
-16 block means in sample order.  A block mean is the mean of the same
-elementwise values as on one thread, each half reports its first failing
-sample and the caller raises in sample order, so no result, warning or
-error depends on the split or on how the threads are scheduled.  Symbolic
-work (lifts, chart rows, derivatives) is done once per call, before the
-split; no thread outlives its call.
+The masses run on two threads, in ``_sample_halves``: the Halton points are
+drawn once, cut after error block _BLOCKS // 2, and the calling thread
+samples and evaluates the first half while one worker does the second
+(numpy releases the GIL inside its loops); the caller joins the 16 block
+means in sample order.  A block mean is the mean of the same elementwise
+values as on one thread, each half reports its first failing sample and the
+join raises in sample order, so no result, warning or error depends on the
+split or on how the threads are scheduled.  Symbolic work (lifts, chart
+rows, derivatives) is done once per call, before the split; no thread
+outlives its call.
 Root counts, intersection numbers and Crofton slices are exact: their only
 randomness is the slice coefficients, Gaussian integers from ``random``.
 numpy is imported inside the functions that use arrays (the masses), so
@@ -30,7 +31,7 @@ import math
 import numbers
 import random
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from segre_kit.cycles import MovingFactor, VarietyRef, localize, proj_space
@@ -263,40 +264,6 @@ def _primes(count: int) -> List[int]:
     return primes
 
 
-def _halves(n: int):
-    """The two halves of n samples, cut after error block _BLOCKS // 2: each
-    holds _BLOCKS // 2 whole blocks, and the second also the samples past
-    the last block, which no block mean reads."""
-    cut = n // _BLOCKS * (_BLOCKS // 2)
-    return slice(0, cut), slice(cut, n)
-
-
-def _in_two_threads(work, first, second):
-    """(work(first), work(second)): the first in the calling thread, the
-    second in one worker thread that runs in a copy of the caller's context,
-    so under its numpy errstate.  The worker is joined on every path; when
-    both raise, the first's exception is the one raised."""
-    done = []
-
-    def run():
-        try:
-            done.append((work(second), None))
-        except BaseException as exc:
-            done.append((None, exc))
-
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(run,))
-    worker.start()
-    try:
-        mine = work(first)
-    finally:
-        worker.join()
-    theirs, exc = done[0]
-    if exc is not None:
-        raise exc
-    return mine, theirs
-
-
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
     """The first n points of the d-dimensional Halton sequence with Owen's
     random digit permutations (arXiv:1706.02808), bit for bit the draw of
@@ -308,9 +275,7 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     point receives the same float additions in the same order, so the sums
     round the same.  With m the number of digits of n - 1 and i = hi * b^h
     + lo, h = ceil(m / 2), the low digits' sums are tabulated per lo, a high
-    digit's term per hi, and the digits past m add one scalar.  Once every
-    permutation is drawn, the even and the odd columns are built in two
-    threads."""
+    digit's term per hi, and the digits past m add one scalar."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -320,55 +285,85 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     for row in itertools.chain.from_iterable(perms):
         rng.shuffle(row)
     u = np.empty((n, d))
-
-    def columns(ks):
-        for k in ks:
-            base = perms[k].shape[1]
-            m = next(e for e in itertools.count() if base ** e >= n)
-            h = (m + 1) // 2
-            lo, hi = np.arange(base ** h), np.arange(-(-n // base ** h))[:, None]
-            seq, b2r = np.zeros(base ** h), 1.0 / base
-            for j, row in enumerate(perms[k]):
-                if j < h:
-                    seq += row[lo // base ** j % base] * b2r
-                elif j < m:  # broadcasts the table over the high digits
-                    seq = seq + row[hi // base ** (j - h) % base] * b2r
-                else:
-                    seq += row[0] * b2r
-                b2r /= base
-            u[:, k] = seq.reshape(-1)[:n]
-
-    _in_two_threads(columns, range(0, d, 2), range(1, d, 2))
+    for k, perm in enumerate(perms):
+        base = perm.shape[1]
+        m = next(e for e in itertools.count() if base ** e >= n)
+        h = (m + 1) // 2
+        lo, hi = np.arange(base ** h), np.arange(-(-n // base ** h))[:, None]
+        seq, b2r = np.zeros(base ** h), 1.0 / base
+        for j, row in enumerate(perm):
+            if j < h:
+                seq += row[lo // base ** j % base] * b2r
+            elif j < m:  # broadcasts the table over the high digits
+                seq = seq + row[hi // base ** (j - h) % base] * b2r
+            else:
+                seq += row[0] * b2r
+            b2r /= base
+        u[:, k] = seq.reshape(-1)[:n]
     return u
 
 
-def _disk_samples(cfg: RegConfig, coords):
-    """Low-discrepancy samples on a polydisk, one ``(radius, power)`` per
-    complex coordinate: the modulus is drawn as radius * u^power (power 1/2
-    is uniform; larger powers concentrate toward the center, with exact
-    weights).  Returns (points, weights) with integral f dV = mean(f * weights);
-    the two halves of the rows are filled in two threads."""
+def _disk_samples(u, coords):
+    """Low-discrepancy samples on a polydisk from the Halton rows u, one
+    ``(radius, power)`` and two columns of u per complex coordinate: the
+    modulus is drawn as radius * t^power (power 1/2 is uniform; larger
+    powers concentrate toward the center, with exact weights).  Returns
+    (points, weights) with integral f dV = mean(f * weights).  A weight that
+    overflows would make every mass non-finite, so it is refused."""
     import numpy as np
 
-    u = _halton(2 * len(coords), cfg.samples, cfg.seed)
-    z = np.empty((cfg.samples, len(coords)), dtype=complex)
-    weight = np.ones(cfg.samples)
-
-    def fill(rows):
-        for j, (radius, power) in enumerate(coords):
-            try:
-                area = radius ** 2
-            except OverflowError:
-                raise NumericalFailureError(
-                    f"sampling radius {radius} overflows", location=radius)
-            t = u[rows, 2 * j]
-            rad = radius * t ** power
-            ang = 2 * np.pi * u[rows, 2 * j + 1]
-            z[rows, j] = rad * np.exp(1j * ang)
-            weight[rows] *= 2 * np.pi * power * area * t ** (2 * power - 1)
-
-    _in_two_threads(fill, *_halves(cfg.samples))
+    z = np.empty((len(u), len(coords)), dtype=complex)
+    weight = np.ones(len(u))
+    for j, (radius, power) in enumerate(coords):
+        try:
+            area = radius ** 2
+        except OverflowError:
+            area = math.inf
+        t = u[:, 2 * j]
+        rad = radius * t ** power
+        ang = 2 * np.pi * u[:, 2 * j + 1]
+        z[:, j] = rad * np.exp(1j * ang)
+        weight *= 2 * np.pi * power * area * t ** (2 * power - 1)
+        if not np.all(np.isfinite(weight)):
+            raise NumericalFailureError(
+                f"sampling radius {radius} overflows", location=radius)
     return z, weight
+
+
+def _sample_halves(evaluate, cfg: RegConfig, coords):
+    """(evaluate(points, weights) on the first half of the samples, on the
+    second), for ``_disk_samples`` of cfg.samples Halton points drawn once.
+    The cut falls after error block _BLOCKS // 2: each half holds
+    _BLOCKS // 2 whole blocks, and the second also the samples past the last
+    block, which no block mean reads.  The calling thread samples and
+    evaluates the first half; one worker thread, in a copy of the caller's
+    context (so under its numpy errstate), the second.  The worker is joined
+    on every path; when both halves raise, the first's exception is raised."""
+    u = _halton(2 * len(coords), cfg.samples, cfg.seed)
+    cut = cfg.samples // _BLOCKS * (_BLOCKS // 2)
+    # each half takes its rows out (pop() the second's, pop(0) the first's,
+    # in either order), so the draw is freed once both halves are sampled
+    rows = [u[:cut], u[cut:]]
+    del u
+    done = []
+
+    def second():
+        try:
+            done.append((evaluate(*_disk_samples(rows.pop(), coords)), None))
+        except BaseException as exc:
+            done.append((None, exc))
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(second,))
+    worker.start()
+    try:
+        first = evaluate(*_disk_samples(rows.pop(0), coords))
+    finally:
+        worker.join()
+    theirs, exc = done[0]
+    if exc is not None:
+        raise exc
+    return first, theirs
 
 
 def _is_scalar_zero(x) -> bool:
@@ -386,39 +381,33 @@ def _batch_minor_dets(jac, rows, cols):
     return 0.0 if det is None else det
 
 
-def _non_finite_at(density, z):
-    """The point of the first sample whose density is not finite, or None."""
+def _half_blocks(z, g2, density, weight, power, cfg: RegConfig):
+    """One half's share of an epsilon table: the point of its first sample
+    whose density is not finite (None if there is none), and per epsilon the
+    means of eps/(g2+eps)^power * density * weight over its _BLOCKS // 2
+    whole blocks."""
     import numpy as np
 
     bad = ~np.isfinite(density)
-    return z[int(np.argmax(bad))].tolist() if np.any(bad) else None
-
-
-def _require_finite(first, second):
-    """Refuse the halves' non-finite samples, the first half's first."""
-    for location in (first, second):
-        if location is not None:
-            raise NumericalFailureError("non-finite integrand sample",
-                                        location=location)
-
-
-def _block_means(g2, density, weight, power, size, cfg: RegConfig):
-    """Per epsilon, the means of eps/(g2+eps)^power * density * weight over
-    the first _BLOCKS // 2 blocks of ``size`` samples: one half's share of
-    the error blocks."""
-    m = _BLOCKS // 2 * size
-    return [(eps / (g2 + eps) ** power * density * weight)[:m]
-            .reshape(_BLOCKS // 2, size).mean(axis=1)
-            for eps in cfg.epsilon_schedule]
+    size = cfg.samples // _BLOCKS
+    return (z[int(np.argmax(bad))].tolist() if np.any(bad) else None,
+            [(eps / (g2 + eps) ** power * density * weight)
+             [:_BLOCKS // 2 * size].reshape(_BLOCKS // 2, size).mean(axis=1)
+             for eps in cfg.epsilon_schedule])
 
 
 def _epsilon_table(first, second, cfg: RegConfig):
     """Per-epsilon sample means and their standard errors over the _BLOCKS
-    blocks, from the two halves' block means joined in sample order."""
+    blocks, from two halves' ``_half_blocks`` joined in sample order; a
+    non-finite sample is refused, the first half's before the second's."""
     import numpy as np
 
+    for location, _means in (first, second):
+        if location is not None:
+            raise NumericalFailureError("non-finite integrand sample",
+                                        location=location)
     per_eps, stderrs = [], []
-    for eps, a, b in zip(cfg.epsilon_schedule, first, second):
+    for eps, a, b in zip(cfg.epsilon_schedule, first[1], second[1]):
         chunk = np.concatenate((a, b))
         per_eps.append((eps, float(np.mean(chunk))))
         stderrs.append(float(np.std(chunk) / math.sqrt(_BLOCKS)))
@@ -457,7 +446,6 @@ def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
     # a derivative that vanishes identically is None: it adds no term
     jac_polys = [[None if (d := p.differentiate(j)).is_zero() else d
                   for j in range(N)] for p in G]
-    size = cfg.samples // _BLOCKS
 
     def half(z, weight):
         g2 = np.zeros(len(z))
@@ -472,18 +460,14 @@ def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],
                 for cols in itertools.combinations(range(N), k):
                     density += np.abs(_batch_minor_dets(jac, rows, cols)) ** 2
             density *= math.factorial(k) / math.pi ** k
-            per_k.append((_non_finite_at(density, z),
-                          _block_means(g2, density, weight, k + 1, size, cfg)))
+            per_k.append(_half_blocks(z, g2, density, weight, k + 1, cfg))
         return per_k, bool(np.any(g2 <= cfg.epsilon_schedule[-1]))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N)
-        (first, hit), (second, hit2) = _in_two_threads(
-            lambda part: half(z[part], weight[part]), *_halves(cfg.samples))
-        out = []
-        for (bad, means), (bad2, means2) in zip(first, second):
-            _require_finite(bad, bad2)
-            out.append(_limit(*_epsilon_table(means, means2, cfg), cfg))
+        (first, hit), (second, hit2) = _sample_halves(
+            half, cfg, [(cfg.radius, 2.0)] * N)
+        out = [_limit(*_epsilon_table(a, b, cfg), cfg)
+               for a, b in zip(first, second)]
         if not (hit or hit2):
             for est in out:
                 est.warnings.append("no sample has |G|^2 <= the smallest "
@@ -610,23 +594,18 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
         raise ContourTooCloseError("could not place the contour off the zeros")
 
     r = g.cols
-    N = 1 + (r - 1)
-    run_cfg = replace(cfg, radius=radius) if radius != cfg.radius else cfg
     charts = [_chart_rows(g, chart) for chart in range(r)]
-    size = cfg.samples // _BLOCKS
 
     def half(z, weight):
         out = []
         for chart in charts:
             Hf, Hlog, g2 = _chart_hessians(g.nvars, *chart, z)
             for j, wedge in enumerate(_wedges(Hf, Hlog)):
-                wedge = wedge / (2 * math.pi) ** N
-                density = wedge.real * 2 ** N
+                wedge = wedge / (2 * math.pi) ** r
+                density = wedge.real * 2 ** r
                 out.append((j, np.max(np.abs(wedge.imag)),
                             np.max(np.abs(wedge.real)),
-                            _non_finite_at(density, z),
-                            _block_means(g2, density, weight, j + 2, size,
-                                         cfg)))
+                            _half_blocks(z, g2, density, weight, j + 2, cfg)))
         return out
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -636,18 +615,15 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
         # the base coordinate over the disk of the contour radius, radially
         # concentrated; the fiber chart coordinates uniform over unit disks
         # (the a.e. partition of P^{r-1} by max-modulus charts)
-        z, weight = _disk_samples(run_cfg,
-                                  [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
-        first, second = _in_two_threads(
-            lambda part: half(z[part], weight[part]), *_halves(cfg.samples))
-        for (j, imag, real, bad, means), (_j, imag2, real2, bad2, means2) in \
+        first, second = _sample_halves(
+            half, cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (r - 1))
+        for (j, imag, real, blocks), (_j, imag2, real2, blocks2) in \
                 zip(first, second):
             # decided on the maxima over all samples
             if np.maximum(imag, imag2) > 1e-6 * (1 + np.maximum(real, real2)):
                 raise NumericalFailureError("wedge coefficient not real")
-            _require_finite(bad, bad2)
             coeff = math.comb(r, j + 1)
-            table, stderrs = _epsilon_table(means, means2, cfg)
+            table, stderrs = _epsilon_table(blocks, blocks2, cfg)
             per = [(eps, coeff * val) for eps, val in table]
             per_eps_total += [val for _eps, val in per]
             stderr_total += coeff * np.array(stderrs)

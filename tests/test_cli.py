@@ -43,6 +43,9 @@ OVERFLOW_SPECS = (
      "reg": {"radius": 10.0}},
     {"variables": ["x1", "x2"], "matrix": [["x1^2", "x2"]],
      "reg": {"radius": 1e200}},
+    # each coordinate's weight is finite, their product is not
+    {"variables": ["x1", "x2"], "matrix": [["x1", "x2"]],
+     "reg": {"radius": 1e80}},
     {"variables": ["x1"],
      "matrix": [["x1^200", "0", "0"], ["0", "x1", "0"], ["0", "0", "x1^2"]],
      "reg": {"radius": 10.0, "samples": 4096}},
@@ -214,6 +217,14 @@ def test_exit_codes(tmp_path, capsys):
         "engine": "exact", "tasks": ["Ma"]}, "huge.json")
     assert main(["run", huge, "--out", str(tmp_path / "h.json")]) == 3
 
+    # a spec with no variables has no polydisk to take a mass over
+    capsys.readouterr()
+    empty = write_spec(tmp_path, {"variables": [], "matrix": [["1"]]},
+                       "empty.json")
+    assert main(["mass", empty]) == 2
+    assert capsys.readouterr().err == \
+        "input error: the spec has no variables: a mass needs x1 at least\n"
+
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     assert main(["run", str(broken)]) == 2
@@ -308,7 +319,8 @@ def test_overflow_reaches_stderr_as_one_line(tmp_path, capsys):
             assert main(["mass", path]) == 4, bad
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], bad
-        assert len(capsys.readouterr().err.splitlines()) == 1, bad
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and "NaN" not in out, bad
 
 
 def test_parse_error_positions(tmp_path, capsys):

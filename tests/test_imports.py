@@ -272,6 +272,7 @@ MASS_SPECS = {
 }
 
 
+# each spec makes one oracle call, which starts exactly one worker thread
 @pytest.mark.parametrize("kind", sorted(MASS_SPECS))
 def test_mass_command_does_not_import_scipy(tmp_path, kind):
     spec, out = tmp_path / "spec.json", tmp_path / "out.json"
@@ -280,7 +281,7 @@ def test_mass_command_does_not_import_scipy(tmp_path, kind):
         COUNT_THREADS + "from segre_kit import cli\n"
         f"assert cli.main(['mass', {str(spec)!r}, '--out', {str(out)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules and 'numpy' in sys.modules\n"
-        "assert started and threading.active_count() == 1, started\n")
+        "assert len(started) == 1 and threading.active_count() == 1, started\n")
     assert proc.returncode == 0, proc.stderr
     assert kind in json.loads(out.read_text())["results"]
 
@@ -333,7 +334,7 @@ EXACT_RUNS = {
 }
 
 
-# counts every thread started after it runs (the mass oracles start one)
+# counts every thread started after it runs (a mass oracle call starts one)
 COUNT_THREADS = ("import threading\n"
                  "started = []\n"
                  "_start = threading.Thread.start\n"

@@ -90,6 +90,12 @@ def test_regconfig_validation():
     assert cfg.epsilon_schedule == (1e-1, 1e-2)
 
 
+def _draw(cfg, coords):
+    """_disk_samples on the whole Halton draw of cfg, in one piece."""
+    return _disk_samples(_halton(2 * len(coords), cfg.samples, cfg.seed),
+                         coords)
+
+
 def _chart_samples_reference(cfg, ncomplex, power=2.0):
     """The chart sampler that mass_balance_check used before it shared
     _disk_samples, kept verbatim as the reference."""
@@ -115,7 +121,7 @@ def _chart_samples_reference(cfg, ncomplex, power=2.0):
 @pytest.mark.parametrize("samples", [16, 1000, 4096])
 def test_disk_samples_match_chart_reference(radius, ncomplex, samples):
     cfg = RegConfig(samples=samples, seed=11 * samples + ncomplex, radius=radius)
-    z, w = _disk_samples(cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (ncomplex - 1))
+    z, w = _draw(cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (ncomplex - 1))
     z_ref, w_ref = _chart_samples_reference(cfg, ncomplex)
     assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
 
@@ -784,8 +790,8 @@ def _chart_hessians_reference(g, chart, z):
 def test_chart_hessians_match_reference(rows):
     g = mat(rows, 1)
     r = g.cols
-    z, _w = _disk_samples(RegConfig(samples=2000, seed=r),
-                          [(1.0, 2.0)] + [(1.0, 0.5)] * (r - 1))
+    z, _w = _draw(RegConfig(samples=2000, seed=r),
+                  [(1.0, 2.0)] + [(1.0, 0.5)] * (r - 1))
     for chart in range(r):
         Hf, Hlog, g2 = _chart_hessians(g.nvars, *_chart_rows(g, chart), z)
         Hf_ref, Hlog_ref, g2_ref = _chart_hessians_reference(g, chart, z)
@@ -892,7 +898,7 @@ def _epsilon_mass_reference(G: Sequence[Polynomial], ks: Sequence[int],
     if not ks or not all(1 <= k <= N for k in ks):
         raise InputError(f"degrees k = {ks} must be a nonempty list in 1..{N}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, weight = _disk_samples(cfg, [(cfg.radius, 2.0)] * N)
+        z, weight = _draw(cfg, [(cfg.radius, 2.0)] * N)
         vals = [p.eval_array(z) for p in G]
         g2 = np.zeros(len(z))
         for v in vals:
@@ -956,8 +962,7 @@ def _mass_balance_check_reference(g: PolyMatrix,
         # the base coordinate over the disk of the contour radius, radially
         # concentrated; the fiber chart coordinates uniform over unit disks
         # (the a.e. partition of P^{r-1} by max-modulus charts)
-        z, weight = _disk_samples(run_cfg,
-                                  [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
+        z, weight = _draw(run_cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (N - 1))
         for chart in range(r):
             Hf, Hlog, g2 = _chart_hessians_whole(g, chart, z)
             for j, wedge in enumerate(_wedges(Hf, Hlog)):
@@ -1033,11 +1038,10 @@ def test_two_halves_keep_the_warning_and_the_shrunk_radius():
     # in the first half of 4000 samples, in the second half of 3000
     for samples, half in ((4000, 0), (3000, 1)):
         cfg = RegConfig(radius=100.0, samples=samples)
-        z, _w = _disk_samples(cfg, [(100.0, 2.0)] * 2)
+        z, _w = _draw(cfg, [(100.0, 2.0)] * 2)
         assert list(np.nonzero(np.sum(np.abs(z) ** 2, axis=1) <= 1e-3)[0]) \
             == [1812]
-        assert numeric._halves(samples)[half].start <= 1812 \
-            < numeric._halves(samples)[half].stop
+        assert (1812 >= samples // _BLOCKS * (_BLOCKS // 2)) == half
         for est in epsilon_mass(G, [1, 2], cfg):
             assert est.warnings == []
     g = mat([["x1 - 1", "0"], ["0", "x1"]], 1)
@@ -1050,12 +1054,15 @@ def test_two_halves_keep_the_warning_and_the_shrunk_radius():
 def _planted(monkeypatch, at):
     """Let _disk_samples, in numeric and in the references here, put the
     point x1 = 1e200 at the given sample indices, where the derivative
-    3 x1^2 of x1^3 overflows."""
+    3 x1^2 of x1^3 overflows.  The indices count in the whole draw: a half
+    of it is a view of its rows, found from its offset in the draw."""
     real = numeric._disk_samples
 
-    def planted(cfg, coords):
-        z, weight = real(cfg, coords)
-        z[list(at), 0] = 1e200
+    def planted(u, coords):
+        z, weight = real(u, coords)
+        draw = u if u.base is None else u.base
+        start = (u.ctypes.data - draw.ctypes.data) // draw.strides[0]
+        z[[i - start for i in at if start <= i < start + len(u)], 0] = 1e200
         return z, weight
 
     monkeypatch.setattr(numeric, "_disk_samples", planted)
@@ -1078,7 +1085,7 @@ def test_non_finite_sample_reported_as_before(monkeypatch, at, reported):
             mass(G, [1, 2], cfg)
         locations.append(exc.value.location)
     monkeypatch.undo()
-    z, _w = _disk_samples(cfg, [(1.0, 2.0)] * 2)
+    z, _w = _draw(cfg, [(1.0, 2.0)] * 2)
     z[list(at), 0] = 1e200
     assert locations[0] == locations[1] == z[reported].tolist()
     assert locations[0][0] == 1e200
@@ -1087,7 +1094,7 @@ def test_non_finite_sample_reported_as_before(monkeypatch, at, reported):
 def test_non_finite_sample_in_the_mass_balance(monkeypatch):
     cfg = RegConfig(samples=4099, seed=3)
     g = mat([["x1^3", "0"], ["0", "x1"]], 1)
-    z, _w = _disk_samples(cfg, [(1.0, 2.0), (1.0, 0.5)])
+    z, _w = _draw(cfg, [(1.0, 2.0), (1.0, 0.5)])
     z[[1000, 3000], 0] = 1e200
     for at, reported in (((3000,), 3000), ((3000, 1000), 1000)):
         monkeypatch.undo()
@@ -1148,18 +1155,22 @@ def test_every_call_joins_its_worker(monkeypatch):
         epsilon_mass([p("x1^3"), p("x2")], [1], RegConfig(samples=1000))
     assert threading.active_count() == before
     # an exception inside either half's work reaches the caller after the
-    # join, the calling thread's first when both raise
+    # join, the calling thread's first when both raise; 1000 samples cut
+    # into 496 and 504
+    cfg, coords = RegConfig(samples=1000), [(1.0, 2.0)]
     for failing in ((0,), (1,), (0, 1)):
-        def work(part, failing=failing):
+        def work(z, _weight, failing=failing):
+            part = {496: 0, 504: 1}[len(z)]
             if part in failing:
                 raise ValueError(part)
             return part
 
         with pytest.raises(ValueError) as exc:
-            numeric._in_two_threads(work, 0, 1)
+            numeric._sample_halves(work, cfg, coords)
         assert exc.value.args == (failing[0],)
         assert threading.active_count() == before
-    assert numeric._in_two_threads(lambda part: part * 2, 1, 2) == (2, 4)
+    assert numeric._sample_halves(lambda z, _w: len(z), cfg, coords) \
+        == (496, 504)
 
 
 def test_concurrent_calls_under_a_short_switch_interval():
@@ -1196,18 +1207,26 @@ def test_concurrent_calls_under_a_short_switch_interval():
 def test_worker_runs_under_the_callers_errstate():
     # numpy's errstate lives in the context, which a new thread does not
     # inherit by itself
-    def state(_part):
+    def state(_z, _weight):
         return np.geterr()["over"]
 
+    cfg, coords = RegConfig(samples=1000), [(1.0, 2.0)]
     with np.errstate(over="ignore"):
-        assert numeric._in_two_threads(state, 0, 1) == ("ignore", "ignore")
+        assert numeric._sample_halves(state, cfg, coords) \
+            == ("ignore", "ignore")
     with np.errstate(over="raise"):
-        assert numeric._in_two_threads(state, 0, 1) == ("raise", "raise")
+        assert numeric._sample_halves(state, cfg, coords) \
+            == ("raise", "raise")
 
 
 def test_halves_cut_after_the_middle_block():
+    # the halves are the rows 0..8 * size and 8 * size..n of the whole draw
+    coords = [(0.7, 2.0), (1.0, 0.5)]
     for n in (16, 17, 31, 32, 1000, 4099, 40000):
-        first, second = numeric._halves(n)
-        size = n // 16
-        assert (first.start, first.stop) == (0, 8 * size)
-        assert (second.start, second.stop) == (8 * size, n)
+        cfg = RegConfig(samples=n, seed=n)
+        z, weight = _draw(cfg, coords)
+        first, second = numeric._sample_halves(lambda *half: half, cfg, coords)
+        cut = n // 16 * 8
+        for got, rows in ((first, slice(0, cut)), (second, slice(cut, n))):
+            assert np.array_equal(got[0], z[rows])
+            assert np.array_equal(got[1], weight[rows])
