@@ -15,7 +15,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import INFINITY, encode_basestring_ascii
 from typing import List, Optional
 
@@ -76,11 +76,11 @@ EXIT_UNDECIDED = 4
 @dataclass
 class MorphismSpec:
     matrix: PolyMatrix
-    engine: str = "exact"
-    points: list = field(default_factory=list)
-    tasks: tuple = ("Mg", "segre")
-    reg: RegConfig = field(default_factory=RegConfig)
-    raw: dict = field(default_factory=dict)
+    engine: str
+    points: list
+    tasks: tuple
+    reg: RegConfig
+    raw: dict
 
 
 def parse_scalar_text(text: str) -> Scalar:

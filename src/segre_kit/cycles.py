@@ -129,10 +129,6 @@ class Space:
         return p.substitute_one(self.n + c)
 
 
-def base_space(n: int) -> Space:
-    return Space(n)
-
-
 def proj_space(n: int, r: int) -> Space:
     """P(E) over C^n for E of rank r; its n + r ambient variables must fit
     in MAX_VARS (the one check of this, for exact runs and mass balances)."""
@@ -151,7 +147,6 @@ def proj_space(n: int, r: int) -> Space:
 class VarietyKind(Enum):
     COORDINATE_SUBSPACE = "COORDINATE_SUBSPACE"
     POINT = "POINT"
-    WHOLE_SPACE = "WHOLE_SPACE"
     FIBER_HYPERSURFACE = "FIBER_HYPERSURFACE"
 
 
@@ -159,8 +154,8 @@ class VarietyKind(Enum):
 class VarietyRef:
     """A supported irreducible variety.
 
-    COORDINATE_SUBSPACE: base_zeros / fiber_zeros are the vanishing coordinates.
-    WHOLE_SPACE: the coordinate subspace with none; only its key and text differ.
+    COORDINATE_SUBSPACE: base_zeros / fiber_zeros are the vanishing
+        coordinates; with none it is the whole space ("X" in text).
     POINT: an explicit base point.
     FIBER_HYPERSURFACE: {sum_i f_i(x) a_i = 0} on PROJ, args = (f_1..f_r).
     """
@@ -175,12 +170,10 @@ class VarietyRef:
 
     @staticmethod
     def whole_space() -> "VarietyRef":
-        return VarietyRef(VarietyKind.WHOLE_SPACE)
+        return VarietyRef(VarietyKind.COORDINATE_SUBSPACE)
 
     @staticmethod
     def coordinate_subspace(base_zeros=(), fiber_zeros=()) -> "VarietyRef":
-        if not base_zeros and not fiber_zeros:
-            return VarietyRef.whole_space()
         return VarietyRef(VarietyKind.COORDINATE_SUBSPACE,
                           base_zeros=frozenset(base_zeros),
                           fiber_zeros=frozenset(fiber_zeros))
@@ -229,8 +222,6 @@ class VarietyRef:
             return ("point", tuple(c.parts() for c in self.point))
         if k == VarietyKind.FIBER_HYPERSURFACE:
             return ("fhyp", tuple(p.key() for p in self.hypersurface))
-        if k == VarietyKind.WHOLE_SPACE:
-            return ("whole",)
         return ("coord", tuple(sorted(self.base_zeros)),
                 tuple(sorted(self.fiber_zeros)))
 
@@ -264,9 +255,8 @@ class VarietyRef:
                     continue
                 parts.append(f"({format_polynomial(f, base_names)})*{names[space.n + j]}")
             return "[" + " + ".join(parts) + " = 0]"
-        if k == VarietyKind.WHOLE_SPACE:
-            return "X"
-        return "[" + "=".join(self.equations(space)) + "=0]"
+        equations = self.equations(space)
+        return "[" + "=".join(equations) + "=0]" if equations else "X"
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +361,15 @@ class CycleTerm:
         return coeff + " ^ ".join(parts)
 
     def to_record(self, space: Space, names):
-        """The term's record, with ``names`` = ``space.var_names()``."""
+        """The term's record, with ``names`` = ``space.var_names()``; the
+        coordinate subspace without zeros is recorded as the whole space."""
+        kind = self.fixed.kind.value
+        equations = self.fixed.equations(space, names)
+        if kind == "COORDINATE_SUBSPACE" and not equations:
+            kind = "WHOLE_SPACE"
         return {
             "coefficient": str(self.coefficient),
-            "fixed": {
-                "kind": self.fixed.kind.value,
-                "equations": self.fixed.equations(space, names),
-            },
+            "fixed": {"kind": kind, "equations": equations},
             "omega_power": self.omega_power,
             "moving": [f.to_record(names) for f in self.moving],
             "bidegree": self.bidegree(space),
@@ -527,13 +519,9 @@ def _expand_terms(space: Space, terms):
 # ---------------------------------------------------------------------------
 
 def meet(a: VarietyRef, b: VarietyRef) -> VarietyRef:
-    """The proper intersection of two supported varieties: the whole space is
-    the unit and coordinate subspaces meet when their zero sets are disjoint;
-    anything else raises UnsupportedTermError."""
-    if a.kind == VarietyKind.WHOLE_SPACE:
-        return b
-    if b.kind == VarietyKind.WHOLE_SPACE:
-        return a
+    """The proper intersection of two supported varieties: coordinate
+    subspaces (the whole space among them) meet when their zero sets are
+    disjoint; anything else raises UnsupportedTermError."""
     ka, kb = a.kind, b.kind
     if ka == kb == VarietyKind.COORDINATE_SUBSPACE:
         if a.base_zeros & b.base_zeros or a.fiber_zeros & b.fiber_zeros:
@@ -586,15 +574,14 @@ def fixed_moving_split(c: GeneralizedCycle):
 
 def localize(factors, fixed: VarietyRef, point):
     """The moving factors of [fixed] ^ prod <f>^p at ``point``, on the fixed
-    part: each factor reduced, its arguments restricted to ``fixed`` (the
-    whole space or a coordinate subspace) and renumbered on the kept
+    part: each factor reduced, its arguments restricted to ``fixed`` (a
+    coordinate subspace, the whole space among them) and renumbered on the kept
     coordinates.  Returns (factors, point on the kept coordinates), or None
     when the multiplicity there is 0: the point is off the fixed part, or a
     factor's restricted arguments are all constant (a pluriharmonic
     potential) or fewer than its power (a residue-free power above the top
     level)."""
-    if fixed.kind not in (VarietyKind.WHOLE_SPACE,
-                          VarietyKind.COORDINATE_SUBSPACE):
+    if fixed.kind != VarietyKind.COORDINATE_SUBSPACE:
         raise UndecidedError("moving factor against unsupported fixed part")
     if any(p.nvars != len(point) for f in factors for p in f.args):
         raise InputError("point dimension mismatch")

@@ -24,13 +24,12 @@ from segre_kit.cycles import (
     Space,
     VarietyRef,
     _in_fixed_part,
-    base_space,
     multiplicity_at,
     proj_space,
     term,
     wedge,
 )
-from segre_kit.errors import InputError, UnsupportedInputError
+from segre_kit.errors import InputError, UndecidedError, UnsupportedInputError
 from segre_kit.numeric import (
     RegConfig,
     confirm_origin_only_zero,
@@ -209,7 +208,7 @@ def compute_Mg(g: PolyMatrix,
     metric sum w_j |a_j|^2 takes r positive int or Fraction weights
     (default all 1)."""
     n, r = g.nvars, g.cols
-    base = base_space(n)
+    base = Space(n)
     if fiber_metric_weights is not None:
         _normalized_weights(fiber_metric_weights, r)  # refuses bad weights
 
@@ -268,24 +267,24 @@ def _describe_Z(res: MorphismResult) -> str:
 
 def segre_numbers(res: MorphismResult, point, cfg=None) -> SegreReport:
     """e_k of the currents ``res`` at the query point together with their
-    distinguished varieties."""
-    base = res.M[0].space
-    oracle = None if cfg is None else \
-        functools.partial(crofton_moving_multiplicity, cfg=cfg)
+    distinguished varieties.  Each e_k is read by the exact rules alone and,
+    only when one of them is undecided and ``cfg`` is given, read again with
+    the Crofton oracle for the terms no exact rule decides (ORACLE)."""
     numbers, provenance = [], []
     for k, cyc in enumerate(res.M):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return oracle(*args)
-
-        numbers.append(multiplicity_at(cyc, point, counted if oracle else None))
-        provenance.append(ORACLE if calls else EXACT)
-        if numbers[-1] < 0:
-            raise RuntimeError(f"negative Segre number e_{k} = {numbers[-1]}")
+        try:
+            e, source = multiplicity_at(cyc, point), EXACT
+        except UndecidedError:
+            if cfg is None:
+                raise
+            e, source = multiplicity_at(cyc, point, functools.partial(
+                crofton_moving_multiplicity, cfg=cfg)), ORACLE
+        if e < 0:
+            raise RuntimeError(f"negative Segre number e_{k} = {e}")
+        numbers.append(e)
+        provenance.append(source)
     return SegreReport(tuple(point), numbers, res.distinguished, provenance,
-                       base)
+                       res.M[0].space)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
         raise InputError("compute_Ma expects a 1x2 matrix (g1, g2)")
     cfg = cfg or RegConfig()
     n = g.nvars
-    base = base_space(n)
+    base = Space(n)
     g1, g2 = g.entries[0]
     if g1.is_zero() and g2.is_zero():
         raise InputError("compute_Ma needs (g1, g2) not both zero")
@@ -323,12 +322,27 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
     if n < 2:
         return out
 
+    # the reduced pair's common zeros: none when an entry is a unit, else
+    # only the origin (refused when that cannot be shown), with Fulton's count
     point_terms = []
-    zero_info = _reduced_pair_zeros(r1, r2, n, cfg)
-    if zero_info == "origin":
-        c = perturbation_root_count((r1, r2))
-        origin = VarietyRef.point_at([0] * n)
-        point_terms.append(term(-c, origin))
+    if not (r1.is_constant() or r2.is_constant()):
+        monomial = all(p.as_monomial() is not None for p in (r1, r2))
+        if n != 2:
+            raise UnsupportedInputError(
+                "reduced monomial pair has non-isolated zeros for n != 2"
+                if monomial else "general-pair zero counting needs n = 2")
+        if not monomial:  # confirm, exactly, that the origin is the only zero
+            if not (r1.constant_value().is_zero()
+                    and r2.constant_value().is_zero()):
+                raise UnsupportedInputError(
+                    "reduced pair does not vanish at the origin; "
+                    "unsupported recipe")
+            if not confirm_origin_only_zero(r1, r2, cfg.radius):
+                raise UnsupportedInputError(
+                    "reduced pair has common zeros away from the origin in "
+                    "the polydisk")
+        point_terms.append(term(-perturbation_root_count((r1, r2)),
+                                VarietyRef.point_at([0] * n)))
 
     symbolic = []
     if monomial_degree(h) > 0 and not (r1.is_constant() and r2.is_constant()):
@@ -340,29 +354,6 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
     out.append(GeneralizedCycle(base, 2, point_terms + symbolic))
     out += [GeneralizedCycle.zero(base, k) for k in range(3, n + 1)]
     return out
-
-
-def _reduced_pair_zeros(r1: Polynomial, r2: Polynomial, n: int, cfg):
-    """Classify the common zero set of the reduced pair: 'origin', 'empty', or
-    raise when it is not isolated (or cannot be confirmed)."""
-    if r1.is_constant() or r2.is_constant():
-        return "empty"
-    m1, m2 = r1.as_monomial(), r2.as_monomial()
-    if m1 is not None and m2 is not None:
-        if n != 2:
-            raise UnsupportedInputError(
-                "reduced monomial pair has non-isolated zeros for n != 2")
-        return "origin"
-    # general pair: confirm, exactly, that the origin is the only zero
-    if n != 2:
-        raise UnsupportedInputError("general-pair zero counting needs n = 2")
-    if not (r1.constant_value().is_zero() and r2.constant_value().is_zero()):
-        raise UnsupportedInputError(
-            "reduced pair does not vanish at the origin; unsupported recipe")
-    if not confirm_origin_only_zero(r1, r2, cfg.radius):
-        raise UnsupportedInputError(
-            "reduced pair has common zeros away from the origin in the polydisk")
-    return "origin"
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,12 @@ class RegConfig:
     extrapolation_order: int = 1
 
     def __post_init__(self):
+        # numbers or their text (the flag's), in a list or tuple: not the
+        # characters of a string, the keys of an object or a bool
         try:
+            if not isinstance(self.epsilon_schedule, (list, tuple)) or any(
+                    isinstance(e, bool) for e in self.epsilon_schedule):
+                raise TypeError
             sched = tuple(float(e) for e in self.epsilon_schedule)
         except (TypeError, ValueError):
             raise InputError("epsilon schedule must be a list of numbers")

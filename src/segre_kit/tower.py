@@ -42,7 +42,6 @@ from segre_kit.cycles import (
     Space,
     VarietyKind,
     VarietyRef,
-    base_space,
     meet,
     term,
 )
@@ -120,10 +119,11 @@ def _prefix_subspace(space: Space, var: int, coeff, terms) -> List[CycleTerm]:
 def tower_residue(entries, space: Space) -> List[List[CycleTerm]]:
     """1_{Z_T} [dd^c log|T|^2_o]^l for every level l = 0..space.dim, from one
     walk: the residue of a level is the part of its full power supported on a
-    proper subvariety, that is every term whose fixed part is not the whole
-    space (the dropped terms are the 1 of level 0 and the locally integrable
-    <T'>^l below the top level of the reduced tuple)."""
-    return [[t for t in terms if t.fixed.kind != VarietyKind.WHOLE_SPACE]
+    proper subvariety, that is every term whose fixed part has positive
+    codimension (the dropped terms, on the whole space, are the 1 of level 0
+    and the locally integrable <T'>^l below the top level of the reduced
+    tuple)."""
+    return [[t for t in terms if t.fixed.codim(space)]
             for terms in _levels(entries, space)]
 
 
@@ -216,7 +216,7 @@ def pushforward_cycle(c: GeneralizedCycle,
     if space.kind != "PROJ":
         raise InputError("pushforward_cycle expects a cycle on the projectivization")
     out_deg = c.degree - (space.r - 1)
-    base = base_space(space.n)
+    base = Space(space.n)
     if out_deg < 0:
         return GeneralizedCycle.zero(base, 0)
     weights = () if fiber_metric_weights is None else \

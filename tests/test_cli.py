@@ -293,6 +293,18 @@ def test_exit_codes(tmp_path, capsys):
         path = write_spec(tmp_path, bad, f"overflow{i}.json")
         assert main(["mass", path]) == 4, bad
 
+    # an epsilon schedule is a JSON list of numbers: not a string, an object
+    # or a list with bools, whose characters, keys or 1.0 would run
+    capsys.readouterr()
+    for i, schedule in enumerate(("321", {"0.1": 1, "0.01": 2, "0.001": 3},
+                                  [True, 0.5, 0.1])):
+        path = write_spec(tmp_path, {"variables": ["x1"], "matrix": [["x1^2"]],
+                                     "reg": {"epsilon_schedule": schedule}},
+                          f"schedule{i}.json")
+        assert main(["mass", path]) == 2, schedule
+        assert capsys.readouterr().err == \
+            "input error: epsilon schedule must be a list of numbers\n"
+
     # numeric flags are validated by RegConfig, for golden as for run
     assert main(["run", ok, "--skip-numeric", "--epsilon-schedule", "abc"]) == 2
     assert main(["golden", "--skip-numeric", "--epsilon-schedule", "5,1"]) == 2
@@ -380,15 +392,15 @@ def test_undecided_exit_code(tmp_path, capsys):
     }, "s2.json")
     # the gcd-diagonal query at the origin is decidable; force the undecided
     # path with a crafted cycle instead
-    from segre_kit.cycles import (GeneralizedCycle, MovingFactor, VarietyRef,
-                                  base_space, multiplicity_at, term)
+    from segre_kit.cycles import (GeneralizedCycle, MovingFactor, Space,
+                                  VarietyRef, multiplicity_at, term)
     from segre_kit.errors import UndecidedError
     from segre_kit.poly import parse_polynomial
 
     f1 = MovingFactor((parse_polynomial("x1", 2), parse_polynomial("x2", 2)), 1)
     f2 = MovingFactor((parse_polynomial("x1 - x2", 2),
                        parse_polynomial("x2", 2)), 1)
-    c = GeneralizedCycle(base_space(2), 2,
+    c = GeneralizedCycle(Space(2), 2,
                          [term(1, VarietyRef.whole_space(), moving=(f1, f2))])
     with pytest.raises(UndecidedError):
         multiplicity_at(c, [0, 0])

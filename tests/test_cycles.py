@@ -9,24 +9,25 @@ from hypothesis import strategies as st
 from segre_kit.cycles import (
     GeneralizedCycle,
     MovingFactor,
+    Space,
     VarietyKind,
     VarietyRef,
-    base_space,
     fixed_moving_split,
     localize,
+    meet,
     multiplicity_at,
     proj_space,
     term,
     wedge,
 )
-from segre_kit.errors import InputError, UndecidedError
+from segre_kit.errors import InputError, UndecidedError, UnsupportedTermError
 from segre_kit.poly import Polynomial, format_polynomial, parse_polynomial
 from segre_kit.scalars import Scalar
 from segre_kit.tower import pushforward_cycle
 from test_keys import N as KEY_N, R as KEY_R, cycle_terms
 
-B2 = base_space(2)
-B3 = base_space(3)
+B2 = Space(2)
+B3 = Space(3)
 P22 = proj_space(2, 2)
 
 
@@ -166,7 +167,7 @@ def test_pushforward_full_fiber_volume():
     c = GeneralizedCycle(P22, 1, [term(1, VarietyRef.whole_space(),
                                        omega_power=1)])
     out = pushforward_cycle(c)
-    assert out.degree == 0 and out.terms[0].fixed.kind.value == "WHOLE_SPACE"
+    assert out.degree == 0 and out.terms[0].fixed == VarietyRef.whole_space()
     assert out.terms[0].coefficient == 1
 
 
@@ -186,7 +187,7 @@ def test_pushforward_crofton_hypersurface():
     out = pushforward_cycle(c)
     assert out.degree == 1
     t = out.terms[0]
-    assert t.fixed.kind.value == "WHOLE_SPACE"
+    assert t.fixed == VarietyRef.whole_space()
     assert [(str(a), a.nvars) for a in t.moving[0].args] == [("x1", 2),
                                                              ("x2", 2)]
     # and with omega^0 it pushes to the constant 1
@@ -312,8 +313,6 @@ def _defining_polynomials(ref, space):
     """The defining polynomials of ``ref`` in the ambient variables of
     ``space``: the reference for ``VarietyRef.equations``."""
     nv = space.total_vars
-    if ref.kind == VarietyKind.WHOLE_SPACE:
-        return []
     if ref.kind == VarietyKind.COORDINATE_SUBSPACE:
         return [Polynomial.variable(nv, v) for v in sorted(ref.base_zeros)] \
             + [Polynomial.variable(nv, space.n + j)
@@ -352,36 +351,82 @@ def test_equations_text_matches_formatted_polynomials():
         hyp.equations(B3)
 
 
-# one support of each kind on X x P^1 over C^2: (codim, equations, describe,
-# key, fiber dimension).  Every kind must have a row, so a new kind states
-# each answer here before any code reads it.
-KIND_TABLE = {
-    VarietyKind.WHOLE_SPACE: (
-        VarietyRef.whole_space(), 0, [], "X", ("whole",), 1),
-    VarietyKind.COORDINATE_SUBSPACE: (
-        VarietyRef.coordinate_subspace([1], [0]), 2, ["x2", "a1"],
-        "[x2=a1=0]", ("coord", (1,), (0,)), 0),
-    VarietyKind.POINT: (
-        VarietyRef.point_at([0, "1/2"]), 2, ["x1", "x2 - 1/2"],
-        "[point (0, 1/2)]", ("point", ((0, 0), (Fraction(1, 2), 0))), 1),
-    VarietyKind.FIBER_HYPERSURFACE: (
-        VarietyRef.fiber_hypersurface((bp("x1"), bp("2*x2 - i"))), 1,
-        ["x1*a1 + 2*x2*a2 - i*a2"], "[(x1)*a1 + (2*x2 - i)*a2 = 0]",
-        ("fhyp", (bp("x1").key(), bp("2*x2 - i").key())), 1),
-}
+# supports on X x P^1 over C^2: (kind, codim, equations, describe, key, fiber
+# dimension, record kind).  Every kind must have a row, so a new kind states
+# each answer here before any code reads it; the whole space is the
+# coordinate subspace without zeros, named only in its text and record.
+KIND_TABLE = [
+    (VarietyRef.whole_space(), VarietyKind.COORDINATE_SUBSPACE, 0, [], "X",
+     ("coord", (), ()), 1, "WHOLE_SPACE"),
+    (VarietyRef.coordinate_subspace([1], [0]), VarietyKind.COORDINATE_SUBSPACE,
+     2, ["x2", "a1"], "[x2=a1=0]", ("coord", (1,), (0,)), 0,
+     "COORDINATE_SUBSPACE"),
+    (VarietyRef.point_at([0, "1/2"]), VarietyKind.POINT, 2, ["x1", "x2 - 1/2"],
+     "[point (0, 1/2)]", ("point", ((0, 0), (Fraction(1, 2), 0))), 1, "POINT"),
+    (VarietyRef.fiber_hypersurface((bp("x1"), bp("2*x2 - i"))),
+     VarietyKind.FIBER_HYPERSURFACE, 1, ["x1*a1 + 2*x2*a2 - i*a2"],
+     "[(x1)*a1 + (2*x2 - i)*a2 = 0]",
+     ("fhyp", (bp("x1").key(), bp("2*x2 - i").key())), 1,
+     "FIBER_HYPERSURFACE"),
+]
 
 
 def test_every_variety_kind_answers_each_question():
-    assert set(KIND_TABLE) == set(VarietyKind)
-    for kind, (ref, codim, equations, text, key, fiber_dim) in \
-            KIND_TABLE.items():
+    assert {row[1] for row in KIND_TABLE} == set(VarietyKind)
+    for ref, kind, codim, equations, text, key, fiber_dim, record in \
+            KIND_TABLE:
         assert ref.kind == kind
         assert ref.codim(P22) == codim
         assert ref.equations(P22) == equations
         assert ref.describe(P22) == text
         assert ref.key() == key
+        assert term(1, ref).to_record(P22, P22.var_names())["fixed"] == \
+            {"kind": record, "equations": equations}
         # r - 1 less the fiber zeros, for every kind; -1 on the base (r = 0)
         assert ref.fiber_dimension(P22) == fiber_dim
         assert ref.fiber_dimension(B2) == -1 - len(ref.fiber_zeros)
     # the whole space is the coordinate subspace without zeros
     assert VarietyRef.coordinate_subspace((), ()) == VarietyRef.whole_space()
+
+
+def _subspaces(n, r):
+    return st.builds(VarietyRef.coordinate_subspace,
+                     st.sets(st.integers(0, n - 1), max_size=n),
+                     st.sets(st.integers(0, r - 1), max_size=r) if r
+                     else st.just(set()))
+
+
+@given(st.sampled_from([B3, proj_space(2, 3)]).flatmap(
+    lambda space: st.tuples(st.just(space), _subspaces(space.n, space.r),
+                            _subspaces(space.n, space.r))))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_meet_of_coordinate_subspaces(drawn):
+    # meet is commutative, with the subspace without zeros as its unit; the
+    # whole-space text and record appear exactly when no coordinate vanishes
+    space, a, b = drawn
+    whole = VarietyRef.whole_space()
+    names = space.var_names()
+    for ref in (a, b):
+        assert meet(ref, whole) == meet(whole, ref) == ref
+        empty = not ref.base_zeros and not ref.fiber_zeros
+        assert (ref.describe(space) == "X") == empty == (ref == whole)
+        assert (term(1, ref).to_record(space, names)["fixed"]["kind"]
+                == "WHOLE_SPACE") == empty
+    if a.base_zeros & b.base_zeros or a.fiber_zeros & b.fiber_zeros:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(UnsupportedTermError, match="improper"):
+                meet(x, y)
+    else:
+        assert meet(a, b) == meet(b, a) == VarietyRef.coordinate_subspace(
+            a.base_zeros | b.base_zeros, a.fiber_zeros | b.fiber_zeros)
+
+
+def test_meet_refuses_the_whole_space_with_other_kinds():
+    # only coordinate subspaces meet; the tower and the pushforward meet
+    # coordinate subspaces alone, so no caller reaches these
+    hyp = VarietyRef.fiber_hypersurface((bp("x1"), bp("x2")))
+    for other in (VarietyRef.point_at([0, 0]), hyp):
+        for x, y in ((VarietyRef.whole_space(), other),
+                     (other, VarietyRef.whole_space())):
+            with pytest.raises(UnsupportedTermError, match="unsupported"):
+                meet(x, y)

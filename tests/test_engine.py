@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from segre_kit.cycles import (
     GeneralizedCycle,
     MovingFactor,
+    Space,
     VarietyKind,
     VarietyRef,
-    base_space,
     fixed_moving_split,
     multiplicity_at,
     proj_space,
@@ -28,7 +28,7 @@ from segre_kit.engine import (
     singular_metric_forms,
 )
 from segre_kit.cli import _grid, _random_diag_monomial, load_spec, run_spec
-from segre_kit.errors import InputError, UnsupportedInputError
+from segre_kit.errors import InputError, UndecidedError, UnsupportedInputError
 from segre_kit.numeric import RegConfig
 from segre_kit.poly import (
     PolyMatrix,
@@ -124,7 +124,7 @@ def _reference_M(g, weights=None):
     ring, n, r = ring_M_Galpha(g), g.nvars, g.cols
     M = []
     for k in range(n + 1):
-        acc = GeneralizedCycle.zero(base_space(n), k)
+        acc = GeneralizedCycle.zero(Space(n), k)
         for level, cyc in enumerate(ring):
             e = k + r - 1 - level
             if 0 <= e <= r - 1:
@@ -265,7 +265,7 @@ def test_segre_provenance_oracle():
     f1 = MovingFactor((parse_polynomial("x1", 2), parse_polynomial("x2", 2)), 1)
     f2 = MovingFactor((parse_polynomial("x1 - x2", 2),
                        parse_polynomial("x2", 2)), 1)
-    base = base_space(2)
+    base = Space(2)
     M = [GeneralizedCycle.zero(base, 0), GeneralizedCycle.zero(base, 1),
          GeneralizedCycle(base, 2, [term(1, VarietyRef.whole_space(),
                                          moving=(f1, f2))])]
@@ -273,6 +273,39 @@ def test_segre_provenance_oracle():
     rep = segre_numbers(res, [0, 0], cfg=CFG)
     assert rep.numbers == [0, 0, 1]
     assert rep.provenance == ["EXACT", "EXACT", "ORACLE"]
+
+
+def test_segre_provenance_after_an_exact_term(monkeypatch):
+    # e_1 = 1 + 2: the first moving term has the exact order rule, the later
+    # one (a non-monomial argument) only the oracle, which is asked for it
+    # alone; without a cfg the exact rule's refusal reaches the caller
+    import segre_kit.engine as engine
+
+    exact = MovingFactor((parse_polynomial("x1", 2),
+                          parse_polynomial("x2", 2)), 1)
+    oracle_only = MovingFactor((parse_polynomial("x1", 2),
+                                parse_polynomial("x2 + x1^2", 2)), 1)
+    base = Space(2)
+    M = [GeneralizedCycle.zero(base, 0),
+         GeneralizedCycle(base, 1, [
+             term(2, VarietyRef.whole_space(), moving=(oracle_only,)),
+             term(1, VarietyRef.whole_space(), moving=(exact,))]),
+         GeneralizedCycle.zero(base, 2)]
+    assert [t.moving for t in M[1].terms] == [(exact,), (oracle_only,)]
+    res = MorphismResult(M, [], "")
+    asked, crofton = [], engine.crofton_moving_multiplicity
+    monkeypatch.setattr(engine, "crofton_moving_multiplicity",
+                        lambda factors, *rest, **kw: asked.append(factors)
+                        or crofton(factors, *rest, **kw))
+    rep = segre_numbers(res, [0, 0], cfg=CFG)
+    assert rep.numbers == [0, 3, 0]
+    assert rep.provenance == ["EXACT", "ORACLE", "EXACT"]
+    assert asked == [[oracle_only]]
+    with pytest.raises(UndecidedError) as info:
+        segre_numbers(res, [0, 0])
+    assert str(info.value) == "moving factor with non-monomial arguments"
+    assert info.value.term == M[1].terms[1]
+    assert asked == [[oracle_only]]
 
 
 @pytest.mark.parametrize("rows, n, z", [
@@ -453,6 +486,43 @@ def test_Ma_input_validation():
         compute_Ma(mat([["x1", "x2"]], 3))  # line of common zeros in C^3
 
 
+# compute_Ma's refusals in the order it makes them; each row also fails every
+# later test it can reach, so its message shows which refusal comes first
+MA_REFUSALS = [
+    ([["0", "0"], ["0", "0"]], 3, InputError,
+     "compute_Ma expects a 1x2 matrix (g1, g2)"),
+    ([["0", "0"]], 3, InputError, "compute_Ma needs (g1, g2) not both zero"),
+    ([["x1 + x2", "0"]], 3, UnsupportedInputError,
+     "single-entry quotient supported for monomial entries only"),
+    ([["x1", "x2"]], 3, UnsupportedInputError,
+     "reduced monomial pair has non-isolated zeros for n != 2"),
+    # nonzero at the origin, with a common zero at (1/2, 0)
+    ([["x1 - 1/2 + x2^2", "x2"]], 3, UnsupportedInputError,
+     "general-pair zero counting needs n = 2"),
+    ([["x1 - 1/2 + x2^2", "x2"]], 2, UnsupportedInputError,
+     "reduced pair does not vanish at the origin; unsupported recipe"),
+    ([["x1^2 - 1/2*x1 + x2^2", "x2"]], 2, UnsupportedInputError,
+     "reduced pair has common zeros away from the origin in the polydisk"),
+]
+
+
+@pytest.mark.parametrize("rows, n, error, message", MA_REFUSALS)
+def test_Ma_refusals_keep_their_messages_and_order(rows, n, error, message):
+    with pytest.raises(error) as info:
+        compute_Ma(mat(rows, n), cfg=CFG)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("rows, n, currents", [
+    ([["x1*x2", "2"]], 2, ["0", "0", "0"]),  # a unit cofactor: no zeros
+    ([["x1", "x1^2"]], 1, ["0", "[x1=0]"]),
+    ([["x1 + x1^2", "x1^3"]], 1, ["0", "[x1=0]"]),
+])
+def test_Ma_without_a_point_mass(rows, n, currents):
+    ma = compute_Ma(mat(rows, n), cfg=CFG)
+    assert [c.describe() for c in ma] == currents
+
+
 # ---------------------------------------------------------------------------
 # singular metric forms
 # ---------------------------------------------------------------------------
@@ -584,7 +654,7 @@ def permuted_diagonals(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_fixed_part_of_M1_is_the_divisor_of_det(case):
     g, e = case
-    base = base_space(g.nvars)
+    base = Space(g.nvars)
     det = determinant(g).as_monomial()
     assert det is not None and list(det[1]) == e
     div_det = GeneralizedCycle(base, 1, [

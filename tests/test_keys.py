@@ -1,8 +1,9 @@
 """Canonical keys are built once and kept on the immutable object; each must
 equal the key its class used to rebuild on every call (the reference
-bodies below, kept as they were).  The emptiness and omega-cap rules that
-the one fiber-dimension rule replaced are kept here too, and a cycle must
-keep exactly the terms they kept."""
+bodies below, kept as they were but for the whole space, now the coordinate
+subspace without zeros and keyed as one).  The emptiness and omega-cap rules
+that the one fiber-dimension rule replaced are kept here too, and a cycle
+must keep exactly the terms they kept."""
 
 import dataclasses
 from fractions import Fraction
@@ -36,8 +37,6 @@ def reference_polynomial_key(self):
 
 def reference_variety_key(self):
     k = self.kind
-    if k == VarietyKind.WHOLE_SPACE:
-        return ("whole",)
     if k == VarietyKind.COORDINATE_SUBSPACE:
         return ("coord", tuple(sorted(self.base_zeros)),
                 tuple(sorted(self.fiber_zeros)))
@@ -76,7 +75,7 @@ def reference_is_empty(self, space):
 def reference_fiber_dimension(self, space):
     if space.kind != "PROJ":
         return 0
-    if self.kind in (VarietyKind.WHOLE_SPACE, VarietyKind.POINT):
+    if self.kind == VarietyKind.POINT:
         return space.r - 1
     if self.kind == VarietyKind.COORDINATE_SUBSPACE:
         return space.r - 1 - len(self.fiber_zeros)
@@ -244,8 +243,6 @@ def test_cycle_merge_matches_the_reference_keys(terms, rnd):
 
 def _codim(variety_key, space):
     kind = variety_key[0]
-    if kind == "whole":
-        return 0
     if kind == "coord":
         return len(variety_key[1]) + len(variety_key[2])
     if kind == "fhyp":

@@ -88,6 +88,16 @@ def test_regconfig_validation():
     assert RegConfig(samples=16, seed=0, radius=0.5).samples == 16
     cfg = RegConfig(epsilon_schedule=(1e-1, 1e-2), extrapolation="NONE")
     assert cfg.epsilon_schedule == (1e-1, 1e-2)
+    # a schedule is a list or tuple of numbers, or of their text (the
+    # --epsilon-schedule flag's comma-split pieces); not a string's
+    # characters, an object's keys or bools
+    for bad in ("321", {"0.1": 1, "0.01": 2, "0.001": 3}, [True, 0.5, 0.1],
+                (0.5, 0.1, False), b"321", 5, None):
+        with pytest.raises(InputError) as info:
+            RegConfig(epsilon_schedule=bad)
+        assert str(info.value) == "epsilon schedule must be a list of numbers"
+    assert RegConfig(epsilon_schedule=["0.5", "1e-1", 0.01]).epsilon_schedule \
+        == (0.5, 0.1, 0.01)
 
 
 def _draw(cfg, coords):

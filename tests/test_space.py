@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segre_kit.cycles import VarietyKind, base_space, proj_space
+from segre_kit.cycles import Space, VarietyKind, proj_space
 from segre_kit.errors import InputError, UnsupportedInputError
 from segre_kit.poly import Polynomial
 from segre_kit.scalars import Scalar
@@ -127,7 +127,7 @@ def test_lift_equals_the_variable_sum(data):
 
 @pytest.mark.parametrize("space, fs", [
     (proj_space(2, 2), [X1, X1, X1]), (proj_space(2, 2), {2: X1}),
-    (proj_space(2, 2), {-1: X1}), (base_space(2), [X1])])
+    (proj_space(2, 2), {-1: X1}), (Space(2), [X1])])
 def test_lift_needs_the_fiber_coordinates(space, fs):
     with pytest.raises(InputError):
         space.lift(fs)

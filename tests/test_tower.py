@@ -5,8 +5,8 @@ from segre_kit.cycles import (
     CycleTerm,
     GeneralizedCycle,
     MovingFactor,
+    Space,
     VarietyRef,
-    base_space,
     proj_space,
     term,
 )
@@ -31,7 +31,7 @@ DIAG3 = [["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]]
     (["x1", "x2^2", "x3"], 3, ["0", "0", "0", "2*[x1=x2=x3=0]"]),
 ])
 def test_tower_residue_every_level(entries, n, expected):
-    space = base_space(n)
+    space = Space(n)
     levels = tower_residue([parse_polynomial(s, n) for s in entries], space)
     assert [GeneralizedCycle(space, level, terms).describe()
             for level, terms in enumerate(levels)] == expected
