@@ -298,6 +298,8 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
         raise InputError("compute_Ma expects a 1x2 matrix (g1, g2)")
     cfg = cfg or RegConfig()
     n = g.nvars
+    if not n:
+        raise InputError("the spec has no variables: M^a needs x1 at least")
     base = Space(n)
     g1, g2 = g.entries[0]
     if g1.is_zero() and g2.is_zero():

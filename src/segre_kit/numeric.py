@@ -12,7 +12,11 @@ drawn once, cut after error block _BLOCKS // 2, and the calling thread
 samples and evaluates the first half while one worker does the second
 (numpy releases the GIL inside its loops); the caller joins the 16 block
 means in sample order.  A block mean is the mean of the same elementwise
-values as on one thread, each half reports its first failing sample and the
+values as on one thread: numpy computes a product with a temporary of at
+least 256 KiB in place, swapping a right-hand temporary to the left, and a
+complex a*b may differ from b*a in the last bit, so every complex product
+of a sample array with a temporary puts the temporary first, whatever the
+length of the array.  Each half reports its first failing sample and the
 join raises in sample order, so no result, warning or error depends on the
 split or on how the threads are scheduled.  Symbolic work (lifts, chart
 rows, derivatives) is done once per call, before the split; no thread
@@ -279,8 +283,14 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     base-b digits of i, most significant weight first.  Invariant: each
     point receives the same float additions in the same order, so the sums
     round the same.  With m the number of digits of n - 1 and i = hi * b^h
-    + lo, h = ceil(m / 2), the low digits' sums are tabulated per lo, a high
-    digit's term per hi, and the digits past m add one scalar."""
+    + lo, h = ceil(m / 2), the low digits' sums are tabulated per lo; the
+    first high digit's term per hi is added to the table into one work
+    array, shared by all bases, and every later high digit and every
+    nonzero digit past m is added to it in place, in that same order.
+    Base 2 is summed in int64, in units of 2^-53, and scaled once: its 53
+    weights are 2^-1 .. 2^-53, so every partial sum of its digit terms is a
+    multiple of 2^-53 below 1, a double, and the float additions are exact
+    as well; the digits past m then add one integer."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -289,22 +299,33 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
              for base in _primes(d)]
     for row in itertools.chain.from_iterable(perms):
         rng.shuffle(row)
-    u = np.empty((n, d))
+    # a table broadcast over the high digits has fewer than n + b^h < 2n
+    # entries: a high digit needs m >= 2, so b^h <= b^(m - 1) < n
+    u, work = np.empty((n, d)), np.empty(2 * n)
     for k, perm in enumerate(perms):
-        base = perm.shape[1]
+        base, exact = perm.shape[1], perm.shape[1] == 2
         m = next(e for e in itertools.count() if base ** e >= n)
-        h = (m + 1) // 2
-        lo, hi = np.arange(base ** h), np.arange(-(-n // base ** h))[:, None]
-        seq, b2r = np.zeros(base ** h), 1.0 / base
+        h, size = (m + 1) // 2, base ** ((m + 1) // 2)
+        lo, hi = np.arange(size), np.arange(-(-n // size))[:, None]
+        seq = np.zeros(size, dtype=np.int64 if exact else float)
+        w, scale, tail = (1 << 52, 2.0 ** -53, 0) if exact else \
+            (1.0 / base, 1.0, 0)
         for j, row in enumerate(perm):
             if j < h:
-                seq += row[lo // base ** j % base] * b2r
-            elif j < m:  # broadcasts the table over the high digits
-                seq = seq + row[hi // base ** (j - h) % base] * b2r
-            else:
-                seq += row[0] * b2r
-            b2r /= base
-        u[:, k] = seq.reshape(-1)[:n]
+                seq += row[lo // base ** j % base] * w
+            elif j == h < m:  # broadcasts the table over the high digits
+                seq = np.add(seq, row[hi % base] * w, out=work.view(
+                    seq.dtype)[:len(hi) * size].reshape(len(hi), size))
+            elif j < m:
+                seq += row[hi // base ** (j - h) % base] * w
+            elif exact:
+                tail += int(row[0]) * w
+            elif row[0]:
+                seq += row[0] * w
+            w = w >> 1 if exact else w / base
+        if tail:
+            seq += tail
+        np.multiply(seq.reshape(-1)[:n], scale, out=u[:, k])
     return u
 
 
@@ -314,7 +335,10 @@ def _disk_samples(u, coords):
     modulus is drawn as radius * t^power (power 1/2 is uniform; larger
     powers concentrate toward the center, with exact weights).  Returns
     (points, weights) with integral f dV = mean(f * weights).  A weight that
-    overflows would make every mass non-finite, so it is refused."""
+    overflows would make every mass non-finite, so it is refused.  The real
+    and imaginary parts of a point are rad * cos(ang) and rad * sin(ang),
+    each rounded once, written into z: the parts of rad * exp(i ang), whose
+    product with the real rad also rounds each part once."""
     import numpy as np
 
     z = np.empty((len(u), len(coords)), dtype=complex)
@@ -327,7 +351,8 @@ def _disk_samples(u, coords):
         t = u[:, 2 * j]
         rad = radius * t ** power
         ang = 2 * np.pi * u[:, 2 * j + 1]
-        z[:, j] = rad * np.exp(1j * ang)
+        np.multiply(rad, np.cos(ang), out=z[:, j].real)
+        np.multiply(rad, np.sin(ang, out=ang), out=z[:, j].imag)
         weight *= 2 * np.pi * power * area * t ** (2 * power - 1)
         if not np.all(np.isfinite(weight)):
             raise NumericalFailureError(
@@ -390,15 +415,21 @@ def _half_blocks(z, g2, density, weight, power, cfg: RegConfig):
     """One half's share of an epsilon table: the point of its first sample
     whose density is not finite (None if there is none), and per epsilon the
     means of eps/(g2+eps)^power * density * weight over its _BLOCKS // 2
-    whole blocks."""
+    whole blocks, the kernel formed left to right in place in one array."""
     import numpy as np
 
     bad = ~np.isfinite(density)
     size = cfg.samples // _BLOCKS
-    return (z[int(np.argmax(bad))].tolist() if np.any(bad) else None,
-            [(eps / (g2 + eps) ** power * density * weight)
-             [:_BLOCKS // 2 * size].reshape(_BLOCKS // 2, size).mean(axis=1)
-             for eps in cfg.epsilon_schedule])
+    means = []
+    for eps in cfg.epsilon_schedule:
+        kernel = g2 + eps
+        kernel **= power
+        np.divide(eps, kernel, out=kernel)
+        kernel *= density
+        kernel *= weight
+        means.append(kernel[:_BLOCKS // 2 * size]
+                     .reshape(_BLOCKS // 2, size).mean(axis=1))
+    return z[int(np.argmax(bad))].tolist() if np.any(bad) else None, means
 
 
 def _epsilon_table(first, second, cfg: RegConfig):
@@ -530,7 +561,8 @@ def _chart_hessians(n: int, rows, grads, z: np.ndarray):
         P += np.abs(z[:, a]) ** 2
     inv = 1.0 / P
     g2 = Q * inv
-    DQ = [sum(gr[a] * np.conj(v) for gr, v in zip(grads, vals) if a in gr)
+    # the temporary first (see the module docstring)
+    DQ = [sum(np.conj(v) * gr[a] for gr, v in zip(grads, vals) if a in gr)
           for a in range(N)]
     # P depends on the fiber coordinates u alone: with w_b = u_b / P,
     # d_a dbar_b log P = (delta_ab - conj(w_a) w_b) / P there, and every
@@ -540,7 +572,7 @@ def _chart_hessians(n: int, rows, grads, z: np.ndarray):
     Hlog = [[0.0] * N for _ in range(N)]
     for a in range(N):
         for b in range(a, N):  # both Hessians are Hermitian
-            h = sum(gr[a] * np.conj(gr[b]) for gr in grads
+            h = sum(np.conj(gr[b]) * gr[a] for gr in grads
                     if a in gr and b in gr) * inv
             if b >= n:
                 h = h - DQ[a] * w[b] * inv

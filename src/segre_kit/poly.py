@@ -245,7 +245,9 @@ class Polynomial:
             v = np.full(points.shape[0], complex(c))
             for j, e in enumerate(m):
                 if e:
-                    v = v * points[:, j] ** e
+                    # the temporary first: numpy computes a product with a
+                    # large temporary in place, as if it were on the left
+                    v = points[:, j] ** e * v
             acc += v
         return acc
 

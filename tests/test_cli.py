@@ -224,6 +224,14 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["mass", empty]) == 2
     assert capsys.readouterr().err == \
         "input error: the spec has no variables: a mass needs x1 at least\n"
+    # nor a signed current M^a
+    for engine in ("exact", "both"):
+        empty = write_spec(tmp_path, {"variables": [], "matrix": [["1", "2"]],
+                                      "engine": engine, "tasks": ["Ma"]},
+                           "empty_ma.json")
+        assert main(["run", empty]) == 2
+        assert capsys.readouterr().err == "input error: the spec has no " \
+            "variables: M^a needs x1 at least\n", engine
 
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
@@ -451,7 +459,7 @@ MASS_SPECS = {
                   "matrix": [["x1^2", "0", "0"], ["0", "x1", "0"],
                              ["0", "0", "x1^3"]],
                   "reg": {"seed": 12, "samples": 4096}},
-                 "07bf7b3a83c639ed5d265fce2c8da34515856294bbdacc1184ede2c600116b1f"),
+                 "30b19cf9f2ffc27f84b4d871292ae996e82280aa119c653da1946ec8248b1390"),
     "eps_table": ({"variables": ["x1", "x2"],
                    "matrix": [["x1^2 - 3/4*x2^3", "x2^2"]],
                    "reg": {"seed": 13, "samples": 4096}},

@@ -491,6 +491,8 @@ def test_Ma_input_validation():
 MA_REFUSALS = [
     ([["0", "0"], ["0", "0"]], 3, InputError,
      "compute_Ma expects a 1x2 matrix (g1, g2)"),
+    ([["0", "0"]], 0, InputError,
+     "the spec has no variables: M^a needs x1 at least"),
     ([["0", "0"]], 3, InputError, "compute_Ma needs (g1, g2) not both zero"),
     ([["x1 + x2", "0"]], 3, UnsupportedInputError,
      "single-entry quotient supported for monomial entries only"),

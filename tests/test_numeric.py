@@ -128,7 +128,7 @@ def _chart_samples_reference(cfg, ncomplex, power=2.0):
 
 @pytest.mark.parametrize("radius", [1.0, 0.7, 0.614])
 @pytest.mark.parametrize("ncomplex", [1, 2, 3])
-@pytest.mark.parametrize("samples", [16, 1000, 4096])
+@pytest.mark.parametrize("samples", [16, 1000, 4096, 40000])
 def test_disk_samples_match_chart_reference(radius, ncomplex, samples):
     cfg = RegConfig(samples=samples, seed=11 * samples + ncomplex, radius=radius)
     z, w = _draw(cfg, [(radius, 2.0)] + [(1.0, 0.5)] * (ncomplex - 1))
@@ -140,9 +140,11 @@ def test_disk_samples_match_chart_reference(radius, ncomplex, samples):
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
 def test_halton_matches_scipy(d, seed):
     qmc = pytest.importorskip("scipy.stats.qmc")
-    # the sizes around powers of 2 and 3 move the split between tabulated
-    # low digits and broadcast high digits
-    for n in (16, 17, 243, 244, 1000, 1024, 1025, 6561, 6562, 40000):
+    # the sizes around powers of 2, 3, 5 and 7 move the split between
+    # tabulated low digits and broadcast high digits; below n = 3 no base
+    # has a high digit, and at n = 3 only base 2
+    for n in (1, 2, 3, 16, 17, 125, 126, 243, 244, 343, 344, 1000, 1024,
+              1025, 6561, 6562, 40000, 40007):
         ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
         assert np.array_equal(_halton(d, n, seed), ref), n
 
@@ -1019,7 +1021,11 @@ SPLIT_MATRICES = [
 ]
 
 
-@pytest.mark.parametrize("samples", [16, 17, 1000, 4099, 40000])
+# at 16,384 samples and more a whole draw's complex temporaries reach the
+# 256 KiB where numpy computes a product in place, into its temporary; from
+# 32,768 on, a half's do too
+@pytest.mark.parametrize("samples", [16, 17, 1000, 4099, 24000, 30000, 32768,
+                                     40000])
 def test_two_halves_change_no_bit(samples):
     cfg = RegConfig(samples=samples, seed=samples + 5)
     for texts, n, ks in SPLIT_TUPLES:
