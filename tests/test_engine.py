@@ -491,8 +491,6 @@ def test_Ma_input_validation():
 MA_REFUSALS = [
     ([["0", "0"], ["0", "0"]], 3, InputError,
      "compute_Ma expects a 1x2 matrix (g1, g2)"),
-    ([["0", "0"]], 0, InputError,
-     "the spec has no variables: M^a needs x1 at least"),
     ([["0", "0"]], 3, InputError, "compute_Ma needs (g1, g2) not both zero"),
     ([["x1 + x2", "0"]], 3, UnsupportedInputError,
      "single-entry quotient supported for monomial entries only"),
@@ -513,6 +511,19 @@ def test_Ma_refusals_keep_their_messages_and_order(rows, n, error, message):
     with pytest.raises(error) as info:
         compute_Ma(mat(rows, n), cfg=CFG)
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_Ma_refuses_a_spec_without_variables():
+    # after the shape check, before the not-both-zero check
+    with pytest.raises(InputError) as info:
+        compute_Ma(mat([["0", "0"], ["0", "0"]], 0), cfg=CFG)
+    assert str(info.value) == "compute_Ma expects a 1x2 matrix (g1, g2)"
+    for rows in ([["0", "0"]], [["1", "2"]]):
+        with pytest.raises(InputError) as info:
+            compute_Ma(mat(rows, 0), cfg=CFG)
+        assert type(info.value) is InputError
+        assert str(info.value) == (
+            "the spec has no variables: M^a needs x1 at least")
 
 
 @pytest.mark.parametrize("rows, n, currents", [
