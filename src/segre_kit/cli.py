@@ -1,5 +1,5 @@
-"""Batch front end: parse a morphism spec file, run the requested engines,
-emit a JSON report, and run the built-in golden verification suite.
+"""Batch front end: parse a morphism spec file, run the requested engines
+and emit a JSON report; ``golden`` reports the checks of segre_kit.golden.
 
 Exit codes: 0 all checks pass, 1 golden/verify mismatch, 2 parse error or
 an unwritable --out, 3 structure unsupported by the exact engine, 4 undecided
@@ -12,22 +12,13 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
-import time
 from dataclasses import dataclass, fields, replace
 from json.encoder import INFINITY, encode_basestring_ascii
-from typing import List, Optional
+from typing import Optional
 
 from segre_kit import __version__
-from segre_kit.cycles import (
-    GeneralizedCycle,
-    MovingFactor,
-    VarietyRef,
-    _term_sum,
-    fixed_moving_split,
-    multiplicity_at,
-)
+from segre_kit.cycles import GeneralizedCycle, _term_sum
 from segre_kit.engine import (
     _distinguished_records,
     compute_Ma,
@@ -42,22 +33,19 @@ from segre_kit.errors import (
     UndecidedError,
     UnsupportedInputError,
 )
+from segre_kit.golden import golden_suite
 from segre_kit.numeric import (
     RegConfig,
     crofton_moving_multiplicity,
     epsilon_mass,
     mass_balance_check,
-    perturbation_root_count,
 )
 from segre_kit.poly import (
     PolyMatrix,
-    Polynomial,
-    _parse_terms,
     determinant,
-    parse_polynomial,
+    parse_matrix,
+    parse_scalar_text,
 )
-from segre_kit.scalars import Scalar
-from segre_kit.tower import _divisor_terms
 
 ALL_TASKS = ("Mg", "segre", "distinguished", "Ma", "singular_metrics", "verify")
 EXACT_TASKS = ("Mg", "segre", "distinguished", "singular_metrics")
@@ -83,13 +71,6 @@ class MorphismSpec:
     raw: dict
 
 
-def parse_scalar_text(text: str) -> Scalar:
-    """Exact coordinate syntax: 'a/b', 'i', '-2', '(1+2*i)': the sum of the
-    terms of constant polynomial text, with no Polynomial built."""
-    (_, first), *rest = _parse_terms(str(text), 0, {})
-    return sum((c for _, c in rest), first)
-
-
 def load_spec(data: dict) -> MorphismSpec:
     try:
         variables = data["variables"]
@@ -108,7 +89,7 @@ def load_spec(data: dict) -> MorphismSpec:
             isinstance(row, list) and all(isinstance(cell, str) for cell in row)
             for row in rows):
         raise ParseError("'matrix' must be a list of rows of polynomial strings")
-    matrix = PolyMatrix([[parse_polynomial(cell, n) for cell in row] for row in rows])
+    matrix = parse_matrix(rows, n)
     engine = data.get("engine", "exact")
     if engine not in ("exact", "both"):
         raise ParseError(f"unknown engine {engine!r}")
@@ -159,16 +140,6 @@ def read_spec_file(path: str) -> MorphismSpec:
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _check(name, expected, got) -> dict:
-    return {"name": name, "expected": expected, "got": got,
-            "pass": expected == got}
-
-
-def _approx_check(name, expected, got, tol) -> dict:
-    return {"name": name, "expected": expected, "got": got,
-            "pass": abs(expected - got) < tol}
-
-
 def _report(input, results, checks, seed) -> dict:
     return {"input": input, "results": results, "checks": checks,
             "versions": {"segre_kit": __version__,
@@ -208,8 +179,7 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
             res, reports if reports is not None else segre_reports(), spec.reg)
 
     if "verify" in spec.tasks:
-        golden = golden_suite(skip_numeric=skip_numeric, reg=spec.reg)
-        checks.extend(golden["checks"])
+        checks.extend(golden_suite(skip_numeric, spec.reg)[0])
     return _report(spec.raw, results, checks, spec.reg.seed)
 
 
@@ -237,242 +207,6 @@ def _numeric_multiplicity(cyc: GeneralizedCycle, point, cfg) -> Optional[int]:
             list(t.moving), t.fixed, point, cfg))
     except (UndecidedError, NumericalFailureError, InputError):
         return None
-
-
-# ---------------------------------------------------------------------------
-# golden fixtures
-# ---------------------------------------------------------------------------
-
-def _mat(rows, n) -> PolyMatrix:
-    return PolyMatrix([[parse_polynomial(s, n) for s in row] for row in rows])
-
-
-def _grid(n: int):
-    from itertools import product
-
-    return [pt for pt in product([0, 1, -1, 2], repeat=n)]
-
-
-def _fixed_part_map(cyc: GeneralizedCycle) -> list:
-    fixed, _ = fixed_moving_split(cyc)
-    return sorted([t.fixed.describe(cyc.space), str(t.coefficient)]
-                  for t in fixed.terms)
-
-
-def _random_diag_monomial(rng: random.Random, n_max=3, r_max=3, exp_max=3):
-    """A random permuted-diagonal monomial matrix whose gcd-reduced entries
-    are pairwise coprime (the exact engine's diagonal class)."""
-    n = rng.randint(1, n_max)
-    r = rng.randint(1, r_max)
-    # pairwise-coprime reduced parts: each variable belongs to one slot
-    owners = [rng.randint(-1, r - 1) for _ in range(n)]
-    common = [rng.randint(0, 1) for _ in range(n)]
-    entries = []
-    for slot in range(r):
-        exps = [0] * n
-        for v in range(n):
-            if owners[v] == slot:
-                exps[v] = rng.randint(0, exp_max - common[v])
-            exps[v] += common[v]
-        entries.append(Polynomial.monomial(n, exps, rng.randint(1, 3)))
-    perm_r, perm_c = rng.sample(range(r), r), rng.sample(range(r), r)
-    z = Polynomial.zero(n)
-    rows = [[z] * r for _ in range(r)]
-    for i in range(r):
-        rows[perm_r[i]][perm_c[i]] = entries[i]
-    return PolyMatrix(rows)
-
-
-def golden_suite(skip_numeric: bool = False,
-                 reg: Optional[RegConfig] = None) -> dict:
-    """Run every golden fixture plus the property suites; returns a report."""
-    t_start = time.perf_counter()
-    reg = reg or RegConfig()
-    checks: List[dict] = []
-
-    def disting(res):
-        """Distinguished varieties of ``res`` as sorted [variety, coefficient]."""
-        return sorted([t.describe(res.M[0].space), int(c)]
-                      for t, c, _k in res.distinguished)
-
-    # --- the diagonal axes pair diag(x1, x2) ------------------------------------------------
-    g_diag2 = _mat([["x1", "0"], ["0", "x2"]], 2)
-    res_diag2 = compute_Mg(g_diag2)
-    checks.append(_check("diag2.M1", "[x1=0] + [x2=0]", res_diag2.M[1].describe()))
-    checks.append(_check("diag2.M2", "[x1=x2=0]", res_diag2.M[2].describe()))
-    checks.append(_check("diag2.ring2",
-                         "[x1=a2=0] + [x1=x2=0] + [x2=a1=0]",
-                         res_diag2.ring_M[2].describe()))
-    checks.append(_check("diag2.segre_origin", [0, 2, 1],
-                         segre_numbers(res_diag2, [0, 0]).numbers))
-
-    # --- diag(x^2, x) over C^1 ----------------------------------------------
-    g_pow = _mat([["x1^2", "0"], ["0", "x1"]], 1)
-    res_pow = compute_Mg(g_pow)
-    checks.append(_check("diagpow.M1", "3*[x1=0]", res_pow.M[1].describe()))
-    checks.append(_check("diagpow.ring1", "[x1=0]", res_pow.ring_M[1].describe()))
-    checks.append(_check("diagpow.ring2", "2*[x1=a2=0]",
-                         res_pow.ring_M[2].describe()))
-
-    # --- the moving-term row [x1 x2] ------------------------------------------------------
-    g_s1 = _mat([["x1", "x2"]], 2)
-    res_s1 = compute_Mg(g_s1)
-    checks.append(_check("row2.M0", "X", res_s1.M[0].describe()))
-    checks.append(_check("row2.M1", "X ^ <dd^c log(|x1|^2 + |x2|^2)>",
-                         res_s1.M[1].describe()))
-    checks.append(_check("row2.M2", "0", res_s1.M[2].describe()))
-    checks.append(_check("row2.mult", [[1, 1, 0], [1, 0, 0], [1, 0, 0]],
-                         [segre_numbers(res_s1, pt).numbers
-                          for pt in ([0, 0], [1, 0], [0, 1])]))
-    res_s1_alt = compute_Mg(g_s1, fiber_metric_weights=(1, 2))
-    checks.append(_check("row2.alt_metric",
-                         "X ^ <dd^c log(2*|x1|^2 + |x2|^2)>",
-                         res_s1_alt.M[1].describe()))
-
-    # --- the common-factor diagonal diag(x1x3, x2x3, x3^2) --------------------------------------
-    g_s2 = _mat([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3)
-    res_s2 = compute_Mg(g_s2)
-    checks.append(_check("gcd_diag3.ring1", "[x3=0]", res_s2.ring_M[1].describe()))
-    checks.append(_check("gcd_diag3.ring2",
-                         "[x3=0] ^ <dd^c log(|x1*a1|^2 + |x2*a2|^2)>",
-                         res_s2.ring_M[2].describe()))
-    checks.append(_check(
-        "gcd_diag3.ring3",
-        "[x1=a2=a3=0] + [x1=x2=a3=0] + 2*[x1=x2=x3=0] + 2*[x1=x3=a2=0] "
-        "+ [x2=a1=a3=0] + 2*[x2=x3=a1=0] + 2*[x3=a1=a2=0]",
-        res_s2.ring_M[3].describe()))
-    m2_on_x3 = [t for t in res_s2.M[2].terms
-                if t.moving and t.fixed.base_zeros == {2}]
-    checks.append(_check("gcd_diag3.M2_x3_term", True,
-                         len(m2_on_x3) == 1 and m2_on_x3[0].coefficient > 0))
-    space3 = res_s2.M[1].space
-    div_s2 = GeneralizedCycle(space3, 1,
-                              _divisor_terms(space3, determinant(g_s2)))
-    checks.append(_check("gcd_diag3.det_law", _fixed_part_map(div_s2),
-                         _fixed_part_map(res_s2.M[1])))
-
-    # --- paragraph-10 contrast pair -------------------------------------------
-    g_ideal = _mat([["x1*x2", "0"], ["0", "1"]], 2)
-    res_ideal = compute_Mg(g_ideal)
-    checks.append(_check("sheaf.diag_x1x2_1.M1", "[x1=0] + [x2=0]",
-                         res_ideal.M[1].describe()))
-    checks.append(_check("sheaf.diag_x1x2_1.M2", "0", res_ideal.M[2].describe()))
-    checks.append(_check("sheaf.contrast.distinguished",
-                         [["[x1=0]", 1], ["[x2=0]", 1]], disting(res_ideal)))
-    disting_diag2 = disting(res_diag2)
-    checks.append(_check("sheaf.diag2.distinguished",
-                         [["[x1=0]", 1], ["[x1=x2=0]", 1], ["[x2=0]", 1]],
-                         disting_diag2))
-
-    # --- direct-sum invariance --------------------------------------------------
-    g_dsum = _mat([["x1", "0", "0"], ["0", "x2", "0"], ["0", "0", "1"]], 2)
-    res_dsum = compute_Mg(g_dsum)
-    grid2 = _grid(2)
-    checks.append(_check(
-        "dsum.segre_grid", True,
-        all(segre_numbers(res_diag2, pt).numbers
-            == segre_numbers(res_dsum, pt).numbers
-            for pt in grid2)))
-    checks.append(_check("dsum.distinguished", disting_diag2,
-                         disting(res_dsum)))
-
-    # --- comparability: permutation / scalar rescaling ----------------------------
-    g_cmp = _mat([["0", "2*x2"], ["(1+1*i)*x1", "0"]], 2)
-    res_cmp = compute_Mg(g_cmp)
-    checks.append(_check(
-        "comparability.grid", True,
-        all(segre_numbers(res_diag2, pt).numbers
-            == segre_numbers(res_cmp, pt).numbers
-            for pt in grid2)))
-
-    # --- determinant law on random diagonal matrices -----------------------------
-    rng = random.Random(reg.seed)
-    det_ok, det_total = 0, 0
-    while det_total < 50:
-        g_rand = _random_diag_monomial(rng)
-        det = determinant(g_rand)
-        if det.is_zero() or det.is_constant():
-            continue
-        det_total += 1
-        res_rand = compute_Mg(g_rand)
-        space = res_rand.M[1].space
-        div = GeneralizedCycle(space, 1, _divisor_terms(space, det))
-        if _fixed_part_map(res_rand.M[1]) == _fixed_part_map(div):
-            det_ok += 1
-    checks.append(_check("determinant_law.random50", 50, det_ok))
-
-    # --- non-negativity and stratum properties over the corpus ---------------------
-    corpus = [(g_diag2, res_diag2), (g_pow, res_pow), (g_s1, res_s1),
-              (g_s2, res_s2), (g_ideal, res_ideal), (g_dsum, res_dsum)]
-    nonneg = True
-    stratum = True
-    for g, res in corpus:
-        moving_parts = [fixed_moving_split(cyc)[1] for cyc in res.M]
-        for pt in _grid(g.nvars):
-            for k, (cyc, moving) in enumerate(zip(res.M, moving_parts)):
-                mult = multiplicity_at(cyc, pt)
-                if mult < 0:
-                    nonneg = False
-                if not moving.is_zero() and multiplicity_at(moving, pt) != 0:
-                    vanishing = sum(1 for c in pt if c == 0)
-                    if vanishing < k + 1:
-                        stratum = False
-    checks.append(_check("property.nonnegative_multiplicities", True, nonneg))
-    checks.append(_check("property.moving_stratum", True, stratum))
-
-    # --- M^a fixtures and numeric cross-checks ------------------------------------
-    if not skip_numeric:
-        ma1 = compute_Ma(_mat([["x1", "x2"]], 2), cfg=reg)
-        checks.append(_check("quotient.Ma(x1,x2).deg2", "-1*[point (0, 0)]",
-                             ma1[2].describe()))
-        checks.append(_check("quotient.Ma(x1,x2).mult", -1,
-                             multiplicity_at(ma1[2], [0, 0])))
-        ma2 = compute_Ma(_mat([["x1^2", "x2"]], 2), cfg=reg)
-        checks.append(_check("quotient.Ma(x1^2,x2).deg2", "-2*[point (0, 0)]",
-                             ma2[2].describe()))
-        ma3 = compute_Ma(_mat([["x1", "x1"]], 2), cfg=reg)
-        checks.append(_check("quotient.Ma(x1,x1)", ["0", "[x1=0]", "0"],
-                             [c.describe() for c in ma3]))
-
-        crofton_vals = []
-        factor = MovingFactor((parse_polynomial("x1", 2),
-                               parse_polynomial("x2", 2)), 1)
-        for pt in ([0, 0], [1, 0], [0, 1]):
-            crofton_vals.append(crofton_moving_multiplicity(
-                [factor], VarietyRef.whole_space(), pt, reg))
-        checks.append(_check("row2.crofton_cross", [1, 0, 0], crofton_vals))
-
-        mb = mass_balance_check(g_pow, reg)
-        checks.append(_check("mass_balance.diagpow.det", 3, mb.det_count))
-        checks.append(_approx_check("mass_balance.diagpow.mass", 3.0,
-                                    mb.numeric_mass, 0.1))
-
-        for label, polys, expected in (
-                ("x1,x2", ["x1", "x2"], 1),
-                ("x1^2,x2", ["x1^2", "x2"], 2),
-                ("x1^2-x2^3,x1x2", ["x1^2 - x2^3", "x1*x2"], 5)):
-            pair = tuple(parse_polynomial(s, 2) for s in polys)
-            count = perturbation_root_count(pair)
-            (est,) = epsilon_mass(pair, [2], reg)
-            checks.append(_check(f"br.{label}.count", expected, count))
-            agree = abs(est.value - count) < 0.05 * max(count, 1) and \
-                round(est.value) == count
-            checks.append(_check(f"br.{label}.mass_agrees", True, agree))
-
-        (est1,) = epsilon_mass([parse_polynomial("x1^3", 1)], [1], reg)
-        (est2,) = epsilon_mass([parse_polynomial("x1^3", 1)], [1], reg)
-        checks.append(_check("epsmass.x3.seed_deterministic", True,
-                             est1.value == est2.value
-                             and est1.per_epsilon == est2.per_epsilon))
-        checks.append(_approx_check("epsmass.x3.converges", 3.0, est1.value,
-                                    0.02 * 3.0))
-
-    elapsed = time.perf_counter() - t_start
-    budget = 10.0 if skip_numeric else 300.0
-    checks.append(_check("runtime_budget_seconds", True, elapsed < budget))
-
-    return _report({"suite": "golden", "skip_numeric": skip_numeric},
-                   {"elapsed_seconds": round(elapsed, 2)}, checks, reg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +355,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "golden":
-            report = golden_suite(skip_numeric=args.skip_numeric,
-                                  reg=_flag_reg(RegConfig(), args))
+            reg = _flag_reg(RegConfig(), args)
+            checks, elapsed = golden_suite(args.skip_numeric, reg)
+            report = _report(
+                {"suite": "golden", "skip_numeric": args.skip_numeric},
+                {"elapsed_seconds": round(elapsed, 2)}, checks, reg.seed)
         else:
             spec = read_spec_file(args.spec)
             spec.reg = _flag_reg(spec.reg, args)

@@ -440,12 +440,6 @@ class GeneralizedCycle:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "GeneralizedCycle") -> "GeneralizedCycle":
-        if other.space != self.space or other.degree != self.degree:
-            raise InputError("cannot add cycles of different space or degree")
-        return GeneralizedCycle(self.space, self.degree,
-                                list(self.terms) + list(other.terms))
-
     def scale(self, c) -> "GeneralizedCycle":
         c = _rational(c)
         if not c:
@@ -461,10 +455,6 @@ class GeneralizedCycle:
                 and self.degree == other.degree
                 and [(t.key(), t.coefficient) for t in self.terms]
                 == [(t.key(), t.coefficient) for t in other.terms])
-
-    def __hash__(self):
-        return hash((self.space, self.degree,
-                     tuple((t.key(), t.coefficient) for t in self.terms)))
 
     def describe(self) -> str:
         if self.is_zero():

@@ -63,6 +63,7 @@ from segre_kit.scalars import Scalar
 
 DEFAULT_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 _BLOCKS = 16  # sample blocks behind every error estimate
+_MAX_SAMPLES = 2 ** 22  # a 3x3 mass balance over x1 then takes about 3.6 GB
 
 
 def _is_int(x) -> bool:
@@ -109,6 +110,8 @@ class RegConfig:
             raise InputError("extrapolation order must be a positive number")
         if not _is_int(self.samples) or self.samples < _BLOCKS:
             raise InputError(f"samples must be an integer >= {_BLOCKS}")
+        if self.samples > _MAX_SAMPLES:
+            raise InputError(f"samples must be at most {_MAX_SAMPLES}")
         if not _is_int(self.seed) or self.seed < 0:
             raise InputError("seed must be a non-negative integer")
         object.__setattr__(self, "epsilon_schedule", sched)

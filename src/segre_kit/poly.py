@@ -424,6 +424,19 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         text, nvars, {f"x{j + 1}": j for j in range(nvars)}))
 
 
+def parse_matrix(rows, nvars: int) -> "PolyMatrix":
+    """``rows`` of polynomial text over x1..xn, n = ``nvars``, as a PolyMatrix."""
+    return PolyMatrix([[parse_polynomial(cell, nvars) for cell in row]
+                       for row in rows])
+
+
+def parse_scalar_text(text: str) -> Scalar:
+    """Exact coordinate syntax: 'a/b', 'i', '-2', '(1+2*i)': the sum of the
+    terms of constant polynomial text, with no Polynomial built."""
+    (_, first), *rest = _parse_terms(str(text), 0, {})
+    return sum((c for _, c in rest), first)
+
+
 def _parse_terms(text: str, nvars: int, names: dict) -> list:
     """The (exponents, coefficient) pair of each term of the whole text."""
     parser = _Parser(_tokenize(text), nvars)
@@ -463,12 +476,6 @@ class PolyMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(p) for p in row)

@@ -102,13 +102,6 @@ class Scalar:
         return _fill(_new(Scalar), (self.a * o.a + self.b * o.b) * o.d,
                      (self.b * o.a - self.a * o.b) * o.d, self.d * n)
 
-    def conjugate(self) -> "Scalar":
-        return _fill(_new(Scalar), self.a, -self.b, self.d)
-
-    def norm_sq(self) -> Fraction:
-        """Exact |z|^2, a non-negative rational."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     # -- predicates / conversions ---------------------------------------
 
     def is_zero(self) -> bool:

@@ -9,14 +9,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from segre_kit.cli import (
-    _json_text,
-    load_spec,
-    main,
-    parse_scalar_text,
-    run_spec,
-)
+from segre_kit.cli import _json_text, load_spec, main, run_spec
 from segre_kit.errors import ParseError
+from segre_kit.numeric import RegConfig
+from segre_kit.poly import parse_scalar_text
 from segre_kit.scalars import Scalar
 
 DIAG2_SPEC = {
@@ -233,6 +229,30 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == "input error: the spec has no " \
             "variables: M^a needs x1 at least\n", engine
 
+    # the exact tower's refusals of a non-monomial hypersurface and of a
+    # non-monomial column
+    for matrix, message in (
+            ([["x1 + x2^2"]], "divisor of a non-monomial base polynomial is "
+                              "outside the exact tower"),
+            ([["x1 + x2"], ["x2"]], "exact tower needs scalar*monomial "
+                                    "entries for tuples of length >= 2")):
+        path = write_spec(tmp_path, {"variables": ["x1", "x2"],
+                                     "matrix": matrix}, "tower.json")
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err == f"unsupported input: {message}\n"
+
+    # a sample count past 2^22, from the spec or from the flag, is refused
+    # before any array is allocated
+    big = write_spec(tmp_path, {"variables": ["x1"],
+                                "matrix": [["x1^2", "0"], ["0", "x1"]],
+                                "reg": {"samples": 10 ** 17}}, "big.json")
+    for argv in (["mass", big], ["run", ok, "--samples", str(10 ** 30)],
+                 ["golden", "--samples", str(10 ** 17)],
+                 ["mass", ok, "--samples", str(2 ** 22 + 1)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == \
+            "input error: samples must be at most 4194304\n", argv
+
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     assert main(["run", str(broken)]) == 2
@@ -418,18 +438,18 @@ def test_undecided_exit_code(tmp_path, capsys):
 
 def test_golden_detects_corruption(monkeypatch):
     # a corrupted fixture must fail with a readable diff and exit code 1
-    import segre_kit.cli as cli
+    import segre_kit.golden as golden
 
-    real_check = cli._check
+    real_check = golden._check
 
     def corrupt(name, expected, got):
         if name == "diag2.M1":
             return real_check(name, expected, "[x1=0]")
         return real_check(name, expected, got)
 
-    monkeypatch.setattr(cli, "_check", corrupt)
-    report = cli.golden_suite(skip_numeric=True)
-    bad = [c for c in report["checks"] if not c["pass"]]
+    monkeypatch.setattr(golden, "_check", corrupt)
+    checks, _ = golden.golden_suite(True, RegConfig())
+    bad = [c for c in checks if not c["pass"]]
     assert len(bad) == 1 and bad[0]["name"] == "diag2.M1"
     assert bad[0]["expected"] != bad[0]["got"]
 
@@ -636,15 +656,16 @@ def test_verify_task_populates_checks():
 
 def test_exit_code_one_on_check_failure(tmp_path, monkeypatch):
     import segre_kit.cli as cli
+    import segre_kit.golden as golden
 
-    real_check = cli._check
+    real_check = golden._check
 
     def corrupt(name, expected, got):
         if name == "diag2.M1":
             return real_check(name, expected, "[x1=0]")
         return real_check(name, expected, got)
 
-    monkeypatch.setattr(cli, "_check", corrupt)
+    monkeypatch.setattr(golden, "_check", corrupt)
     assert cli.main(["golden", "--skip-numeric",
                      "--out", str(tmp_path / "g.json")]) == 1
 

@@ -5,23 +5,24 @@ import json
 
 import pytest
 
-from segre_kit.cli import golden_suite
+from segre_kit.golden import golden_suite
+from segre_kit.numeric import RegConfig
 
 COUNTS = {"skip_numeric": 28, "full": 43}
-REPORTS = {mode: golden_suite(skip_numeric=mode == "skip_numeric")
-           for mode in COUNTS}
+CHECKS = {mode: golden_suite(mode == "skip_numeric", RegConfig())[0]
+          for mode in COUNTS}
 
 
 @pytest.mark.parametrize("mode", COUNTS)
 def test_golden_report(mode):
-    report = REPORTS[mode]
-    assert len(report["checks"]) == COUNTS[mode]
-    assert json.loads(json.dumps(report)) == report
+    checks = CHECKS[mode]
+    assert len(checks) == COUNTS[mode]
+    assert json.loads(json.dumps(checks)) == checks
 
 
 @pytest.mark.parametrize("check", [
     pytest.param(c, id=f"{mode}:{c['name']}")
-    for mode in COUNTS for c in REPORTS[mode]["checks"]])
+    for mode in COUNTS for c in CHECKS[mode]])
 def test_golden_check(check):
     assert check["pass"], \
         f"expected {check['expected']!r}, got {check['got']!r}"

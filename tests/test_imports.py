@@ -1,6 +1,7 @@
 """Every name a segre_kit module imports is referenced in that module,
 every private module-level helper is referenced somewhere in the package and
-every public one there or in the package's ``__all__`` (no linter runs on
+every public one, and every public method of a module-level class, there or
+in the package's ``__all__`` (no linter runs on
 the package, and deletions tend to leave strays behind), no
 function body imports a segre_kit module (the package's imports form no
 cycle), numeric imports no private name from cycles, the third-party modules the package imports are exactly its declared
@@ -99,13 +100,21 @@ def test_nested_package_import_is_caught():
 
 def unreferenced_names(sources, public=False, exported=()):
     """``module:name`` for each module-level function or class, private
-    (leading underscore) or, with ``public``, public, that no source in
-    ``sources`` (a dict of module name to text) mentions outside the lines
-    of its own definition and that ``exported`` does not list."""
+    (leading underscore) or, with ``public``, public, and with ``public``
+    also ``module:Class.name`` for each public function or class in the
+    body of a module-level class, that no source in ``sources`` (a dict of
+    module name to text)
+    mentions outside the lines of its own definition and that ``exported``
+    does not list."""
     found = []
     for module, source in sources.items():
         lines = source.splitlines()
-        for node in ast.parse(source).body:
+        body = ast.parse(source).body
+        nodes = [(node, "") for node in body]
+        if public:
+            nodes += [(node, f"{cls.name}.") for cls in body
+                      if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for node, owner in nodes:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
                     node.name.startswith("_") == public or node.name in exported:
                 continue
@@ -114,7 +123,7 @@ def unreferenced_names(sources, public=False, exported=()):
             others = [text for name, text in sources.items() if name != module]
             word = re.compile(rf"\b{re.escape(node.name)}\b")
             if not any(word.search(text) for text in ["\n".join(rest), *others]):
-                found.append(f"{module}:{node.name}")
+                found.append(f"{module}:{owner}{node.name}")
     return found
 
 
@@ -154,6 +163,20 @@ def test_unreferenced_public_name_is_caught():
                "b.py": "from a import Used\n"}
     exported = exported_names("__all__ = ['api']\n")
     assert unreferenced_names(sources, True, exported) == ["a.py:orphan"]
+
+
+def test_unreferenced_public_method_is_caught():
+    # a method that only tests call is caught; private and dunder methods,
+    # and methods of nested classes, are not checked
+    sources = {"a.py": ("class Used:\n"
+                        "    def orphan(self):\n        return self.orphan()\n\n"
+                        "    def called(self):\n        pass\n\n"
+                        "    def __eq__(self, other):\n        return True\n\n"
+                        "    def _helper(self):\n        pass\n\n"
+                        "    class Inner:\n        def deep(self):\n"
+                        "            pass\n"),
+               "b.py": "from a import Used\nUsed().called()\nUsed.Inner\n"}
+    assert unreferenced_names(sources, True) == ["a.py:Used.orphan"]
 
 
 def _is_n(node) -> bool:

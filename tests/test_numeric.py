@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from segre_kit.cli import _grid, _numeric_multiplicity, _random_diag_monomial
+from segre_kit.cli import _numeric_multiplicity
 from segre_kit.cycles import MovingFactor, VarietyRef, multiplicity_at
 from segre_kit import numeric, poly
 from segre_kit.engine import compute_Ma, compute_Mg
@@ -23,6 +23,7 @@ from segre_kit.errors import (
     NumericalFailureError,
     UndecidedError,
 )
+from segre_kit.golden import _grid, _random_diag_monomial
 from segre_kit.numeric import (
     _BLOCKS,
     MassBalanceResult,
@@ -48,6 +49,7 @@ from segre_kit.poly import (
     PolyMatrix,
     determinant,
     disk_root_count,
+    parse_matrix,
     parse_polynomial,
     resultant,
     strip_common_factor,
@@ -57,10 +59,6 @@ from segre_kit.scalars import Scalar
 
 def p(text, n=2):
     return parse_polynomial(text, n)
-
-
-def mat(rows, n):
-    return PolyMatrix([[parse_polynomial(s, n) for s in row] for row in rows])
 
 
 CFG = RegConfig(samples=30000)
@@ -86,6 +84,12 @@ def test_regconfig_validation():
         with pytest.raises(InputError):
             RegConfig(**bad)
     assert RegConfig(samples=16, seed=0, radius=0.5).samples == 16
+    # 2^22 samples at most, a bound checked before any array is allocated
+    assert RegConfig(samples=2 ** 22).samples == 2 ** 22
+    for bad in (2 ** 22 + 1, 10 ** 17, 10 ** 30):
+        with pytest.raises(InputError) as info:
+            RegConfig(samples=bad)
+        assert str(info.value) == "samples must be at most 4194304"
     cfg = RegConfig(epsilon_schedule=(1e-1, 1e-2), extrapolation="NONE")
     assert cfg.epsilon_schedule == (1e-1, 1e-2)
     # a schedule is a list or tuple of numbers, or of their text (the
@@ -300,7 +304,8 @@ def test_general_row_of_degree_40_needs_no_resultant(monkeypatch):
 
     monkeypatch.setattr(poly, "resultant", counting)
     monkeypatch.setattr(numeric, "resultant", counting)
-    ma = compute_Ma(mat([["x1^40 - 3*x2^41", "x1*x2^40"]], 2), cfg=CFG)
+    ma = compute_Ma(parse_matrix([["x1^40 - 3*x2^41", "x1*x2^40"]], 2),
+                    cfg=CFG)
     assert ma[2].describe() == "-1641*[point (0, 0)]"
     assert calls == []
 
@@ -533,7 +538,7 @@ def test_crofton_order_is_exact():
     # reduced arguments (2 x1, 8 x2^2) give a generic slice of order 1 at 0;
     # the order is exact, so no seed may leave it undecided (which would
     # drop the row from a comparison block)
-    M1 = compute_Mg(mat([["2*x1^2", "8*x1*x2^2"]], 2)).M[1]
+    M1 = compute_Mg(parse_matrix([["2*x1^2", "8*x1*x2^2"]], 2)).M[1]
     (term,) = [t for t in M1.terms if t.moving]
     assert multiplicity_at(M1, [0, 0]) == 2
     for seed in range(50):
@@ -566,7 +571,8 @@ def _has_common_factor(g):
                                     for i, j in g.nonzero_positions()])[0])
 
 
-@given(coprime_monomial_rows().map(lambda row_n: mat([row_n[0]], row_n[1]))
+@given(coprime_monomial_rows().map(
+           lambda row_n: parse_matrix([row_n[0]], row_n[1]))
        | st.integers(0, 2 ** 16).map(
            lambda seed: _random_diag_monomial(random.Random(seed))).filter(
            _has_common_factor))
@@ -631,21 +637,23 @@ def test_crofton_undecided():
 # ---------------------------------------------------------------------------
 
 def test_mass_balance_examples():
-    res = mass_balance_check(mat([["x1^2", "0"], ["0", "x1"]], 1), CFG)
+    res = mass_balance_check(parse_matrix([["x1^2", "0"], ["0", "x1"]], 1),
+                             CFG)
     assert res.det_count == 3 and res.passed
-    res = mass_balance_check(mat([["x1", "0"], ["0", "x1"]], 1), CFG)
+    res = mass_balance_check(parse_matrix([["x1", "0"], ["0", "x1"]], 1), CFG)
     assert res.det_count == 2 and res.passed
-    res = mass_balance_check(mat([["x1 + 2", "0"], ["0", "x1 + 3"]], 1), CFG)
+    res = mass_balance_check(
+        parse_matrix([["x1 + 2", "0"], ["0", "x1 + 3"]], 1), CFG)
     assert res.det_count == 0 and abs(res.numeric_mass) < 0.05 and res.passed
 
 
 def test_mass_balance_validation():
     with pytest.raises(InputError):
-        mass_balance_check(mat([["x1", "x1"]], 1), CFG)
+        mass_balance_check(parse_matrix([["x1", "x1"]], 1), CFG)
     with pytest.raises(InputError):
-        mass_balance_check(mat([["x1", "0"], ["0", "0"]], 1), CFG)
+        mass_balance_check(parse_matrix([["x1", "0"], ["0", "0"]], 1), CFG)
     with pytest.raises(InputError):
-        mass_balance_check(mat([["x1", "0"], ["0", "x2"]], 2), CFG)
+        mass_balance_check(parse_matrix([["x1", "0"], ["0", "x2"]], 2), CFG)
 
 
 def _wedge_coeff_reference(mats):
@@ -800,7 +808,7 @@ def _chart_hessians_reference(g, chart, z):
     [["x1", "1", "0"], ["0", "x1^2", "2*i"], ["x1^3", "0", "x1 + 1"]],
 ])
 def test_chart_hessians_match_reference(rows):
-    g = mat(rows, 1)
+    g = parse_matrix(rows, 1)
     r = g.cols
     z, _w = _draw(RegConfig(samples=2000, seed=r),
                   [(1.0, 2.0)] + [(1.0, 0.5)] * (r - 1))
@@ -819,7 +827,7 @@ def test_comparability_numeric_mass():
     # mass over the disk (the sum of multiplicities there) unchanged
     from segre_kit.poly import Polynomial
 
-    g = mat([["x1^2", "0"], ["0", "x1"]], 1)
+    g = parse_matrix([["x1^2", "0"], ["0", "x1"]], 1)
     C = [[p("1", 1), p("1/2", 1)], [p("0", 1), p("1", 1)]]
     D = [[p("1", 1), p("0", 1)], [p("i", 1), p("1", 1)]]
 
@@ -836,7 +844,7 @@ def test_comparability_numeric_mass():
 def test_mass_balance_fractional_order_knob():
     # the degenerate entry x1^2 leaves a half-order epsilon tail; the
     # extrapolation-order knob absorbs it
-    g = mat([["x1^2", "0"], ["0", "x1"]], 1)
+    g = parse_matrix([["x1^2", "0"], ["0", "x1"]], 1)
     res = mass_balance_check(g, replace(CFG, extrapolation_order=0.5,
                                         samples=60000))
     assert res.det_count == 3
@@ -1036,8 +1044,8 @@ def test_two_halves_change_no_bit(samples):
             assert np.array_equal(_bits(a), _bits(b)), (texts, samples)
             assert a.warnings == b.warnings
     for rows in SPLIT_MATRICES:
-        got = mass_balance_check(mat(rows, 1), cfg)
-        ref = _mass_balance_check_reference(mat(rows, 1), cfg)
+        got = mass_balance_check(parse_matrix(rows, 1), cfg)
+        ref = _mass_balance_check_reference(parse_matrix(rows, 1), cfg)
         assert np.array_equal(_bits(got), _bits(ref)), (rows, samples)
 
 
@@ -1060,7 +1068,7 @@ def test_two_halves_keep_the_warning_and_the_shrunk_radius():
         assert (1812 >= samples // _BLOCKS * (_BLOCKS // 2)) == half
         for est in epsilon_mass(G, [1, 2], cfg):
             assert est.warnings == []
-    g = mat([["x1 - 1", "0"], ["0", "x1"]], 1)
+    g = parse_matrix([["x1 - 1", "0"], ["0", "x1"]], 1)
     cfg = RegConfig(samples=4099)
     got = mass_balance_check(g, cfg)
     assert got.radius == 0.85
@@ -1109,7 +1117,7 @@ def test_non_finite_sample_reported_as_before(monkeypatch, at, reported):
 
 def test_non_finite_sample_in_the_mass_balance(monkeypatch):
     cfg = RegConfig(samples=4099, seed=3)
-    g = mat([["x1^3", "0"], ["0", "x1"]], 1)
+    g = parse_matrix([["x1^3", "0"], ["0", "x1"]], 1)
     z, _w = _draw(cfg, [(1.0, 2.0), (1.0, 0.5)])
     z[[1000, 3000], 0] = 1e200
     for at, reported in (((3000,), 3000), ((3000, 1000), 1000)):
@@ -1151,7 +1159,7 @@ def test_wedge_reality_decided_over_all_samples(monkeypatch, imaginary_in,
                                                 large_real_in, raises):
     # 4099 samples: the first half holds 2048 samples, the second 2051
     _wedges_planting(monkeypatch, imaginary_in, large_real_in)
-    g = mat([["x1^2", "0"], ["0", "x1"]], 1)
+    g = parse_matrix([["x1^2", "0"], ["0", "x1"]], 1)
     if raises:
         with pytest.raises(NumericalFailureError,
                            match="wedge coefficient not real"):
@@ -1163,7 +1171,7 @@ def test_wedge_reality_decided_over_all_samples(monkeypatch, imaginary_in,
 def test_every_call_joins_its_worker(monkeypatch):
     before = threading.active_count()
     epsilon_mass([p("x1"), p("x2")], [1, 2], RegConfig(samples=1000))
-    mass_balance_check(mat([["x1^2", "0"], ["0", "x1"]], 1),
+    mass_balance_check(parse_matrix([["x1^2", "0"], ["0", "x1"]], 1),
                        RegConfig(samples=1000))
     assert threading.active_count() == before
     _planted(monkeypatch, (700,))
@@ -1195,7 +1203,7 @@ def test_concurrent_calls_under_a_short_switch_interval():
     # some bit
     cfg = RegConfig(samples=1000, seed=9)
     G = [p("x1^2 - 3/4*x2^3"), p("x2^2")]
-    g = mat([["x1^2", "0"], ["0", "x1^3"]], 1)
+    g = parse_matrix([["x1^2", "0"], ["0", "x1^3"]], 1)
     expected = ([_bits(m) for m in _epsilon_mass_reference(G, [1, 2], cfg)],
                 _bits(_mass_balance_check_reference(g, cfg)))
     results = [None] * 4

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from segre_kit import poly
-from segre_kit.cli import parse_scalar_text
 from segre_kit.errors import InputError, ParseError
 from segre_kit.poly import (
     PolyMatrix,
@@ -23,7 +22,9 @@ from segre_kit.poly import (
     _gauss_det,
     _sturm,
     disk_root_count,
+    parse_matrix,
     parse_polynomial,
+    parse_scalar_text,
     resultant,
     strip_common_factor,
 )
@@ -32,10 +33,6 @@ from segre_kit.scalars import Scalar, format_scalar
 
 def p(text, n=2):
     return parse_polynomial(text, n)
-
-
-def mat(rows, n):
-    return PolyMatrix([[parse_polynomial(s, n) for s in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +102,19 @@ def test_derivative_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_minor_examples():
-    g = mat([["x1", "0"], ["0", "x2"]], 2)
+    g = parse_matrix([["x1", "0"], ["0", "x2"]], 2)
     assert determinant_and_minors(g, 2) == [p("x1*x2")]
-    row = mat([["x1", "x2"]], 2)
+    row = parse_matrix([["x1", "x2"]], 2)
     assert determinant_and_minors(row, 1) == [p("x1"), p("x2")]
-    ident = mat([["1", "0"], ["0", "1"]], 2)
+    ident = parse_matrix([["1", "0"], ["0", "1"]], 2)
     assert determinant_and_minors(ident, 2) == [p("1")]
     with pytest.raises(InputError):
         determinant_and_minors(g, 3)
 
 
 def test_determinant_sign_under_row_swap():
-    g = mat([["x1", "x2", "1"], ["0", "x1", "x2"], ["1", "0", "x1"]], 2)
+    g = parse_matrix([["x1", "x2", "1"], ["0", "x1", "x2"], ["1", "0", "x1"]],
+                     2)
     swapped = PolyMatrix([g.entries[1], g.entries[0], g.entries[2]])
     assert determinant_and_minors(swapped, 3)[0] == -determinant_and_minors(g, 3)[0]
     # 1x1 minors of the swapped matrix are a permutation of the originals
@@ -126,7 +124,7 @@ def test_determinant_sign_under_row_swap():
 
 
 def test_minor_ordering_is_lexicographic():
-    g = mat([["x1", "x2"], ["1", "x1"], ["x2", "1"]], 2)
+    g = parse_matrix([["x1", "x2"], ["1", "x1"], ["x2", "1"]], 2)
     minors = determinant_and_minors(g, 2)
     subsets = list(itertools.combinations(range(3), 2))
     assert len(minors) == len(subsets)
@@ -407,44 +405,47 @@ def nonzero(g):
 
 
 def test_strip_common_factor_examples():
-    g = mat([["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]], 3)
+    g = parse_matrix([["x1*x3", "0", "0"], ["0", "x2*x3", "0"],
+                      ["0", "0", "x3^2"]], 3)
     h, red = strip_common_factor(nonzero(g))
     assert h == (0, 0, 1)
-    assert red == nonzero(mat([["x1", "0", "0"], ["0", "x2", "0"],
+    assert red == nonzero(parse_matrix([["x1", "0", "0"], ["0", "x2", "0"],
                                ["0", "0", "x3"]], 3))
 
-    g = mat([["x1", "0"], ["0", "x2"]], 2)
+    g = parse_matrix([["x1", "0"], ["0", "x2"]], 2)
     h, red = strip_common_factor(nonzero(g))
     assert h == (0, 0) and red == nonzero(g)
 
-    g = mat([["x1*x2", "x2^2"]], 2)
+    g = parse_matrix([["x1*x2", "x2^2"]], 2)
     h, red = strip_common_factor(nonzero(g))
-    assert h == (0, 1) and red == nonzero(mat([["x1", "x2"]], 2))
+    assert h == (0, 1) and red == nonzero(parse_matrix([["x1", "x2"]], 2))
 
 
 def test_strip_common_factor_idempotent():
-    g = mat([["x1*x2", "x2^2"]], 2)
+    g = parse_matrix([["x1*x2", "x2^2"]], 2)
     _, red = strip_common_factor(nonzero(g))
     h2, red2 = strip_common_factor(red)
     assert sum(h2) == 0 and red2 == red
 
 
 def test_strip_common_factor_nonmonomial_falls_back():
-    g = mat([["x1 + x2", "x2"]], 2)
+    g = parse_matrix([["x1 + x2", "x2"]], 2)
     h, red = strip_common_factor(nonzero(g))
     assert sum(h) == 0 and red == nonzero(g)
 
 
 def test_classify_examples():
-    assert classify_structure(mat([["x1", "0"], ["0", "x2"]], 2)) \
+    assert classify_structure(parse_matrix([["x1", "0"], ["0", "x2"]], 2)) \
         == StructureClass.DIAGONAL_MONOMIAL
-    assert classify_structure(mat([["x1", "x2"]], 2)) == StructureClass.SINGLE_ROW
-    assert classify_structure(mat([["x1", "x2 + 1"], ["x2", "x1"]], 2)) \
+    assert classify_structure(parse_matrix([["x1", "x2"]], 2)) \
+        == StructureClass.SINGLE_ROW
+    assert classify_structure(
+        parse_matrix([["x1", "x2 + 1"], ["x2", "x1"]], 2)) \
         == StructureClass.GENERAL
-    assert classify_structure(mat([["x1^2 - x2^3", "x1*x2"]], 2)) \
+    assert classify_structure(parse_matrix([["x1^2 - x2^3", "x1*x2"]], 2)) \
         == StructureClass.GENERAL
     # permuted diagonal stays diagonal
-    assert classify_structure(mat([["0", "x2"], ["x1", "0"]], 2)) \
+    assert classify_structure(parse_matrix([["0", "x2"], ["x1", "0"]], 2)) \
         == StructureClass.DIAGONAL_MONOMIAL
 
 

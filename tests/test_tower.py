@@ -11,12 +11,8 @@ from segre_kit.cycles import (
     term,
 )
 from segre_kit.errors import UnsupportedTermError
-from segre_kit.poly import PolyMatrix, parse_polynomial
+from segre_kit.poly import parse_matrix, parse_polynomial
 from segre_kit.tower import pushforward_cycle, tower_residue
-
-
-def mat(rows, n):
-    return PolyMatrix([[parse_polynomial(s, n) for s in row] for row in rows])
 
 
 DIAG3 = [["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]]
@@ -52,7 +48,7 @@ def test_one_tower_walk_per_tuple(monkeypatch, rows, n, walks):
         return tower_residue(*args)
 
     monkeypatch.setattr(engine, "tower_residue", counted)
-    engine.compute_Mg(mat(rows, n))
+    engine.compute_Mg(parse_matrix(rows, n))
     assert len(calls) == walks
     for chart, (entries, _space) in enumerate(calls[1:]):
         assert not any(p.degree_in(n + chart) for p in entries)
@@ -63,7 +59,7 @@ def test_chart_check_catches_a_planted_fault(monkeypatch):
     # make the chart towers disagree with the global one
     monkeypatch.setattr(engine, "_visible_in_chart", lambda t, chart: True)
     with pytest.raises(RuntimeError, match="disagrees with the global tower"):
-        engine.compute_Mg(mat([["x1", "0"], ["0", "x2"]], 2))
+        engine.compute_Mg(parse_matrix([["x1", "0"], ["0", "x2"]], 2))
 
 
 def _plant(monkeypatch, chart, fault):
@@ -79,7 +75,7 @@ def _plant(monkeypatch, chart, fault):
 
 
 def _chart_levels(chart):
-    g = mat(DIAG3, 3)
+    g = parse_matrix(DIAG3, 3)
     space = proj_space(3, 3)
     return tower_residue([space.dehomogenize(space.lift(row), chart)
                           for row in g.entries], space)
@@ -97,7 +93,7 @@ def test_chart_check_catches_a_changed_coefficient(monkeypatch, chart, level):
 
     _plant(monkeypatch, chart, bump)
     with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
-        engine.compute_Mg(mat(DIAG3, 3))
+        engine.compute_Mg(parse_matrix(DIAG3, 3))
 
 
 @pytest.mark.parametrize("chart, level", [
@@ -109,7 +105,7 @@ def test_chart_check_catches_an_extra_term(monkeypatch, chart, level):
 
     _plant(monkeypatch, chart, extra)
     with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
-        engine.compute_Mg(mat(DIAG3, 3))
+        engine.compute_Mg(parse_matrix(DIAG3, 3))
 
 
 def test_push_refuses_a_slice_argument_mixing_fiber_coordinates():
