@@ -72,10 +72,12 @@ class MorphismSpec:
 
 
 def load_spec(data: dict) -> MorphismSpec:
+    if not isinstance(data, dict):
+        raise ParseError("spec must be a JSON object")
     try:
         variables = data["variables"]
         rows = data["matrix"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"spec needs 'variables' and 'matrix': {exc}")
     if not isinstance(variables, list):
         raise ParseError("'variables' must be a list of names")
@@ -101,6 +103,10 @@ def load_spec(data: dict) -> MorphismSpec:
     for pt in raw_points:
         if len(pt) != n:
             raise ParseError(f"point {pt} has wrong length (n = {n})")
+        for c in pt:  # a bool, null or float would be read as its repr
+            if isinstance(c, bool) or not isinstance(c, (str, int)):
+                raise ParseError("point coordinates must be strings or "
+                                 f"integers, not {json.dumps(c)}")
         points.append(tuple(parse_scalar_text(c) for c in pt))
     tasks = data.get("tasks", ["Mg", "segre"])
     if not isinstance(tasks, list):

@@ -20,7 +20,10 @@ length of the array.  Each half reports its first failing sample and the
 join raises in sample order, so no result, warning or error depends on the
 split or on how the threads are scheduled.  Symbolic work (lifts, chart
 rows, derivatives) is done once per call, before the split; no thread
-outlives its call.
+outlives its call.  Each numpy call in a half also waits for the GIL, so
+a half makes few: the draw and the points are column-major (each column
+contiguous), x^1 is no complex pow (``Polynomial.eval_array``), and the
+epsilon-kernels of the whole schedule are one 2-D array per density.
 Root counts, intersection numbers and Crofton slices are exact: their only
 randomness is the slice coefficients, Gaussian integers from ``random``.
 numpy is imported inside the functions that use arrays (the masses), so
@@ -141,7 +144,8 @@ def _richardson(per_eps, stderrs, order: int):
 
     Each point is weighted by its statistical error plus a truncation model
     ~ eps^{2*order}, so noisy small-eps values and curved large-eps values
-    both lose influence; returns (value, stderr, warnings)."""
+    both lose influence; returns (value, stderr, warnings), or None when
+    the fit is degenerate (every eps^order equal, as at order 1e-300)."""
     import numpy as np
 
     warnings = []
@@ -156,7 +160,7 @@ def _richardson(per_eps, stderrs, order: int):
     Wxx, Wxy = np.sum(w * eps * eps), np.sum(w * eps * vals)
     denom = W * Wxx - Wx * Wx
     if denom <= 0:
-        return float(vals[-1]), float(sig[-1]), ["degenerate extrapolation fit"]
+        return None
     v0 = (Wxx * Wy - Wx * Wxy) / denom
     var0 = Wxx / denom
     resid = vals - (v0 + ((W * Wxy - Wx * Wy) / denom) * eps)
@@ -304,7 +308,7 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
         rng.shuffle(row)
     # a table broadcast over the high digits has fewer than n + b^h < 2n
     # entries: a high digit needs m >= 2, so b^h <= b^(m - 1) < n
-    u, work = np.empty((n, d)), np.empty(2 * n)
+    u, work = np.empty((d, n)).T, np.empty(2 * n)  # column-major
     for k, perm in enumerate(perms):
         base, exact = perm.shape[1], perm.shape[1] == 2
         m = next(e for e in itertools.count() if base ** e >= n)
@@ -344,7 +348,7 @@ def _disk_samples(u, coords):
     product with the real rad also rounds each part once."""
     import numpy as np
 
-    z = np.empty((len(u), len(coords)), dtype=complex)
+    z = np.empty((len(coords), len(u)), dtype=complex).T  # column-major
     weight = np.ones(len(u))
     for j, (radius, power) in enumerate(coords):
         try:
@@ -416,22 +420,22 @@ def _batch_minor_dets(jac, rows, cols):
 
 def _half_blocks(z, g2, density, weight, power, cfg: RegConfig):
     """One half's share of an epsilon table: the point of its first sample
-    whose density is not finite (None if there is none), and per epsilon the
-    means of eps/(g2+eps)^power * density * weight over its _BLOCKS // 2
-    whole blocks, the kernel formed left to right in place in one array."""
+    whose density is not finite (None if there is none), and per epsilon (a
+    row) the means of eps/(g2+eps)^power * density * weight over its
+    _BLOCKS // 2 whole blocks, the kernel of the whole schedule formed left
+    to right in place in one 2-D array over the samples the blocks hold."""
     import numpy as np
 
     bad = ~np.isfinite(density)
     size = cfg.samples // _BLOCKS
-    means = []
-    for eps in cfg.epsilon_schedule:
-        kernel = g2 + eps
-        kernel **= power
-        np.divide(eps, kernel, out=kernel)
-        kernel *= density
-        kernel *= weight
-        means.append(kernel[:_BLOCKS // 2 * size]
-                     .reshape(_BLOCKS // 2, size).mean(axis=1))
+    m = _BLOCKS // 2 * size
+    eps = np.array(cfg.epsilon_schedule)[:, None]
+    kernel = g2[:m] + eps
+    kernel **= power
+    np.divide(eps, kernel, out=kernel)
+    kernel *= density[:m]
+    kernel *= weight[:m]
+    means = kernel.reshape(len(eps), _BLOCKS // 2, size).mean(axis=2)
     return z[int(np.argmax(bad))].tolist() if np.any(bad) else None, means
 
 
@@ -454,12 +458,16 @@ def _epsilon_table(first, second, cfg: RegConfig):
 
 
 def _limit(per_eps, stderrs, cfg: RegConfig) -> MassEstimate:
-    """The eps -> 0 value: Richardson-extrapolated, or the last epsilon's."""
+    """The eps -> 0 value: Richardson-extrapolated, or the last epsilon's,
+    also (not extrapolated, with a warning) when the fit is degenerate."""
+    warnings = []
     if cfg.extrapolation == "RICHARDSON":
-        value, err, warnings = _richardson(per_eps, stderrs,
-                                           cfg.extrapolation_order)
-        return MassEstimate(value, err, per_eps, True, warnings)
-    return MassEstimate(per_eps[-1][1], stderrs[-1], per_eps, False, [])
+        fit = _richardson(per_eps, stderrs, cfg.extrapolation_order)
+        if fit is not None:
+            return MassEstimate(fit[0], fit[1], per_eps, True, fit[2])
+        warnings.append("degenerate extrapolation fit")
+    return MassEstimate(float(per_eps[-1][1]), float(stderrs[-1]), per_eps,
+                        False, warnings)
 
 
 def epsilon_mass(G: Sequence[Polynomial], ks: Sequence[int],

@@ -245,9 +245,10 @@ class Polynomial:
             v = np.full(points.shape[0], complex(c))
             for j, e in enumerate(m):
                 if e:
-                    # the temporary first: numpy computes a product with a
-                    # large temporary in place, as if it were on the left
-                    v = points[:, j] ** e * v
+                    # the column or its power first: numpy computes a product
+                    # with a large temporary in place, as if it were on the
+                    # left; x^1 is the column itself, not a complex pow
+                    v = (points[:, j] if e == 1 else points[:, j] ** e) * v
             acc += v
         return acc
 

@@ -253,6 +253,24 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == \
             "input error: samples must be at most 4194304\n", argv
 
+    # a spec that is not a JSON object, and point coordinates that are not
+    # strings or JSON integers, named as the JSON value
+    for data, message in (
+            ([1, 2], "spec must be a JSON object"),
+            ({**DIAG2_SPEC, "points": [[True, 0]]}, "point coordinates must "
+             "be strings or integers, not true"),
+            ({**DIAG2_SPEC, "points": [["0", None]]}, "point coordinates "
+             "must be strings or integers, not null"),
+            ({**DIAG2_SPEC, "points": [[1.0, 0]]}, "point coordinates must "
+             "be strings or integers, not 1.0")):
+        path = write_spec(tmp_path, data, "shape.json")
+        for argv in (["run", path, "--skip-numeric"], ["mass", path]):
+            assert main(argv) == 2, (data, argv)
+            assert capsys.readouterr().err == f"parse error: {message}\n"
+    path = write_spec(tmp_path, {**DIAG2_SPEC, "points": [[1, -2]]}, "int.json")
+    assert main(["run", path, "--skip-numeric", "--out",
+                 str(tmp_path / "int_out.json")]) == 0
+
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     assert main(["run", str(broken)]) == 2

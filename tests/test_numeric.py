@@ -153,6 +153,46 @@ def test_halton_matches_scipy(d, seed):
         assert np.array_equal(_halton(d, n, seed), ref), n
 
 
+def test_sample_columns_are_contiguous():
+    # every column the masses read, of the whole draw and of either half
+    for d, n in ((2, 16), (4, 4099), (6, 40000)):
+        u = _halton(d, n, 7)
+        cut = n // _BLOCKS * (_BLOCKS // 2)
+        for rows in (u, u[:cut], u[cut:]):
+            assert all(rows[:, k].flags.c_contiguous for k in range(d))
+            z, _w = _disk_samples(rows, [(1.0, 2.0)] * (d // 2))
+            assert all(z[:, j].flags.c_contiguous for j in range(d // 2))
+
+
+def _eval_array_reference(poly, points):
+    """Polynomial.eval_array as it was with the power x^1 taken by ``**``."""
+    acc = np.zeros(points.shape[0], dtype=complex)
+    for m, c in poly.terms.items():
+        v = np.full(points.shape[0], complex(c))
+        for j, e in enumerate(m):
+            if e:
+                v = points[:, j] ** e * v
+        acc += v
+    return acc
+
+
+@pytest.mark.parametrize("text", [
+    "x1", "(2/3 - 5/7*i)*x1*x2 + i*x2", "x1*x2*x3 - 1/9*x3^2*x1 + 3/4 + 1/4*i",
+    "(1/3 + 2/7*i)*x1^3*x2 - 5/11*i*x1*x3 + x2^2*x3 - 6"])
+def test_eval_array_takes_the_first_power_bit_for_bit(text):
+    poly = p(text, 3)
+    z, _w = _draw(RegConfig(samples=40000, seed=3), [(1.0, 2.0)] * 3)
+    rng = np.random.default_rng(5)
+    wild = (rng.standard_normal((4000, 3)) + 1j * rng.standard_normal(
+        (4000, 3))) * 10.0 ** rng.integers(-150, 150, (4000, 3))
+    # the draw is column-major; its row-major copy, and wild values (which
+    # overflow to inf and nan) in either layout
+    for points in (z, np.ascontiguousarray(z), wild, np.asfortranarray(wild)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = poly.eval_array(points), _eval_array_reference(poly, points)
+        assert got.tobytes() == ref.tobytes()
+
+
 # sha256 of the little-endian float64 bytes of
 # scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n), scipy 1.17.1
 HALTON_SHA256 = {
@@ -440,6 +480,20 @@ def test_epsilon_mass_warns_when_samples_miss_the_zero_set():
     for radius in (1.0, 100.0):
         for est in epsilon_mass(G, [1, 2], RegConfig(radius=radius)):
             assert not any("miss the zero set" in w for w in est.warnings)
+
+
+def test_degenerate_richardson_fit_is_not_extrapolated():
+    # every eps^order is 1.0 at order 1e-300 and 0.0 at 1e308: no line to
+    # fit, so the last epsilon's value is reported, as with NONE
+    G = [p("x1", 1), p("x1^2", 1)]
+    cfg = RegConfig(samples=4000, extrapolation="NONE")
+    (plain,) = epsilon_mass(G, [1], cfg)
+    for order in (1e-300, 1e308):
+        (est,) = epsilon_mass(G, [1], replace(
+            cfg, extrapolation="RICHARDSON", extrapolation_order=order))
+        assert est.to_record() == {**plain.to_record(),
+                                   "warnings": ["degenerate extrapolation fit"]}
+        assert est.to_record()["extrapolated"] is False
 
 
 def test_epsilon_mass_k_range():
@@ -1079,13 +1133,14 @@ def _planted(monkeypatch, at):
     """Let _disk_samples, in numeric and in the references here, put the
     point x1 = 1e200 at the given sample indices, where the derivative
     3 x1^2 of x1^3 overflows.  The indices count in the whole draw: a half
-    of it is a view of its rows, found from its offset in the draw."""
+    of it is a view of its rows, found from its offset in the draw over its
+    own row stride (which holds for a draw of either memory layout)."""
     real = numeric._disk_samples
 
     def planted(u, coords):
         z, weight = real(u, coords)
         draw = u if u.base is None else u.base
-        start = (u.ctypes.data - draw.ctypes.data) // draw.strides[0]
+        start = (u.ctypes.data - draw.ctypes.data) // u.strides[0]
         z[[i - start for i in at if start <= i < start + len(u)], 0] = 1e200
         return z, weight
 
