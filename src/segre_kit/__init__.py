@@ -16,7 +16,6 @@ from segre_kit.poly import (
     PolyMatrix,
     StructureClass,
     classify_structure,
-    determinant_and_minors,
     parse_polynomial,
 )
 from segre_kit.cycles import (
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Scalar", "Monomial", "Polynomial", "PolyMatrix", "StructureClass",
-    "classify_structure", "determinant_and_minors", "parse_polynomial",
+    "classify_structure", "parse_polynomial",
     "CycleTerm", "GeneralizedCycle", "MovingFactor", "VarietyRef",
     "fixed_moving_split", "multiplicity_at", "wedge",
     "MorphismResult", "SegreReport", "compute_Ma", "compute_Mg",

@@ -32,6 +32,7 @@ from segre_kit.errors import (
     ParseError,
     UndecidedError,
     UnsupportedInputError,
+    _as_json,
 )
 from segre_kit.golden import golden_suite
 from segre_kit.numeric import (
@@ -86,7 +87,8 @@ def load_spec(data: dict) -> MorphismSpec:
     for j, name in enumerate(variables):
         if name != f"x{j + 1}":
             raise ParseError(f"'variables' must be x1..x{n} in order: "
-                             f"name {j + 1} is {name!r}, not 'x{j + 1}'")
+                             f"name {j + 1} is {_as_json(name)}, "
+                             f'not "x{j + 1}"')
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(isinstance(cell, str) for cell in row)
             for row in rows):
@@ -94,7 +96,7 @@ def load_spec(data: dict) -> MorphismSpec:
     matrix = parse_matrix(rows, n)
     engine = data.get("engine", "exact")
     if engine not in ("exact", "both"):
-        raise ParseError(f"unknown engine {engine!r}")
+        raise ParseError(f"unknown engine {_as_json(engine)}")
     raw_points = data.get("points", [])
     if not isinstance(raw_points, list) or not all(
             isinstance(pt, list) for pt in raw_points):
@@ -102,26 +104,28 @@ def load_spec(data: dict) -> MorphismSpec:
     points = []
     for pt in raw_points:
         if len(pt) != n:
-            raise ParseError(f"point {pt} has wrong length (n = {n})")
+            raise ParseError(
+                f"point {_as_json(pt)} has wrong length (n = {n})")
         for c in pt:  # a bool, null or float would be read as its repr
             if isinstance(c, bool) or not isinstance(c, (str, int)):
                 raise ParseError("point coordinates must be strings or "
-                                 f"integers, not {json.dumps(c)}")
+                                 f"integers, not {_as_json(c)}")
         points.append(tuple(parse_scalar_text(c) for c in pt))
     tasks = data.get("tasks", ["Mg", "segre"])
     if not isinstance(tasks, list):
         raise ParseError("'tasks' must be a list of task names")
     for t in tasks:
         if t not in ALL_TASKS:
-            raise ParseError(f"unknown task {t!r}")
+            raise ParseError(f"unknown task {_as_json(t)}")
     tasks = tuple(tasks)
     reg = data.get("reg", {})
     if not isinstance(reg, dict):
         raise ParseError("'reg' must be an object")
     known = [f.name for f in fields(RegConfig)]
-    unknown = sorted(set(reg) - set(known))
+    unknown = sorted(set(reg) - set(known), key=str)  # keys of any type
     if unknown:
-        raise ParseError(f"unknown reg keys {unknown}; accepted: {known}")
+        raise ParseError(f"unknown reg keys {_as_json(unknown)}; "
+                         f"accepted: {_as_json(known)}")
     reg = RegConfig(**reg)
     return MorphismSpec(matrix, engine, points, tasks, reg, dict(data))
 

@@ -123,11 +123,6 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
         raise InputError("ring currents live on P(E) with rank E >= 2")
     space = proj_space(n, r)
     entries = [p for p in map(space.lift, g.entries) if not p.is_zero()]
-    if not entries:
-        # the zero morphism: Z' = P(E), only the degree-0 residue survives
-        out = [GeneralizedCycle.one(space)]
-        out += [GeneralizedCycle.zero(space, l) for l in range(1, space.dim + 1)]
-        return out
     out = [GeneralizedCycle(space, level, terms)
            for level, terms in enumerate(tower_residue(entries, space))]
     if structure == StructureClass.DIAGONAL_MONOMIAL:

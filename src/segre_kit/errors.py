@@ -5,6 +5,17 @@ translates them to exit codes (input/parse -> 2, unsupported structure -> 3,
 undecided numerics -> 4).
 """
 
+import json
+
+
+def _as_json(value) -> str:
+    """A refused value as a spec file spells it (``true``, ``null``,
+    ``"x1"``); a value no JSON text holds is named by its type."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError, RecursionError):
+        return f"<{type(value).__name__}>"
+
 
 class SegreKitError(Exception):
     """Base class for all library errors."""

@@ -47,6 +47,7 @@ from segre_kit.errors import (
     InputError,
     NumericalFailureError,
     UndecidedError,
+    _as_json,
 )
 from segre_kit.poly import (
     Polynomial,
@@ -74,8 +75,11 @@ def _is_int(x) -> bool:
 
 
 def _is_positive_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
-        and math.isfinite(x) and x > 0
+    try:  # an int past the float range overflows math.isfinite
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+            and math.isfinite(x) and x > 0
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -99,14 +103,19 @@ class RegConfig:
             sched = tuple(float(e) for e in self.epsilon_schedule)
         except (TypeError, ValueError):
             raise InputError("epsilon schedule must be a list of numbers")
+        except OverflowError:  # an int past the float range
+            raise InputError("epsilon schedule must be positive and finite")
         if not sched or not all(_is_positive_real(e) for e in sched):
             raise InputError("epsilon schedule must be positive and finite")
         if any(a <= b for a, b in zip(sched, sched[1:])):
             raise InputError("epsilon schedule must be strictly decreasing")
+        # a str first: an array's == would compare elementwise
+        if not isinstance(self.extrapolation, str) or \
+                self.extrapolation not in ("NONE", "RICHARDSON"):
+            raise InputError(
+                f"unknown extrapolation {_as_json(self.extrapolation)}")
         if self.extrapolation == "RICHARDSON" and len(sched) < 3:
             raise InputError("Richardson extrapolation needs >= 3 epsilons")
-        if self.extrapolation not in ("NONE", "RICHARDSON"):
-            raise InputError(f"unknown extrapolation {self.extrapolation!r}")
         if not _is_positive_real(self.radius):
             raise InputError("radius must be a positive finite number")
         if not _is_positive_real(self.extrapolation_order):

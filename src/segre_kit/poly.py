@@ -191,9 +191,6 @@ class Polynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar, Fraction)):
-            c = Scalar.from_value(other)
-            return Polynomial(self.nvars, {m: v * c for m, v in self.terms.items()})
         o = self._coerce(other)
         return Polynomial(self.nvars, ((monomial_mul(m1, m2), c1 * c2)
                                        for m1, c1 in self.terms.items()
@@ -217,24 +214,6 @@ class Polynomial:
         return Polynomial(self.nvars, ((m[:var] + (m[var] - 1,) + m[var + 1:],
                                         c * m[var])
                                        for m, c in self.terms.items() if m[var]))
-
-    def evaluate(self, point):
-        """The exact value at a point of ints, Fractions or Scalars;
-        ``eval_array`` evaluates in floating point."""
-        if len(point) != self.nvars:
-            raise InputError(f"point has length {len(point)}, expected {self.nvars}")
-        if not all(isinstance(c, (int, Scalar, Fraction)) for c in point):
-            raise InputError("evaluate takes exact coordinates; "
-                             "eval_array evaluates in floating point")
-        pt = [Scalar.from_value(c) for c in point]
-        acc = Scalar(0)
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, m):
-                for _ in range(e):
-                    v = v * x
-            acc = acc + v
-        return acc
 
     def eval_array(self, points):
         """Vectorised evaluation: points is an (N, nvars) complex ndarray."""
@@ -518,21 +497,12 @@ def laplace_det(a, rows, cols, is_zero):
     return acc
 
 
-def determinant_and_minors(g: PolyMatrix, k: int):
-    """All k x k minors of g, ordered lexicographically in (row subset, column
-    subset).  For k = rows = cols the single entry is det g."""
-    if not 1 <= k <= min(g.rows, g.cols):
-        raise InputError(f"minor size {k} outside 1..{min(g.rows, g.cols)}")
-    zero = Polynomial.zero(g.nvars)
-    return [laplace_det(g.entries, rs, cs, Polynomial.is_zero) or zero
-            for rs in itertools.combinations(range(g.rows), k)
-            for cs in itertools.combinations(range(g.cols), k)]
-
-
 def determinant(g: PolyMatrix) -> Polynomial:
     if g.rows != g.cols:
         raise InputError("determinant of a non-square matrix")
-    return determinant_and_minors(g, g.rows)[0]
+    rows = tuple(range(g.rows))
+    return laplace_det(g.entries, rows, rows, Polynomial.is_zero) or \
+        Polynomial.zero(g.nvars)
 
 
 def _gauss_det(rows):

@@ -217,8 +217,6 @@ def pushforward_cycle(c: GeneralizedCycle,
         raise InputError("pushforward_cycle expects a cycle on the projectivization")
     out_deg = c.degree - (space.r - 1)
     base = Space(space.n)
-    if out_deg < 0:
-        return GeneralizedCycle.zero(base, 0)
     weights = () if fiber_metric_weights is None else \
         _normalized_weights(fiber_metric_weights, space.r)
     return GeneralizedCycle(base, out_deg, [

@@ -119,7 +119,7 @@ def test_load_spec_validation():
     with pytest.raises(ParseError):
         load_spec({**DIAG2_SPEC, "points": [["0"]]})
     for bad in ({"reg": {"foo": 1}}, {"reg": {"chi_thresholds": [0.5, 0.75]}},
-                {"reg": [1]}, {"matrix": [[1, "0"], ["0", "x2"]]},
+                {"reg": [1]}, {"reg": {1: 2, "a": 3}}, {"matrix": [[1, "0"], ["0", "x2"]]},
                 {"matrix": [["x1", None], ["0", "x2"]]},
                 {"matrix": ["x1", "x2"]}, {"matrix": "x1"}, {"matrix": 5}):
         with pytest.raises(ParseError):
@@ -129,14 +129,14 @@ def test_load_spec_validation():
             load_spec({**DIAG2_SPEC, **bad})
     # names that polynomial text cannot refer to: the imaginary unit, and
     # anything that is not one whole identifier token
-    for names, bad in ((["i", "x2"], "'i'"), (["x1", "x1 "], "'x1 '"),
-                       (["x 1", "x2"], "'x 1'"), (["2x", "x2"], "'2x'")):
+    for names, bad in ((["i", "x2"], '"i"'), (["x1", "x1 "], '"x1 "'),
+                       (["x 1", "x2"], '"x 1"'), (["2x", "x2"], '"2x"')):
         with pytest.raises(ParseError, match=bad):
             load_spec({**DIAG2_SPEC, "variables": names,
                        "matrix": [[names[0], names[1]]]})
     # reports name the coordinates x1..xn: other names, or the right names
     # out of order, are refused at the first one that differs
-    for names, bad in ((["x2", "x1"], "'x2'"), (["a1", "x"], "'a1'"),
+    for names, bad in ((["x2", "x1"], '"x2"'), (["a1", "x"], '"a1"'),
                        (["x1", "x2", 3], "3")):
         with pytest.raises(ParseError, match=f"name .* is {bad}"):
             load_spec({**DIAG2_SPEC, "variables": names})
@@ -267,6 +267,32 @@ def test_exit_codes(tmp_path, capsys):
         for argv in (["run", path, "--skip-numeric"], ["mass", path]):
             assert main(argv) == 2, (data, argv)
             assert capsys.readouterr().err == f"parse error: {message}\n"
+    # every other refused value is named as the JSON the spec holds, and
+    # ints past the float range are refused as input
+    big = 10 ** 400
+    for data, message in (
+            ({**DIAG2_SPEC, "engine": True}, "parse error: unknown engine true"),
+            ({**DIAG2_SPEC, "tasks": [None]}, "parse error: unknown task null"),
+            ({**DIAG2_SPEC, "variables": [True, "x2"]},
+             "parse error: 'variables' must be x1..x2 in order: name 1 is "
+             'true, not "x1"'),
+            ({"variables": ["x1"], "matrix": [["x1"]], "points": [[True, None]]},
+             "parse error: point [true, null] has wrong length (n = 1)"),
+            ({**DIAG2_SPEC, "reg": {"extrapolation": False}},
+             "input error: unknown extrapolation false"),
+            ({**DIAG2_SPEC, "reg": {"true": 1}},
+             'parse error: unknown reg keys ["true"]; accepted: '
+             '["epsilon_schedule", "samples", "seed", "radius", '
+             '"extrapolation", "extrapolation_order"]'),
+            ({**DIAG2_SPEC, "reg": {"radius": big}},
+             "input error: radius must be a positive finite number"),
+            ({**DIAG2_SPEC, "reg": {"extrapolation_order": big}},
+             "input error: extrapolation order must be a positive number"),
+            ({**DIAG2_SPEC, "reg": {"epsilon_schedule": [big, 1, 0.1]}},
+             "input error: epsilon schedule must be positive and finite")):
+        path = write_spec(tmp_path, data, "named.json")
+        assert main(["run", path, "--skip-numeric"]) == 2, data
+        assert capsys.readouterr().err == message + "\n"
     path = write_spec(tmp_path, {**DIAG2_SPEC, "points": [[1, -2]]}, "int.json")
     assert main(["run", path, "--skip-numeric", "--out",
                  str(tmp_path / "int_out.json")]) == 0
@@ -303,7 +329,7 @@ def test_exit_codes(tmp_path, capsys):
                           f"names{i}.json")
         for command in ("run", "mass"):
             assert main([command, path]) == 2
-            assert f"is {names[0]!r}, not 'x1'" in capsys.readouterr().err
+            assert f'is "{names[0]}", not "x1"' in capsys.readouterr().err
 
     # truncated text in a matrix cell or a point coordinate
     for i, bad in enumerate(({"matrix": [["x1^", "0"], ["0", "x2"]]},

@@ -204,6 +204,11 @@ def test_pushforward_degree_bookkeeping():
         c = GeneralizedCycle(P22, deg, [content])
         out = pushforward_cycle(c)
         assert out.is_zero() or out.degree == deg - 1
+    # compute_Mg pushes only degrees >= r - 1: below, the base cycle's
+    # bidegree is refused
+    c = GeneralizedCycle(proj_space(1, 2), 0, [term(1, VarietyRef.whole_space())])
+    with pytest.raises(InputError, match="bidegree -1 outside 0..1"):
+        pushforward_cycle(c)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ def test_ring_rejects_general():
     assert exc.value.structure == "GENERAL"
 
 
+def test_ring_refuses_the_zero_morphism():
+    # compute_Mg answers the zero morphism before it asks for ring currents
+    with pytest.raises(InputError, match="identically zero"):
+        ring_M_Galpha(parse_matrix([["0", "0"], ["0", "0"]], 2))
+
+
 def test_ring_rejects_non_coprime_diagonal():
     # reduced entries x1, x1, x2 share a variable: no proper product
     with pytest.raises(UnsupportedInputError):

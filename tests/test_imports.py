@@ -1,7 +1,8 @@
 """Every name a segre_kit module imports is referenced in that module,
 every private module-level helper is referenced somewhere in the package and
-every public one, and every public method of a module-level class, there or
-in the package's ``__all__`` (no linter runs on
+every public one there or in the package's ``__all__``, every public method
+of a module-level class is reached as an attribute (``x.name``,
+``Cls.name``) somewhere in the package, not just named (no linter runs on
 the package, and deletions tend to leave strays behind), no
 function body imports a segre_kit module (the package's imports form no
 cycle), numeric imports no private name from cycles, the third-party modules the package imports are exactly its declared
@@ -98,15 +99,27 @@ def test_nested_package_import_is_caught():
         "f:segre_kit.engine", "f:segre_kit.numeric", "h:segre_kit.numeric"]
 
 
+def attribute_lines(source: str) -> dict:
+    """Each attribute name the source reaches (``x.name``, ``Cls.name``),
+    with the lines it is reached on."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found.setdefault(node.attr, set()).add(node.lineno)
+    return found
+
+
 def unreferenced_names(sources, public=False, exported=()):
     """``module:name`` for each module-level function or class, private
-    (leading underscore) or, with ``public``, public, and with ``public``
-    also ``module:Class.name`` for each public function or class in the
-    body of a module-level class, that no source in ``sources`` (a dict of
-    module name to text)
-    mentions outside the lines of its own definition and that ``exported``
-    does not list."""
+    (leading underscore) or, with ``public``, public, that no source in
+    ``sources`` (a dict of module name to text) mentions outside the lines
+    of its own definition and that ``exported`` does not list; with
+    ``public`` also ``module:Class.name`` for each public function or class
+    in the body of a module-level class that no source reaches as an
+    attribute outside the lines of its own definition.  A method's name
+    alone (a parameter, a local, a word in a docstring) does not use it."""
     found = []
+    reached = {name: attribute_lines(text) for name, text in sources.items()}
     for module, source in sources.items():
         lines = source.splitlines()
         body = ast.parse(source).body
@@ -114,15 +127,22 @@ def unreferenced_names(sources, public=False, exported=()):
         if public:
             nodes += [(node, f"{cls.name}.") for cls in body
                       if isinstance(cls, ast.ClassDef) for node in cls.body]
+        others = [text for name, text in sources.items() if name != module]
         for node, owner in nodes:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
                     node.name.startswith("_") == public or node.name in exported:
                 continue
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            rest = lines[:start - 1] + lines[node.end_lineno:]
-            others = [text for name, text in sources.items() if name != module]
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(text) for text in ["\n".join(rest), *others]):
+            if owner:
+                used = any(name != module or not start <= line <= node.end_lineno
+                           for name, attrs in reached.items()
+                           for line in attrs.get(node.name, ()))
+            else:
+                rest = lines[:start - 1] + lines[node.end_lineno:]
+                word = re.compile(rf"\b{re.escape(node.name)}\b")
+                used = any(word.search(text)
+                           for text in ["\n".join(rest), *others])
+            if not used:
                 found.append(f"{module}:{owner}{node.name}")
     return found
 
@@ -177,6 +197,12 @@ def test_unreferenced_public_method_is_caught():
                         "            pass\n"),
                "b.py": "from a import Used\nUsed().called()\nUsed.Inner\n"}
     assert unreferenced_names(sources, True) == ["a.py:Used.orphan"]
+    # a method is used only where a source reaches it as an attribute: a
+    # parameter of the same name, called elsewhere, does not use it
+    sources["b.py"] += "\n\ndef run(orphan):\n    orphan()\n\n\nrun(print)\n"
+    assert unreferenced_names(sources, True) == ["a.py:Used.orphan"]
+    sources["b.py"] += "run(Used().orphan)\n"
+    assert unreferenced_names(sources, True) == []
 
 
 def _is_n(node) -> bool:

@@ -102,6 +102,25 @@ def test_regconfig_validation():
         assert str(info.value) == "epsilon schedule must be a list of numbers"
     assert RegConfig(epsilon_schedule=["0.5", "1e-1", 0.01]).epsilon_schedule \
         == (0.5, 0.1, 0.01)
+    # ints past the float range and extrapolations that are no str are
+    # refused as input, the value spelled as JSON would spell it
+    big = 10 ** 400
+    for bad, message in (
+            ({"radius": big}, "radius must be a positive finite number"),
+            ({"extrapolation_order": big},
+             "extrapolation order must be a positive number"),
+            ({"epsilon_schedule": [big, 1, 0.1]},
+             "epsilon schedule must be positive and finite"),
+            ({"extrapolation": False}, "unknown extrapolation false"),
+            ({"extrapolation": None}, "unknown extrapolation null"),
+            ({"extrapolation": "none"}, 'unknown extrapolation "none"'),
+            ({"extrapolation": np.array(["NONE", "RICHARDSON"])},
+             "unknown extrapolation <ndarray>"),
+            ({"extrapolation": Fraction(1, 2)},
+             "unknown extrapolation <Fraction>")):
+        with pytest.raises(InputError) as info:
+            RegConfig(**bad)
+        assert str(info.value) == message, bad
 
 
 def _draw(cfg, coords):
@@ -667,6 +686,17 @@ def shifted_polynomials(draw):
     return Polynomial(n, terms), c, x
 
 
+def exact_value(poly, point):
+    """The value of ``poly`` at a point of Scalars, term by term."""
+    acc = Scalar(0)
+    for m, c in poly.terms.items():
+        for x, e in zip(point, m):
+            for _ in range(e):
+                c = c * x
+        acc = acc + c
+    return acc
+
+
 @given(shifted_polynomials())
 @settings(max_examples=100, deadline=None, derandomize=True)
 # exponents near 60 at the shift (2, 1 + i), past the drawn exponents <= 4:
@@ -675,8 +705,8 @@ def shifted_polynomials(draw):
           [Scalar(2), Scalar(1, 1)], [Scalar(Fraction(1, 2)), Scalar(0, 1)]))
 def test_translate_evaluates_at_the_shifted_point(pcx):
     poly, c, x = pcx
-    assert _translate(poly, c).evaluate(x) == \
-        poly.evaluate([a + b for a, b in zip(x, c)])
+    assert exact_value(_translate(poly, c), x) == \
+        exact_value(poly, [a + b for a, b in zip(x, c)])
 
 
 def test_crofton_undecided():

@@ -16,7 +16,7 @@ from segre_kit.poly import (
     Polynomial,
     StructureClass,
     classify_structure,
-    determinant_and_minors,
+    determinant,
     format_monomial,
     format_polynomial,
     _gauss_det,
@@ -52,27 +52,12 @@ def test_construct_from_pairs():
 
 
 # ---------------------------------------------------------------------------
-# evaluate / differentiate
+# eval_array / differentiate
 # ---------------------------------------------------------------------------
 
-def test_evaluate_examples():
-    assert p("x1*x2").evaluate([2, 3]) == Scalar(6)
-    assert p("x1^2 - x2").evaluate([0, 0]).is_zero()
-    assert p("x1*x3", 3).evaluate([1, 5, 2]) == Scalar(2)
-
-
-def test_evaluate_machine_complex():
-    # machine complex points go through eval_array; evaluate stays exact
+def test_eval_array_machine_complex():
     val = p("x1^2 - x2").eval_array(np.array([[1j, 0.5]]))
     assert val[0] == pytest.approx(-1 - 0.5)
-    for point in ([1j, 0.5], [1, 0.5]):
-        with pytest.raises(InputError):
-            p("x1^2 - x2").evaluate(point)
-
-
-def test_evaluate_dimension_mismatch():
-    with pytest.raises(InputError):
-        p("x1").evaluate([1, 2, 3])
 
 
 def test_differentiate_examples():
@@ -98,38 +83,25 @@ def test_derivative_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# minors
+# determinants
 # ---------------------------------------------------------------------------
 
 def test_minor_examples():
+    # the full-size minor is the determinant
     g = parse_matrix([["x1", "0"], ["0", "x2"]], 2)
-    assert determinant_and_minors(g, 2) == [p("x1*x2")]
-    row = parse_matrix([["x1", "x2"]], 2)
-    assert determinant_and_minors(row, 1) == [p("x1"), p("x2")]
+    assert determinant(g) == p("x1*x2")
+    assert determinant(parse_matrix([["x1"]], 2)) == p("x1")
     ident = parse_matrix([["1", "0"], ["0", "1"]], 2)
-    assert determinant_and_minors(ident, 2) == [p("1")]
+    assert determinant(ident) == p("1")
     with pytest.raises(InputError):
-        determinant_and_minors(g, 3)
+        determinant(parse_matrix([["x1", "x2"]], 2))
 
 
 def test_determinant_sign_under_row_swap():
     g = parse_matrix([["x1", "x2", "1"], ["0", "x1", "x2"], ["1", "0", "x1"]],
                      2)
     swapped = PolyMatrix([g.entries[1], g.entries[0], g.entries[2]])
-    assert determinant_and_minors(swapped, 3)[0] == -determinant_and_minors(g, 3)[0]
-    # 1x1 minors of the swapped matrix are a permutation of the originals
-    m1 = determinant_and_minors(g, 1)
-    m2 = determinant_and_minors(swapped, 1)
-    assert sorted(q.key() for q in m1) == sorted(q.key() for q in m2)
-
-
-def test_minor_ordering_is_lexicographic():
-    g = parse_matrix([["x1", "x2"], ["1", "x1"], ["x2", "1"]], 2)
-    minors = determinant_and_minors(g, 2)
-    subsets = list(itertools.combinations(range(3), 2))
-    assert len(minors) == len(subsets)
-    # first minor is rows (0,1)
-    assert minors[0] == p("x1^2") - p("x2")
+    assert determinant(swapped) == -determinant(g)
 
 
 # ---------------------------------------------------------------------------
