@@ -20,8 +20,12 @@ length of the array.  Each half reports its first failing sample and the
 join raises in sample order, so no result, warning or error depends on the
 split or on how the threads are scheduled.  Symbolic work (lifts, chart
 rows, derivatives) is done once per call, before the split; no thread
-outlives its call.  Each numpy call in a half also waits for the GIL, so
-a half makes few: the draw and the points are column-major (each column
+outlives its call.  The mass balance's fiber pieces (1/P, w_b = u_b / P,
+conj(w_a) w_b and the log P Hessian) are formed once per half, from its
+points, and every chart of the half shares them; a half holds one chart's
+Hessians at a time, and frees each derivative array of a chart after its
+last use.  Each numpy call in a half also waits for the GIL, so a half
+makes few: the draw and the points are column-major (each column
 contiguous), x^1 is no complex pow (``Polynomial.eval_array``), and the
 epsilon-kernels of the whole schedule are one 2-D array per density.
 Root counts, intersection numbers and Crofton slices are exact: their only
@@ -67,7 +71,7 @@ from segre_kit.scalars import Scalar
 
 DEFAULT_SCHEDULE = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 _BLOCKS = 16  # sample blocks behind every error estimate
-_MAX_SAMPLES = 2 ** 22  # a 3x3 mass balance over x1 then takes about 3.6 GB
+_MAX_SAMPLES = 2 ** 22  # a 3x3 mass balance over x1 then peaks near 2.3 GB
 
 
 def _is_int(x) -> bool:
@@ -564,48 +568,64 @@ def _chart_rows(g: PolyMatrix, chart: int):
     return rows, grads
 
 
-def _chart_hessians(n: int, rows, grads, z: np.ndarray):
-    """Hessian-entry arrays of |G|^2 = Q/P and of log P at the chart points
-    z, from the rows and derivatives of ``_chart_rows``; the first n
-    coordinates are the base's."""
+def _fiber_pieces(n: int, z: np.ndarray):
+    """What every chart of ``_chart_hessians`` shares at the points z (the
+    first n coordinates the base's): 1/P, P = 1 + sum |u_b|^2; w_b = u_b / P;
+    {(a, b): conj(w_a) w_b} for fiber a <= b; and the Hessian of log P,
+    (delta_ab - conj(w_a) w_b) / P on the fiber and 0 on the base."""
     import numpy as np
 
+    N = z.shape[1]
+    P = np.ones(len(z))
+    for a in range(n, N):
+        P += np.abs(z[:, a]) ** 2
+    inv = 1.0 / P
+    w = {b: z[:, b] * inv for b in range(n, N)}
+    ww = {(a, b): np.conj(w[a]) * w[b] for a in w for b in w if a <= b}
+    Hlog = [[0.0] * N for _ in range(N)]
+    for a, b in ww:  # Hermitian
+        Hlog[a][b] = -ww[a, b] + inv if a == b else -ww[a, b]
+        if b > a:
+            Hlog[b][a] = np.conj(Hlog[a][b])
+    return inv, w, ww, Hlog
+
+
+def _chart_hessians(n: int, rows, grads, z: np.ndarray, fiber):
+    """Hessian-entry arrays of |G|^2 = Q/P and of log P at the chart points
+    z, from the rows and derivatives of ``_chart_rows`` and the pieces
+    ``fiber`` = ``_fiber_pieces(n, z)``, which every chart shares; the first
+    n coordinates are the base's."""
+    import numpy as np
+
+    inv, w, ww, Hlog = fiber
     N = z.shape[1]
     vals = [p.eval_array(z) for p in rows]
     grads = [{a: d.eval_array(z) for a, d in gr.items()} for gr in grads]
     Q = np.zeros(len(z))
     for v in vals:
         Q += np.abs(v) ** 2
-    P = np.ones(len(z))
-    for a in range(n, N):
-        P += np.abs(z[:, a]) ** 2
-    inv = 1.0 / P
     g2 = Q * inv
     # the temporary first (see the module docstring)
     DQ = [sum(np.conj(v) * gr[a] for gr, v in zip(grads, vals) if a in gr)
           for a in range(N)]
-    # P depends on the fiber coordinates u alone: with w_b = u_b / P,
-    # d_a dbar_b log P = (delta_ab - conj(w_a) w_b) / P there, and every
-    # P-derivative vanishes on the base coordinates (Hlog entries 0)
-    w = {b: z[:, b] * inv for b in range(n, N)}
+    del vals, Q
     Hf = [[None] * N for _ in range(N)]
-    Hlog = [[0.0] * N for _ in range(N)]
     for a in range(N):
-        for b in range(a, N):  # both Hessians are Hermitian
+        for b in range(a, N):  # Hf is Hermitian
             h = sum(np.conj(gr[b]) * gr[a] for gr in grads
                     if a in gr and b in gr) * inv
             if b >= n:
                 h = h - DQ[a] * w[b] * inv
             if a >= n:
-                ww = np.conj(w[a]) * w[b]
-                h = h - np.conj(DQ[b] * w[a]) * inv + 2 * g2 * ww
-                Hlog[a][b] = -ww
+                h = h - np.conj(DQ[b] * w[a]) * inv + 2 * g2 * ww[a, b]
                 if a == b:
                     h = h - g2 * inv
-                    Hlog[a][b] = Hlog[a][b] + inv
             Hf[a][b] = h
             if b > a:
-                Hf[b][a], Hlog[b][a] = np.conj(h), np.conj(Hlog[a][b])
+                Hf[b][a] = np.conj(h)
+        DQ[a] = None  # the last use of DQ[a] and of each row's d_a
+        for gr in grads:
+            gr.pop(a, None)
     return Hf, Hlog, g2
 
 
@@ -654,10 +674,13 @@ def mass_balance_check(g: PolyMatrix, cfg: Optional[RegConfig] = None
     charts = [_chart_rows(g, chart) for chart in range(r)]
 
     def half(z, weight):
+        fiber = _fiber_pieces(g.nvars, z)
         out = []
         for chart in charts:
-            Hf, Hlog, g2 = _chart_hessians(g.nvars, *chart, z)
-            for j, wedge in enumerate(_wedges(Hf, Hlog)):
+            Hf, Hlog, g2 = _chart_hessians(g.nvars, *chart, z, fiber)
+            wedges = _wedges(Hf, Hlog)
+            del Hf, Hlog  # before the next chart's are built
+            for j, wedge in enumerate(wedges):
                 wedge = wedge / (2 * math.pi) ** r
                 density = wedge.real * 2 ** r
                 out.append((j, np.max(np.abs(wedge.imag)),

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -33,6 +34,7 @@ from segre_kit.numeric import (
     _chart_hessians,
     _chart_rows,
     _disk_samples,
+    _fiber_pieces,
     _halton,
     _limit,
     _translate,
@@ -885,25 +887,116 @@ def _chart_hessians_reference(g, chart, z):
     return Hf, Hlog, g2
 
 
-@pytest.mark.parametrize("rows", [
+def _chart_hessians_per_chart(n: int, rows, grads, z):
+    """_chart_hessians before the charts shared _fiber_pieces, kept verbatim
+    as the reference: every chart forms P, w and the log P Hessian itself."""
+    N = z.shape[1]
+    vals = [p.eval_array(z) for p in rows]
+    grads = [{a: d.eval_array(z) for a, d in gr.items()} for gr in grads]
+    Q = np.zeros(len(z))
+    for v in vals:
+        Q += np.abs(v) ** 2
+    P = np.ones(len(z))
+    for a in range(n, N):
+        P += np.abs(z[:, a]) ** 2
+    inv = 1.0 / P
+    g2 = Q * inv
+    # the temporary first (see the module docstring)
+    DQ = [sum(np.conj(v) * gr[a] for gr, v in zip(grads, vals) if a in gr)
+          for a in range(N)]
+    # P depends on the fiber coordinates u alone: with w_b = u_b / P,
+    # d_a dbar_b log P = (delta_ab - conj(w_a) w_b) / P there, and every
+    # P-derivative vanishes on the base coordinates (Hlog entries 0)
+    w = {b: z[:, b] * inv for b in range(n, N)}
+    Hf = [[None] * N for _ in range(N)]
+    Hlog = [[0.0] * N for _ in range(N)]
+    for a in range(N):
+        for b in range(a, N):  # both Hessians are Hermitian
+            h = sum(np.conj(gr[b]) * gr[a] for gr in grads
+                    if a in gr and b in gr) * inv
+            if b >= n:
+                h = h - DQ[a] * w[b] * inv
+            if a >= n:
+                ww = np.conj(w[a]) * w[b]
+                h = h - np.conj(DQ[b] * w[a]) * inv + 2 * g2 * ww
+                Hlog[a][b] = -ww
+                if a == b:
+                    h = h - g2 * inv
+                    Hlog[a][b] = Hlog[a][b] + inv
+            Hf[a][b] = h
+            if b > a:
+                Hf[b][a], Hlog[b][a] = np.conj(h), np.conj(Hlog[a][b])
+    return Hf, Hlog, g2
+
+
+CHART_MATRICES = [
     [["x1^2", "0"], ["0", "x1^3"]],
     [["x1 + 2", "1/2*x1"], ["i*x1^2", "x1 - 1/3"]],
     [["x1^2", "0", "0"], ["0", "x1", "0"], ["0", "0", "x1^3"]],
     [["x1", "1", "0"], ["0", "x1^2", "2*i"], ["x1^3", "0", "x1 + 1"]],
-])
+]
+
+
+@pytest.mark.parametrize("rows", CHART_MATRICES)
 def test_chart_hessians_match_reference(rows):
     g = parse_matrix(rows, 1)
     r = g.cols
     z, _w = _draw(RegConfig(samples=2000, seed=r),
                   [(1.0, 2.0)] + [(1.0, 0.5)] * (r - 1))
+    fiber = _fiber_pieces(g.nvars, z)
     for chart in range(r):
-        Hf, Hlog, g2 = _chart_hessians(g.nvars, *_chart_rows(g, chart), z)
+        Hf, Hlog, g2 = _chart_hessians(g.nvars, *_chart_rows(g, chart), z,
+                                       fiber)
         Hf_ref, Hlog_ref, g2_ref = _chart_hessians_reference(g, chart, z)
         assert _close(g2, g2_ref)
         for got, ref in ((Hf, Hf_ref), (Hlog, Hlog_ref)):
             for a in range(r):
                 for b in range(r):
                     assert _close(got[a][b], ref[a][b]), (chart, a, b)
+
+
+# 16,384 complex or 32,768 real samples reach the 256 KiB from which numpy
+# computes a product in place, into its temporary
+@pytest.mark.parametrize("samples", [16, 4099, 32768, 40000])
+@pytest.mark.parametrize("rows", CHART_MATRICES)
+def test_shared_fiber_pieces_change_no_bit(rows, samples):
+    g = parse_matrix(rows, 1)
+    r = g.cols
+    z, _w = _draw(RegConfig(samples=samples, seed=samples + r),
+                  [(1.0, 2.0)] + [(1.0, 0.5)] * (r - 1))
+    fiber = _fiber_pieces(g.nvars, z)
+    for chart in range(r):
+        Hf, Hlog, g2 = _chart_hessians(g.nvars, *_chart_rows(g, chart), z,
+                                       fiber)
+        Hf_ref, Hlog_ref, g2_ref = _chart_hessians_per_chart(
+            g.nvars, *_chart_rows(g, chart), z)
+        assert np.array_equal(g2, g2_ref)
+        for got, ref in ((Hf, Hf_ref), (Hlog, Hlog_ref)):
+            for a in range(r):
+                for b in range(r):
+                    assert np.array_equal(got[a][b], ref[a][b]), (chart, a, b)
+
+
+def test_a_half_holds_one_charts_hessians_at_a_time(monkeypatch):
+    """When a thread builds chart c + 1's Hessians, no Hf array it returned
+    for chart c is alive; the log P entries are the half's, not a chart's."""
+    last = {}  # thread id -> weak references to its last chart's Hf arrays
+    alive = []
+
+    def tracked(*args):
+        refs = last.get(threading.get_ident())
+        if refs is not None:
+            alive.append(sum(ref() is not None for ref in refs))
+        Hf, Hlog, g2 = _chart_hessians(*args)
+        last[threading.get_ident()] = [weakref.ref(h) for row in Hf
+                                       for h in row]
+        return Hf, Hlog, g2
+
+    monkeypatch.setattr(numeric, "_chart_hessians", tracked)
+    g = parse_matrix([["x1^2", "0", "0"], ["0", "x1", "0"],
+                      ["0", "0", "x1^3"]], 1)
+    mass_balance_check(g, RegConfig(samples=4000))
+    assert len(last) == 2 and alive == [0] * 4  # two threads, three charts
 
 
 def test_comparability_numeric_mass():
@@ -959,7 +1052,7 @@ def test_exact_top_segre_matches_oracles_random():
 
 def _chart_hessians_whole(g, chart, z):
     """_chart_hessians as the serial bodies below called it, on all of z."""
-    return _chart_hessians(g.nvars, *_chart_rows(g, chart), z)
+    return _chart_hessians_per_chart(g.nvars, *_chart_rows(g, chart), z)
 
 
 def _require_finite_reference(density, z):
