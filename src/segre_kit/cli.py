@@ -248,7 +248,8 @@ def run_mass(spec: MorphismSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 def _json_text(value) -> str:
-    """The text ``json.dumps(value, indent=2)`` gives, without the
+    """The text ``json.dumps(value, indent=2)`` gives for a value built of
+    plain dicts, lists and tuples, as every report is, without the
     pure-Python encoder that ``indent`` selects: strings go through the same
     C escaper, numbers through ``int.__repr__`` and ``float.__repr__``.
     Dict keys are str, int, float, bool or None, as ``json.dumps`` needs."""
@@ -290,10 +291,6 @@ def _json_parts(value, newline: str, parts: list):
                 parts.append(leaf(v))
             sep = comma
         parts.append(newline + "]" if value else "[]")
-    elif isinstance(value, dict):
-        _json_parts(dict(value), newline, parts)
-    elif isinstance(value, (list, tuple)):
-        _json_parts(list(value), newline, parts)
     else:
         parts.append(_json_atom(value))
 

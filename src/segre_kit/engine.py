@@ -41,8 +41,6 @@ from segre_kit.poly import (
     PolyMatrix,
     StructureClass,
     classify_structure,
-    determinant,
-    monomial_degree,
     strip_common_factor,
 )
 from segre_kit.tower import (
@@ -122,7 +120,7 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
     if r < 2:
         raise InputError("ring currents live on P(E) with rank E >= 2")
     space = proj_space(n, r)
-    entries = [p for p in map(space.lift, g.entries) if not p.is_zero()]
+    entries = list(map(space.lift, g.entries))
     out = [GeneralizedCycle(space, level, terms)
            for level, terms in enumerate(tower_residue(entries, space))]
     if structure == StructureClass.DIAGONAL_MONOMIAL:
@@ -214,10 +212,8 @@ def compute_Mg(g: PolyMatrix,
 
     if r == 1:
         # E is a line bundle: the classical section case, no projectivization
-        entries = [g.entries[i][0] for i in range(g.rows)
-                   if not g.entries[i][0].is_zero()]
-        M = [GeneralizedCycle(base, k, terms)
-             for k, terms in enumerate(tower_residue(entries, base))]
+        M = [GeneralizedCycle(base, k, terms) for k, terms in
+             enumerate(tower_residue([row[0] for row in g.entries], base))]
         return MorphismResult(M, [])
 
     try:
@@ -296,21 +292,16 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
     if not n:
         raise InputError("the spec has no variables: M^a needs x1 at least")
     base = Space(n)
-    g1, g2 = g.entries[0]
-    if g1.is_zero() and g2.is_zero():
+    live = [p for p in g.entries[0] if not p.is_zero()]
+    if not live:
         raise InputError("compute_Ma needs (g1, g2) not both zero")
+    if len(live) == 1 and live[0].as_monomial() is None:
+        raise UnsupportedInputError(
+            "single-entry quotient supported for monomial entries only")
+    # a single monomial entry is h times a unit, which stands for both
+    h, reduced = strip_common_factor(live)
+    r1, r2 = reduced[0], reduced[-1]
     out = [GeneralizedCycle.zero(base, 0)]
-
-    if g1.is_zero() or g2.is_zero():
-        live = g2 if g1.is_zero() else g1
-        if live.as_monomial() is None:
-            raise UnsupportedInputError(
-                "single-entry quotient supported for monomial entries only")
-        out.append(GeneralizedCycle(base, 1, _divisor_terms(base, live)))
-        out += [GeneralizedCycle.zero(base, k) for k in range(2, n + 1)]
-        return out
-
-    h, (r1, r2) = strip_common_factor([g1, g2])
 
     # M^a_1 = [div h]: the exceptional component of div(a') pushes to zero
     out.append(GeneralizedCycle(base, 1, _divisor_terms(
@@ -342,7 +333,7 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
                                 VarietyRef.point_at([0] * n)))
 
     symbolic = []
-    if monomial_degree(h) > 0 and not (r1.is_constant() and r2.is_constant()):
+    if not (r1.is_constant() and r2.is_constant()):
         factor = MovingFactor((r1, r2), 1)
         for v, e in enumerate(h):
             if e:
@@ -357,18 +348,18 @@ def compute_Ma(g: PolyMatrix, cfg=None) -> List[GeneralizedCycle]:
 # singular-metric Segre / Chern forms
 # ---------------------------------------------------------------------------
 
-def singular_metric_forms(g: PolyMatrix,
-                          result: Optional[MorphismResult] = None) -> dict:
+def singular_metric_forms(g: PolyMatrix, result: MorphismResult) -> dict:
     """Every form for the singular metrics induced by g, at trivial smooth
-    metrics, as {name: (cycles, metadata)}: s(E-hat) = 1 + sum M_k (plus the
-    smooth tail as metadata), c(E-hat) = 1 - sum M_k and, for square
-    generically invertible g only, s(F-hat) = 1 - sum M_k."""
-    res = result or compute_Mg(g)
-    one = GeneralizedCycle.one(res.M[0].space)
-    negated = [one] + [c.scale(-1) for c in res.M[1:]]
+    metrics, from its currents ``result``, as {name: (cycles, metadata)}:
+    s(E-hat) = 1 + sum M_k (plus the smooth tail as metadata),
+    c(E-hat) = 1 - sum M_k and, for square g with M_0 = 1_Z = 0 only (g
+    generically injective, that is det g not identically zero),
+    s(F-hat) = 1 - sum M_k."""
+    one = GeneralizedCycle.one(result.M[0].space)
+    negated = [one] + [c.scale(-1) for c in result.M[1:]]
     tail = "1_{X\\Z} s(Im g) (not expanded; trivial metrics)"
-    forms = {"SEGRE_E_HAT": ([one] + res.M[1:], {"smooth_tail": tail}),
+    forms = {"SEGRE_E_HAT": ([one] + result.M[1:], {"smooth_tail": tail}),
              "CHERN_E_HAT": (negated, {})}
-    if g.rows == g.cols and not determinant(g).is_zero():
+    if g.rows == g.cols and result.M[0].is_zero():
         forms["SEGRE_F_HAT"] = (negated, {})
     return forms

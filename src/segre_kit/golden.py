@@ -54,11 +54,12 @@ def _fixed_part_map(cyc: GeneralizedCycle) -> list:
                   for t in fixed.terms)
 
 
-def _random_diag_monomial(rng: random.Random, n_max=3, r_max=3, exp_max=3):
-    """A random permuted-diagonal monomial matrix whose gcd-reduced entries
-    are pairwise coprime (the exact engine's diagonal class)."""
-    n = rng.randint(1, n_max)
-    r = rng.randint(1, r_max)
+def _random_diag_monomial(rng: random.Random):
+    """A random permuted-diagonal monomial matrix, n and r from 1 to 3 and
+    exponents at most 3, whose gcd-reduced entries are pairwise coprime (the
+    exact engine's diagonal class)."""
+    n = rng.randint(1, 3)
+    r = rng.randint(1, 3)
     # pairwise-coprime reduced parts: each variable belongs to one slot
     owners = [rng.randint(-1, r - 1) for _ in range(n)]
     common = [rng.randint(0, 1) for _ in range(n)]
@@ -67,7 +68,7 @@ def _random_diag_monomial(rng: random.Random, n_max=3, r_max=3, exp_max=3):
         exps = [0] * n
         for v in range(n):
             if owners[v] == slot:
-                exps[v] = rng.randint(0, exp_max - common[v])
+                exps[v] = rng.randint(0, 3 - common[v])
             exps[v] += common[v]
         entries.append(Polynomial.monomial(n, exps, rng.randint(1, 3)))
     perm_r, perm_c = rng.sample(range(r), r), rng.sample(range(r), r)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -148,6 +149,20 @@ def _diagonal_or_row(rng, as_row):
         g = PolyMatrix([[g.entries[i][j] for i, j in
                          sorted(g.nonzero_positions(), key=lambda ij: ij[1])]])
     return g
+
+
+def _with_zero_row_or_unit_block(g, rng):
+    """g, by coin flips with one row replaced by zeros and with a unit block
+    (1), (2) or (i) added as a direct summand: the zero entries and the
+    unit-block strip of compute_Mg."""
+    n, rows = g.nvars, [list(row) for row in g.entries]
+    zero = Polynomial.zero(n)
+    if rng.random() < 0.5:
+        rows[rng.randrange(len(rows))] = [zero] * g.cols
+    if rng.random() < 0.5:
+        unit = Polynomial.constant(n, rng.choice([1, 2, Scalar(0, 1)]))
+        rows = [row + [zero] for row in rows] + [[zero] * g.cols + [unit]]
+    return PolyMatrix(rows)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
@@ -529,25 +544,55 @@ def test_Ma_without_a_point_mass(rows, n, currents):
     assert [c.describe() for c in ma] == currents
 
 
+# one live entry m: M^a is [div m] in degree 1 for a monomial or a nonzero
+# constant, and a non-monomial m is refused (None); either position of m
+@pytest.mark.parametrize("entry, n, currents", [
+    ("x1^2", 1, ["0", "2*[x1=0]"]),
+    ("(1+i)*x1^3", 1, ["0", "3*[x1=0]"]),
+    ("2", 1, ["0", "0"]),
+    ("x1 + x1^2", 1, None),
+    ("x1*x2^2", 2, ["0", "[x1=0] + 2*[x2=0]", "0"]),
+    ("(2-i)*x2", 2, ["0", "[x2=0]", "0"]),
+    ("3/4", 2, ["0", "0", "0"]),
+    ("x1*x2 + x2^2", 2, None),
+    ("2*x2^2*x3", 3, ["0", "2*[x2=0] + [x3=0]", "0", "0"]),
+    ("x1*x2*x3^2", 3, ["0", "[x1=0] + [x2=0] + 2*[x3=0]", "0", "0"]),
+    ("i", 3, ["0", "0", "0", "0"]),
+    ("x1*x2 - x3^2", 3, None),
+])
+@pytest.mark.parametrize("live", [0, 1])
+def test_Ma_with_one_zero_entry(entry, n, currents, live):
+    row = ["0", "0"]
+    row[live] = entry
+    g = parse_matrix([row], n)
+    if currents is None:
+        with pytest.raises(UnsupportedInputError) as info:
+            compute_Ma(g, cfg=CFG)
+        assert str(info.value) == (
+            "single-entry quotient supported for monomial entries only")
+    else:
+        assert [c.describe() for c in compute_Ma(g, cfg=CFG)] == currents
+
+
 # ---------------------------------------------------------------------------
 # singular metric forms
 # ---------------------------------------------------------------------------
 
 def test_singular_metric_examples():
     g = parse_matrix([["x1", "0"], ["0", "x2"]], 2)
-    f_hat, meta = singular_metric_forms(g)["SEGRE_F_HAT"]
+    f_hat, meta = singular_metric_forms(g, compute_Mg(g))["SEGRE_F_HAT"]
     assert f_hat[0].describe() == "X"
     assert f_hat[1].describe() == "-1*[x1=0] + -1*[x2=0]"
     assert f_hat[2].describe() == "-1*[x1=x2=0]"
     assert meta == {}
 
     ident = parse_matrix([["1", "0"], ["0", "1"]], 2)
-    f_hat, _ = singular_metric_forms(ident)["SEGRE_F_HAT"]
+    f_hat, _ = singular_metric_forms(ident, compute_Mg(ident))["SEGRE_F_HAT"]
     assert f_hat[0].describe() == "X"
     assert all(c.is_zero() for c in f_hat[1:])
 
     pow_g = parse_matrix([["x1^2", "0"], ["0", "x1"]], 1)
-    c_hat, _ = singular_metric_forms(pow_g)["CHERN_E_HAT"]
+    c_hat, _ = singular_metric_forms(pow_g, compute_Mg(pow_g))["CHERN_E_HAT"]
     assert c_hat[1].describe() == "-3*[x1=0]"
 
     res = compute_Mg(g)
@@ -562,9 +607,11 @@ def test_singular_metric_examples():
 def test_singular_metric_validation():
     # s(F-hat) only for a square g with det g not identically zero
     row = parse_matrix([["x1", "x2"]], 2)
-    assert list(singular_metric_forms(row)) == ["SEGRE_E_HAT", "CHERN_E_HAT"]
+    assert list(singular_metric_forms(row, compute_Mg(row))) == [
+        "SEGRE_E_HAT", "CHERN_E_HAT"]
     degen = parse_matrix([["x1", "0"], ["0", "0"]], 2)
-    assert list(singular_metric_forms(degen)) == ["SEGRE_E_HAT", "CHERN_E_HAT"]
+    assert list(singular_metric_forms(degen, compute_Mg(degen))) == [
+        "SEGRE_E_HAT", "CHERN_E_HAT"]
 
 
 def test_single_row_with_common_factor():
@@ -605,7 +652,7 @@ def test_localization_invariance_random():
     rng = random.Random(314)
     done = 0
     while done < 40:
-        g = _random_diag_monomial(rng, n_max=3, r_max=3, exp_max=2)
+        g = _random_diag_monomial(rng)
         n = g.nvars
         pts = [pt for pt in product([0, 1], repeat=n) if any(pt)]
         if not pts:
@@ -731,13 +778,71 @@ def test_exact_run_builds_no_fraction(monkeypatch):
 # the paper's invariance statements, over generated inputs
 # ---------------------------------------------------------------------------
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_M0_vanishes_exactly_when_det_g_does_not(seed):
+    # M_0 = 1_Z, and a square g fails to be injective everywhere exactly
+    # when det g is identically zero; s(F-hat) exists exactly then
+    rng = random.Random(seed)
+    g = _with_zero_row_or_unit_block(_random_diag_monomial(rng), rng)
+    res = compute_Mg(g)
+    singular = determinant(g).is_zero()
+    assert singular == (not res.M[0].is_zero()), str(g)
+    assert ("SEGRE_F_HAT" in singular_metric_forms(g, res)) != singular
+
+
+def _off_hyperplanes(rng, zeros, n, pool):
+    """A point with x_v = 0 exactly for v in ``zeros``, its other
+    coordinates drawn from the nonzero scalars of ``pool``."""
+    return [Scalar(0) if v in zeros else rng.choice(pool) for v in range(n)]
+
+
+GAUSSIAN_INTEGERS = [Scalar(a, b) for a in range(-3, 4) for b in range(-3, 4)
+                     if a or b]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_distinguished_coefficient_is_the_segre_number_at_a_generic_point(
+        seed, as_row):
+    # at a generic point of a distinguished variety V of codim k, e_k is the
+    # coefficient of V: the moving part's Lelong numbers are positive only
+    # in codim > k (Siu), and two codim-k components meet in codim > k
+    rng = random.Random(seed)
+    g = _with_zero_row_or_unit_block(_diagonal_or_row(rng, as_row), rng)
+    res = compute_Mg(g)
+    for ref, c, k in res.distinguished:
+        pt = _off_hyperplanes(rng, ref.base_zeros, g.nvars, GAUSSIAN_INTEGERS)
+        assert ref.contains_point(pt)
+        assert segre_numbers(res, pt).numbers[k] == c, (str(g), pt)
+
+
+TORUS = [Scalar(0, 1), Scalar(Fraction(3, 5), Fraction(4, 5)), Scalar(-2),
+         Scalar(1, 1), Scalar(Fraction(1, 3), -2)]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_segre_numbers_are_constant_on_torus_orbits(seed, as_row):
+    # x -> t*x changes a monomial g by constant diagonal frame changes, so
+    # e_k(x) depends only on which coordinates of x vanish
+    rng = random.Random(seed)
+    g = _with_zero_row_or_unit_block(_diagonal_or_row(rng, as_row), rng)
+    res, n = compute_Mg(g), g.nvars
+    for orbit in itertools.product([0, 1], repeat=n):
+        zeros = {v for v in range(n) if not orbit[v]}
+        pt = _off_hyperplanes(rng, zeros, n, TORUS)
+        assert segre_numbers(res, pt).numbers == \
+            segre_numbers(res, orbit).numbers, (str(g), pt)
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.booleans())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_segre_numbers_do_not_depend_on_the_fiber_metric(seed, as_row):
     # positive weights w_j in sum w_j |a_j|^2 change how M^g is written, not
     # its multiplicities
     rng = random.Random(seed)
-    g = _diagonal_or_row(rng, as_row)
+    g = _with_zero_row_or_unit_block(_diagonal_or_row(rng, as_row), rng)
     weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                for _ in range(g.cols)]
     assert _invariants(g, weights) == _invariants(g), (str(g), weights)
@@ -782,7 +887,7 @@ def _pull_back(cyc, ks, sigma):
 def test_Mg_pulls_back_along_finite_monomial_maps(seed, as_row, weighted):
     # M^{f*g} = f*M^g for f(x) = (x_sigma(1)^k1, ..., x_sigma(n)^kn)
     rng = random.Random(seed)
-    g = _diagonal_or_row(rng, as_row)
+    g = _with_zero_row_or_unit_block(_diagonal_or_row(rng, as_row), rng)
     ks = [rng.randint(1, 3) for _ in range(g.nvars)]
     weights = [rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(g.cols)] \
         if weighted else None

@@ -3,7 +3,8 @@ every private module-level helper is referenced somewhere in the package and
 every public one there or in the package's ``__all__``, every public method
 of a module-level class is reached as an attribute (``x.name``,
 ``Cls.name``) somewhere in the package, not just named (no linter runs on
-the package, and deletions tend to leave strays behind), no
+the package, and deletions tend to leave strays behind), every defaulted
+parameter of a private function is passed by some call, no
 function body imports a segre_kit module (the package's imports form no
 cycle), numeric imports no private name from cycles, the third-party modules the package imports are exactly its declared
 dependencies, the mass command runs without importing scipy, every exact
@@ -157,6 +158,67 @@ def test_unreferenced_private_helper_is_caught():
                         "class _Used:\n    pass\n"),
                "b.py": "from a import _Used\n"}
     assert unreferenced_names(sources) == ["a.py:_orphan"]
+
+
+def _called_name(func):
+    return func.id if isinstance(func, ast.Name) else \
+        getattr(func, "attr", None)
+
+
+def dead_knobs(sources):
+    """``module:function(parameter)`` for each parameter with a default of a
+    private module-level function that no call in ``sources`` (a dict of
+    module name to text) passes, by position or by keyword.  A call through
+    ``partial`` passes what the partial binds, and ``*args`` or ``**kwargs``
+    in a call passes every parameter it could fill."""
+    positions, keywords = {}, {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if _called_name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = _called_name(func)
+            count = float("inf") if any(
+                isinstance(a, ast.Starred) for a in args) else len(args)
+            positions[name] = max(positions.get(name, 0), count)
+            keywords.setdefault(name, set()).update(
+                k.arg or "**" for k in node.keywords)
+    found = []
+    for module, source in sources.items():
+        for fn in ast.parse(source).body:
+            if not isinstance(fn, ast.FunctionDef) or \
+                    not fn.name.startswith("_"):
+                continue
+            a, used = fn.args, keywords.get(fn.name, set())
+            ordered = a.posonlyargs + a.args
+            knobs = [(p.arg, i) for i, p in enumerate(ordered)
+                     if i >= len(ordered) - len(a.defaults)]
+            knobs += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+            found += [f"{module}:{fn.name}({arg})" for arg, i in knobs
+                      if not (arg in used or "**" in used or i is not None
+                              and positions.get(fn.name, 0) > i)]
+    return found
+
+
+def test_private_functions_have_no_dead_knobs():
+    # a default that every call leaves alone is a constant in disguise
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_knobs(sources) == []
+
+
+def test_dead_knob_is_caught():
+    sources = {"a.py": ("def _f(x, by_pos=1, by_kw=2, dead=3, *, kw=4,\n"
+                        "       kw_dead=5):\n    pass\n\n\n"
+                        "def _g(x, star=1, both=2):\n    pass\n\n\n"
+                        "def _h(x, bound=1):\n    pass\n\n\n"
+                        "def public(x, free=1):\n    pass\n"),
+               "b.py": ("import functools\nfrom a import _f, _g, _h\n"
+                        "_f(0, 1, by_kw=2, kw=4)\n_g(*[0, 1])\n_g(0, **{})\n"
+                        "functools.partial(_h, 0, 1)\npublic(0)\n")}
+    assert dead_knobs(sources) == ["a.py:_f(dead)", "a.py:_f(kw_dead)"]
 
 
 def exported_names(source: str) -> set:
