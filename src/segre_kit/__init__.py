@@ -45,6 +45,7 @@ from segre_kit.numeric import (
     mass_balance_check,
     perturbation_root_count,
 )
+from segre_kit.tower import pushforward_cycle
 
 __version__ = "0.1.0"
 
@@ -52,7 +53,7 @@ __all__ = [
     "Scalar", "Monomial", "Polynomial", "PolyMatrix", "StructureClass",
     "classify_structure", "parse_polynomial",
     "CycleTerm", "GeneralizedCycle", "MovingFactor", "VarietyRef",
-    "fixed_moving_split", "multiplicity_at", "wedge",
+    "fixed_moving_split", "multiplicity_at", "wedge", "pushforward_cycle",
     "MorphismResult", "SegreReport", "compute_Ma", "compute_Mg",
     "ring_M_Galpha", "segre_numbers", "singular_metric_forms",
     "MassEstimate", "RegConfig", "contour_root_count",

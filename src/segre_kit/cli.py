@@ -1,9 +1,9 @@
 """Batch front end: parse a morphism spec file, run the requested engines
 and emit a JSON report; ``golden`` reports the checks of segre_kit.golden.
 
-Exit codes: 0 all checks pass, 1 golden/verify mismatch, 2 parse error or
-an unwritable --out, 3 structure unsupported by the exact engine, 4 undecided
-numerics.
+Exit codes: 0 all checks pass, 1 golden/verify mismatch or a failed
+self-check, 2 parse error or an unwritable --out, 3 structure unsupported by
+the exact engine, 4 undecided numerics.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from segre_kit.engine import (
     singular_metric_forms,
 )
 from segre_kit.errors import (
+    CheckFailedError,
     InputError,
     NumericalFailureError,
     ParseError,
@@ -162,13 +163,19 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
     res = reports = None
     if any(t in spec.tasks for t in EXACT_TASKS):
         res = compute_Mg(spec.matrix)
+    records = {}  # id -> (cycle, record): the forms share Mg's cycle objects
+
+    def record(c: GeneralizedCycle) -> dict:
+        if id(c) not in records:
+            records[id(c)] = c, c.to_record()
+        return records[id(c)][1]
 
     def segre_reports():
         cfg = None if skip_numeric else spec.reg
         return [segre_numbers(res, pt, cfg=cfg) for pt in spec.points]
 
     if "Mg" in spec.tasks:
-        results["Mg"] = res.to_record()
+        results["Mg"] = res.to_record(record)
     if "segre" in spec.tasks:
         reports = segre_reports()
         results["segre"] = [r.to_record() for r in reports]
@@ -180,7 +187,7 @@ def run_spec(spec: MorphismSpec, skip_numeric: bool = False) -> dict:
         results["Ma"] = [c.to_record() for c in ma]
     if "singular_metrics" in spec.tasks:
         results["singular_metrics"] = {
-            name: {"cycles": [c.to_record() for c in cycles], "metadata": meta}
+            name: {"cycles": [record(c) for c in cycles], "metadata": meta}
             for name, (cycles, meta)
             in singular_metric_forms(spec.matrix, res).items()}
 
@@ -393,6 +400,9 @@ def main(argv=None) -> int:
         print(f"undecided: {exc}" + (f" [{diag}]" if diag else ""),
               file=sys.stderr)
         return EXIT_UNDECIDED
+    except CheckFailedError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
     try:
         _emit(report, args.out)

@@ -12,7 +12,7 @@ homogenized chart terms must agree with the global terms visible there.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 from segre_kit.cycles import (
@@ -27,9 +27,13 @@ from segre_kit.cycles import (
     multiplicity_at,
     proj_space,
     term,
-    wedge,
 )
-from segre_kit.errors import InputError, UndecidedError, UnsupportedInputError
+from segre_kit.errors import (
+    CheckFailedError,
+    InputError,
+    UndecidedError,
+    UnsupportedInputError,
+)
 from segre_kit.numeric import (
     RegConfig,
     confirm_origin_only_zero,
@@ -46,8 +50,8 @@ from segre_kit.poly import (
 from segre_kit.tower import (
     _divisor_terms,
     _normalized_weights,
+    _push_term,
     _recognize_omega,
-    pushforward_cycle,
     tower_residue,
 )
 
@@ -71,12 +75,13 @@ class MorphismResult:
         if self.Z_description is None:
             self.Z_description = _describe_Z(self)
 
-    def to_record(self):
+    def to_record(self, record):
+        """The report record; ``record`` gives each cycle's."""
         return {
             "engine": EXACT,
             "Z": self.Z_description,
-            "M": [c.to_record() for c in self.M],
-            "ring_M": [c.to_record() for c in self.ring_M],
+            "M": [record(c) for c in self.M],
+            "ring_M": [record(c) for c in self.ring_M],
         }
 
 
@@ -130,25 +135,33 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
 
 def _verify_charts(entries, space: Space, global_ring):
     """Recompute the tower of the lifted rows in every affine chart
-    alpha_i = 1 and check the homogenized chart terms against the globally
-    visible ones."""
+    alpha_i = 1 and check the chart terms, homogenized when they carry a
+    moving factor, against the globally visible ones."""
     for chart in range(space.r):
         chart_entries = [space.dehomogenize(p, chart) for p in entries]
         for level, local in enumerate(tower_residue(chart_entries, space)):
-            local_terms = {}
+            named = {t.key(): t for t in global_ring[level].terms}
+            visible = {k: t.coefficient for k, t in named.items()
+                       if _visible_in_chart(t, chart)}
+            found = {}
             for t in local:
-                ht = _homogenize_chart_term(t, space, chart)
-                key = ht.key()
-                local_terms[key] = local_terms.get(key, 0) + ht.coefficient
-            global_visible = {}
-            for t in global_ring[level].terms:
-                if _visible_in_chart(t, chart):
-                    global_visible[t.key()] = t.coefficient
-            local_terms = {k: v for k, v in local_terms.items() if v != 0}
-            if local_terms != global_visible:
-                raise RuntimeError(
+                t = _homogenize_chart_term(t, space, chart) if t.moving else t
+                found[t.key()] = found.get(t.key(), 0) + t.coefficient
+                named.setdefault(t.key(), t)
+            found = {k: v for k, v in found.items() if v != 0}
+            if found != visible:
+                raise CheckFailedError(
                     f"chart {chart + 1} disagrees with the global tower at "
-                    f"level {level}: {local_terms} vs {global_visible}")
+                    f"level {level}: " + _lacking(visible, found, named, space))
+
+
+def _lacking(visible: dict, found: dict, named: dict, space: Space) -> str:
+    """The terms each side ({key: coefficient}) lacks or holds with another
+    coefficient, by ``describe``; ``named`` holds a term of each key."""
+    def listed(have, other):
+        return ", ".join(replace(named[k], coefficient=c).describe(space)
+                         for k, c in have.items() if other.get(k) != c) or "none"
+    return f"missing {listed(visible, found)}; extra {listed(found, visible)}"
 
 
 def _visible_in_chart(t: CycleTerm, chart: int) -> bool:
@@ -202,7 +215,7 @@ def compute_Mg(g: PolyMatrix,
     (default all 1)."""
     n, r = g.nvars, g.cols
     base = Space(n)
-    if fiber_metric_weights is not None:
+    weights = () if fiber_metric_weights is None else \
         _normalized_weights(fiber_metric_weights, r)  # refuses bad weights
 
     if g.is_zero():
@@ -229,15 +242,14 @@ def compute_Mg(g: PolyMatrix,
         res.Z_description += " (computed from the unit-reduced presentation)"
         return res
     # omega^e ^ ring_M_l, 0 <= e <= r - 1, pushes down to degree
-    # k = l + e - (r - 1)
+    # k = l + e - (r - 1); each ring term is pushed once for all its e
     terms = [[] for _ in range(n + 1)]
     for level, cyc in enumerate(ring):
-        if cyc.is_zero():
-            continue
-        for k in range(max(0, level - r + 1), min(n, level) + 1):
-            e = k + r - 1 - level
-            part = wedge(cyc, e) if e else cyc
-            terms[k] += pushforward_cycle(part, fiber_metric_weights).terms
+        ks = range(max(0, level - r + 1), min(n, level) + 1)
+        es = [k + r - 1 - level for k in ks]
+        for t in cyc.terms:
+            for k, ts in zip(ks, _push_term(t, cyc.space, base, weights, es)):
+                terms[k] += ts
     return MorphismResult([GeneralizedCycle(base, k, ts)
                            for k, ts in enumerate(terms)], ring)
 
@@ -271,7 +283,7 @@ def segre_numbers(res: MorphismResult, point, cfg=None) -> SegreReport:
             e, source = multiplicity_at(cyc, point, functools.partial(
                 crofton_moving_multiplicity, cfg=cfg)), ORACLE
         if e < 0:
-            raise RuntimeError(f"negative Segre number e_{k} = {e}")
+            raise CheckFailedError(f"negative Segre number e_{k} = {e}")
         numbers.append(e)
         provenance.append(source)
     return SegreReport(tuple(point), numbers, res.distinguished, provenance,

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Each class maps to one failure mode of the public contracts; the CLI
-translates them to exit codes (input/parse -> 2, unsupported structure -> 3,
-undecided numerics -> 4).
+translates them to exit codes (a failed self-check -> 1, input/parse -> 2,
+unsupported structure -> 3, undecided numerics -> 4).
 """
 
 import json
@@ -65,6 +65,10 @@ class NumericalFailureError(SegreKitError):
     def __init__(self, message, location=None):
         super().__init__(message)
         self.location = location
+
+
+class CheckFailedError(SegreKitError, RuntimeError):
+    """An exact result failed the engine's own check of it."""
 
 
 class ContourTooCloseError(NumericalFailureError):

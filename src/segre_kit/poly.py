@@ -8,7 +8,6 @@ outputs are bit-stable.  The text syntax round-trips exactly:
 
 from __future__ import annotations
 
-import itertools
 import math
 import re as _re
 from enum import Enum
@@ -662,10 +661,8 @@ class StructureClass(Enum):
 
 
 def _pairwise_coprime(mons) -> bool:
-    for a, b in itertools.combinations(mons, 2):
-        if monomial_degree(monomial_gcd(a, b)) > 0:
-            return False
-    return True
+    """No variable divides two of the monomials."""
+    return all(sum(map(bool, es)) <= 1 for es in zip(*mons))
 
 
 def classify_structure(g: PolyMatrix) -> StructureClass:

@@ -50,7 +50,7 @@ from segre_kit.poly import (
     Polynomial,
     _pairwise_coprime,
     monomial_degree,
-    strip_common_factor,
+    monomial_gcd,
 )
 
 
@@ -132,20 +132,28 @@ def _levels(entries, space: Space) -> List[List[CycleTerm]]:
     entries = [p for p in entries if not p.is_zero()]
     if not entries:
         raise InputError("tower applied to an identically zero tuple")
-    out = [[term(1, VarietyRef.whole_space())]] + [[] for _ in range(space.dim)]
-
-    if len(entries) == 1:
-        # a single section: the first power is its divisor (empty for a
-        # non-vanishing constant), all higher powers vanish
-        if space.dim and not entries[0].is_constant():
-            out[1] = _divisor_terms(space, entries[0])
-        return out
-
-    if any(p.as_monomial() is None for p in entries):
+    if len(entries) > 1 and any(p.as_monomial() is None for p in entries):
         raise UnsupportedInputError(
             "exact tower needs scalar*monomial entries for tuples of length >= 2")
-    h, reduced = strip_common_factor(entries)
-    red_mons = [p.as_monomial()[1] for p in reduced]
+    return _walk([(p.content_monomial(), p) for p in entries], space)
+
+
+def _walk(mons, space: Space) -> List[List[CycleTerm]]:
+    """``_levels`` of (exponents, entry) pairs: the common factor, coprimality
+    and the restrictions read exponents; entries are built only to divide h."""
+    out = [[term(1, VarietyRef.whole_space())]] + [[] for _ in range(space.dim)]
+    if len(mons) == 1:
+        # a single section: the first power is its divisor (empty for a
+        # non-vanishing constant), all higher powers vanish
+        if space.dim and not mons[0][1].is_constant():
+            out[1] = _divisor_terms(space, mons[0][1])
+        return out
+
+    h = monomial_gcd(*(m for m, _ in mons))
+    if any(h):
+        mons = [(tuple(a - b for a, b in zip(m, h)), p.divide_monomial(h))
+                for m, p in mons]
+    red_mons, reduced = zip(*mons)
     if not _pairwise_coprime(red_mons):
         raise UnsupportedInputError(
             "reduced tuple entries are not pairwise coprime; "
@@ -156,21 +164,21 @@ def _levels(entries, space: Space) -> List[List[CycleTerm]]:
     for v, e in enumerate(h):
         if not e:
             continue
-        restricted = [p for p in reduced if not p.degree_in(v)]
-        for level, inner in enumerate(_levels(restricted, space)[:-1]):
+        restricted = [(m, p) for m, p in mons if not m[v]]
+        for level, inner in enumerate(_walk(restricted, space)[:-1]):
             out[level + 1] += _prefix_subspace(space, v, e, inner)
 
     # <T'>^l: locally integrable below the top level s, zero above it, and at
     # it the proper-intersection cycle [div T'_1] ^ ... ^ [div T'_s] expanded
     # over the hyperplanes of each entry's divisor (empty if an entry is a
     # unit); a full-fiber equal-weight tuple is omega itself
-    s = len(reduced)
+    s = len(mons)
     whole = VarietyRef.whole_space()
     omega = _recognize_omega(space, reduced)
     for level in range(1, min(s, space.dim + 1)):
         out[level].append(term(1, whole, level) if omega else term(
-            1, whole, moving=(MovingFactor(tuple(reduced), level),)))
-    if s <= space.dim and all(monomial_degree(m) for m in red_mons):
+            1, whole, moving=(MovingFactor(reduced, level),)))
+    if s <= space.dim and all(map(any, red_mons)):
         top = [term(1, whole)]
         for m in red_mons:
             top = [t for v, e in enumerate(m) if e
@@ -220,14 +228,17 @@ def pushforward_cycle(c: GeneralizedCycle,
     weights = () if fiber_metric_weights is None else \
         _normalized_weights(fiber_metric_weights, space.r)
     return GeneralizedCycle(base, out_deg, [
-        p for t in c.terms for p in _push_term(t, space, base, weights)])
+        p for t in c.terms for p in _push_term(t, space, base, weights, (0,))[0]])
 
 
-def _push_term(t: CycleTerm, space: Space, base: Space,
-               weights: tuple) -> List[CycleTerm]:
-    """One term's pushforward by the rule in the module docstring."""
-    e = t.omega_power
-    base_factors, slices = [], []
+def _push_term(t: CycleTerm, space: Space, base: Space, weights: tuple,
+               powers) -> List[List[CycleTerm]]:
+    """The pushforward of omega^e ^ t for each e of ``powers`` by the module
+    docstring's rule, reading t's fiber content once and walking its base
+    arguments' tower at most once; omega^e ^ t vanishes, and pushes nothing,
+    where e takes t's omega power past the fiber dimension d of its support."""
+    d = t.fixed.fiber_dimension(space)
+    frame, base_factors, slices = 0, [], []
     for f in t.moving:
         # each argument as {fiber exponents: base terms}; the zero
         # polynomial splits into nothing
@@ -237,7 +248,7 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
                 tuple(Polynomial(space.n, *s.values()) for s in parts),
                 f.power, f.weights, f.averaged))
         elif _is_full_fiber_frame(space, f.args):
-            e += f.power  # a variant Fubini-Study form: integrates like omega
+            frame += f.power  # a variant Fubini-Study form: integrates like omega
         else:
             slices.append((f.power, parts))
     fixed = t.fixed
@@ -258,26 +269,28 @@ def _push_term(t: CycleTerm, space: Space, base: Space,
         js = [next((fe.index(1) for fe in s if sum(fe) == 1), None)
               for s in parts] if weights else ()
     base_fixed = VarietyRef.coordinate_subspace(fixed.base_zeros)
-    jp = e + q - fixed.fiber_dimension(space)  # e + q - d
-    if jp < 0:
-        return []
-    if jp == 0:
-        return [CycleTerm(t.coefficient, base_fixed, 0, tuple(base_factors))]
+    # e + q - d (the frame counted in e) of each e; -1 where omega^e ^ t = 0
+    jps = [t.omega_power + frame + e + q - d if t.omega_power + e <= d
+           else -1 for e in powers]
     base_args = [fixed.hypersurface[j] for j in js] if hypersurface else \
         [Polynomial(space.n, *s.values()) for s in parts]
-    if jp > base.n or all(p.is_constant() for p in base_args):
-        return []
+    levels = _levels(base_args, base) if any(0 < jp <= base.n for jp in jps) \
+        and not all(p.is_constant() for p in base_args) else None
     ws = tuple(weights[j] for j in js if j is not None) if weights else ()
     ws = ws if len(set(ws)) > 1 else ()
-    averaged = not (hypersurface and jp == 1)
     out = []
-    for sub in _levels(base_args, base)[jp]:
-        moving = list(base_factors)
-        for f in sub.moving:
-            if weights and not len(f.args) == len(set(js) - {None}) == len(js):
-                raise UnsupportedInputError(
-                    "fiber metric weights do not match a factor's arguments")
-            moving.append(MovingFactor(f.args, f.power, ws, averaged))
-        out.append(CycleTerm(t.coefficient * sub.coefficient,
-                             meet(base_fixed, sub.fixed), 0, tuple(moving)))
+    for jp in jps:
+        out.append([CycleTerm(t.coefficient, base_fixed, 0,
+                              tuple(base_factors))] if jp == 0 else [])
+        averaged = not (hypersurface and jp == 1)
+        for sub in levels[jp] if levels and 0 < jp <= base.n else ():
+            moving = list(base_factors)
+            for f in sub.moving:
+                if weights and not len(f.args) == len(set(js) - {None}) == len(js):
+                    raise UnsupportedInputError(
+                        "fiber metric weights do not match a factor's arguments")
+                moving.append(MovingFactor(f.args, f.power, ws, averaged))
+            out[-1].append(CycleTerm(t.coefficient * sub.coefficient,
+                                     meet(base_fixed, sub.fixed), 0,
+                                     tuple(moving)))
     return out

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -601,6 +602,91 @@ def test_run_report_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _monomial_text(names, exps, coeff):
+    body = "*".join(f"{v}^{e}" if e > 1 else v
+                    for v, e in zip(names, exps) if e)
+    if not body:
+        return coeff
+    return body if coeff == "1" else f"{coeff}*{body}"
+
+
+def _corpus_spec(rng):
+    """A seeded ``run`` spec of the pinned corpus: a permuted r x r diagonal,
+    r <= 4 over n <= 4, with a common factor, as is or with a unit block, a
+    zero row or an entry that breaks coprimality; a row of coprime monomials,
+    sometimes with a zero entry; a 1 x 2 row for M^a, sometimes with a
+    non-monomial entry; or a matrix of general entries, mostly refused."""
+    n = rng.randint(1, 4)
+    names = [f"x{i + 1}" for i in range(n)]
+    kind = rng.choice(["diag", "diag", "unit", "zero", "clash", "row", "row",
+                       "ma", "general"])
+    coeff = lambda: rng.choice(["1", "2", "3", "i", "1/2", "-1", "(1+2*i)"])
+    owners = [rng.randrange(-1, 4) for _ in range(n)]
+    common = [rng.randint(0, 1) for _ in range(n)]
+    common[rng.randrange(n)] = 1
+    r = 2 if kind == "ma" else rng.randint(1 if kind != "row" else 2, 4)
+    low = 1 if kind in ("row", "ma") else 0
+    entries = []
+    for slot in range(r):
+        exps = [common[v] + (rng.randint(low, 2) if owners[v] % r == slot
+                             else 0) for v in range(n)]
+        if kind == "clash":
+            exps[rng.randrange(n)] += 1
+        entries.append(_monomial_text(names, exps, coeff()))
+    if kind in ("row", "ma", "general"):
+        if kind == "general":
+            entries = [e + " + " + rng.choice(["1", "i", names[-1]])
+                       for e in entries]
+        elif rng.random() < 0.3:
+            entries[rng.randrange(r)] = "0" if kind == "row" else \
+                entries[0] + " + " + _monomial_text(names, [1] * n, "1")
+        matrix = [entries]
+    else:
+        if kind == "unit":
+            entries.append(coeff())
+        size = len(entries)
+        matrix = [["0"] * size for _ in range(size)]
+        for e, i, j in zip(entries, rng.sample(range(size), size),
+                           rng.sample(range(size), size)):
+            matrix[i][j] = e
+        if kind == "zero":
+            matrix.append(["0"] * size)
+    tasks = ["Mg", "segre", "distinguished", "singular_metrics"]
+    rng.shuffle(tasks)
+    tasks = tasks[:rng.randint(1, 4)]
+    if kind == "row" and r == 2 or rng.random() < 0.1:
+        tasks.append("Ma")
+    spec = {"variables": names, "matrix": matrix,
+            "tasks": ["Ma"] if kind == "ma" else tasks,
+            "points": [[rng.choice(["0", "1", "-1", "2"]) for _ in names]
+                       for _ in range(rng.randint(0, 3))],
+            "reg": {"seed": rng.randrange(1, 1000), "samples": 2000}}
+    if n <= 2 and kind in ("diag", "row", "ma") and rng.random() < 0.15:
+        spec["engine"] = "both"
+    return spec
+
+
+# the sha256 of exit code, stdout and stderr over the corpus, the Python
+# version left out of the reports; pinned before each ring term was pushed
+# once for all omega powers and each cycle recorded once per report
+CORPUS_SPECS, CORPUS_DIGEST = 300, (
+    "803b124a2da5fe815ff5ed5a318ab1ae4365d21f207d12d8c3b504852bcb7540")
+
+
+def test_report_bytes_over_a_seeded_corpus(tmp_path, capsys):
+    rng = random.Random(20261020)
+    python = json.dumps({"python": sys.version.split()[0]})[1:-1]
+    digest, codes = hashlib.sha256(), set()
+    for _ in range(CORPUS_SPECS):
+        code = main(["run", write_spec(tmp_path, _corpus_spec(rng))])
+        out, err = capsys.readouterr()
+        out = out.replace(python, '"python": ""')
+        digest.update(f"{code}\n{out}\n{err}\n".encode())
+        codes.add(code)
+    assert codes == {0, 2, 3}
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
 JSON_STRINGS = st.text() | st.sampled_from(
     ["", " ", "\ud800", "\udfff\ud800", "\x00\x1f\x7f\n\t", '"\\/', "\u00e9\u2211",
      "\U0001f600"])
@@ -712,6 +798,26 @@ def test_exit_code_one_on_check_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(golden, "_check", corrupt)
     assert cli.main(["golden", "--skip-numeric",
                      "--out", str(tmp_path / "g.json")]) == 1
+
+
+@pytest.mark.parametrize("name, fault, line", [
+    # terms on [a_i = 0] are invisible in chart i; claiming otherwise makes
+    # the chart towers lack them
+    ("_visible_in_chart", lambda t, chart: True,
+     "check failed: chart 1 disagrees with the global tower at level 2: "
+     "missing [x2=a1=0]; extra none"),
+    ("multiplicity_at", lambda cyc, point: -1,
+     "check failed: negative Segre number e_0 = -1"),
+])
+def test_a_failed_self_check_is_one_line_and_exit_1(tmp_path, capsys,
+                                                    monkeypatch, name, fault,
+                                                    line):
+    import segre_kit.engine as engine
+
+    monkeypatch.setattr(engine, name, fault)
+    assert main(["run", write_spec(tmp_path, DIAG2_SPEC)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == line + "\n"
 
 
 def test_exit_code_four_on_undecided(tmp_path, monkeypatch):

@@ -141,10 +141,31 @@ def _reference_M(g, weights=None):
     return M
 
 
-def _diagonal_or_row(rng, as_row):
-    """A permuted diagonal drawn by ``rng``, or its entries as one
-    pairwise-coprime row: the DIAGONAL_MONOMIAL and SINGLE_ROW classes."""
-    g = _random_diag_monomial(rng)
+def _wide_diagonal(rng):
+    """A permuted 4 x 4 diagonal over n = 4 whose entries share a common
+    factor of positive degree, with coefficients 1..3 and pairwise-coprime
+    reduced entries of exponents up to 2, as the exact_specs benchmark draws
+    its largest inputs: ring terms take up to four omega powers there."""
+    n = r = 4
+    owners = [rng.randrange(-1, r) for _ in range(n)]
+    common = [rng.randint(0, 1) for _ in range(n)]
+    if not any(common):
+        common[rng.randrange(n)] = 1
+    rows, cols = rng.sample(range(r), r), rng.sample(range(r), r)
+    cells = [[Polynomial.zero(n)] * r for _ in range(r)]
+    for slot in range(r):
+        exps = [common[v] + (rng.randint(0, 2) if owners[v] == slot else 0)
+                for v in range(n)]
+        cells[rows[slot]][cols[slot]] = Polynomial.monomial(
+            n, exps, rng.randint(1, 3))
+    return PolyMatrix(cells)
+
+
+def _diagonal_or_row(rng, as_row, wide=False):
+    """A permuted diagonal drawn by ``rng`` (``_wide_diagonal``'s when
+    ``wide``), or its entries as one pairwise-coprime row: the
+    DIAGONAL_MONOMIAL and SINGLE_ROW classes."""
+    g = _wide_diagonal(rng) if wide else _random_diag_monomial(rng)
     if as_row:
         g = PolyMatrix([[g.entries[i][j] for i, j in
                          sorted(g.nonzero_positions(), key=lambda ij: ij[1])]])
@@ -165,11 +186,12 @@ def _with_zero_row_or_unit_block(g, rng):
     return PolyMatrix(rows)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_Mg_is_the_sum_of_pushed_ring_levels(seed, as_row, weighted):
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
+       st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_Mg_is_the_sum_of_pushed_ring_levels(seed, as_row, weighted, wide):
     rng = random.Random(seed)
-    g = _diagonal_or_row(rng, as_row)
+    g = _diagonal_or_row(rng, as_row, wide)
     assume(g.cols >= 2)
     weights = [rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(g.cols)] \
         if weighted else None

@@ -20,8 +20,10 @@ from segre_kit.poly import (
     format_monomial,
     format_polynomial,
     _gauss_det,
+    _pairwise_coprime,
     _sturm,
     disk_root_count,
+    monomial_gcd,
     parse_matrix,
     parse_polynomial,
     parse_scalar_text,
@@ -520,3 +522,11 @@ def test_one_polynomial_per_parse(monkeypatch):
         calls.clear()
         parse_scalar_text(text)
         assert not calls, text
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 3), max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_pairwise_coprime_reads_the_pairwise_gcds(mons):
+    # no variable in two monomials exactly when every pair's gcd is 1
+    assert _pairwise_coprime(mons) == all(
+        not any(monomial_gcd(a, b)) for a, b in itertools.combinations(mons, 2))

@@ -10,7 +10,7 @@ from segre_kit.cycles import (
     proj_space,
     term,
 )
-from segre_kit.errors import UnsupportedTermError
+from segre_kit.errors import CheckFailedError, UnsupportedTermError
 from segre_kit.poly import parse_matrix, parse_polynomial
 from segre_kit.tower import pushforward_cycle, tower_residue
 
@@ -106,6 +106,62 @@ def test_chart_check_catches_an_extra_term(monkeypatch, chart, level):
     _plant(monkeypatch, chart, extra)
     with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
         engine.compute_Mg(parse_matrix(DIAG3, 3))
+
+
+# a chart term without a moving factor is compared as it is, one with a
+# moving factor after homogenizing it: each path gets its own planted faults
+@pytest.mark.parametrize("chart, level", [
+    (chart, level) for chart in range(3)
+    for level, terms in enumerate(_chart_levels(chart))
+    if any(not t.moving for t in terms)])
+def test_chart_check_catches_a_changed_term_without_moving_factor(
+        monkeypatch, chart, level):
+    def bump(levels, space):
+        i = next(i for i, t in enumerate(levels[level]) if not t.moving)
+        t = levels[level][i]
+        levels[level][i] = CycleTerm(t.coefficient + 1, t.fixed,
+                                     t.omega_power, t.moving)
+        return levels
+
+    _plant(monkeypatch, chart, bump)
+    with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
+        engine.compute_Mg(parse_matrix(DIAG3, 3))
+
+
+@pytest.mark.parametrize("chart, level, moving", [
+    (chart, level, moving) for chart in range(3) for level in range(6)
+    for moving in (False, True)])
+def test_chart_check_catches_an_extra_coordinate_term(monkeypatch, chart,
+                                                     level, moving):
+    # a coordinate subspace of P(E) (x1..x3, a1..a3), without or with a
+    # moving factor, of a coefficient no chart term has
+    x1, x2 = (parse_polynomial(v, 6) for v in ("x1", "x2"))
+    extra = term(7, VarietyRef.coordinate_subspace([0, 1, 2][:level]), 0,
+                 (MovingFactor((x1, x2), 1),) if moving else ())
+
+    def add(levels, space):
+        levels[level].append(extra)
+        return levels
+
+    _plant(monkeypatch, chart, add)
+    with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
+        engine.compute_Mg(parse_matrix(DIAG3, 3))
+
+
+def test_chart_check_names_the_missing_and_extra_terms(monkeypatch):
+    def bump(levels, space):
+        t = levels[2][0]
+        levels[2][0] = CycleTerm(t.coefficient + 1, t.fixed, t.omega_power,
+                                 t.moving)
+        return levels
+
+    _plant(monkeypatch, 0, bump)
+    with pytest.raises(CheckFailedError) as exc:
+        engine.compute_Mg(parse_matrix(DIAG3, 3))
+    factor = "<dd^c log(|x1*a1|^2 + |x2*a2|^2)>"
+    assert str(exc.value) == (
+        f"chart 1 disagrees with the global tower at level 2: missing "
+        f"[x3=0] ^ {factor}; extra 2*[x3=0] ^ {factor}")
 
 
 def test_push_refuses_a_slice_argument_mixing_fiber_coordinates():
