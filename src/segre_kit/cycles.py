@@ -123,10 +123,11 @@ class Space:
         zeros = ([var], []) if var < self.n else ([], [var - self.n])
         return VarietyRef.coordinate_subspace(*zeros)
 
-    def dehomogenize(self, p: Polynomial, c: int) -> Polynomial:
-        """p at a_c = 1 on the ambient itself, where the chart's terms are
-        compared with global ones."""
-        return p.substitute_one(self.n + c)
+    def chart_exponents(self, m, c: int) -> tuple:
+        """Ambient exponents m as the chart a_c != 0 reads them: a_c is a
+        unit there, so its exponent reads 0."""
+        k = self.n + c
+        return m[:k] + (0,) + m[k + 1:]
 
 
 def proj_space(n: int, r: int) -> Space:
@@ -517,8 +518,9 @@ def meet(a: VarietyRef, b: VarietyRef) -> VarietyRef:
         if a.base_zeros & b.base_zeros or a.fiber_zeros & b.fiber_zeros:
             raise UnsupportedTermError(
                 "improper intersection of coordinate subspaces")
-        return VarietyRef.coordinate_subspace(a.base_zeros | b.base_zeros,
-                                              a.fiber_zeros | b.fiber_zeros)
+        return VarietyRef(VarietyKind.COORDINATE_SUBSPACE,
+                          a.base_zeros | b.base_zeros,
+                          a.fiber_zeros | b.fiber_zeros)
     raise UnsupportedTermError(f"wedge of {ka.value} with {kb.value} unsupported")
 
 

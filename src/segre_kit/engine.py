@@ -5,8 +5,9 @@ and push down to the base.
 Degree bookkeeping: M_k is the pushforward of the (k+r-1)-degree part of
 sum_e omega^e ^ ring_M, so the list of ring currents at every level fully
 determines the morphism currents.  Chart consistency is asserted for the
-diagonal class: the same tower runs in every affine chart alpha_i = 1 and the
-homogenized chart terms must agree with the global terms visible there.
+diagonal class: the same tower runs in every affine chart alpha_i != 0, where
+alpha_i is a unit, and its terms must agree with the global terms visible
+there.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from segre_kit.tower import (
     _divisor_terms,
     _normalized_weights,
     _push_term,
-    _recognize_omega,
     tower_residue,
 )
 
@@ -134,18 +134,16 @@ def ring_M_Galpha(g: PolyMatrix) -> List[GeneralizedCycle]:
 
 
 def _verify_charts(entries, space: Space, global_ring):
-    """Recompute the tower of the lifted rows in every affine chart
-    alpha_i = 1 and check the chart terms, homogenized when they carry a
-    moving factor, against the globally visible ones."""
+    """Walk the tower of the lifted rows again in every affine chart
+    alpha_i != 0, with alpha_i a unit, and check the chart terms, which come
+    out in global coordinates, against the globally visible ones."""
     for chart in range(space.r):
-        chart_entries = [space.dehomogenize(p, chart) for p in entries]
-        for level, local in enumerate(tower_residue(chart_entries, space)):
+        for level, local in enumerate(tower_residue(entries, space, chart)):
             named = {t.key(): t for t in global_ring[level].terms}
             visible = {k: t.coefficient for k, t in named.items()
                        if _visible_in_chart(t, chart)}
             found = {}
             for t in local:
-                t = _homogenize_chart_term(t, space, chart) if t.moving else t
                 found[t.key()] = found.get(t.key(), 0) + t.coefficient
                 named.setdefault(t.key(), t)
             found = {k: v for k, v in found.items() if v != 0}
@@ -166,22 +164,6 @@ def _lacking(visible: dict, found: dict, named: dict, space: Space) -> str:
 
 def _visible_in_chart(t: CycleTerm, chart: int) -> bool:
     return chart not in t.fixed.fiber_zeros
-
-
-def _homogenize_chart_term(t: CycleTerm, space: Space, chart: int) -> CycleTerm:
-    """Map a chart-local term to global coordinates: multiply alpha-free
-    moving arguments by alpha_chart and re-run the omega recognition."""
-    omega = t.omega_power
-    moving = []
-    for f in t.moving:
-        args = [p if any(map(any, space.split(p)))
-                else space.lift({chart: p}) for p in f.args]
-        if _recognize_omega(space, args):
-            omega += f.power
-        else:
-            moving.append(MovingFactor(tuple(args), f.power, f.weights,
-                                       f.averaged))
-    return CycleTerm(t.coefficient, t.fixed, omega, tuple(moving))
 
 
 # ---------------------------------------------------------------------------

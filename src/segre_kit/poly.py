@@ -252,11 +252,6 @@ class Polynomial:
 
         return Polynomial(nvars, ((image(m), c) for m, c in self.terms.items()))
 
-    def substitute_one(self, var: int) -> "Polynomial":
-        """Set variable ``var`` to 1 (the ambient keeps its dimension)."""
-        return Polynomial(self.nvars, ((m[:var] + (0,) + m[var + 1:], c)
-                                       for m, c in self.terms.items()))
-
     # -- text ---------------------------------------------------------------
 
     def __str__(self):

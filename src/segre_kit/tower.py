@@ -116,37 +116,48 @@ def _prefix_subspace(space: Space, var: int, coeff, terms) -> List[CycleTerm]:
 # the tower
 # ---------------------------------------------------------------------------
 
-def tower_residue(entries, space: Space) -> List[List[CycleTerm]]:
+def tower_residue(entries, space: Space,
+                  chart: Optional[int] = None) -> List[List[CycleTerm]]:
     """1_{Z_T} [dd^c log|T|^2_o]^l for every level l = 0..space.dim, from one
     walk: the residue of a level is the part of its full power supported on a
     proper subvariety, that is every term whose fixed part has positive
     codimension (the dropped terms, on the whole space, are the 1 of level 0
     and the locally integrable <T'>^l below the top level of the reduced
-    tuple)."""
+    tuple).  With ``chart`` = c the walk reads a_c as a unit, which it is on
+    the affine chart a_c != 0 of P(E): the terms are that chart's tower, in
+    global coordinates (the moving arguments keep a_c)."""
     return [[t for t in terms if t.fixed.codim(space)]
-            for terms in _levels(entries, space)]
+            for terms in _levels(entries, space, chart)]
 
 
-def _levels(entries, space: Space) -> List[List[CycleTerm]]:
-    """[dd^c log|T|^2_o]^l for every level l = 0..space.dim."""
+def _levels(entries, space: Space,
+            chart: Optional[int] = None) -> List[List[CycleTerm]]:
+    """[dd^c log|T|^2_o]^l for every level l = 0..space.dim (in ``chart``,
+    see ``tower_residue``)."""
     entries = [p for p in entries if not p.is_zero()]
     if not entries:
         raise InputError("tower applied to an identically zero tuple")
     if len(entries) > 1 and any(p.as_monomial() is None for p in entries):
         raise UnsupportedInputError(
             "exact tower needs scalar*monomial entries for tuples of length >= 2")
-    return _walk([(p.content_monomial(), p) for p in entries], space)
+    mons = [p.content_monomial() for p in entries]
+    if chart is not None:
+        mons = [space.chart_exponents(m, chart) for m in mons]
+    return _walk(list(zip(mons, entries)), space)
 
 
 def _walk(mons, space: Space) -> List[List[CycleTerm]]:
-    """``_levels`` of (exponents, entry) pairs: the common factor, coprimality
-    and the restrictions read exponents; entries are built only to divide h."""
+    """``_levels`` of (exponents, entry) pairs: the common factor, coprimality,
+    the restrictions and a single monomial's divisor read exponents; entries
+    are built only to divide h."""
     out = [[term(1, VarietyRef.whole_space())]] + [[] for _ in range(space.dim)]
     if len(mons) == 1:
-        # a single section: the first power is its divisor (empty for a
-        # non-vanishing constant), all higher powers vanish
-        if space.dim and not mons[0][1].is_constant():
-            out[1] = _divisor_terms(space, mons[0][1])
+        # a single section: the first power is its divisor, a monomial's
+        # read off its exponents (none for a unit), all higher powers vanish
+        m, p = mons[0]
+        if space.dim:
+            out[1] = [term(e, space.hyperplane(v)) for v, e in enumerate(m)
+                      if e] if len(p.terms) == 1 else _divisor_terms(space, p)
         return out
 
     h = monomial_gcd(*(m for m, _ in mons))
@@ -238,27 +249,24 @@ def _push_term(t: CycleTerm, space: Space, base: Space, weights: tuple,
     arguments' tower at most once; omega^e ^ t vanishes, and pushes nothing,
     where e takes t's omega power past the fiber dimension d of its support."""
     d = t.fixed.fiber_dimension(space)
-    frame, base_factors, slices = 0, [], []
+    frame, slices = 0, []
     for f in t.moving:
-        # each argument as {fiber exponents: base terms}; the zero
-        # polynomial splits into nothing
-        parts = [space.split(p) for p in f.args]
-        if not any(any(fe) for s in parts for fe in s):
-            base_factors.append(MovingFactor(
-                tuple(Polynomial(space.n, *s.values()) for s in parts),
-                f.power, f.weights, f.averaged))
-        elif _is_full_fiber_frame(space, f.args):
+        if _is_full_fiber_frame(space, f.args):
             frame += f.power  # a variant Fubini-Study form: integrates like omega
         else:
-            slices.append((f.power, parts))
+            # each argument as {fiber exponents: base terms}; the zero
+            # polynomial splits into nothing
+            slices.append((f.power, [space.split(p) for p in f.args]))
     fixed = t.fixed
     hypersurface = fixed.kind == VarietyKind.FIBER_HYPERSURFACE
     q, parts = slices[0] if slices else (0, [])
     # a slice argument whose terms carry different fiber monomials mixes
-    # fiber coordinates: it has no base argument
+    # fiber coordinates: it has no base argument; a factor whose arguments
+    # carry no fiber coordinate slices no fiber
     if fixed.kind == VarietyKind.POINT or len(slices) > 1 or \
             any(len(s) > 1 for s in parts) or \
-            slices and (hypersurface or fixed.fiber_zeros):
+            slices and (hypersurface or fixed.fiber_zeros
+                        or not any(any(fe) for s in parts for fe in s)):
         raise UnsupportedTermError(
             f"unsupported fiber content: {t.describe(space)}", term=t)
     if hypersurface:
@@ -280,11 +288,10 @@ def _push_term(t: CycleTerm, space: Space, base: Space, weights: tuple,
     ws = ws if len(set(ws)) > 1 else ()
     out = []
     for jp in jps:
-        out.append([CycleTerm(t.coefficient, base_fixed, 0,
-                              tuple(base_factors))] if jp == 0 else [])
+        out.append([CycleTerm(t.coefficient, base_fixed)] if jp == 0 else [])
         averaged = not (hypersurface and jp == 1)
         for sub in levels[jp] if levels and 0 < jp <= base.n else ():
-            moving = list(base_factors)
+            moving = []
             for f in sub.moving:
                 if weights and not len(f.args) == len(set(js) - {None}) == len(js):
                     raise UnsupportedInputError(

@@ -196,6 +196,20 @@ def test_pushforward_crofton_hypersurface():
     assert out0.describe() == "X"
 
 
+def test_pushforward_refuses_a_factor_without_fiber_content():
+    # <dd^c log(|x1|^2 + |x2|^2)> on X x P^1 slices no fiber: the engine
+    # never builds such a factor (each reduced lifted entry keeps its a_j),
+    # and the pushforward refuses it alone, beside omega and beside a slice
+    base = MovingFactor((bp("x1", 4), bp("x2", 4)), 1)
+    fiber = MovingFactor((bp("x1*x3", 4), bp("x2*x4", 4)), 1)
+    for omega, moving in ((0, (base,)), (1, (base,)), (0, (base, fiber))):
+        c = GeneralizedCycle(P22, omega + len(moving), [
+            term(1, VarietyRef.whole_space(), omega, moving)])
+        with pytest.raises(UnsupportedTermError,
+                           match="unsupported fiber content"):
+            pushforward_cycle(c)
+
+
 def test_pushforward_degree_bookkeeping():
     # every output drops the bidegree by exactly r-1
     for content, deg in [(term(1, VarietyRef.whole_space(), omega_power=1), 1),
@@ -422,8 +436,10 @@ def test_meet_of_coordinate_subspaces(drawn):
             with pytest.raises(UnsupportedTermError, match="improper"):
                 meet(x, y)
     else:
-        assert meet(a, b) == meet(b, a) == VarietyRef.coordinate_subspace(
-            a.base_zeros | b.base_zeros, a.fiber_zeros | b.fiber_zeros)
+        union = VarietyRef.coordinate_subspace(a.base_zeros | b.base_zeros,
+                                               a.fiber_zeros | b.fiber_zeros)
+        assert meet(a, b) == meet(b, a) == union
+        assert hash(meet(a, b)) == hash(union)
 
 
 def test_meet_refuses_the_whole_space_with_other_kinds():

@@ -57,6 +57,7 @@ from segre_kit.poly import (
     strip_common_factor,
 )
 from segre_kit.scalars import Scalar
+from test_space import substitute_one
 
 
 def p(text, n=2):
@@ -836,7 +837,8 @@ def test_wedges_skip_scalar_zero_rows_exactly(N):
 def _chart_hessians_reference(g, chart, z):
     """_chart_hessians before it shared the powers of P and skipped the
     vanishing terms, kept verbatim as the reference, with the body of the
-    lift it called (poly._lift_entries) written out."""
+    lift it called (poly._lift_entries) written out and the removed
+    Polynomial.substitute_one as ``test_space.substitute_one``."""
     n, r = g.nvars, g.cols
     N = n + r - 1
     mapping = list(range(n))
@@ -856,7 +858,7 @@ def _chart_hessians_reference(g, chart, z):
                     * Polynomial.variable(n + r, n + j)
         lifted.append(acc)
     safe_mapping = [m if m >= 0 else 0 for m in mapping]
-    rows = [p.substitute_one(n + chart).map_variables(safe_mapping, N)
+    rows = [substitute_one(p, n + chart).map_variables(safe_mapping, N)
             for p in lifted if not p.is_zero()]
     vals = [p.eval_array(z) for p in rows]
     grads = [[p.differentiate(a).eval_array(z) for a in range(N)] for p in rows]

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from segre_kit import engine
 from segre_kit.cycles import (
@@ -10,9 +14,15 @@ from segre_kit.cycles import (
     proj_space,
     term,
 )
-from segre_kit.errors import CheckFailedError, UnsupportedTermError
-from segre_kit.poly import parse_matrix, parse_polynomial
-from segre_kit.tower import pushforward_cycle, tower_residue
+from segre_kit.errors import (
+    CheckFailedError,
+    UnsupportedInputError,
+    UnsupportedTermError,
+)
+from segre_kit.poly import MAX_VARS, parse_matrix, parse_polynomial
+from segre_kit.tower import _recognize_omega, pushforward_cycle, tower_residue
+from test_engine import _diagonal_or_row, _with_zero_row_or_unit_block
+from test_space import substitute_one
 
 
 DIAG3 = [["x1*x3", "0", "0"], ["0", "x2*x3", "0"], ["0", "0", "x3^2"]]
@@ -50,26 +60,26 @@ def test_one_tower_walk_per_tuple(monkeypatch, rows, n, walks):
     monkeypatch.setattr(engine, "tower_residue", counted)
     engine.compute_Mg(parse_matrix(rows, n))
     assert len(calls) == walks
-    for chart, (entries, _space) in enumerate(calls[1:]):
-        assert not any(p.degree_in(n + chart) for p in entries)
+    # the charts walk the global lifted entries, each with its own index
+    assert [args[2:] for args in calls] == [()] + [
+        (chart,) for chart in range(walks - 1)]
+    assert all(args[:2] == calls[0] for args in calls[1:])
 
 
 def test_chart_check_catches_a_planted_fault(monkeypatch):
     # terms on [a_i = 0] are invisible in chart i; claiming otherwise must
     # make the chart towers disagree with the global one
     monkeypatch.setattr(engine, "_visible_in_chart", lambda t, chart: True)
-    with pytest.raises(RuntimeError, match="disagrees with the global tower"):
+    with pytest.raises(CheckFailedError,
+                       match="chart 1 disagrees with the global tower"):
         engine.compute_Mg(parse_matrix([["x1", "0"], ["0", "x2"]], 2))
 
 
 def _plant(monkeypatch, chart, fault):
-    """Let ``fault`` rewrite the tower of one chart (call 0 is global)."""
-    calls = []
-
-    def planted(entries, space):
-        levels = tower_residue(entries, space)
-        calls.append(entries)
-        return fault(levels, space) if len(calls) == 2 + chart else levels
+    """Let ``fault`` rewrite the tower of one chart."""
+    def planted(entries, space, at=None):
+        levels = tower_residue(entries, space, at)
+        return fault(levels, space) if at == chart else levels
 
     monkeypatch.setattr(engine, "tower_residue", planted)
 
@@ -77,8 +87,7 @@ def _plant(monkeypatch, chart, fault):
 def _chart_levels(chart):
     g = parse_matrix(DIAG3, 3)
     space = proj_space(3, 3)
-    return tower_residue([space.dehomogenize(space.lift(row), chart)
-                          for row in g.entries], space)
+    return tower_residue(list(map(space.lift, g.entries)), space, chart)
 
 
 @pytest.mark.parametrize("chart, level", [
@@ -92,7 +101,7 @@ def test_chart_check_catches_a_changed_coefficient(monkeypatch, chart, level):
         return levels
 
     _plant(monkeypatch, chart, bump)
-    with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
+    with pytest.raises(CheckFailedError, match=f"chart {chart + 1} disagrees"):
         engine.compute_Mg(parse_matrix(DIAG3, 3))
 
 
@@ -104,12 +113,12 @@ def test_chart_check_catches_an_extra_term(monkeypatch, chart, level):
         return levels
 
     _plant(monkeypatch, chart, extra)
-    with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
+    with pytest.raises(CheckFailedError, match=f"chart {chart + 1} disagrees"):
         engine.compute_Mg(parse_matrix(DIAG3, 3))
 
 
-# a chart term without a moving factor is compared as it is, one with a
-# moving factor after homogenizing it: each path gets its own planted faults
+# chart terms without a moving factor, omega powers among them, get planted
+# faults of their own
 @pytest.mark.parametrize("chart, level", [
     (chart, level) for chart in range(3)
     for level, terms in enumerate(_chart_levels(chart))
@@ -124,7 +133,7 @@ def test_chart_check_catches_a_changed_term_without_moving_factor(
         return levels
 
     _plant(monkeypatch, chart, bump)
-    with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
+    with pytest.raises(CheckFailedError, match=f"chart {chart + 1} disagrees"):
         engine.compute_Mg(parse_matrix(DIAG3, 3))
 
 
@@ -144,7 +153,7 @@ def test_chart_check_catches_an_extra_coordinate_term(monkeypatch, chart,
         return levels
 
     _plant(monkeypatch, chart, add)
-    with pytest.raises(RuntimeError, match=f"chart {chart + 1} disagrees"):
+    with pytest.raises(CheckFailedError, match=f"chart {chart + 1} disagrees"):
         engine.compute_Mg(parse_matrix(DIAG3, 3))
 
 
@@ -162,6 +171,63 @@ def test_chart_check_names_the_missing_and_extra_terms(monkeypatch):
     assert str(exc.value) == (
         f"chart 1 disagrees with the global tower at level 2: missing "
         f"[x3=0] ^ {factor}; extra 2*[x3=0] ^ {factor}")
+
+
+# ---------------------------------------------------------------------------
+# the chart walk against the dehomogenize / homogenize round trip
+# ---------------------------------------------------------------------------
+
+def _reference_chart_levels(entries, space, chart):
+    """A chart's tower as the engine once computed it: a_c set to 1 in every
+    lifted entry, the tower walked on those, and each term with a moving
+    factor mapped back to P(E) by ``_reference_homogenize``."""
+    dehomogenized = [substitute_one(p, space.n + chart) for p in entries]
+    return [[_reference_homogenize(t, space, chart) if t.moving else t
+             for t in terms] for terms in tower_residue(dehomogenized, space)]
+
+
+def _reference_homogenize(t, space, chart):
+    """A chart term in global coordinates: its a-free moving arguments
+    multiplied by a_c and omega recognized again."""
+    omega = t.omega_power
+    moving = []
+    for f in t.moving:
+        args = [p if any(map(any, space.split(p)))
+                else space.lift({chart: p}) for p in f.args]
+        if _recognize_omega(space, args):
+            omega += f.power
+        else:
+            moving.append(MovingFactor(tuple(args), f.power, f.weights,
+                                       f.averaged))
+    return CycleTerm(t.coefficient, t.fixed, omega, tuple(moving))
+
+
+def _outcome(walk):
+    """Each level's (key, coefficient) pairs in order, or the refusal."""
+    try:
+        return [[(t.key(), t.coefficient) for t in terms] for terms in walk()]
+    except UnsupportedInputError as exc:
+        return str(exc)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_chart_walk_matches_the_round_trip(seed, wide):
+    # permuted diagonals up to 4 x 4 over n = 4 with common factors, by coin
+    # flips with a zero row and a unit entry: in every chart and at every
+    # level the walk gives the round trip's terms, keys and coefficients, in
+    # its order, or refuses the tuple as the round trip does (a unit entry
+    # beside entries that share a factor is refused before the charts)
+    rng = random.Random(seed)
+    g = _with_zero_row_or_unit_block(_diagonal_or_row(rng, False, wide), rng)
+    assume(g.cols >= 2 and g.nvars + g.cols <= MAX_VARS and not g.is_zero())
+    space = proj_space(g.nvars, g.cols)
+    entries = list(map(space.lift, g.entries))
+    for chart in range(space.r):
+        got = _outcome(lambda: tower_residue(entries, space, chart))
+        assert got == _outcome(
+            lambda: _reference_chart_levels(entries, space, chart)), \
+            (str(g), chart)
 
 
 def test_push_refuses_a_slice_argument_mixing_fiber_coordinates():
